@@ -22,6 +22,7 @@ from .errors import (
     InvalidAlgebra,
     NotIdempotent,
     NotIdempotentSum,
+    NotInSubspace,
     NotUnital,
     RadicalUnsupportedCharacteristic,
     UnknownLabel,
@@ -81,11 +82,11 @@ class Algebra:
         f = self.field
         out = [f.zero] * self.dim
         for i, xi in enumerate(x):
-            if f.is_zero(xi):
+            if not xi:
                 continue
             mrow = self.mult[i]
             for j, yj in enumerate(y):
-                if f.is_zero(yj):
+                if not yj:
                     continue
                 c = f.mul(xi, yj)
                 for k, m in mrow[j]:
@@ -395,27 +396,21 @@ class Algebra:
         rows = [self.mult_vec(e, self.mult_vec(self.basis_vec(i), e)) for i in range(self.dim)]
         S = Subspace.from_rows(f, self.dim, rows)
         basis = [S.basis.row(i) for i in range(S.dim)]
-        mult = []
-        for x in basis:
-            mrow = []
-            for y in basis:
-                coords, rem = S.reduce(self.mult_vec(x, y))
-                assert all(f.is_zero(t) for t in rem)
-                mrow.append(_sparse(f, coords))
-            mult.append(tuple(mrow))
-        def coords_of(v):
-            c, rem = S.reduce(v)
-            assert all(f.is_zero(t) for t in rem)
-            return tuple(c)
-        idems = [(coords_of(self.idempotents[k][0]), self.idempotents[k][1]) for k in summands]
+
+        def coords_of(vectors):
+            C = S.coordinates(Matrix.from_columns(f, vectors, nrows=self.dim))
+            return [tuple(C.col(j)) for j in range(C.cols)]
+
+        mult = [tuple(_sparse(f, c) for c in coords_of([self.mult_vec(x, y) for y in basis]))
+                for x in basis]
+        idems = list(zip(coords_of([self.idempotents[k][0] for k in summands]),
+                         [self.idempotents[k][1] for k in summands]))
         rad = self.radical()
-        rad_rows = [coords_of(w) for w in
-                    (self.mult_vec(e, self.mult_vec(rad.basis.row(i), e)) for i in range(rad.dim))]
+        rad_rows = coords_of([self.mult_vec(e, self.mult_vec(rad.basis.row(i), e)) for i in range(rad.dim)])
         names = [f"c{i}" for i in range(S.dim)]
-        out = Algebra(f, names, tuple(mult), coords_of(e), idems,
+        out = Algebra(f, names, tuple(mult), coords_of([e])[0], idems,
                       radical_rows=rad_rows, validate_level="fast")
-        emb = Matrix.from_columns(f, basis, nrows=self.dim)
-        return out, emb
+        return out, S.inclusion()
 
     def quotient_by_idempotent_ideal(self, e):
         """(A/AeA, projection matrix dim(quotient) x dim(A))."""
@@ -486,23 +481,21 @@ class Algebra:
         if not span.contains(self.unit):
             raise NotUnital("closure does not contain the unit of the ambient algebra")
         basis = [span.basis.row(i) for i in range(span.dim)]
-        def coords_of(v):
-            c, rem = span.reduce(v)
-            if not all(f.is_zero(t) for t in rem):
-                raise InvalidAlgebra("element escapes the closure")
-            return tuple(c)
-        mult = []
-        for x in basis:
-            mrow = []
-            for y in basis:
-                mrow.append(_sparse(f, coords_of(self.mult_vec(tuple(x), tuple(y)))))
-            mult.append(tuple(mrow))
-        idems = [(coords_of(self.coerce_vec(v)), lab) for v, lab in idem_gens]
+
+        def coords_of(vectors):
+            try:
+                C = span.coordinates(Matrix.from_columns(f, vectors, nrows=self.dim))
+            except NotInSubspace as exc:
+                raise InvalidAlgebra("element escapes the closure") from exc
+            return [tuple(C.col(j)) for j in range(C.cols)]
+
+        mult = [tuple(_sparse(f, c) for c in coords_of([self.mult_vec(tuple(x), tuple(y)) for y in basis]))
+                for x in basis]
+        idems = list(zip(coords_of([self.coerce_vec(v) for v, _ in idem_gens]), [lab for _, lab in idem_gens]))
         names = [f"b{i}" for i in range(span.dim)]
         level = "full" if span.dim <= FULL_VALIDATION_DIM else "fast"
-        out = Algebra(f, names, tuple(mult), coords_of(self.unit), idems, validate_level=level)
-        emb = Matrix.from_columns(f, basis, nrows=self.dim)
-        return out, emb
+        out = Algebra(f, names, tuple(mult), coords_of([self.unit])[0], idems, validate_level=level)
+        return out, span.inclusion()
 
     def tensor_product(self, other):
         if self.field != other.field:

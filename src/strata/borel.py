@@ -193,17 +193,11 @@ def check_regular(emb: BorelEmbedding, n_max=DEFAULT_NMAX, report: BorelReport |
                 cols = []
                 for u, Sb in enumerate(bases_b[n]):
                     Sa = bases_a[n][u]
-                    e_img = layers_A[n][u]
-                    act_e = Dj.act(e_img)
+                    block = Sa.coordinates(Dj.act(layers_A[n][u]) * to_delta * Sb.inclusion())
+                    off = sum(s.dim for s in bases_a[n][:u])
                     for c in range(Sb.dim):
-                        v = Sb.basis.row(c)
-                        img = (act_e * to_delta * Matrix.column(f, v)).col(0)
-                        coords, rem = Sa.reduce(img)
-                        assert all(f.is_zero(x) for x in rem)
                         full = [f.zero] * sum(s.dim for s in bases_a[n])
-                        off = sum(s.dim for s in bases_a[n][:u])
-                        for k, co in enumerate(coords):
-                            full[off + k] = co
+                        full[off : off + Sa.dim] = block.col(c)
                         cols.append(full)
                 verticals.append(
                     Matrix.from_columns(f, cols, nrows=sum(s.dim for s in bases_a[n]))

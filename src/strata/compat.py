@@ -86,9 +86,7 @@ def build_stratification_chain(A, poset, e_vec, sd: StratDatum | None = None):
         Jmod, _ = reg.submodule(J)
         layer_space_rows = []
         # layer = J / prev inside Jmod coordinates
-        prev_in_J = Subspace.from_rows(
-            A.field, J.dim, [J.reduce(prev.basis.row(i))[0] for i in range(prev.dim)]
-        )
+        prev_in_J = Subspace.row_space(J.coordinates(prev.inclusion()).transpose())
         layer, _ = Jmod.quotient(prev_in_J)
         D = sd.delta[lab]
         if D.dim == 0 or layer.dim % D.dim:
@@ -266,8 +264,9 @@ def recollement_identity_suite(A, poset, e_vec, ctx=None, sd=None, conds=None):
             out.append(("dual inflation identities", "skipped"))
 
     sc = strat_datum(ctx.corner, poset.restrict(supp))
+    inside = [l for l in A.labels if l in supp]
     if conds and conds.get(4) == YES:
-        for i in supp:
+        for i in inside:
             out.append((f"corner(Delta_{i}) = Delta_{i}^corner",
                         verdict(iso_test(ctx.corner_apply(sd.delta[i]), sc.delta[i]))))
             out.append((f"corner(NablaBar_{i}) = NablaBar_{i}^corner",
@@ -277,7 +276,7 @@ def recollement_identity_suite(A, poset, e_vec, ctx=None, sd=None, conds=None):
     else:
         out.append(("corner identities", "skipped"))
     if conds and conds.get(5) == YES:
-        for i in supp:
+        for i in inside:
             out.append((f"corner_tensor(Delta_{i}^corner) = Delta_{i}",
                         verdict(iso_test(ctx.corner_tensor(sc.delta[i]), sd.delta[i]))))
     else:

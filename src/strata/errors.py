@@ -49,6 +49,11 @@ class InvalidModule(StrataError):
     pass
 
 
+class NotInSubspace(StrataError):
+    """A vector that must lie in a subspace (an image under a module action,
+    a product in a closed span) does not."""
+
+
 class NotAntisymmetric(StrataError):
     """Generated order relation has a nontrivial cycle."""
 

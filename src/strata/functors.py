@@ -49,42 +49,29 @@ class IdempotentContext:
         """eX as a module over eAe."""
         C = self.corner
         space = X.e_part(self.e)
-        f = self.A.field
-        basis = [space.basis.row(i) for i in range(space.dim)]
-        action = []
-        for j in range(C.dim):
-            a_vec = self.corner_emb.col(j)
-            MA = X.act(a_vec)
-            cols = []
-            for v in basis:
-                img = (MA * Matrix.column(f, v)).col(0)
-                coords, rem = space.reduce(img)
-                assert all(f.is_zero(x) for x in rem)
-                cols.append(coords)
-            action.append(Matrix.from_columns(f, cols, nrows=space.dim))
+        incl = space.inclusion()
+        action = [space.coordinates(X.act(self.corner_emb.col(j)) * incl) for j in range(C.dim)]
         return Module(C, space.dim, action)
 
     def corner_tensor(self, Y: Module):
         """Ae ⊗_{eAe} Y as a module over A."""
         A, C = self.A, self.corner
         f = A.field
-        reg = Module.regular(A)
         ae_rows = [A.mult_vec(A.basis_vec(i), self.e) for i in range(A.dim)]
         ae = Subspace.from_rows(f, A.dim, ae_rows)
         m = ae.dim
-        basisM = [ae.basis.row(i) for i in range(m)]
+        ae_incl = ae.inclusion()
         nY = Y.dim
         dim = m * nY
         rows = []
-        for g_idx in range(len(C.generators())):
-            c = C.generators()[g_idx]
+        for c in C.generators():
             c_in_A = self.corner_emb * Matrix.column(f, list(c))
             right = A.right_mult_matrix(c_in_A.col(0))
             actc = Y.act(c)
+            # column i: coordinates of basis_i * c in Ae
+            XC = ae.coordinates(right * ae_incl)
             for i in range(m):
-                xc = (right * Matrix.column(f, basisM[i])).col(0)
-                xc_coords, rem = ae.reduce(xc)
-                assert all(f.is_zero(t) for t in rem)
+                xc_coords = XC.col(i)
                 for j in range(nY):
                     vec = [f.zero] * dim
                     for k, co in enumerate(xc_coords):
@@ -100,13 +87,11 @@ class IdempotentContext:
         qdim = dim - rel.dim
         action = []
         for bidx in range(A.dim):
-            MA = reg.act(A.basis_vec(bidx))  # left multiplication on A
+            # left multiplication on A, in the coordinates of Ae
+            L = ae.coordinates(A.basis_left_mult(bidx) * ae_incl)
             big = [[f.zero] * dim for _ in range(dim)]
             for i in range(m):
-                img = (MA * Matrix.column(f, basisM[i])).col(0)
-                coords, rem = ae.reduce(img)
-                assert all(f.is_zero(t) for t in rem)
-                for k, co in enumerate(coords):
+                for k, co in enumerate(L.col(i)):
                     if not f.is_zero(co):
                         for j in range(nY):
                             big[k * nY + j][i * nY + j] = co
@@ -120,7 +105,7 @@ class IdempotentContext:
         ea_rows = [A.mult_vec(self.e, A.basis_vec(i)) for i in range(A.dim)]
         ea = Subspace.from_rows(f, A.dim, ea_rows)
         m = ea.dim
-        basisM = [ea.basis.row(i) for i in range(m)]
+        ea_incl = ea.inclusion()
         nY = Y.dim
         unknowns = nY * m  # f as nY x m matrix, column b = f(basis b)
         rows = []
@@ -128,10 +113,10 @@ class IdempotentContext:
             c_in_A = (self.corner_emb * Matrix.column(f, list(c))).col(0)
             left = A.left_mult_matrix(c_in_A)
             actc = Y.act(c)
+            # column b: coordinates of c * basis_b in eA
+            CZ = ea.coordinates(left * ea_incl)
             for b in range(m):
-                cz = (left * Matrix.column(f, basisM[b])).col(0)
-                cz_coords, rem = ea.reduce(cz)
-                assert all(f.is_zero(t) for t in rem)
+                cz_coords = CZ.col(b)
                 for i in range(nY):
                     # f(c·z_b)_i - (c·f(z_b))_i = 0
                     row = [f.zero] * unknowns
@@ -143,29 +128,20 @@ class IdempotentContext:
                             row[l * m + b] = f.sub(row[l * m + b], co)
                     rows.append(row)
         K = Matrix.from_rows(f, rows).kernel_basis() if rows else Matrix.identity(f, unknowns)
-        sol_dim = K.cols
-        sol_space = Subspace.from_rows(f, unknowns, [K.col(j) for j in range(sol_dim)])
+        sol_space = Subspace.row_space(K.transpose())
+        sol_incl = sol_space.inclusion()
         action = []
         for bidx in range(A.dim):
-            rho = A.right_mult_matrix(A.basis_vec(bidx))
-            cols = []
-            for s in range(sol_dim):
-                vec = sol_space.basis.row(s)
-                # (a·f)(z) = f(z·a)
-                new = [f.zero] * unknowns
-                for b in range(m):
-                    za = (rho * Matrix.column(f, basisM[b])).col(0)
-                    za_coords, rem = ea.reduce(za)
-                    assert all(f.is_zero(t) for t in rem)
-                    for k, co in enumerate(za_coords):
-                        if not f.is_zero(co):
-                            for i in range(nY):
-                                new[i * m + b] = f.add(new[i * m + b], f.mul(co, vec[i * m + k]))
-                coords, rem = sol_space.reduce(new)
-                assert all(f.is_zero(t) for t in rem), "action leaves the solution space"
-                cols.append(coords)
-            action.append(Matrix.from_columns(f, cols, nrows=sol_dim))
-        return Module(A, sol_dim, action)
+            # (a·f)(z_b) = f(z_b·a) = sum_k ZA[k, b] f(z_k): linear in f, block diagonal in i
+            ZA = ea.coordinates(A.right_mult_matrix(A.basis_vec(bidx)) * ea_incl)
+            T = [[f.zero] * unknowns for _ in range(unknowns)]
+            for b in range(m):
+                for k, co in enumerate(ZA.col(b)):
+                    if not f.is_zero(co):
+                        for i in range(nY):
+                            T[i * m + b][i * m + k] = co
+            action.append(sol_space.coordinates(Matrix.from_rows(f, T) * sol_incl))
+        return Module(A, sol_space.dim, action)
 
     # -- quotient-side functors ----------------------------------------------------
 

@@ -11,6 +11,8 @@ and is what transports along algebra embeddings.
 
 from __future__ import annotations
 
+import weakref
+
 from .kernel.matrix import Matrix
 from .kernel.subspace import Subspace
 from .modules import Module
@@ -186,9 +188,7 @@ def hom_cochain(A, layer_idems, element_diffs, Y: Module, upto):
     for n in range(min(upto, len(layer_idems) - 1) + 1):
         layer = []
         for e in layer_idems[n]:
-            Me = Y.act(e)
-            S = Subspace.from_rows(f, Y.dim, [Me.col(j) for j in range(Me.cols)])
-            layer.append(S)
+            layer.append(Subspace.row_space(Y.act(e).transpose()))
         bases.append(layer)
     dims = [sum(s.dim for s in layer) for layer in bases]
     deltas = []
@@ -204,13 +204,9 @@ def hom_cochain(A, layer_idems, element_diffs, Y: Module, upto):
             for si, Ss in enumerate(prev):
                 m = grid[si][ui] if grid and si < len(grid) and ui < len(grid[si]) else None
                 if m is not None and Su.dim and Ss.dim:
-                    act = Y.act(m)
-                    for c in range(Ss.dim):
-                        img = (act * Matrix.column(f, Ss.basis.row(c))).col(0)
-                        coords, rem = Su.reduce(img)
-                        assert all(f.is_zero(x) for x in rem), "differential leaves the idempotent block"
-                        for r in range(Su.dim):
-                            big[roff + r][coff + c] = coords[r]
+                    block = Su.coordinates(Y.act(m) * Ss.inclusion())
+                    for r in range(Su.dim):
+                        big[roff + r][coff : coff + Ss.dim] = block.row(r)
                 coff += Ss.dim
             roff += Su.dim
         deltas.append(Matrix.from_rows(f, big) if rows_out and cols_in else Matrix.zeros(f, rows_out, cols_in))
@@ -219,9 +215,12 @@ def hom_cochain(A, layer_idems, element_diffs, Y: Module, upto):
 
 def ext_dims_upto(X: Module, Y: Module, nmax) -> list:
     """[dim Ext^0, ..., dim Ext^nmax], via a minimal projective resolution."""
-    key = ("ext", id(Y), nmax)
-    if key in X._ext_cache:
-        return X._ext_cache[key]
+    # Keyed on Y itself, held weakly: an id() key would hand a dead Y's
+    # answer to a new module that reuses its address.
+    by_target = X._ext_cache.setdefault("ext", weakref.WeakKeyDictionary())
+    cached = by_target.get(Y, {})
+    if nmax in cached:
+        return cached[nmax]
     A = X.algebra
     res = resolution(X).extend_to(nmax + 1)
     layer_idems = [res.layer_idempotents(n) for n in range(len(res.layers))]
@@ -234,7 +233,7 @@ def ext_dims_upto(X: Module, Y: Module, nmax) -> list:
         ker = cn - (d_out.rank() if d_out is not None else 0)
         im = d_in.rank() if d_in is not None else 0
         out.append(ker - im)
-    X._ext_cache[key] = out
+    by_target.setdefault(Y, {})[nmax] = out
     return out
 
 

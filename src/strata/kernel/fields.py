@@ -43,13 +43,9 @@ class RationalField:
     def __hash__(self):
         return hash("QQ")
 
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
+    # Fractions are immutable, so one shared instance of each serves every caller.
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def coerce(self, x):
         if isinstance(x, Fraction):
@@ -81,7 +77,7 @@ class RationalField:
         return a / b
 
     def is_zero(self, a):
-        return a == 0
+        return not a
 
     def parse(self, s: str):
         try:

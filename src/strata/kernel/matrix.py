@@ -1,23 +1,52 @@
-"""Dense exact matrices over Q or F_p.
+"""Dense exact matrices over Q or F_p, stored as integers.
+
+Over Q a matrix is a tuple of integer numerators ``nums`` (row-major) over one
+positive common denominator ``den``, in lowest terms: gcd(den, *nums) == 1,
+and den == 1 for the zero matrix.  The form is canonical, so ``==`` and
+``hash`` compare ``(den, nums)``.  Over F_p ``nums`` holds residues in
+0..p-1 and ``den`` is 1.
+
+Arithmetic and elimination work on the integers only.  rank / rref hand the
+numerator rows straight to the backend pair (fraction-free elimination over Z
+for Q, ordinary reduction mod p): scaling a matrix by its denominator does not
+change its row space.  Field elements (``Fraction`` over Q, ints over F_p) are
+built only by the accessors -- ``m[i, j]``, ``row``, ``col``, ``entries``,
+``to_json`` -- and never cached beside the integers.
 
 Immutable after construction.  rank / kernel_basis / solve are exact: solve
 re-multiplies to verify its answer, kernel columns multiply to exactly zero.
-All elimination goes through the backend pair (fraction-free over Z for Q,
-ordinary reduction mod p).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
+from operator import add, sub
 
 from ..errors import DimensionMismatch, FieldMismatch
 from .backend import echelon_int, echelon_mod
-from .fields import QQ, PrimeField
+from .fields import RationalField
+
+
+def _ints(field, entries):
+    """(den, nums) of a sequence of field elements (or coercible values)."""
+    p = field.char
+    if p:
+        return 1, tuple(x % p if type(x) is int else field.coerce(x) for x in entries)
+    try:
+        den = lcm(*{x.denominator for x in entries})  # ints and Fractions
+    except AttributeError:
+        entries = [field.coerce(x) for x in entries]
+        den = lcm(*{x.denominator for x in entries})
+    if den == 1:
+        return 1, tuple(x.numerator for x in entries)
+    # Lowest-terms entries over the lcm of their denominators are already canonical.
+    return den, tuple(x.numerator * (den // x.denominator) for x in entries)
 
 
 class Matrix:
-    __slots__ = ("field", "rows", "cols", "entries", "_echelon")
+    __slots__ = ("field", "rows", "cols", "den", "nums", "_echelon")
 
     def __init__(self, field, rows, cols, entries):
         if len(entries) != rows * cols:
@@ -25,8 +54,33 @@ class Matrix:
         self.field = field
         self.rows = rows
         self.cols = cols
-        self.entries = tuple(entries)
+        self.den, self.nums = _ints(field, entries)
         self._echelon = None
+
+    @classmethod
+    def _new(cls, field, rows, cols, den, nums):
+        """Wrap integers already in canonical form."""
+        m = object.__new__(cls)
+        m.field = field
+        m.rows = rows
+        m.cols = cols
+        m.den = den
+        m.nums = nums
+        m._echelon = None
+        return m
+
+    @classmethod
+    def _reduced(cls, field, rows, cols, den, nums):
+        """Wrap integers, bringing them to canonical form (nums: tuple or list)."""
+        p = field.char
+        if p:
+            return cls._new(field, rows, cols, 1, tuple(x % p for x in nums))
+        if den != 1:
+            g = gcd(den, *nums)
+            if g != 1:
+                den //= g
+                nums = [x // g for x in nums]
+        return cls._new(field, rows, cols, den, tuple(nums))
 
     # -- construction -----------------------------------------------------
 
@@ -39,23 +93,22 @@ class Matrix:
         for r in rows:
             if len(r) != m:
                 raise DimensionMismatch("ragged rows")
-            flat.extend(field.coerce(x) for x in r)
+            flat.extend(r)
         return cls(field, n, m, flat)
 
     @classmethod
     def zeros(cls, field, rows, cols):
-        return cls(field, rows, cols, [field.zero] * (rows * cols))
+        return cls._new(field, rows, cols, 1, (0,) * (rows * cols))
 
     @classmethod
     def identity(cls, field, n):
-        e = [field.zero] * (n * n)
-        for i in range(n):
-            e[i * n + i] = field.one
-        return cls(field, n, n, e)
+        e = [0] * (n * n)
+        e[:: n + 1] = [1] * n
+        return cls._new(field, n, n, 1, tuple(e))
 
     @classmethod
     def column(cls, field, vec):
-        return cls(field, len(vec), 1, [field.coerce(x) for x in vec])
+        return cls(field, len(vec), 1, list(vec))
 
     @classmethod
     def from_columns(cls, field, cols_, nrows=None):
@@ -65,19 +118,49 @@ class Matrix:
                 raise DimensionMismatch("from_columns needs nrows when there are no columns")
             return cls.zeros(field, nrows, 0)
         n = len(cols_[0])
-        return cls.from_rows(field, [[cols_[j][i] for j in range(len(cols_))] for i in range(n)])
+        if any(len(c) != n for c in cols_):
+            raise DimensionMismatch("ragged columns")
+        return cls(field, n, len(cols_), [c[i] for i in range(n) for c in cols_])
+
+    @classmethod
+    def linear_combination(cls, field, rows, cols, terms):
+        """sum of c * M over the (c, M) in terms, each M rows x cols, in one pass."""
+        terms = [(field.coerce(c), M) for c, M in terms if c]
+        den = 1
+        if not field.char:
+            den = lcm(*(c.denominator * M.den for c, M in terms))
+        acc = [0] * (rows * cols)
+        for c, M in terms:
+            factor = c if field.char else c.numerator * (den // (c.denominator * M.den))
+            acc = list(map(add, acc, map(factor.__mul__, M.nums)))
+        return cls._reduced(field, rows, cols, den, acc)
 
     # -- access ------------------------------------------------------------
 
+    def _elems(self, nums):
+        if self.field.char:
+            return list(nums)
+        den = self.den
+        if den == 1:
+            return [Fraction(x) for x in nums]
+        return [Fraction(x, den) for x in nums]
+
+    @property
+    def entries(self):
+        return tuple(self._elems(self.nums))
+
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i * self.cols + j]
+        x = self.nums[i * self.cols + j]
+        if self.field.char:
+            return x
+        return Fraction(x, self.den) if self.den != 1 else Fraction(x)
 
     def row(self, i):
-        return list(self.entries[i * self.cols : (i + 1) * self.cols])
+        return self._elems(self.nums[i * self.cols : (i + 1) * self.cols])
 
     def col(self, j):
-        return [self.entries[i * self.cols + j] for i in range(self.rows)]
+        return self._elems(self.nums[j :: self.cols])
 
     def row_list(self):
         return [self.row(i) for i in range(self.rows)]
@@ -88,19 +171,19 @@ class Matrix:
             and self.field == other.field
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __hash__(self):
-        return hash((self.field, self.rows, self.cols, self.entries))
+        return hash((self.field, self.rows, self.cols, self.den, self.nums))
 
     def __repr__(self):
         body = "; ".join(" ".join(self.field.fmt(x) for x in self.row(i)) for i in range(self.rows))
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
     def is_zero(self):
-        z = self.field.is_zero
-        return all(z(x) for x in self.entries)
+        return not any(self.nums)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -108,125 +191,147 @@ class Matrix:
         if self.field != other.field:
             raise FieldMismatch(f"{self.field} vs {other.field}")
 
-    def __add__(self, other):
+    def _combine(self, other, sign, what):
+        # self + sign * other
         self._same_field(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("add shape mismatch")
-        add = self.field.add
-        return Matrix(self.field, self.rows, self.cols, [add(a, b) for a, b in zip(self.entries, other.entries)])
+            raise DimensionMismatch(f"{what} shape mismatch")
+        a, b = self.nums, other.nums
+        da, db = self.den, other.den
+        if da == db:
+            nums = list(map(add if sign > 0 else sub, a, b))
+            return Matrix._reduced(self.field, self.rows, self.cols, da, nums)
+        den = lcm(da, db)
+        fa, fb = den // da, sign * (den // db)
+        return Matrix._reduced(self.field, self.rows, self.cols, den, [fa * x + fb * y for x, y in zip(a, b)])
+
+    def __add__(self, other):
+        return self._combine(other, 1, "add")
 
     def __sub__(self, other):
-        self._same_field(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("sub shape mismatch")
-        sub = self.field.sub
-        return Matrix(self.field, self.rows, self.cols, [sub(a, b) for a, b in zip(self.entries, other.entries)])
+        return self._combine(other, -1, "sub")
 
     def __neg__(self):
-        neg = self.field.neg
-        return Matrix(self.field, self.rows, self.cols, [neg(a) for a in self.entries])
+        p = self.field.char
+        nums = tuple((-x) % p for x in self.nums) if p else tuple(-x for x in self.nums)
+        return Matrix._new(self.field, self.rows, self.cols, self.den, nums)
 
     def scale(self, c):
-        c = self.field.coerce(c)
-        mul = self.field.mul
-        return Matrix(self.field, self.rows, self.cols, [mul(c, a) for a in self.entries])
+        f = self.field
+        c = f.coerce(c)
+        if f.char:
+            return Matrix._reduced(f, self.rows, self.cols, 1, [c * x for x in self.nums])
+        num, den = c.numerator, c.denominator * self.den
+        return Matrix._reduced(f, self.rows, self.cols, den, [num * x for x in self.nums])
 
     def __mul__(self, other):
         self._same_field(other)
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        f = self.field
         n, k, m = self.rows, self.cols, other.cols
-        a, b = self.entries, other.entries
-        out = [f.zero] * (n * m)
+        a, b = self.nums, other.nums
+        # Nonzero entries of each row of other, as (column, value).
+        brows = [[(j, y) for j, y in enumerate(b[t * m : (t + 1) * m]) if y] for t in range(k)]
+        out = []
         for i in range(n):
-            arow = a[i * k : (i + 1) * k]
-            for t in range(k):
-                x = arow[t]
-                if f.is_zero(x):
-                    continue
-                boff = t * m
-                ooff = i * m
-                for j in range(m):
-                    y = b[boff + j]
-                    if not f.is_zero(y):
-                        out[ooff + j] = f.add(out[ooff + j], f.mul(x, y))
-        return Matrix(f, n, m, out)
+            acc = [0] * m
+            for x, brow in zip(a[i * k : (i + 1) * k], brows):
+                if x:
+                    for j, y in brow:
+                        acc[j] += x * y
+            out.extend(acc)
+        return Matrix._reduced(self.field, n, m, self.den * other.den, out)
 
     def transpose(self):
-        e = self.entries
         c = self.cols
-        return Matrix(self.field, c, self.rows, [e[i * c + j] for j in range(c) for i in range(self.rows)])
+        nums = tuple(chain.from_iterable(self.nums[j::c] for j in range(c)))
+        return Matrix._new(self.field, c, self.rows, self.den, nums)
+
+    def _over(self, den):
+        # numerators of self rewritten over a multiple den of self.den
+        f = den // self.den
+        return self.nums if f == 1 else [f * x for x in self.nums]
 
     def hstack(self, other):
         self._same_field(other)
         if self.rows != other.rows:
             raise DimensionMismatch("hstack row mismatch")
-        rows = [self.row(i) + other.row(i) for i in range(self.rows)]
-        return Matrix.from_rows(self.field, rows) if rows else Matrix.zeros(self.field, 0, self.cols + other.cols)
+        den = lcm(self.den, other.den)
+        a, b = self._over(den), other._over(den)
+        ca, cb = self.cols, other.cols
+        nums = []
+        for i in range(self.rows):
+            nums.extend(a[i * ca : (i + 1) * ca])
+            nums.extend(b[i * cb : (i + 1) * cb])
+        return Matrix._new(self.field, self.rows, ca + cb, den, tuple(nums))
 
     def vstack(self, other):
         self._same_field(other)
         if self.cols != other.cols:
             raise DimensionMismatch("vstack col mismatch")
-        return Matrix(self.field, self.rows + other.rows, self.cols, self.entries + other.entries)
+        den = lcm(self.den, other.den)
+        nums = tuple(self._over(den)) + tuple(other._over(den))
+        return Matrix._new(self.field, self.rows + other.rows, self.cols, den, nums)
+
+    def take_rows(self, indices):
+        """The submatrix of the given rows, in the given order."""
+        c = self.cols
+        nums = [x for i in indices for x in self.nums[i * c : (i + 1) * c]]
+        return Matrix._reduced(self.field, len(indices), c, self.den, nums)
 
     # -- elimination ---------------------------------------------------------
 
-    def _int_rows(self):
-        # Clear denominators row by row; row scaling does not change the row space.
-        out = []
-        for i in range(self.rows):
-            r = self.row(i)
-            mult = lcm(*(x.denominator for x in r)) if r else 1
-            out.append([int(x * mult) for x in r])
-        return out
+    def _row_lists(self):
+        c = self.cols
+        return [list(self.nums[i * c : (i + 1) * c]) for i in range(self.rows)]
+
+    def _echelon_form(self, reduce):
+        f = self.field
+        if f.char:
+            return echelon_mod(self._row_lists(), f.char, reduce)
+        if isinstance(f, RationalField):
+            return echelon_int(self._row_lists(), reduce)
+        raise FieldMismatch(f"no elimination backend for {f}")
 
     def rref(self):
         """Reduced row echelon form; returns (Matrix, pivot column list)."""
         if self._echelon is not None and self._echelon[0] == "rref":
             return self._echelon[1], self._echelon[2]
-        if self.field == QQ:
-            pivots, rows = echelon_int(self._int_rows(), True)
-            frows = []
-            for k, r in enumerate(rows):
-                if k < len(pivots):
-                    piv = r[pivots[k]]
-                    frows.append([Fraction(x, piv) for x in r])
-                else:
-                    frows.append([Fraction(0)] * self.cols)
-        elif isinstance(self.field, PrimeField):
-            pivots, rows = echelon_mod([self.row(i) for i in range(self.rows)], self.field.p, True)
-            frows = rows
-        else:
-            raise FieldMismatch(f"no elimination backend for {self.field}")
-        out = Matrix.from_rows(self.field, frows) if frows else Matrix.zeros(self.field, 0, self.cols)
+        pivots, rows = self._echelon_form(True)
+        den = 1
+        if not self.field.char:
+            # Row k is primitive with positive pivot entry; the true RREF row is row / pivot.
+            leads = [rows[k][pc] for k, pc in enumerate(pivots)]
+            den = lcm(*leads) if leads else 1
+            for k, lead in enumerate(leads):
+                if lead != den:
+                    s = den // lead
+                    rows[k] = [s * x for x in rows[k]]
+        out = Matrix._reduced(self.field, self.rows, self.cols, den, list(chain.from_iterable(rows)))
         self._echelon = ("rref", out, pivots)
         return out, pivots
 
     def rank(self):
         if self._echelon is not None:
             return len(self._echelon[2])
-        if self.field == QQ:
-            pivots, _ = echelon_int(self._int_rows(), False)
-        else:
-            pivots, _ = echelon_mod([self.row(i) for i in range(self.rows)], self.field.p, False)
+        pivots, _ = self._echelon_form(False)
         return len(pivots)
 
     def kernel_basis(self):
         """Matrix whose columns are a basis of the right null space."""
         R, pivots = self.rref()
-        f = self.field
+        c = self.cols
         pivset = set(pivots)
-        free = [j for j in range(self.cols) if j not in pivset]
-        cols_ = []
-        for fc in free:
-            v = [f.zero] * self.cols
-            v[fc] = f.one
+        free = [j for j in range(c) if j not in pivset]
+        nf = len(free)
+        p = self.field.char
+        nums = [0] * (c * nf)
+        for t, fc in enumerate(free):
+            nums[fc * nf + t] = R.den
             for k, pc in enumerate(pivots):
-                v[pc] = f.neg(R[k, fc])
-            cols_.append(v)
-        return Matrix.from_columns(f, cols_, nrows=self.cols)
+                x = R.nums[k * c + fc]
+                nums[pc * nf + t] = (-x) % p if p else -x
+        return Matrix._reduced(self.field, c, nf, R.den, nums)
 
     def solve(self, b):
         """Some X with self @ X = b, or None when inconsistent.  Verified."""
@@ -235,17 +340,15 @@ class Matrix:
             raise DimensionMismatch("solve: row mismatch")
         aug = self.hstack(b)
         R, pivots = aug.rref()
-        if any(p >= self.cols for p in pivots):
+        n = self.cols
+        if any(p >= n for p in pivots):
             return None
-        f = self.field
-        xcols = []
-        for j in range(b.cols):
-            x = [f.zero] * self.cols
-            for k, pc in enumerate(pivots):
-                x[pc] = R[k, self.cols + j]
-            xcols.append(x)
-        X = Matrix.from_columns(f, xcols, nrows=self.cols)
-        if not (self * X - b).is_zero():
+        w = aug.cols
+        nums = [0] * (n * b.cols)
+        for k, pc in enumerate(pivots):
+            nums[pc * b.cols : (pc + 1) * b.cols] = R.nums[k * w + n : (k + 1) * w]
+        X = Matrix._reduced(self.field, n, b.cols, R.den, nums)
+        if self * X != b:
             return None
         return X
 

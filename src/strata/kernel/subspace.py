@@ -7,27 +7,32 @@ complement: coordinates at the non-pivot ambient positions, in ambient order.
 
 from __future__ import annotations
 
+from ..errors import NotInSubspace
 from .matrix import Matrix
 
 
 class Subspace:
-    __slots__ = ("field", "ambient_dim", "basis", "pivots")
+    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_incl")
 
     def __init__(self, field, ambient_dim, basis: Matrix, pivots):
         self.field = field
         self.ambient_dim = ambient_dim
         self.basis = basis  # RREF, one row per basis vector, no zero rows
         self.pivots = tuple(pivots)
+        self._incl = None
+
+    @classmethod
+    def row_space(cls, M: Matrix):
+        """The span of the rows of M."""
+        R, pivots = M.rref()
+        return cls(M.field, M.cols, R.take_rows(range(len(pivots))), pivots)
 
     @classmethod
     def from_rows(cls, field, ambient_dim, rows):
         rows = [r for r in rows]
         if not rows:
             return cls(field, ambient_dim, Matrix.zeros(field, 0, ambient_dim), ())
-        M = Matrix.from_rows(field, rows)
-        R, pivots = M.rref()
-        basis = Matrix.from_rows(field, [R.row(i) for i in range(len(pivots))]) if pivots else Matrix.zeros(field, 0, ambient_dim)
-        return cls(field, ambient_dim, basis, pivots)
+        return cls.row_space(Matrix.from_rows(field, rows))
 
     @classmethod
     def zero(cls, field, ambient_dim):
@@ -55,49 +60,42 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim {self.dim} of k^{self.ambient_dim})"
 
-    def reduce(self, vec):
-        """(coords in basis rows, remainder); remainder zero iff vec in span."""
-        f = self.field
-        v = [f.coerce(x) for x in vec]
-        coords = []
-        for k, pc in enumerate(self.pivots):
-            c = v[pc]
-            coords.append(c)
-            if not f.is_zero(c):
-                row = self.basis.row(k)
-                for j in range(self.ambient_dim):
-                    v[j] = f.sub(v[j], f.mul(c, row[j]))
-        return coords, v
+    def inclusion(self) -> Matrix:
+        """ambient_dim x dim matrix whose columns are the basis vectors."""
+        if self._incl is None:
+            self._incl = self.basis.transpose()
+        return self._incl
+
+    def coordinates(self, img: Matrix) -> Matrix:
+        """C with inclusion() * C == img: the basis coordinates of the columns of img.
+
+        The coordinates of a vector in the span are its entries at the pivot
+        positions (the basis is in RREF); the product re-checks them, and a
+        column outside the subspace raises NotInSubspace.
+        """
+        C = img.take_rows(self.pivots)
+        if self.inclusion() * C != img:
+            raise NotInSubspace(f"a vector leaves the {self!r}")
+        return C
+
+    def _spans(self, img: Matrix):
+        return self.inclusion() * img.take_rows(self.pivots) == img
 
     def contains(self, vec):
-        _, rem = self.reduce(vec)
-        return all(self.field.is_zero(x) for x in rem)
+        return self._spans(Matrix.column(self.field, vec))
 
     def contains_space(self, other: "Subspace"):
-        return all(self.contains(other.basis.row(i)) for i in range(other.dim))
+        return self._spans(other.inclusion())
 
     def plus(self, other: "Subspace"):
-        rows = [self.basis.row(i) for i in range(self.dim)] + [other.basis.row(i) for i in range(other.dim)]
-        return Subspace.from_rows(self.field, self.ambient_dim, rows)
+        return Subspace.row_space(self.basis.vstack(other.basis))
 
     def intersect(self, other: "Subspace"):
         # Row space of A meets row space of B: kernel of [A^T | -B^T] pairs.
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.field, self.ambient_dim)
-        A = self.basis.transpose()
-        B = other.basis.transpose()
-        K = A.hstack(-B).kernel_basis()
-        rows = []
-        for j in range(K.cols):
-            coeffs = [K[i, j] for i in range(self.dim)]
-            vec = [self.field.zero] * self.ambient_dim
-            for i, c in enumerate(coeffs):
-                if not self.field.is_zero(c):
-                    row = self.basis.row(i)
-                    for t in range(self.ambient_dim):
-                        vec[t] = self.field.add(vec[t], self.field.mul(c, row[t]))
-            rows.append(vec)
-        return Subspace.from_rows(self.field, self.ambient_dim, rows)
+        K = self.inclusion().hstack(-other.inclusion()).kernel_basis()
+        return Subspace.row_space(K.take_rows(range(self.dim)).transpose() * self.basis)
 
     # -- quotient bookkeeping ------------------------------------------------
 
@@ -108,26 +106,11 @@ class Subspace:
 
     def projection_matrix(self):
         """Matrix of k^n -> k^C, v |-> (v mod self) in complement coordinates."""
-        f = self.field
         comp = self.complement_coords()
-        rows = []
-        for c in comp:
-            row = [f.zero] * self.ambient_dim
-            row[c] = f.one
-            for k, pc in enumerate(self.pivots):
-                row[pc] = f.neg(self.basis[k, c])
-            rows.append(row)
-        if not rows:
-            return Matrix.zeros(f, 0, self.ambient_dim)
-        return Matrix.from_rows(f, rows)
+        ident = Matrix.identity(self.field, self.ambient_dim)
+        # v - sum_k v[pivot_k] * basis_k, read at the complement coordinates
+        return ident.take_rows(comp) - self.inclusion().take_rows(comp) * ident.take_rows(self.pivots)
 
     def lift_matrix(self):
         """Section k^C -> k^n sending the class of e_c to e_c."""
-        f = self.field
-        comp = self.complement_coords()
-        cols = []
-        for c in comp:
-            v = [f.zero] * self.ambient_dim
-            v[c] = f.one
-            cols.append(v)
-        return Matrix.from_columns(f, cols, nrows=self.ambient_dim)
+        return Matrix.identity(self.field, self.ambient_dim).take_rows(self.complement_coords()).transpose()

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, InvalidModule
+from .errors import DimensionMismatch, InvalidModule, NotInSubspace
 from .kernel.matrix import Matrix
 from .kernel.subspace import Subspace
 
@@ -26,12 +26,11 @@ ISO_SEED = 2024
 
 def column_space(M: Matrix) -> Matrix:
     """Canonical basis (as columns) of the column space of M."""
-    S = Subspace.from_rows(M.field, M.rows, [M.col(j) for j in range(M.cols)])
-    return Matrix.from_columns(M.field, [S.basis.row(i) for i in range(S.dim)], nrows=M.rows)
+    return Subspace.row_space(M.transpose()).inclusion()
 
 
 class Module:
-    __slots__ = ("algebra", "dim", "action", "_rad", "_ext_cache")
+    __slots__ = ("algebra", "dim", "action", "_rad", "_ext_cache", "__weakref__")
 
     def __init__(self, algebra, dim, action, check_unit=True):
         self.algebra = algebra
@@ -65,12 +64,7 @@ class Module:
         return cls(algebra, 0, [z] * algebra.dim, check_unit=False)
 
     def act(self, vec) -> Matrix:
-        f = self.algebra.field
-        out = Matrix.zeros(f, self.dim, self.dim)
-        for i, c in enumerate(vec):
-            if not f.is_zero(c):
-                out = out + self.action[i].scale(c)
-        return out
+        return Matrix.linear_combination(self.algebra.field, self.dim, self.dim, zip(vec, self.action))
 
     def verify_action(self, full=False, samples=60, seed=11):
         """Check action matrices against the structure constants."""
@@ -97,33 +91,24 @@ class Module:
         """Smallest submodule containing the span of the given row vectors."""
         A = self.algebra
         span = Subspace.from_rows(A.field, self.dim, rows)
-        gens = A.generators()
+        # Rows of span.basis * M^T are the images M v of the basis vectors v.
+        gens_t = [self.act(g).transpose() for g in A.generators()]
         while True:
-            new_rows = [span.basis.row(i) for i in range(span.dim)]
-            for g in gens:
-                Mg = self.act(g)
-                for i in range(span.dim):
-                    new_rows.append((Mg * Matrix.column(A.field, span.basis.row(i))).col(0))
-            bigger = Subspace.from_rows(A.field, self.dim, new_rows)
+            stacked = span.basis
+            for Mt in gens_t:
+                stacked = stacked.vstack(span.basis * Mt)
+            bigger = Subspace.row_space(stacked)
             if bigger.dim == span.dim:
                 return span
             span = bigger
 
     def submodule(self, subspace: Subspace):
         """(module on the subspace, inclusion matrix dim(self) x dim(sub))."""
-        f = self.algebra.field
-        basis = [subspace.basis.row(i) for i in range(subspace.dim)]
-        incl = Matrix.from_columns(f, basis, nrows=self.dim)
-        action = []
-        for M in self.action:
-            cols = []
-            for v in basis:
-                img = (M * Matrix.column(f, v)).col(0)
-                coords, rem = subspace.reduce(img)
-                if any(not f.is_zero(x) for x in rem):
-                    raise InvalidModule("subspace is not action-invariant")
-                cols.append(coords)
-            action.append(Matrix.from_columns(f, cols, nrows=subspace.dim))
+        incl = subspace.inclusion()
+        try:
+            action = [subspace.coordinates(M * incl) for M in self.action]
+        except NotInSubspace as exc:
+            raise InvalidModule("subspace is not action-invariant") from exc
         return Module(self.algebra, subspace.dim, action), incl
 
     def quotient(self, subspace: Subspace):
@@ -182,8 +167,7 @@ class Module:
 
     def e_part(self, e_vec) -> Subspace:
         """The subspace e·X for an idempotent element e."""
-        M = self.act(e_vec)
-        return Subspace.from_rows(self.algebra.field, self.dim, [M.col(j) for j in range(M.cols)])
+        return Subspace.row_space(self.act(e_vec).transpose())
 
     def radical_subspace(self) -> Subspace:
         if self._rad is not None:
@@ -420,10 +404,6 @@ def hom_basis_plain(X: Module, Y: Module):
     for j in range(K.cols):
         out.append(Matrix(f, Y.dim, X.dim, [K[u, j] for u in range(unknowns)]))
     return out
-
-
-def hom_dim(X, Y):
-    return len(hom_basis(X, Y))
 
 
 # -- isomorphism testing ------------------------------------------------------------

@@ -362,14 +362,12 @@ class StratDatum:
         return LabelPoset(self.A.labels, pairs)
 
 
-_STRAT_CACHE = {}
-
-
 def strat_datum(A, poset: LabelPoset) -> StratDatum:
-    key = (id(A), poset.key())
-    if key not in _STRAT_CACHE:
-        _STRAT_CACHE[key] = StratDatum(A, poset)
-    return _STRAT_CACHE[key]
+    """The StratDatum of (A, poset), cached on A so that it dies with A."""
+    key = ("strat", poset.key())
+    if key not in A._derived:
+        A._derived[key] = StratDatum(A, poset)
+    return A._derived[key]
 
 
 # -- filtration certificates ----------------------------------------------------------

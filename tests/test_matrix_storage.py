@@ -1,0 +1,347 @@
+"""Integer-backed matrices against the entrywise Fraction loops they replaced.
+
+The reference below is the arithmetic Matrix used when it stored one field
+element per entry: ``mul``, ``add`` and ``scale`` are those loops verbatim, on
+flat lists of field elements, and ``rref`` is a textbook Gauss-Jordan pass
+with the same pivot rule (first nonzero column, topmost available row).  The
+reduced echelon form is unique, so every derived operation -- rank,
+kernel_basis, solve, inverse -- is pinned entrywise by it.
+"""
+
+import gc
+import subprocess
+import sys
+import textwrap
+import weakref
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from strata.corpus import build_fork, entry
+from strata.errors import InvalidModule, NotInSubspace
+from strata.homology import ext_dim, ext_dims_upto
+from strata.kernel import QQ, Matrix, PrimeField, Subspace
+from strata.modules import Module, projective, simple
+from strata.strat import strat_datum
+
+FIELDS = [QQ, PrimeField(2), PrimeField(7), PrimeField(32003)]
+
+
+# -- reference: one field element per entry ---------------------------------------
+
+
+def ref_mul(f, n, k, m, a, b):
+    out = [f.zero] * (n * m)
+    for i in range(n):
+        arow = a[i * k : (i + 1) * k]
+        for t in range(k):
+            x = arow[t]
+            if f.is_zero(x):
+                continue
+            boff = t * m
+            ooff = i * m
+            for j in range(m):
+                y = b[boff + j]
+                if not f.is_zero(y):
+                    out[ooff + j] = f.add(out[ooff + j], f.mul(x, y))
+    return out
+
+
+def ref_add(f, a, b):
+    return [f.add(x, y) for x, y in zip(a, b)]
+
+
+def ref_scale(f, c, a):
+    c = f.coerce(c)
+    return [f.mul(c, x) for x in a]
+
+
+def ref_rref(f, n, m, a):
+    """(entries of the RREF, pivot columns)."""
+    rows = [list(a[i * m : (i + 1) * m]) for i in range(n)]
+    pivots = []
+    r = 0
+    for c in range(m):
+        piv = next((i for i in range(r, n) if not f.is_zero(rows[i][c])), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = f.inv(rows[r][c])
+        rows[r] = [f.mul(inv, x) for x in rows[r]]
+        for i in range(n):
+            if i != r and not f.is_zero(rows[i][c]):
+                t = rows[i][c]
+                rows[i] = [f.sub(x, f.mul(t, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return [x for row in rows for x in row], pivots
+
+
+def ref_kernel(f, n, m, a):
+    """Columns of the null-space basis built from the reference RREF."""
+    R, pivots = ref_rref(f, n, m, a)
+    cols = []
+    for fc in [j for j in range(m) if j not in pivots]:
+        v = [f.zero] * m
+        v[fc] = f.one
+        for k, pc in enumerate(pivots):
+            v[pc] = f.neg(R[k * m + fc])
+        cols.append(v)
+    return cols
+
+
+def ref_solve(f, n, m, a, bcols, b):
+    """Entries of X (m x bcols) with A X = B, or None."""
+    w = m + bcols
+    aug = [x for i in range(n) for x in a[i * m : (i + 1) * m] + b[i * bcols : (i + 1) * bcols]]
+    R, pivots = ref_rref(f, n, w, aug)
+    if any(p >= m for p in pivots):
+        return None
+    X = [f.zero] * (m * bcols)
+    for k, pc in enumerate(pivots):
+        X[pc * bcols : (pc + 1) * bcols] = R[k * w + m : (k + 1) * w]
+    return X
+
+
+def canon(f, xs):
+    return [f.coerce(x) for x in xs]
+
+
+# -- strategies --------------------------------------------------------------------
+
+
+def elements(f):
+    if f == QQ:
+        return st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    return st.integers(-3 * f.p, 3 * f.p)  # unreduced, so that coercion is exercised
+
+
+@st.composite
+def matrix_data(draw, f, rows=None, cols=None):
+    n = draw(st.integers(0, 4)) if rows is None else rows
+    m = draw(st.integers(0, 4)) if cols is None else cols
+    entries = draw(st.lists(elements(f), min_size=n * m, max_size=n * m))
+    for i in draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n)):
+        entries[i * m : (i + 1) * m] = [0] * m  # zero rows
+    return n, m, canon(f, entries)
+
+
+fields = st.sampled_from(FIELDS)
+
+
+class TestAgainstReference:
+    @given(fields, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_ring_operations(self, f, data):
+        n, k, a = data.draw(matrix_data(f))
+        _, m, b = data.draw(matrix_data(f, rows=k))
+        _, _, a2 = data.draw(matrix_data(f, rows=n, cols=k))
+        c = data.draw(elements(f))
+        A, B, A2 = Matrix(f, n, k, a), Matrix(f, k, m, b), Matrix(f, n, k, a2)
+        assert list((A * B).entries) == ref_mul(f, n, k, m, a, b)
+        assert list((A + A2).entries) == ref_add(f, a, a2)
+        assert list((A - A2).entries) == ref_add(f, a, ref_scale(f, -1, a2))
+        assert list((-A).entries) == ref_scale(f, -1, a)
+        assert list(A.scale(c).entries) == ref_scale(f, c, a)
+        assert list(A.transpose().entries) == [a[i * k + j] for j in range(k) for i in range(n)]
+        assert list(A.hstack(A2).entries) == [
+            x for i in range(n) for x in a[i * k : (i + 1) * k] + a2[i * k : (i + 1) * k]
+        ]
+        assert list(A.vstack(A2).entries) == a + a2
+        assert A.is_zero() == all(f.is_zero(x) for x in a)
+        assert [[A[i, j] for j in range(k)] for i in range(n)] == [a[i * k : (i + 1) * k] for i in range(n)]
+        assert [A.col(j) for j in range(k)] == [a[j::k] for j in range(k)]
+
+    @given(fields, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_elimination(self, f, data):
+        n, m, a = data.draw(matrix_data(f))
+        A = Matrix(f, n, m, a)
+        R, pivots = A.rref()
+        ref_R, ref_pivots = ref_rref(f, n, m, a)
+        assert (list(R.entries), pivots) == (ref_R, ref_pivots)
+        assert A.rank() == Matrix(f, n, m, a).rank() == len(ref_pivots)
+        K = A.kernel_basis()
+        assert (K.rows, K.cols) == (m, m - len(ref_pivots))
+        assert [K.col(j) for j in range(K.cols)] == ref_kernel(f, n, m, a)
+        _, bc, b = data.draw(matrix_data(f, rows=n))
+        X = A.solve(Matrix(f, n, bc, b))
+        ref_X = ref_solve(f, n, m, a, bc, b)
+        assert (X is None) == (ref_X is None)
+        if X is not None:
+            assert list(X.entries) == ref_X
+
+    @given(fields, st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_inverse(self, f, data):
+        n = data.draw(st.integers(0, 4))
+        _, _, a = data.draw(matrix_data(f, rows=n, cols=n))
+        A = Matrix(f, n, n, a)
+        ident = [f.one if i == j else f.zero for i in range(n) for j in range(n)]
+        ref = ref_solve(f, n, n, a, n, ident)
+        if ref is None:
+            with pytest.raises(ZeroDivisionError):
+                A.inverse()
+        else:
+            assert list(A.inverse().entries) == ref
+
+    @given(fields, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_storage_is_canonical(self, f, data):
+        n, m, a = data.draw(matrix_data(f))
+        A = Matrix(f, n, m, a)
+        d = data.draw(st.integers(1, 12))
+        c = data.draw(elements(f).filter(lambda x: not f.is_zero(f.coerce(x))))
+        if f == QQ:
+            # the same values, entered over a common denominator d
+            B = Matrix(f, n, m, [Fraction(x * d, d) for x in a])
+            scaled = Matrix(f, n, m, [x * d for x in a]).scale(Fraction(1, d))
+        else:
+            B = Matrix(f, n, m, [x + d * f.p for x in a])
+            scaled = Matrix(f, n, m, [x * d for x in a]).scale(f.inv(d % f.p)) if d % f.p else A
+        variants = [
+            B,
+            scaled,
+            A.scale(c).scale(f.inv(f.coerce(c))),
+            (A + A) - A,
+            A.transpose().transpose(),
+            Matrix.linear_combination(f, n, m, [(c, A), (f.neg(f.coerce(c)), A), (1, A)]),
+            Matrix.from_json(f, A.to_json()),
+        ]
+        for V in variants:
+            assert V == A
+            assert hash(V) == hash(A)
+            assert (V.den, V.nums) == (A.den, A.nums)
+        if f == QQ:
+            assert A.den > 0
+            from math import gcd
+
+            assert gcd(A.den, *A.nums) == 1
+        else:
+            assert A.den == 1 and all(0 <= x < f.p for x in A.nums)
+
+
+# -- the Subspace coordinate routine -------------------------------------------------
+
+
+class TestCoordinates:
+    def test_coordinates_reproduce_image(self):
+        S = Subspace.from_rows(QQ, 3, [[2, 4, 0], [0, 0, 3]])
+        img = Matrix.from_rows(QQ, [[1, 0], [2, 0], [Fraction(5, 7), 1]])
+        C = S.coordinates(img)
+        assert S.inclusion() * C == img
+
+    def test_vector_outside_raises(self):
+        S = Subspace.from_rows(QQ, 3, [[1, 0, 0]])
+        with pytest.raises(NotInSubspace):
+            S.coordinates(Matrix.column(QQ, [1, 1, 0]))
+
+    def test_submodule_of_non_invariant_subspace(self):
+        X = _non_invariant_example()
+        reg, S = X
+        with pytest.raises(InvalidModule):
+            reg.submodule(S)
+
+    def test_submodule_check_survives_optimize(self):
+        code = textwrap.dedent(
+            """
+            import sys
+            sys.path.insert(0, "tests")
+            from test_matrix_storage import _non_invariant_example
+            from strata.errors import InvalidModule
+            reg, S = _non_invariant_example()
+            try:
+                reg.submodule(S)
+            except InvalidModule:
+                print("raised")
+            """
+        )
+        out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                             cwd=_repo_root(), env=_src_env(), timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "raised"
+
+
+def _repo_root():
+    import os
+
+    return os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _src_env():
+    import os
+
+    env = dict(os.environ)
+    src = os.path.join(_repo_root(), "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return env
+
+
+def _non_invariant_example():
+    """The regular module of the fork algebra and a basis line it does not preserve."""
+    A, _ = build_fork()
+    reg = Module.regular(A)
+    for i in range(A.dim):
+        S = Subspace.from_rows(A.field, A.dim, [A.basis_vec(i)])
+        if reg.invariant_closure([A.basis_vec(i)]).dim > 1:
+            return reg, S
+    raise AssertionError("every basis line is invariant")
+
+
+# -- caches ----------------------------------------------------------------------------
+
+
+def _fresh(M):
+    return Module(M.algebra, M.dim, M.action)
+
+
+class TestExtCache:
+    def test_reused_ids_do_not_alias(self):
+        # X's Ext cache once held ("ext", id(Y), n) without holding Y: a new Y
+        # at a dead Y's address got the dead Y's answer.
+        A = entry("sl2-block").algebra
+        X = simple(A, "1")
+        templates = [projective(A, "1"), simple(A, "2")]
+        truth = [ext_dim(_fresh(X), _fresh(T), 1) for T in templates]
+        assert truth[0] != truth[1]
+        for k in range(600):
+            Y = _fresh(templates[k % 2])
+            assert ext_dim(X, Y, 1) == truth[k % 2]
+            del Y
+
+    @given(st.sampled_from(("fork", "sl2-block", "ext2-chain")), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_cached_equals_fresh(self, name, data):
+        A = entry(name).algebra
+        pool = [m for lab in A.labels for m in (simple(A, lab), projective(A, lab))]
+        X = data.draw(st.sampled_from(pool))
+        Y = data.draw(st.sampled_from(pool))
+        n = data.draw(st.integers(0, 2))
+        first = ext_dims_upto(X, Y, n)
+        assert ext_dims_upto(X, Y, n) == first
+        assert ext_dims_upto(_fresh(X), _fresh(Y), n) == first
+
+
+def test_strat_datum_dies_with_its_algebra():
+    A, poset = build_fork()
+    sd = strat_datum(A, poset)
+    assert strat_datum(A, poset) is sd
+    ref = weakref.ref(A)
+    del A, sd
+    gc.collect()
+    assert ref() is None
+
+
+def test_identity_checks_independent_of_hash_seed():
+    argv = ["--json", "idempotent", "src/strata/corpus/diamond.json", "--e", "#0,#1"]
+    code = f"import sys; from strata.cli import main; sys.exit(main({argv!r}))"
+    outs = []
+    for seed in ("0", "2"):
+        env = _src_env()
+        env["PYTHONHASHSEED"] = seed
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, cwd=_repo_root(),
+                             env=env, timeout=300)
+        outs.append(run.stdout)
+    assert outs[0] and outs[0] == outs[1]
