@@ -2,19 +2,30 @@
 
 An Algebra is a basis with a (sparse) multiplication tensor, a unit, and a
 distinguished family of primitive orthogonal idempotents carrying simple
-labels.  Several idempotents may share a label (non-basic algebras).  All
-ways of obtaining one -- quiver compilation, raw structure constants, corner,
-quotient by an idempotent ideal, subalgebra closure, opposite, tensor product
--- funnel through validation: axioms are verified, never trusted, with the
-expensive associativity sweep sampled deterministically above a size cutoff
-and exercised in full by the test suite on the bundled corpus.
+labels.  Several idempotents may share a label (non-basic algebras).
+
+Multiplication runs through the regular representation: the integer
+matrices L_i of a |-> b_i * a (cached) and their right twins R_j, cut from the
+sparse table.  Products of whole families of elements are block products
+against the matrix of all basis products b_i * b_j, one elimination per span
+instead of one product per pair of elements.
+
+Every way of obtaining an algebra -- quiver compilation, raw structure
+constants, corner, quotient by an idempotent ideal, subalgebra closure,
+opposite, tensor product -- funnels through validation: unit, idempotent
+family, primitivity and labels are verified, never trusted.  Associativity is
+certified exactly, at every size, where a table enters from outside:
+compile_quiver and structure_constant_algebra check L_i L_j == sum_k c_ij^k L_k
+for every pair (i, j).  Constructions from certified algebras inherit it: the
+opposite is a transposed table, the corner and the subalgebra closure are
+closed subspaces (closure is re-checked by Subspace.coordinates), the quotient
+by AeA is taken after certifying that AeA is a two-sided ideal, and a tensor
+product has certified factors.
 
 Elements are plain coordinate tuples over the algebra's field.
 """
 
 from __future__ import annotations
-
-import random
 
 from .errors import (
     FieldMismatch,
@@ -31,17 +42,25 @@ from .kernel.matrix import Matrix
 from .kernel.subspace import Subspace
 from .quiver import QuiverPresentation, compile_presentation
 
-FULL_VALIDATION_DIM = 16
-_ASSOC_SAMPLE = 400
-
 
 def _sparse(field, vec):
     return tuple((k, x) for k, x in enumerate(vec) if not field.is_zero(x))
 
 
+def _table_from_coordinates(field, dim, products):
+    """Sparse mult table from the coordinate vectors of b_x * b_y, listed x-major."""
+    return tuple(tuple(_sparse(field, products[x * dim + y]) for y in range(dim)) for x in range(dim))
+
+
+def _row_matrix(field, dim, vectors):
+    """The vectors as the rows of a matrix (0 x dim when there are none)."""
+    vectors = list(vectors)
+    return Matrix.from_rows(field, vectors) if vectors else Matrix.zeros(field, 0, dim)
+
+
 class Algebra:
     def __init__(self, field, basis_names, mult_sparse, unit, idempotents, presentation=None,
-                 arrow_indices=None, radical_rows=None, validate_level="fast"):
+                 arrow_indices=None, radical_rows=None, associativity_inherited=False):
         self.field = field
         self.basis_names = tuple(basis_names)
         self.dim = len(self.basis_names)
@@ -56,12 +75,14 @@ class Algebra:
         self.presentation = presentation
         self.arrow_indices = tuple(arrow_indices) if arrow_indices is not None else None
         self._radical = Subspace.from_rows(field, self.dim, radical_rows) if radical_rows is not None else None
+        # True when the table comes from certified algebras by a construction
+        # that preserves associativity (see the module docstring).
+        self._associativity_inherited = associativity_inherited
         self._op = None
         self._gens = None
         self._left_mult = {}
         self._derived = {}  # (kind, e) -> corner/quotient/ideal, per idempotent
-        if validate_level:
-            self.validate(validate_level)
+        self.validate()
 
     # -- element arithmetic -------------------------------------------------
 
@@ -78,52 +99,62 @@ class Algebra:
             raise InputError(f"element has length {len(v)}, algebra has dim {self.dim}")
         return tuple(self.field.coerce(x) for x in v)
 
-    def mult_vec(self, x, y):
-        f = self.field
-        out = [f.zero] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            mrow = self.mult[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = f.mul(xi, yj)
-                for k, m in mrow[j]:
-                    out[k] = f.add(out[k], f.mul(c, m))
-        return tuple(out)
+    def _basis_products(self, pairs):
+        """The matrix whose row r is b_i * b_j, for (i, j) the r-th of the pairs."""
+        n = self.dim
+        entries = {}
+        for r, (i, j) in enumerate(pairs):
+            for k, c in self.mult[i][j]:
+                entries[r * n + k] = c
+        return Matrix.from_sparse(self.field, len(pairs), n, entries)
+
+    def _products_table(self):
+        """The n x n^2 matrix whose row i, block j (columns j*n .. j*n + n-1) is b_i * b_j."""
+        n = self.dim
+        return self._basis_products([(i, j) for i in range(n) for j in range(n)]).reshape(n, n * n)
+
+    def basis_left_mult(self, i):
+        """L_i, the matrix of a |-> b_i * a: column j is b_i * b_j."""
+        L = self._left_mult.get(i)
+        if L is None:
+            L = self._left_mult[i] = self._basis_products([(i, j) for j in range(self.dim)]).transpose()
+        return L
 
     def left_mult_matrix(self, vec):
         """Matrix of a |-> vec * a in the basis (columns = vec * b_j)."""
-        f = self.field
-        cols = []
-        for j in range(self.dim):
-            col = [f.zero] * self.dim
-            for i, xi in enumerate(vec):
-                if f.is_zero(xi):
-                    continue
-                for k, m in self.mult[i][j]:
-                    col[k] = f.add(col[k], f.mul(xi, m))
-            cols.append(col)
-        return Matrix.from_columns(f, cols, nrows=self.dim)
+        return Matrix.linear_combination(
+            self.field, self.dim, self.dim, [(c, self.basis_left_mult(i)) for i, c in enumerate(vec) if c]
+        )
 
     def right_mult_matrix(self, vec):
-        f = self.field
-        cols = []
-        for j in range(self.dim):
-            col = [f.zero] * self.dim
-            for i, yi in enumerate(vec):
-                if f.is_zero(yi):
-                    continue
-                for k, m in self.mult[j][i]:
-                    col[k] = f.add(col[k], f.mul(yi, m))
-            cols.append(col)
-        return Matrix.from_columns(f, cols, nrows=self.dim)
+        """Matrix of a |-> a * vec in the basis (columns = b_j * vec)."""
+        n = self.dim
+        # R_j, the matrix of a |-> a * b_j, has column i b_i * b_j
+        rights = [(c, self._basis_products([(i, j) for i in range(n)]).transpose()) for j, c in enumerate(vec) if c]
+        return Matrix.linear_combination(self.field, n, n, rights)
 
-    def basis_left_mult(self, i):
-        if i not in self._left_mult:
-            self._left_mult[i] = self.left_mult_matrix(self.basis_vec(i))
-        return self._left_mult[i]
+    def mult_vec(self, x, y):
+        return tuple((self.left_mult_matrix(x) * Matrix.column(self.field, list(y))).col(0))
+
+    def products(self, X=None, Y=None):
+        """The rows x * y for every row x of X and every row y of Y, x-major.
+
+        X and Y are matrices of row vectors; None stands for the basis.  This
+        is two block products against the table of basis products, whatever
+        the number of pairs.
+        """
+        n = self.dim
+        P = self._products_table()
+        r = n if X is None else X.rows
+        # row c*n + j: x_c * b_j
+        W = (P if X is None else X * P).reshape(r * n, n)
+        if Y is None:
+            return W
+        s = Y.rows
+        # H row j, block c: x_c * b_j; so row e, block c of Y * H is x_c * y_e
+        H = W.take_rows([c * n + j for j in range(n) for c in range(r)]).reshape(n, r * n)
+        Z = (Y * H).reshape(s * r, n)
+        return Z.take_rows([e * r + c for c in range(r) for e in range(s)])
 
     def is_idempotent(self, vec):
         return self.mult_vec(vec, vec) == tuple(vec)
@@ -182,64 +213,77 @@ class Algebra:
 
     # -- validation ------------------------------------------------------------
 
-    def validate(self, level="full"):
+    def validate(self):
+        """Check the algebra axioms, raising InvalidAlgebra on the first failure.
+
+        Associativity is certified here unless the algebra inherits it from
+        the certified algebras it was built from.
+        """
         f = self.field
-        if len(self.unit) != self.dim:
+        n = self.dim
+        if len(self.unit) != n:
             raise InvalidAlgebra("unit has wrong length")
-        ident = Matrix.identity(f, self.dim)
+        ident = Matrix.identity(f, n)
         if self.left_mult_matrix(self.unit) != ident or self.right_mult_matrix(self.unit) != ident:
             raise InvalidAlgebra("unit is not a two-sided identity")
-        # idempotent family axioms
-        total = [f.zero] * self.dim
+        # idempotent family axioms; column b of prods[a] is v_a * v_b
+        family = _row_matrix(f, n, [v for v, _ in self.idempotents]).transpose()
+        prods = [self.left_mult_matrix(v) * family for v, _ in self.idempotents]
+        total = [f.zero] * n
         for a, (v, lab) in enumerate(self.idempotents):
-            if self.mult_vec(v, v) != v:
+            if tuple(prods[a].col(a)) != v:
                 raise InvalidAlgebra(f"distinguished element {a} is not idempotent")
             if all(f.is_zero(x) for x in v):
                 raise InvalidAlgebra(f"distinguished idempotent {a} is zero")
             total = [f.add(x, y) for x, y in zip(total, v)]
             for b in range(a + 1, len(self.idempotents)):
-                w = self.idempotents[b][0]
-                z = self.zero_vec()
-                if self.mult_vec(v, w) != z or self.mult_vec(w, v) != z:
+                if any(prods[a].col(b)) or any(prods[b].col(a)):
                     raise InvalidAlgebra(f"idempotents {a},{b} are not orthogonal")
         if tuple(total) != self.unit:
             raise InvalidAlgebra("distinguished idempotents do not sum to the unit")
-        self._check_associativity(level)
+        if not self._associativity_inherited:
+            self.check_associativity()
         self._check_primitivity_and_labels()
 
-    def _check_associativity(self, level):
+    def check_associativity(self):
+        """Certify (b_i b_j) b_l == b_i (b_j b_l) on every basis triple, exactly.
+
+        That is L_i L_j == L(b_i b_j) == sum_k c_ij^k L_k for every pair (i, j),
+        compared for one i at a time in two block products: row j*n + l of
+        L_i^T P, P the table of all basis products, is (b_i b_j) b_l, and of
+        (L_i [L_0 | ... | L_{n-1}])^T it is b_i (b_j b_l).
+        """
         n = self.dim
-        triples = None
-        if level == "full" or n <= FULL_VALIDATION_DIM:
-            triples = ((i, j, k) for i in range(n) for j in range(n) for k in range(n))
-        else:
-            rng = random.Random(7)
-            triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(_ASSOC_SAMPLE))
-        for i, j, k in triples:
-            left = self.mult_vec(self.mult_vec(self.basis_vec(i), self.basis_vec(j)), self.basis_vec(k))
-            right = self.mult_vec(self.basis_vec(i), self.mult_vec(self.basis_vec(j), self.basis_vec(k)))
+        P = self._products_table()  # row m, block l: b_m * b_l
+        M = P.reshape(n * n, n).transpose()  # column j*n + l: b_j * b_l
+        for i in range(n):
+            Lt = P.take_rows([i]).reshape(n, n)  # L_i^T: row j is b_i * b_j
+            left = (Lt * P).reshape(n * n, n)
+            right = (Lt.transpose() * M).transpose()
             if left != right:
-                raise InvalidAlgebra(f"associativity fails on basis triple ({i},{j},{k})")
+                row = next(r for r in range(n * n) if left.row(r) != right.row(r))
+                j, l = divmod(row, n)
+                raise InvalidAlgebra(f"associativity fails on basis triple ({i},{j},{l})")
 
     def _check_primitivity_and_labels(self):
         rad = self.radical()
-        f = self.field
-        corner_dims = []
-        for v, _ in self.idempotents:
-            rows = [self.mult_vec(v, self.mult_vec(self.basis_vec(i), v)) for i in range(self.dim)]
-            eAe = Subspace.from_rows(f, self.dim, rows)
-            inter = eAe.intersect(rad)
-            if eAe.dim - inter.dim != 1:
+        lefts = [self.left_mult_matrix(v) for v, _ in self.idempotents]
+        rights = [self.right_mult_matrix(v) for v, _ in self.idempotents]
+
+        def corner_span(a, b):
+            # v_a A v_b: column i of L(v_a) R(v_b) is v_a * b_i * v_b
+            return Subspace.row_space((lefts[a] * rights[b]).transpose())
+
+        for a in range(len(self.idempotents)):
+            eAe = corner_span(a, a)
+            if eAe.dim - eAe.intersect(rad).dim != 1:
                 raise InvalidAlgebra("distinguished idempotent is not primitive (or the algebra is not split)")
-            corner_dims.append(eAe)
         # same label <=> isomorphic projectives <=> e A e' not inside the radical
         for a in range(len(self.idempotents)):
-            va, la = self.idempotents[a]
+            la = self.idempotents[a][1]
             for b in range(a + 1, len(self.idempotents)):
-                vb, lb = self.idempotents[b]
-                rows = [self.mult_vec(va, self.mult_vec(self.basis_vec(i), vb)) for i in range(self.dim)]
-                eab = Subspace.from_rows(f, self.dim, rows)
-                in_rad = rad.contains_space(eab)
+                lb = self.idempotents[b][1]
+                in_rad = rad.contains_space(corner_span(a, b))
                 if (la == lb) and in_rad:
                     raise InvalidAlgebra(f"idempotents {a},{b} share label {la} but have non-isomorphic projectives")
                 if (la != lb) and not in_rad:
@@ -286,31 +330,31 @@ class Algebra:
 
     def generators(self):
         """Element vectors generating A as an algebra, idempotents first."""
-        if self._gens is not None:
-            return self._gens
+        if self._gens is None:
+            # a set generates A exactly when it generates A^op
+            twin = self._op
+            self._gens = twin._gens if twin is not None and twin._gens is not None else self._find_generators()
+        return self._gens
+
+    def _find_generators(self):
+        f, n = self.field, self.dim
         gens = [v for v, _ in self.idempotents]
         if self.arrow_indices is not None:
-            gens += [self.basis_vec(i) for i in self.arrow_indices]
-            self._gens = gens
-            return gens
-        span = self._closure_span(gens)
-        for i in range(self.dim):
-            if not span.contains(self.basis_vec(i)):
-                gens.append(self.basis_vec(i))
-                span = self._closure_span(gens)
-        self._gens = gens
+            return gens + [self.basis_vec(i) for i in self.arrow_indices]
+        span = self._closure(Subspace.from_rows(f, n, [self.unit] + gens))
+        for i in range(n):
+            b = self.basis_vec(i)
+            if not span.contains(b):
+                gens.append(b)
+                # the closure of a closed span and b is the closure of gens
+                span = self._closure(span.plus(Subspace.from_rows(f, n, [b])))
         return gens
 
-    def _closure_span(self, vectors):
-        rows = [self.unit] + [tuple(v) for v in vectors]
-        span = Subspace.from_rows(self.field, self.dim, rows)
+    def _closure(self, span):
+        """Smallest subspace containing span and closed under multiplication."""
         while True:
-            basis = [span.basis.row(i) for i in range(span.dim)]
-            new_rows = basis[:]
-            for x in basis:
-                for y in basis:
-                    new_rows.append(self.mult_vec(x, y))
-            bigger = Subspace.from_rows(self.field, self.dim, new_rows)
+            B = span.basis
+            bigger = Subspace.row_space(B.vstack(self.products(B, B)))
             if bigger.dim == span.dim:
                 return span
             span = bigger
@@ -353,9 +397,8 @@ class Algebra:
             presentation=None,
             arrow_indices=self.arrow_indices,
             radical_rows=[rad.basis.row(i) for i in range(rad.dim)] if rad is not None else None,
-            validate_level=None,
+            associativity_inherited=True,  # the transpose of a certified table
         )
-        op.validate("fast")
         self._op = op
         op._op = self
         return op
@@ -371,14 +414,8 @@ class Algebra:
         return out
 
     def _two_sided_ideal(self, e):
-        right = [self.mult_vec(e, self.basis_vec(j)) for j in range(self.dim)]
-        right_span = Subspace.from_rows(self.field, self.dim, right)
-        rows = []
-        for r in range(right_span.dim):
-            v = right_span.basis.row(r)
-            for i in range(self.dim):
-                rows.append(self.mult_vec(self.basis_vec(i), v))
-        return Subspace.from_rows(self.field, self.dim, rows)
+        eA = Subspace.row_space(self.left_mult_matrix(e).transpose())
+        return Subspace.row_space(self.products(None, eA.basis))
 
     def corner(self, e):
         """(eAe, embedding matrix dim(A) x dim(eAe))."""
@@ -392,24 +429,21 @@ class Algebra:
 
     def _corner(self, e):
         summands = self.subset_sum_decomposition(e)
-        f = self.field
-        rows = [self.mult_vec(e, self.mult_vec(self.basis_vec(i), e)) for i in range(self.dim)]
-        S = Subspace.from_rows(f, self.dim, rows)
-        basis = [S.basis.row(i) for i in range(S.dim)]
+        f, n = self.field, self.dim
+        sandwich = self.left_mult_matrix(e) * self.right_mult_matrix(e)  # a |-> e a e
+        S = Subspace.row_space(sandwich.transpose())
 
-        def coords_of(vectors):
-            C = S.coordinates(Matrix.from_columns(f, vectors, nrows=self.dim))
+        def coords_of(img):  # coordinates of the columns of img
+            C = S.coordinates(img)
             return [tuple(C.col(j)) for j in range(C.cols)]
 
-        mult = [tuple(_sparse(f, c) for c in coords_of([self.mult_vec(x, y) for y in basis]))
-                for x in basis]
-        idems = list(zip(coords_of([self.idempotents[k][0] for k in summands]),
+        mult = _table_from_coordinates(f, S.dim, coords_of(self.products(S.basis, S.basis).transpose()))
+        idems = list(zip(coords_of(_row_matrix(f, n, [self.idempotents[k][0] for k in summands]).transpose()),
                          [self.idempotents[k][1] for k in summands]))
-        rad = self.radical()
-        rad_rows = coords_of([self.mult_vec(e, self.mult_vec(rad.basis.row(i), e)) for i in range(rad.dim)])
+        rad_rows = coords_of(sandwich * self.radical().inclusion())
         names = [f"c{i}" for i in range(S.dim)]
-        out = Algebra(f, names, tuple(mult), coords_of([e])[0], idems,
-                      radical_rows=rad_rows, validate_level="fast")
+        out = Algebra(f, names, mult, coords_of(Matrix.column(f, list(e)))[0], idems,
+                      radical_rows=rad_rows, associativity_inherited=True)
         return out, S.inclusion()
 
     def quotient_by_idempotent_ideal(self, e):
@@ -425,21 +459,25 @@ class Algebra:
     def _quotient_by_idempotent_ideal(self, e):
         summands = self.subset_sum_decomposition(e)
         supp = {self.idempotents[k][1] for k in summands}
-        f = self.field
+        f, n = self.field, self.dim
         J = self.two_sided_ideal(e)
+        # the quotient inherits associativity once J is certified two-sided:
+        # g J, J g ⊆ J for the generators g, hence for all of A (words in them)
+        G = _row_matrix(f, n, self.generators())
+        try:
+            J.coordinates(self.products(G, J.basis).vstack(self.products(J.basis, G)).transpose())
+        except NotInSubspace as exc:
+            raise InvalidAlgebra("AeA is not a two-sided ideal") from exc
         proj = J.projection_matrix()
-        lift = J.lift_matrix()
-        qdim = self.dim - J.dim
-        reps = [lift.col(j) for j in range(qdim)]
-        mult = []
-        for x in reps:
-            mrow = []
-            for y in reps:
-                img = proj * Matrix.column(f, list(self.mult_vec(tuple(x), tuple(y))))
-                mrow.append(_sparse(f, img.col(0)))
-            mult.append(tuple(mrow))
+        comp = J.complement_coords()
+        qdim = len(comp)
+        # the classes of b_x * b_y, for x, y running over the complement coordinates
+        classes = proj * self._basis_products([(x, y) for x in comp for y in comp]).transpose()
+        mult = _table_from_coordinates(f, qdim, [classes.col(j) for j in range(classes.cols)])
+
         def project(v):
             return tuple((proj * Matrix.column(f, list(v))).col(0))
+
         idems = []
         for k, (v, lab) in enumerate(self.idempotents):
             if lab in supp:
@@ -450,11 +488,11 @@ class Algebra:
             if all(f.is_zero(x) for x in img):
                 raise InvalidAlgebra(f"idempotent labelled {lab} dies in the quotient")
             idems.append((img, lab))
-        rad = self.radical()
-        rad_rows = [project(rad.basis.row(i)) for i in range(rad.dim)]
+        rad = proj * self.radical().inclusion()
+        rad_rows = [rad.col(j) for j in range(rad.cols)]
         names = [f"q{i}" for i in range(qdim)]
-        out = Algebra(f, names, tuple(mult), project(self.unit), idems,
-                      radical_rows=rad_rows, validate_level="fast")
+        out = Algebra(f, names, mult, project(self.unit), idems,
+                      radical_rows=rad_rows, associativity_inherited=True)
         return out, proj
 
     def subalgebra_closure(self, idem_gens, gens=()):
@@ -465,36 +503,25 @@ class Algebra:
         distinguished family of the subalgebra, validated as such.
         Returns (B, embedding matrix dim(A) x dim(B)).
         """
-        f = self.field
-        vectors = [self.coerce_vec(v) for v, _ in idem_gens] + [self.coerce_vec(g) for g in gens]
-        span = Subspace.from_rows(f, self.dim, vectors)
-        while True:
-            basis = [span.basis.row(i) for i in range(span.dim)]
-            rows = basis[:]
-            for x in basis:
-                for y in basis:
-                    rows.append(self.mult_vec(tuple(x), tuple(y)))
-            bigger = Subspace.from_rows(f, self.dim, rows)
-            if bigger.dim == span.dim:
-                break
-            span = bigger
+        f, n = self.field, self.dim
+        idem_vectors = [self.coerce_vec(v) for v, _ in idem_gens]
+        vectors = idem_vectors + [self.coerce_vec(g) for g in gens]
+        span = self._closure(Subspace.from_rows(f, n, vectors))
         if not span.contains(self.unit):
             raise NotUnital("closure does not contain the unit of the ambient algebra")
-        basis = [span.basis.row(i) for i in range(span.dim)]
 
-        def coords_of(vectors):
+        def coords_of(img):  # coordinates of the columns of img
             try:
-                C = span.coordinates(Matrix.from_columns(f, vectors, nrows=self.dim))
+                C = span.coordinates(img)
             except NotInSubspace as exc:
                 raise InvalidAlgebra("element escapes the closure") from exc
             return [tuple(C.col(j)) for j in range(C.cols)]
 
-        mult = [tuple(_sparse(f, c) for c in coords_of([self.mult_vec(tuple(x), tuple(y)) for y in basis]))
-                for x in basis]
-        idems = list(zip(coords_of([self.coerce_vec(v) for v, _ in idem_gens]), [lab for _, lab in idem_gens]))
+        mult = _table_from_coordinates(f, span.dim, coords_of(self.products(span.basis, span.basis).transpose()))
+        idems = list(zip(coords_of(_row_matrix(f, n, idem_vectors).transpose()), [lab for _, lab in idem_gens]))
         names = [f"b{i}" for i in range(span.dim)]
-        level = "full" if span.dim <= FULL_VALIDATION_DIM else "fast"
-        out = Algebra(f, names, tuple(mult), coords_of([self.unit])[0], idems, validate_level=level)
+        out = Algebra(f, names, mult, coords_of(Matrix.column(f, list(self.unit)))[0], idems,
+                      associativity_inherited=True)
         return out, span.inclusion()
 
     def tensor_product(self, other):
@@ -538,8 +565,8 @@ class Algebra:
         for i in range(nA):
             for j in range(radB.dim):
                 rad_rows.append(outer(self.basis_vec(i), tuple(radB.basis.row(j))))
-        level = "full" if dim <= FULL_VALIDATION_DIM else "fast"
-        return Algebra(f, names, tuple(mult), unit, idems, radical_rows=rad_rows, validate_level=level)
+        # both factors are certified
+        return Algebra(f, names, tuple(mult), unit, idems, radical_rows=rad_rows, associativity_inherited=True)
 
     # -- equality (content-based; used by round-trip tests) -------------------------
 
@@ -570,12 +597,6 @@ def compile_quiver(pres: QuiverPresentation, fld) -> Algebra:
     dim = len(reps)
     proj = ideal.projection_matrix()
 
-    def class_of(path_idx):
-        v = [f.zero] * len(paths)
-        v[path_idx] = f.one
-        img = proj * Matrix.column(f, v)
-        return tuple(img.col(0))
-
     # representatives are honest paths, so products are concatenations
     mult = []
     path_key = {}
@@ -594,7 +615,7 @@ def compile_quiver(pres: QuiverPresentation, fld) -> Algebra:
                 mrow.append(())
                 continue
             cidx = path_key[(q.source,) + arrows]
-            mrow.append(_sparse(f, class_of(cidx)))
+            mrow.append(_sparse(f, proj.col(cidx)))
         mult.append(tuple(mrow))
 
     unit = [f.zero] * dim
@@ -617,13 +638,12 @@ def compile_quiver(pres: QuiverPresentation, fld) -> Algebra:
             vec[k] = f.one
             rad_rows.append(tuple(vec))
 
-    level = "full" if dim <= FULL_VALIDATION_DIM else "fast"
     return Algebra(f, names, tuple(mult), tuple(unit), idems, presentation=pres,
-                   arrow_indices=arrow_idx, radical_rows=rad_rows, validate_level=level)
+                   arrow_indices=arrow_idx, radical_rows=rad_rows)
 
 
 def structure_constant_algebra(fld, basis_names, table, unit, idempotents_with_labels):
-    """Build from raw data: table entries (i, j, k, coeff); fully validated."""
+    """Build from raw data: table entries (i, j, k, coeff); associativity included, validated."""
     n = len(basis_names)
     grid = [[dict() for _ in range(n)] for _ in range(n)]
     for i, j, k, c in table:
@@ -636,4 +656,4 @@ def structure_constant_algebra(fld, basis_names, table, unit, idempotents_with_l
         for i in range(n)
     )
     idems = [(tuple(fld.coerce(x) for x in v), lab) for v, lab in idempotents_with_labels]
-    return Algebra(fld, basis_names, mult, [fld.coerce(x) for x in unit], idems, validate_level="full")
+    return Algebra(fld, basis_names, mult, [fld.coerce(x) for x in unit], idems)

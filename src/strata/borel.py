@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import NotBasic, NotIdempotentSum, NotQuasiHereditary, SupportNotCoideal
+from .errors import NotBasic, NotIdempotentSum, NotInSubspace, NotQuasiHereditary, SupportNotCoideal
 from .functors import SubalgebraEmbedding
 from .homology import global_dimension, hom_cochain, induced_map_profile, resolution
 from .kernel.matrix import Matrix
@@ -231,6 +231,13 @@ def check_regular(emb: BorelEmbedding, n_max=DEFAULT_NMAX, report: BorelReport |
     }
 
 
+def regularity_json(reg):
+    """A check_regular result for a report: cell keys (i, j, n) become "i,j,n"."""
+    out = {k: v for k, v in reg.items() if k != "cells"}
+    out["cells"] = {f"{i},{j},{n}": v for (i, j, n), v in reg["cells"].items()}
+    return out
+
+
 # -- Prop-level identities -------------------------------------------------------------
 
 
@@ -279,12 +286,11 @@ def normality_certificate(emb: BorelEmbedding):
     assert comp == Matrix.identity(f, B.dim), "splitting does not restrict to the identity"
     K = phibar.kernel_basis()
     ker = Subspace.from_rows(f, A.dim, [K.col(j) for j in range(K.cols)])
-    for r in range(ker.dim):
-        vrow = ker.basis.row(r)
-        for k in range(A.dim):
-            prod = A.mult_vec(vrow, A.basis_vec(k))
-            if not ker.contains(prod):
-                return {"status": NO, "witness": "kernel is not a right ideal"}
+    # ker * g ⊆ ker for the generators g of A makes ker a right ideal
+    try:
+        ker.coordinates(A.products(ker.basis, Matrix.from_rows(f, A.generators())).transpose())
+    except NotInSubspace:
+        return {"status": NO, "witness": "kernel is not a right ideal"}
     return {"status": YES, "pi": pi, "kernel_dim": ker.dim}
 
 
@@ -301,7 +307,6 @@ def inherited_borels(emb: BorelEmbedding, e_prime, n_max=DEFAULT_NMAX, diagnosti
     and dimension diagnostics are reported instead of raising.
     """
     A, B, poset = emb.A, emb.B, emb.poset
-    f = A.field
     e_prime = B.coerce_vec(e_prime)
     B.subset_sum_decomposition(e_prime)
     suppB = support(B, e_prime)
@@ -334,12 +339,8 @@ def inherited_borels(emb: BorelEmbedding, e_prime, n_max=DEFAULT_NMAX, diagnosti
 
     # A(Be'B) = A ι(e') A
     idealB = B.two_sided_ideal(e_prime)
-    img_rows = [emb.sub.image_vec(idealB.basis.row(i)) for i in range(idealB.dim)]
-    closed = []
-    for v in img_rows:
-        for i in range(A.dim):
-            closed.append(A.mult_vec(A.basis_vec(i), v))
-    ABeB = Subspace.from_rows(f, A.dim, closed)
+    img = (emb.emb * idealB.inclusion()).transpose()  # rows: the image of Be'B in A
+    ABeB = Subspace.row_space(A.products(None, img))
     AeA = A.two_sided_ideal(ie)
     out["A_BeB_equals_AeA"] = ABeB == AeA
     out["dim_B_quotient"] = B.dim - idealB.dim

@@ -250,6 +250,7 @@ def cmd_borel(args):
         check_regular,
         inherited_borels,
         normality_certificate,
+        regularity_json,
         restriction_identity,
     )
 
@@ -271,10 +272,7 @@ def cmd_borel(args):
         rep.fail()
         return rep
     reg = check_regular(emb, n_max, report=report)
-    rep.body["regularity"] = {k: v for k, v in reg.items() if k != "cells"}
-    rep.body["regularity"]["cells"] = {
-        f"{i},{j},{n}": v for (i, j, n), v in reg["cells"].items()
-    }
+    rep.body["regularity"] = regularity_json(reg)
     rep.line(f"regular through degree {n_max}: {reg['regular']}"
              + (" (unconditional)" if reg["unconditional"] else " (truncated)"))
     ri = restriction_identity(emb)
@@ -289,6 +287,9 @@ def cmd_borel(args):
                                ambient_report=report)
         serial = {}
         for k, v in out.items():
+            if k in ("corner_regular", "quotient_regular"):
+                serial[k] = regularity_json(v)
+                continue
             serial[k] = v.to_json() if hasattr(v, "to_json") else (
                 {kk: (vv if not hasattr(vv, "to_json") else vv.to_json()) for kk, vv in v.items()}
                 if isinstance(v, dict) else v)

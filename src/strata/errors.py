@@ -41,6 +41,10 @@ class RadicalUnsupportedCharacteristic(StrataError):
     pass
 
 
+class InvariantViolation(StrataError):
+    """An internal cross-check failed: a library bug, never a property of the input."""
+
+
 class InvalidAlgebra(StrataError):
     """Structure-constant data fails an algebra axiom."""
 

@@ -57,8 +57,7 @@ class IdempotentContext:
         """Ae ⊗_{eAe} Y as a module over A."""
         A, C = self.A, self.corner
         f = A.field
-        ae_rows = [A.mult_vec(A.basis_vec(i), self.e) for i in range(A.dim)]
-        ae = Subspace.from_rows(f, A.dim, ae_rows)
+        ae = Subspace.row_space(A.right_mult_matrix(self.e).transpose())
         m = ae.dim
         ae_incl = ae.inclusion()
         nY = Y.dim
@@ -102,8 +101,7 @@ class IdempotentContext:
         """Hom_{eAe}(eA, Y) as a module over A."""
         A, C = self.A, self.corner
         f = A.field
-        ea_rows = [A.mult_vec(self.e, A.basis_vec(i)) for i in range(A.dim)]
-        ea = Subspace.from_rows(f, A.dim, ea_rows)
+        ea = Subspace.row_space(A.left_mult_matrix(self.e).transpose())
         m = ea.dim
         ea_incl = ea.inclusion()
         nY = Y.dim

@@ -25,8 +25,8 @@ class Summand:
         self.e_vec = tuple(e_vec)
         self.label = label
         reg = Module.regular(algebra)
-        rows = [algebra.mult_vec(algebra.basis_vec(i), self.e_vec) for i in range(algebra.dim)]
-        space = Subspace.from_rows(algebra.field, algebra.dim, rows)
+        # column i of R(e) is b_i * e, so its columns span A e
+        space = Subspace.row_space(algebra.right_mult_matrix(self.e_vec).transpose())
         self.module, self.basis = reg.submodule(space)
 
 

@@ -20,7 +20,7 @@ re-multiplies to verify its answer, kernel columns multiply to exactly zero.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from math import gcd, lcm
 from operator import add, sub
 
@@ -74,7 +74,7 @@ class Matrix:
         """Wrap integers, bringing them to canonical form (nums: tuple or list)."""
         p = field.char
         if p:
-            return cls._new(field, rows, cols, 1, tuple(x % p for x in nums))
+            return cls._new(field, rows, cols, 1, tuple([x % p for x in nums]))
         if den != 1:
             g = gcd(den, *nums)
             if g != 1:
@@ -121,6 +121,15 @@ class Matrix:
         if any(len(c) != n for c in cols_):
             raise DimensionMismatch("ragged columns")
         return cls(field, n, len(cols_), [c[i] for i in range(n) for c in cols_])
+
+    @classmethod
+    def from_sparse(cls, field, rows, cols, entries):
+        """rows x cols matrix holding entries {row-major index: value}, zero elsewhere."""
+        den, vals = _ints(field, list(entries.values()))
+        nums = [0] * (rows * cols)
+        for idx, x in zip(entries, vals):
+            nums[idx] = x
+        return cls._new(field, rows, cols, den, tuple(nums))
 
     @classmethod
     def linear_combination(cls, field, rows, cols, terms):
@@ -224,22 +233,43 @@ class Matrix:
         num, den = c.numerator, c.denominator * self.den
         return Matrix._reduced(f, self.rows, self.cols, den, [num * x for x in self.nums])
 
+    def _sparse_rows(self):
+        """(columns, values) of the nonzero entries of each row, None for a zero row."""
+        m = self.cols
+        b = self.nums
+        cols = range(m)
+        out = []
+        for t in range(self.rows):
+            row = b[t * m : (t + 1) * m]
+            out.append((tuple(compress(cols, row)), tuple(compress(row, row))) if any(row) else None)
+        return out
+
     def __mul__(self, other):
         self._same_field(other)
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         n, k, m = self.rows, self.cols, other.cols
-        a, b = self.nums, other.nums
-        # Nonzero entries of each row of other, as (column, value).
-        brows = [[(j, y) for j, y in enumerate(b[t * m : (t + 1) * m]) if y] for t in range(k)]
+        a = self.nums
+        brows = other._sparse_rows()
+        p = self.field.char
+        zeros = [0] * m
         out = []
         for i in range(n):
-            acc = [0] * m
+            acc = None
             for x, brow in zip(a[i * k : (i + 1) * k], brows):
-                if x:
-                    for j, y in brow:
+                if x and brow:
+                    if acc is None:
+                        acc = [0] * m
+                    for j, y in zip(*brow):
                         acc[j] += x * y
-            out.extend(acc)
+            if acc is None:
+                out.extend(zeros)
+            elif p:
+                out.extend([v % p for v in acc])
+            else:
+                out.extend(acc)
+        if p:
+            return Matrix._new(self.field, n, m, 1, tuple(out))
         return Matrix._reduced(self.field, n, m, self.den * other.den, out)
 
     def transpose(self):
@@ -273,10 +303,18 @@ class Matrix:
         nums = tuple(self._over(den)) + tuple(other._over(den))
         return Matrix._new(self.field, self.rows + other.rows, self.cols, den, nums)
 
+    def reshape(self, rows, cols):
+        """The same entries, in row-major order, as a rows x cols matrix."""
+        if rows * cols != self.rows * self.cols:
+            raise DimensionMismatch(f"cannot reshape {self.rows}x{self.cols} to {rows}x{cols}")
+        return Matrix._new(self.field, rows, cols, self.den, self.nums)
+
     def take_rows(self, indices):
         """The submatrix of the given rows, in the given order."""
         c = self.cols
         nums = [x for i in indices for x in self.nums[i * c : (i + 1) * c]]
+        if self.field.char:  # residues stay reduced
+            return Matrix._new(self.field, len(indices), c, 1, tuple(nums))
         return Matrix._reduced(self.field, len(indices), c, self.den, nums)
 
     # -- elimination ---------------------------------------------------------

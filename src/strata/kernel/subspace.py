@@ -24,6 +24,8 @@ class Subspace:
     @classmethod
     def row_space(cls, M: Matrix):
         """The span of the rows of M."""
+        if M.is_zero():
+            return cls(M.field, M.cols, Matrix.zeros(M.field, 0, M.cols), ())
         R, pivots = M.rref()
         return cls(M.field, M.cols, R.take_rows(range(len(pivots))), pivots)
 

@@ -227,8 +227,7 @@ def projective(A, label):
         return A._derived[key]
     e = A.idempotent_for_label(label)
     reg = Module.regular(A)
-    rows = [A.mult_vec(A.basis_vec(i), e) for i in range(A.dim)]
-    out = reg.submodule(Subspace.from_rows(A.field, A.dim, rows))[0]
+    out = reg.submodule(Subspace.row_space(A.right_mult_matrix(e).transpose()))[0]  # A e
     A._derived[key] = out
     return out
 

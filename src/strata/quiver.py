@@ -19,7 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError, MalformedRelation, NotFiniteDimensionalWithinBound
+from .errors import (
+    InputError,
+    InvariantViolation,
+    MalformedRelation,
+    NotFiniteDimensionalWithinBound,
+    NotInSubspace,
+)
 
 PATH_COUNT_GUARD = 40000
 
@@ -158,6 +164,7 @@ def compile_presentation(pres: QuiverPresentation, fld):
     Output: (paths, ideal subspace in the truncated path space, representative
     path indices, work bound).
     """
+    from .kernel.matrix import Matrix
     from .kernel.subspace import Subspace
 
     pres.validate()
@@ -196,15 +203,22 @@ def compile_presentation(pres: QuiverPresentation, fld):
     ideal = Subspace.from_rows(fld, n, gens)
 
     # finite-dimensionality witness: every path of length in [L, L_work] dies
-    for p in paths:
-        if L <= len(p.arrows) <= L_work:
-            v = [fld.zero] * n
-            v[p.index] = fld.one
-            if not ideal.contains(v):
-                raise NotFiniteDimensionalWithinBound(
-                    f"path {p.name()} of length {len(p.arrows)} survives modulo the relations"
-                )
+    long_paths = [p for p in paths if L <= len(p.arrows) <= L_work]
+    if long_paths:
+        units = []
+        for p in long_paths:
+            v = [0] * n
+            v[p.index] = 1
+            units.append(v)
+        try:
+            ideal.coordinates(Matrix.from_columns(fld, units, nrows=n))
+        except NotInSubspace:
+            p = next(p for p, v in zip(long_paths, units) if not ideal.contains(v))
+            raise NotFiniteDimensionalWithinBound(
+                f"path {p.name()} of length {len(p.arrows)} survives modulo the relations"
+            ) from None
 
     reps = ideal.complement_coords()
-    assert all(len(paths[i].arrows) < L for i in reps)
+    if any(len(paths[i].arrows) >= L for i in reps):
+        raise InvariantViolation("a path of length >= max_path_length represents a basis element")
     return paths, ideal, reps, L_work

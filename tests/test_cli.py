@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from strata.cli import main
 from strata.corpus import corpus_path, entry_spec
 from strata.specfile import dump
@@ -144,3 +146,75 @@ class TestErrors:
     def test_unknown_label_in_e(self, capsys):
         code, _, err = run(capsys, "idempotent", corpus_path("sl2-block"), "--e", "9")
         assert code == 1 or code == 2
+
+
+# -- every command with --json: parseable output and a documented exit code ----------
+
+LIGHT_SPECS = ("auslander-x3", "diamond", "ext2-chain", "fork", "fork-refined", "rad-square-zero", "sl2-block")
+FIELDS = {"q": "Q", "fp": {"Fp": 32003}}
+SPEC_COMMANDS = (
+    ("describe",),
+    ("check",),
+    ("check", "--side", "left"),
+    ("check", "--side", "right"),
+    ("essential-order",),
+    ("idempotent", "--e", "#0"),
+    ("idempotent", "--e", "#0,#1"),
+    ("corner", "--e", "#0"),
+    ("quotient", "--e", "#0"),
+    ("borel",),
+    ("vmatrix",),
+    ("ell",),
+)
+VERDICT_CODES = {"pass": 0, "fail": 1, "inconclusive": 3}
+
+
+def _spec_file(tmp_path, name, field):
+    doc = entry_spec(name)
+    doc["field"] = FIELDS[field]
+    path = tmp_path / f"{name}.{field}.json"
+    path.write_text(dump(doc))
+    return str(path)
+
+
+def _json_run(capsys, *argv):
+    """Run with --json: a report whose verdict matches the exit code, or a typed refusal.
+
+    Returns the parsed report, or None for a refusal: exit 2 for an input error,
+    exit 1 for a library error, with the message on stderr and nothing on stdout.
+    """
+    code, out, err = run(capsys, "--json", *argv)
+    if not out:
+        prefix = {1: "error:", 2: "input error:"}.get(code)
+        assert prefix and err.startswith(prefix), (argv, code, err)
+        return None
+    doc = json.loads(out)
+    assert VERDICT_CODES[doc["verdict"]] == code, (argv, doc["verdict"], code)
+    return doc
+
+
+class TestJsonSurface:
+    @pytest.mark.parametrize("field", sorted(FIELDS))
+    @pytest.mark.parametrize("name", LIGHT_SPECS)
+    def test_every_command(self, capsys, tmp_path, name, field):
+        path = _spec_file(tmp_path, name, field)
+        refused = set()
+        for command in SPEC_COMMANDS:
+            if _json_run(capsys, command[0], path, *command[1:]) is None:
+                refused.add(command)
+        assert ("borel",) in refused  # the light specs carry no subalgebra
+        assert not refused & {("describe",), ("check",), ("essential-order",), ("corner", "--e", "#0"),
+                              ("quotient", "--e", "#0")}
+
+    @pytest.mark.parametrize("field", sorted(FIELDS))
+    @pytest.mark.parametrize("name, label", [("dual-extension", "3"), ("nonbasic-endo", "4")])
+    def test_borel_idempotent(self, capsys, tmp_path, name, label, field):
+        doc = _json_run(capsys, "borel", _spec_file(tmp_path, name, field), "--idempotent", label)
+        inherited = doc["inherited"]
+        assert inherited["corner_borel"]["is_exact_borel"]
+        assert all("," in key for key in inherited["corner_regular"]["cells"])
+
+    def test_commands_without_a_spec(self, capsys):
+        assert _json_run(capsys, "vmatrix", "--type", "A1xA1")["verdict"] == "pass"
+        assert _json_run(capsys, "verify-paper", "--filter", "c05")["verdict"] == "pass"
+        assert _json_run(capsys, "check", corpus_path("rad-square-zero"), "--all-orders") is not None
