@@ -336,6 +336,13 @@ class Algebra:
             self._gens = twin._gens if twin is not None and twin._gens is not None else self._find_generators()
         return self._gens
 
+    def generator_rows(self):
+        """generators() as the rows of a matrix, built once."""
+        key = ("generator rows",)
+        if key not in self._derived:
+            self._derived[key] = Matrix.from_rows(self.field, self.generators())
+        return self._derived[key]
+
     def _find_generators(self):
         f, n = self.field, self.dim
         gens = [v for v, _ in self.idempotents]

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import NotBasic, NotIdempotentSum, NotInSubspace, NotQuasiHereditary, SupportNotCoideal
+from .errors import InvariantViolation, NotBasic, NotIdempotentSum, NotInSubspace, NotQuasiHereditary, SupportNotCoideal
 from .functors import SubalgebraEmbedding
 from .homology import global_dimension, hom_cochain, induced_map_profile, resolution
 from .kernel.matrix import Matrix
@@ -123,8 +123,10 @@ def check_exact_borel(emb: BorelEmbedding) -> BorelReport:
                 axiom2 = NO
     sdB = strat_datum(B, poset)
     if axiom2 == YES:
-        assert sdB.left_stratified()[0] == YES
-        assert all(sdB.delta[i].dim == sdB.L[i].dim for i in B.labels)
+        if sdB.left_stratified()[0] != YES:
+            raise InvariantViolation("B satisfies axiom 2 but is not left standardly stratified")
+        if any(sdB.delta[i].dim != sdB.L[i].dim for i in B.labels):
+            raise InvariantViolation("B satisfies axiom 2 but a standard module of B is not simple")
 
     axiom3, certs = {}, {}
     for i in A.labels:
@@ -167,7 +169,8 @@ def check_regular(emb: BorelEmbedding, n_max=DEFAULT_NMAX, report: BorelReport |
     A, B = emb.A, emb.B
     if report is None:
         report = check_exact_borel(emb)
-    assert report.is_exact_borel, "regularity is checked only for verified exact Borel subalgebras"
+    if not report.is_exact_borel:
+        raise InvariantViolation("regularity is checked only for verified exact Borel subalgebras")
     f = A.field
     cells = {}
     regular = True
@@ -207,7 +210,8 @@ def check_regular(emb: BorelEmbedding, n_max=DEFAULT_NMAX, report: BorelReport |
                 lhs = verticals[n] * deltas_b[n - 1] if n - 1 < len(deltas_b) else None
                 rhs = deltas_a[n - 1] * verticals[n - 1] if n - 1 < len(deltas_a) else None
                 if lhs is not None and rhs is not None:
-                    assert lhs == rhs, "comparison is not a cochain map"
+                    if lhs != rhs:
+                        raise InvariantViolation("comparison is not a cochain map")
             for n in range(1, n_max + 1):
                 hb, ha, rank = induced_map_profile(dims_b, deltas_b, dims_a, deltas_a, verticals, n)
                 inj = rank == hb
@@ -283,7 +287,8 @@ def normality_certificate(emb: BorelEmbedding):
     phibar = Matrix.from_columns(f, cols, nrows=M.dim)
     pi = phi.inverse() * phibar  # A -> B
     comp = pi * emb.emb
-    assert comp == Matrix.identity(f, B.dim), "splitting does not restrict to the identity"
+    if comp != Matrix.identity(f, B.dim):
+        raise InvariantViolation("splitting does not restrict to the identity")
     K = phibar.kernel_basis()
     ker = Subspace.from_rows(f, A.dim, [K.col(j) for j in range(K.cols)])
     # ker * g ⊆ ker for the generators g of A makes ker a right ideal
@@ -350,7 +355,8 @@ def inherited_borels(emb: BorelEmbedding, e_prime, n_max=DEFAULT_NMAX, diagnosti
     Bc, embBc = B.corner(e_prime)
     Ac, embAc = A.corner(ie)
     X = embAc.solve(emb.emb * embBc)
-    assert X is not None, "corner of the subalgebra escapes the ambient corner"
+    if X is None:
+        raise InvariantViolation("corner of the subalgebra escapes the ambient corner")
     out["corner_injective"] = X.rank() == Bc.dim
 
     # quotient map B/Be'B -> A/AeA

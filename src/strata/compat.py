@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import SupportNotCoideal
+from .errors import InvariantViolation, SupportNotCoideal
 from .functors import IdempotentContext
 from .kernel.subspace import Subspace
 from .modules import Module, comp_mult, iso_test, iso_to_direct_power, simple
@@ -166,7 +166,8 @@ def compatibility_battery(A, poset, e_vec, with_identities=True) -> CompatReport
         return CompatReport(tuple(), conds, None, None, None, True, False,
                             [("zero-idempotent", "trivial")])
     supp = support(A, e)
-    assert supp == A.support_labels(e)
+    if supp != A.support_labels(e):
+        raise InvariantViolation("the support of e differs between its two computations")
 
     conds = {}
     conds[1] = YES if poset.is_coideal(supp) else NO
@@ -209,7 +210,8 @@ def compatibility_battery(A, poset, e_vec, with_identities=True) -> CompatReport
     report = CompatReport(supp, conds, chain, f4, f5, diagram, inconclusive)
     if with_identities:
         report.identity_checks = recollement_identity_suite(A, poset, e, ctx=ctx, sd=sd, conds=conds)
-    assert diagram, f"implication diagram violated: {conds}"
+    if not diagram:
+        raise InvariantViolation(f"implication diagram violated: {conds}")
     return report
 
 

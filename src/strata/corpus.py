@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Algebra, compile_quiver, structure_constant_algebra
+from .errors import InvariantViolation
 from .kernel.fields import QQ
 from .quiver import QuiverPresentation
 from .strat import LabelPoset
@@ -145,7 +146,8 @@ def build_nonbasic_endo():
         for j, (c, d) in enumerate(_ENDO_PATTERN):
             if d == a:
                 k = pos.get((c, b))
-                assert k is not None, "pattern is not multiplicatively closed"
+                if k is None:
+                    raise InvariantViolation("pattern is not multiplicatively closed")
                 table.append((i, j, k, 1))
     unit = [0] * len(names)
     for r in (1, 2, 3, 4, 5):

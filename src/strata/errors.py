@@ -62,10 +62,6 @@ class NotAntisymmetric(StrataError):
     """Generated order relation has a nontrivial cycle."""
 
 
-class IsoUndetermined(StrataError):
-    """iso_test could not certify either verdict; callers downgrade, never guess."""
-
-
 class SupportNotCoideal(StrataError):
     pass
 

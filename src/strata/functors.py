@@ -20,7 +20,7 @@ outer action.
 
 from __future__ import annotations
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvariantViolation
 from .kernel.matrix import Matrix
 from .kernel.subspace import Subspace
 from .modules import Module
@@ -49,97 +49,47 @@ class IdempotentContext:
         """eX as a module over eAe."""
         C = self.corner
         space = X.e_part(self.e)
-        incl = space.inclusion()
-        action = [space.coordinates(X.act(self.corner_emb.col(j)) * incl) for j in range(C.dim)]
-        return Module(C, space.dim, action)
+        return Module(C, space.dim, X.action_on(space, self.corner_emb.transpose()))
 
     def corner_tensor(self, Y: Module):
         """Ae ⊗_{eAe} Y as a module over A."""
         A, C = self.A, self.corner
         f = A.field
         ae = Subspace.row_space(A.right_mult_matrix(self.e).transpose())
-        m = ae.dim
         ae_incl = ae.inclusion()
-        nY = Y.dim
-        dim = m * nY
-        rows = []
+        IY, Im = Matrix.identity(f, Y.dim), Matrix.identity(f, ae.dim)
+        # Basis vector i*nY + j of Ae ⊗ Y is z_i ⊗ y_j.  For a generator c of
+        # eAe the relation rows (i, j) are z_i c ⊗ y_j - z_i ⊗ c y_j, that is
+        # Z^T ⊗ I - I ⊗ Y.act(c)^T, column i of Z the coordinates of z_i c in Ae.
+        rels = []
         for c in C.generators():
-            c_in_A = self.corner_emb * Matrix.column(f, list(c))
-            right = A.right_mult_matrix(c_in_A.col(0))
-            actc = Y.act(c)
-            # column i: coordinates of basis_i * c in Ae
-            XC = ae.coordinates(right * ae_incl)
-            for i in range(m):
-                xc_coords = XC.col(i)
-                for j in range(nY):
-                    vec = [f.zero] * dim
-                    for k, co in enumerate(xc_coords):
-                        vec[k * nY + j] = f.add(vec[k * nY + j], co)
-                    for l in range(nY):
-                        co = actc[l, j]
-                        if not f.is_zero(co):
-                            vec[i * nY + l] = f.sub(vec[i * nY + l], co)
-                    rows.append(vec)
-        rel = Subspace.from_rows(f, dim, rows)
-        proj = rel.projection_matrix()
-        lift = rel.lift_matrix()
-        qdim = dim - rel.dim
-        action = []
-        for bidx in range(A.dim):
-            # left multiplication on A, in the coordinates of Ae
-            L = ae.coordinates(A.basis_left_mult(bidx) * ae_incl)
-            big = [[f.zero] * dim for _ in range(dim)]
-            for i in range(m):
-                for k, co in enumerate(L.col(i)):
-                    if not f.is_zero(co):
-                        for j in range(nY):
-                            big[k * nY + j][i * nY + j] = co
-            action.append(proj * Matrix.from_rows(f, big) * lift)
-        return Module(A, qdim, action)
+            c_in_A = (self.corner_emb * Matrix.column(f, list(c))).col(0)
+            Z = ae.coordinates(A.right_mult_matrix(c_in_A) * ae_incl)
+            rels.append(Z.transpose().kron(IY) - Im.kron(Y.act(c).transpose()))
+        # A acts on Ae ⊗ Y through its left action on Ae
+        return _tensor_quotient(A, rels, Module.regular(A).action_on(ae), IY)[0]
 
     def corner_hom(self, Y: Module):
         """Hom_{eAe}(eA, Y) as a module over A."""
         A, C = self.A, self.corner
         f = A.field
         ea = Subspace.row_space(A.left_mult_matrix(self.e).transpose())
-        m = ea.dim
-        ea_incl = ea.inclusion()
-        nY = Y.dim
-        unknowns = nY * m  # f as nY x m matrix, column b = f(basis b)
-        rows = []
+        m, ea_incl = ea.dim, ea.inclusion()
+        IY, Im = Matrix.identity(f, Y.dim), Matrix.identity(f, m)
+        # A map eA -> Y is the nY x m matrix of the images of the z_b, unknown
+        # i*m + b.  For a generator c of eAe, f(c z_b) = c f(z_b) gives the rows
+        # (i, b) of I ⊗ W^T - Y.act(c) ⊗ I, column b of W the coordinates of c z_b.
+        eqs = []
         for c in C.generators():
             c_in_A = (self.corner_emb * Matrix.column(f, list(c))).col(0)
-            left = A.left_mult_matrix(c_in_A)
-            actc = Y.act(c)
-            # column b: coordinates of c * basis_b in eA
-            CZ = ea.coordinates(left * ea_incl)
-            for b in range(m):
-                cz_coords = CZ.col(b)
-                for i in range(nY):
-                    # f(c·z_b)_i - (c·f(z_b))_i = 0
-                    row = [f.zero] * unknowns
-                    for k, co in enumerate(cz_coords):
-                        row[i * m + k] = f.add(row[i * m + k], co)
-                    for l in range(nY):
-                        co = actc[i, l]
-                        if not f.is_zero(co):
-                            row[l * m + b] = f.sub(row[l * m + b], co)
-                    rows.append(row)
-        K = Matrix.from_rows(f, rows).kernel_basis() if rows else Matrix.identity(f, unknowns)
-        sol_space = Subspace.row_space(K.transpose())
-        sol_incl = sol_space.inclusion()
-        action = []
-        for bidx in range(A.dim):
-            # (a·f)(z_b) = f(z_b·a) = sum_k ZA[k, b] f(z_k): linear in f, block diagonal in i
-            ZA = ea.coordinates(A.right_mult_matrix(A.basis_vec(bidx)) * ea_incl)
-            T = [[f.zero] * unknowns for _ in range(unknowns)]
-            for b in range(m):
-                for k, co in enumerate(ZA.col(b)):
-                    if not f.is_zero(co):
-                        for i in range(nY):
-                            T[i * m + b][i * m + k] = co
-            action.append(sol_space.coordinates(Matrix.from_rows(f, T) * sol_incl))
-        return Module(A, sol_space.dim, action)
+            W = ea.coordinates(A.left_mult_matrix(c_in_A) * ea_incl)
+            eqs.append(IY.kron(W.transpose()) - Y.act(c).kron(Im))
+        sol_space = Subspace.row_space(Matrix.vcat(eqs).kernel_basis().transpose())
+        # (a·f)(z_b) = f(z_b a): a acts by I ⊗ V^T, column b of V the coordinates of z_b a
+        rights = Matrix.vcat([A.right_mult_matrix(A.basis_vec(b)) for b in range(A.dim)])
+        Vs = ea.coordinates((rights * ea_incl).side_by_side(A.dim)).hsplit(A.dim)
+        outer = Module(A, Y.dim * m, [IY.kron(V.transpose()) for V in Vs], check_unit=False)
+        return outer.submodule(sol_space)[0]
 
     # -- quotient-side functors ----------------------------------------------------
 
@@ -149,31 +99,30 @@ class IdempotentContext:
 
     def quotient_tensor(self, X: Module):
         """(A/AeA) ⊗_A X = X/(AeA)X as a Q-module."""
-        f = self.A.field
-        rows = []
-        for i in range(self.ideal.dim):
-            M = X.act(self.ideal.basis.row(i))
-            rows.extend(M.col(j) for j in range(M.cols))
-        sub = Subspace.from_rows(f, X.dim, rows)
-        quot, proj = X.quotient(sub)
-        action = [quot.act(self.quotient_lift.col(j)) for j in range(self.quotient.dim)]
-        return Module(self.quotient, quot.dim, action)
+        quot, _ = X.quotient(X.image_of(self.ideal.basis))
+        return Module(self.quotient, quot.dim, self._on_quotient(quot))
 
     def quotient_hom(self, X: Module):
         """Hom_A(A/AeA, X): the largest submodule annihilated by AeA."""
-        f = self.A.field
-        stacked = None
-        for i in range(self.ideal.dim):
-            M = X.act(self.ideal.basis.row(i))
-            stacked = M if stacked is None else stacked.vstack(M)
-        if stacked is None:
-            sub = Subspace.full(f, X.dim)
-        else:
-            K = stacked.kernel_basis()
-            sub = Subspace.from_rows(f, X.dim, [K.col(j) for j in range(K.cols)])
-        smod, _ = X.submodule(sub)
-        action = [smod.act(self.quotient_lift.col(j)) for j in range(self.quotient.dim)]
-        return Module(self.quotient, smod.dim, action)
+        smod, _ = X.submodule(X.annihilated_by(self.ideal.basis))
+        return Module(self.quotient, smod.dim, self._on_quotient(smod))
+
+    def _on_quotient(self, X: Module):
+        """The action of Q's basis on an A-module killed by AeA, through the lift Q -> A."""
+        return X.act_rows(self.quotient_lift.transpose()).vsplit(self.quotient.dim)
+
+
+def _tensor_quotient(A, rels, lefts, IX):
+    """(V ⊗ X / span of the rows of rels, projection), b in A acting by lefts[b] ⊗ I.
+
+    Times the lift of the quotient, lefts[b] ⊗ I keeps its complement columns,
+    so the whole action is one product with the projection.
+    """
+    rel = Subspace.row_space(Matrix.vcat(rels))
+    proj = rel.projection_matrix()
+    comp = rel.complement_coords()
+    kept = Matrix.hcat([L.kron(IX).take_cols(comp) for L in lefts])
+    return Module(A, len(comp), (proj * kept).hsplit(A.dim)), proj
 
 
 # -- induction / restriction along a subalgebra embedding -------------------------------
@@ -204,48 +153,17 @@ class SubalgebraEmbedding:
         A, B = self.A, self.B
         f = A.field
         nA, nX = A.dim, X.dim
-        dim = nA * nX
-        rows = []
-        for g in B.generators():
-            ig = self.image_vec(g)
-            right = A.right_mult_matrix(ig)
-            actg = X.act(g)
-            for i in range(nA):
-                col_a = (right * Matrix.column(f, A.basis_vec(i))).col(0)
-                for j in range(nX):
-                    vec = [f.zero] * dim
-                    for k, c in enumerate(col_a):
-                        if not f.is_zero(c):
-                            vec[k * nX + j] = f.add(vec[k * nX + j], c)
-                    for l in range(nX):
-                        c = actg[l, j]
-                        if not f.is_zero(c):
-                            vec[i * nX + l] = f.sub(vec[i * nX + l], c)
-                    rows.append(vec)
-        rel = Subspace.from_rows(f, dim, rows)
-        proj = rel.projection_matrix()
-        lift = rel.lift_matrix()
-        qdim = dim - rel.dim
-        action = []
-        for bidx in range(A.dim):
-            lam = A.basis_left_mult(bidx)
-            big = [[f.zero] * dim for _ in range(dim)]
-            for i in range(nA):
-                col = lam.col(i)
-                for k, c in enumerate(col):
-                    if not f.is_zero(c):
-                        for j in range(nX):
-                            big[k * nX + j][i * nX + j] = c
-            action.append(proj * Matrix.from_rows(f, big) * lift)
-        ind = Module(A, qdim, action)
-        cols = []
-        for j in range(nX):
-            vec = [f.zero] * dim
-            for k, c in enumerate(A.unit):
-                if not f.is_zero(c):
-                    vec[k * nX + j] = c
-            cols.append((proj * Matrix.column(f, vec)).col(0))
-        insert = Matrix.from_columns(f, cols, nrows=qdim)
+        IA, IX = Matrix.identity(f, nA), Matrix.identity(f, nX)
+        # Basis vector i*nX + j of A ⊗ X is b_i ⊗ x_j.  For a generator g of B
+        # the relation rows (i, j) are b_i ι(g) ⊗ x_j - b_i ⊗ g x_j, that is
+        # R(ι(g))^T ⊗ I - I ⊗ X.act(g)^T.
+        rels = [
+            A.right_mult_matrix(self.image_vec(g)).transpose().kron(IX) - IA.kron(X.act(g).transpose())
+            for g in B.generators()
+        ]
+        # b acts on A ⊗ X by L_b ⊗ I
+        ind, proj = _tensor_quotient(A, rels, [A.basis_left_mult(b) for b in range(nA)], IX)
+        insert = proj * Matrix.column(f, list(A.unit)).kron(IX)
         return ind, insert
 
     def induction_is_exact(self):
@@ -254,7 +172,7 @@ class SubalgebraEmbedding:
         Returns (verdict, section matrix or None): the projective cover of A_B
         splits iff a right-B-linear section exists, iff the cover is an iso.
         """
-        from .homology import _minimal_cover, Summand
+        from .homology import Summand, _cover_matrix, _minimal_cover
 
         Bop = self.B.opposite()
         f = self.A.field
@@ -266,15 +184,11 @@ class SubalgebraEmbedding:
         A_right = Module(Bop, self.A.dim, action)
         covers = _minimal_cover(Bop, A_right)
         summands = [Summand(Bop, Bop.idempotent_for_label(lab), lab) for lab, _ in covers]
-        cols = []
-        for (lab, v), s in zip(covers, summands):
-            for j in range(s.module.dim):
-                a_coords = s.basis.col(j)
-                cols.append((A_right.act(a_coords) * Matrix.column(f, list(v))).col(0))
-        cover = Matrix.from_columns(f, cols, nrows=A_right.dim)
+        cover = _cover_matrix(A_right, covers, summands)
         total = sum(s.module.dim for s in summands)
         if total != A_right.dim:
             return False, None
         section = cover.solve(Matrix.identity(f, A_right.dim))
-        assert section is not None
+        if section is None:
+            raise InvariantViolation("a projective cover of full dimension has no section")
         return True, section

@@ -13,41 +13,55 @@ from __future__ import annotations
 
 import weakref
 
+from .errors import InvariantViolation
 from .kernel.matrix import Matrix
 from .kernel.subspace import Subspace
 from .modules import Module
 
 
 class Summand:
+    """A e as a module, with basis the columns of `basis` (in A's coordinates).
+
+    The submodule is solved once per idempotent and kept in the algebra's
+    derived cache, so every summand for the same e shares one module.
+    """
+
     __slots__ = ("e_vec", "basis", "module", "label")
 
     def __init__(self, algebra, e_vec, label=None):
         self.e_vec = tuple(e_vec)
         self.label = label
-        reg = Module.regular(algebra)
-        # column i of R(e) is b_i * e, so its columns span A e
-        space = Subspace.row_space(algebra.right_mult_matrix(self.e_vec).transpose())
-        self.module, self.basis = reg.submodule(space)
+        key = ("summand", self.e_vec)
+        if key not in algebra._derived:
+            # column i of R(e) is b_i * e, so its columns span A e
+            space = Subspace.row_space(algebra.right_mult_matrix(self.e_vec).transpose())
+            algebra._derived[key] = Module.regular(algebra).submodule(space)
+        self.module, self.basis = algebra._derived[key]
 
 
 def _minimal_cover(A, K: Module):
     """Summands and lift vectors of the projective cover of K.
 
-    Returns (list of (label, lift vector in K coords)); lifts project onto a
-    basis of top(K), one summand P_label per lift.
+    Returns (list of (label, lift column vector in K coords)); lifts project
+    onto a basis of top(K), one summand P_label per lift.
     """
-    rad = K.radical_subspace()
     covers = []
-    seen = rad
+    seen = K.radical_subspace()
     for lab in A.labels:
-        e = A.idempotent_for_label(lab)
-        part = K.e_part(e)
+        part = K.e_part(A.idempotent_for_label(lab))
         for i in range(part.dim):
-            v = part.basis.row(i)
-            if not seen.contains(v):
-                covers.append((lab, tuple(v)))
-                seen = seen.plus(Subspace.from_rows(A.field, K.dim, [v]))
+            v = part.basis.take_rows([i])
+            if not seen.contains_columns(v.transpose()):
+                covers.append((lab, v.transpose()))
+                seen = Subspace.row_space(seen.basis.vstack(v))
     return covers
+
+
+def _cover_matrix(K: Module, covers, summands) -> Matrix:
+    """The map from the direct sum of the summands onto K sending each summand's
+    generator to its lift: block s is a |-> a·v on A e_s, in the summand's basis."""
+    blocks = [K.orbit_matrix(v) * s.basis for (_, v), s in zip(covers, summands)]
+    return Matrix.hcat(blocks) if blocks else Matrix.zeros(K.algebra.field, K.dim, 0)
 
 
 class Resolution:
@@ -69,16 +83,9 @@ class Resolution:
 
     def _append_layer(self, kernel_module, kernel_incl, prev_layer_exists):
         A = self.A
-        f = A.field
         covers = _minimal_cover(A, kernel_module)
         summands = [Summand(A, A.idempotent_for_label(lab), lab) for lab, _ in covers]
-        # concrete map P_new -> kernel_module
-        cols = []
-        for (lab, v), s in zip(covers, summands):
-            for j in range(s.module.dim):
-                a_coords = s.basis.col(j)
-                cols.append((kernel_module.act(a_coords) * Matrix.column(f, list(v))).col(0))
-        cover = Matrix.from_columns(f, cols, nrows=kernel_module.dim)
+        cover = _cover_matrix(kernel_module, covers, summands)  # concrete map P_new -> kernel_module
         concrete = kernel_incl * cover if prev_layer_exists else cover
         self.layers.append(summands)
         self.modules.append(self._concrete(summands))
@@ -116,7 +123,8 @@ class Resolution:
             off += cur[k].module.dim
         gen = cur[ui].e_vec
         coords, rem = _coords_in(cur[ui].basis, gen, f)
-        assert rem is None
+        if rem is not None:
+            raise InvariantViolation("a summand generator e lies outside its summand A e")
         vec = [f.zero] * self.modules[n].dim
         for k, c in enumerate(coords):
             vec[off + k] = c
@@ -139,7 +147,7 @@ class Resolution:
             P = self.modules[-1]
             D = self.diffs[-1]
             K = D.kernel_basis()
-            ker_space = Subspace.from_rows(self.A.field, P.dim, [K.col(j) for j in range(K.cols)])
+            ker_space = Subspace.row_space(K.transpose())
             if ker_space.dim == 0:
                 self._exhausted_at = len(self.layers)
                 continue
@@ -197,19 +205,20 @@ def hom_cochain(A, layer_idems, element_diffs, Y: Module, upto):
         rows_out = sum(s.dim for s in cur)
         cols_in = sum(s.dim for s in prev)
         grid = element_diffs[n - 1]
-        big = [[f.zero] * cols_in for _ in range(rows_out)]
-        roff = 0
+        if not (rows_out and cols_in):
+            deltas.append(Matrix.zeros(f, rows_out, cols_in))
+            continue
+        block_rows = []
         for ui, Su in enumerate(cur):
-            coff = 0
+            blocks = []
             for si, Ss in enumerate(prev):
                 m = grid[si][ui] if grid and si < len(grid) and ui < len(grid[si]) else None
                 if m is not None and Su.dim and Ss.dim:
-                    block = Su.coordinates(Y.act(m) * Ss.inclusion())
-                    for r in range(Su.dim):
-                        big[roff + r][coff : coff + Ss.dim] = block.row(r)
-                coff += Ss.dim
-            roff += Su.dim
-        deltas.append(Matrix.from_rows(f, big) if rows_out and cols_in else Matrix.zeros(f, rows_out, cols_in))
+                    blocks.append(Su.coordinates(Y.act(m) * Ss.inclusion()))
+                else:
+                    blocks.append(Matrix.zeros(f, Su.dim, Ss.dim))
+            block_rows.append(Matrix.hcat(blocks))
+        deltas.append(Matrix.vcat(block_rows))
     return dims, deltas, bases
 
 

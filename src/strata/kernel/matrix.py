@@ -132,6 +132,62 @@ class Matrix:
         return cls._new(field, rows, cols, den, tuple(nums))
 
     @classmethod
+    def from_integers(cls, field, rows, cols, nums, den=1):
+        """rows x cols matrix of the integers nums (row-major) over den (1 over F_p)."""
+        if len(nums) != rows * cols:
+            raise DimensionMismatch(f"{rows}x{cols} matrix needs {rows*cols} entries, got {len(nums)}")
+        return cls._reduced(field, rows, cols, den, nums)
+
+    @classmethod
+    def vcat(cls, mats):
+        """The matrices (at least one, equal column counts) stacked top to bottom."""
+        first = mats[0]
+        if any(M.cols != first.cols for M in mats):
+            raise DimensionMismatch("vstack col mismatch")
+        den = cls._common_den(mats)
+        nums = tuple(chain.from_iterable(M._over(den) for M in mats))
+        return cls._new(first.field, sum(M.rows for M in mats), first.cols, den, nums)
+
+    @classmethod
+    def hcat(cls, mats):
+        """The matrices (at least one, equal row counts) side by side, left to right."""
+        first = mats[0]
+        if any(M.rows != first.rows for M in mats):
+            raise DimensionMismatch("hstack row mismatch")
+        den = cls._common_den(mats)
+        parts = [(M._over(den), M.cols) for M in mats]
+        nums = []
+        for i in range(first.rows):
+            for a, c in parts:
+                nums.extend(a[i * c : (i + 1) * c])
+        return cls._new(first.field, first.rows, sum(M.cols for M in mats), den, tuple(nums))
+
+    @classmethod
+    def block_diagonal(cls, field, mats):
+        """The block-diagonal matrix with the given diagonal blocks, top left first."""
+        den = cls._common_den(mats, field)
+        rows, cols = sum(M.rows for M in mats), sum(M.cols for M in mats)
+        nums = [0] * (rows * cols)
+        r0 = c0 = 0
+        for M in mats:
+            a, c = M._over(den), M.cols
+            for i in range(M.rows):
+                start = (r0 + i) * cols + c0
+                nums[start : start + c] = a[i * c : (i + 1) * c]
+            r0 += M.rows
+            c0 += c
+        return cls._new(field, rows, cols, den, tuple(nums))
+
+    @staticmethod
+    def _common_den(mats, field=None):
+        field = field or mats[0].field
+        for M in mats:
+            if M.field is not field and M.field != field:
+                raise FieldMismatch(f"{field} vs {M.field}")
+        # Canonical blocks over the lcm of their denominators stay in lowest terms.
+        return 1 if field.char else lcm(*(M.den for M in mats))
+
+    @classmethod
     def linear_combination(cls, field, rows, cols, terms):
         """sum of c * M over the (c, M) in terms, each M rows x cols, in one pass."""
         terms = [(field.coerce(c), M) for c, M in terms if c]
@@ -277,31 +333,31 @@ class Matrix:
         nums = tuple(chain.from_iterable(self.nums[j::c] for j in range(c)))
         return Matrix._new(self.field, c, self.rows, self.den, nums)
 
+    def kron(self, other):
+        """The Kronecker product: entry (i*r + k, j*c + l) is self[i, j] * other[k, l], r x c = other's shape."""
+        self._same_field(other)
+        r, c, m = other.rows, other.cols, self.cols
+        width = m * c
+        b = [(k * width + l, y) for k in range(r) for l in range(c) if (y := other.nums[k * c + l])]
+        nums = [0] * (self.rows * r * width)
+        for i in range(self.rows):
+            for j, x in enumerate(self.nums[i * m : (i + 1) * m]):
+                if x:
+                    base = i * r * width + j * c
+                    for off, y in b:
+                        nums[base + off] = x * y
+        return Matrix._reduced(self.field, self.rows * r, width, self.den * other.den, nums)
+
     def _over(self, den):
         # numerators of self rewritten over a multiple den of self.den
         f = den // self.den
         return self.nums if f == 1 else [f * x for x in self.nums]
 
     def hstack(self, other):
-        self._same_field(other)
-        if self.rows != other.rows:
-            raise DimensionMismatch("hstack row mismatch")
-        den = lcm(self.den, other.den)
-        a, b = self._over(den), other._over(den)
-        ca, cb = self.cols, other.cols
-        nums = []
-        for i in range(self.rows):
-            nums.extend(a[i * ca : (i + 1) * ca])
-            nums.extend(b[i * cb : (i + 1) * cb])
-        return Matrix._new(self.field, self.rows, ca + cb, den, tuple(nums))
+        return Matrix.hcat([self, other])
 
     def vstack(self, other):
-        self._same_field(other)
-        if self.cols != other.cols:
-            raise DimensionMismatch("vstack col mismatch")
-        den = lcm(self.den, other.den)
-        nums = tuple(self._over(den)) + tuple(other._over(den))
-        return Matrix._new(self.field, self.rows + other.rows, self.cols, den, nums)
+        return Matrix.vcat([self, other])
 
     def reshape(self, rows, cols):
         """The same entries, in row-major order, as a rows x cols matrix."""
@@ -316,6 +372,40 @@ class Matrix:
         if self.field.char:  # residues stay reduced
             return Matrix._new(self.field, len(indices), c, 1, tuple(nums))
         return Matrix._reduced(self.field, len(indices), c, self.den, nums)
+
+    def take_cols(self, indices):
+        """The submatrix of the given columns, in the given order."""
+        c = self.cols
+        nums = [self.nums[i * c + j] for i in range(self.rows) for j in indices]
+        if self.field.char:
+            return Matrix._new(self.field, self.rows, len(indices), 1, tuple(nums))
+        return Matrix._reduced(self.field, self.rows, len(indices), self.den, nums)
+
+    def vsplit(self, k):
+        """The k row blocks of equal height, top to bottom."""
+        if k <= 0 or self.rows % k:
+            raise DimensionMismatch(f"cannot split {self.rows} rows into {k} blocks")
+        h = self.rows // k
+        return [self.take_rows(range(t * h, (t + 1) * h)) for t in range(k)]
+
+    def side_by_side(self, k):
+        """The k row blocks of equal height placed side by side, the top block leftmost."""
+        if k <= 0 or self.rows % k:
+            raise DimensionMismatch(f"cannot split {self.rows} rows into {k} blocks")
+        h, c = self.rows // k, self.cols
+        a = self.nums
+        # A permutation of the entries keeps the integers canonical.
+        nums = tuple(chain.from_iterable(a[(t * h + i) * c : (t * h + i + 1) * c] for i in range(h) for t in range(k)))
+        return Matrix._new(self.field, h, k * c, self.den, nums)
+
+    def hsplit(self, k):
+        """The k column blocks of equal width, left to right."""
+        r = self.rows
+        if k <= 0 or self.cols % k:
+            raise DimensionMismatch(f"cannot split {self.cols} columns into {k} blocks")
+        # After the reshape, row i * k + t is row i of block t.
+        flat = self.reshape(r * k, self.cols // k)
+        return [flat.take_rows(range(t, r * k, k)) for t in range(k)]
 
     # -- elimination ---------------------------------------------------------
 

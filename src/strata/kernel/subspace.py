@@ -80,14 +80,15 @@ class Subspace:
             raise NotInSubspace(f"a vector leaves the {self!r}")
         return C
 
-    def _spans(self, img: Matrix):
+    def contains_columns(self, img: Matrix):
+        """True when every column of img lies in the subspace."""
         return self.inclusion() * img.take_rows(self.pivots) == img
 
     def contains(self, vec):
-        return self._spans(Matrix.column(self.field, vec))
+        return self.contains_columns(Matrix.column(self.field, vec))
 
     def contains_space(self, other: "Subspace"):
-        return self._spans(other.inclusion())
+        return self.contains_columns(other.inclusion())
 
     def plus(self, other: "Subspace"):
         return Subspace.row_space(self.basis.vstack(other.basis))

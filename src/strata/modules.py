@@ -4,6 +4,18 @@ A Module stores one action matrix per algebra basis element.  Submodules and
 quotients carry explicit inclusion/projection matrices; everything downstream
 (filtrations, functors, certificates) is built from these.
 
+Constructions work on whole matrices: the action of every basis element (or
+of every row of a coefficient matrix, ``act_rows``) on a subspace is one block
+product against the action matrices stacked top to bottom, a quotient selects
+the complement columns instead of multiplying by a lift, and direct sums are
+integer block diagonals.  Acting by a basis vector returns the stored matrix.
+
+Data computed once per module, lazily, lives in slots beside the action, so it
+dies with the module: ``_rad`` (the subspace rad(A)·X) and ``_blocks`` (the
+idempotent block decomposition hom_basis solves in: block sizes, T with the
+block bases as columns, T⁻¹, and T⁻¹·X.act(g)·T for the generators g of A that
+are not distinguished idempotents).
+
 Right modules never get their own type: they are left modules over the
 opposite algebra, and k-duality D swaps the two sides (dual() of a module
 over A is a module over A.opposite(), with dual(dual(X)) landing back on the
@@ -14,8 +26,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import lcm
 
-from .errors import DimensionMismatch, InvalidModule, NotInSubspace
+from .errors import DimensionMismatch, InvalidModule, InvariantViolation, NotInSubspace
 from .kernel.matrix import Matrix
 from .kernel.subspace import Subspace
 
@@ -30,13 +43,14 @@ def column_space(M: Matrix) -> Matrix:
 
 
 class Module:
-    __slots__ = ("algebra", "dim", "action", "_rad", "_ext_cache", "__weakref__")
+    __slots__ = ("algebra", "dim", "action", "_rad", "_blocks", "_ext_cache", "__weakref__")
 
     def __init__(self, algebra, dim, action, check_unit=True):
         self.algebra = algebra
         self.dim = dim
         self.action = tuple(action)
         self._rad = None
+        self._blocks = None
         self._ext_cache = {}
         if len(self.action) != algebra.dim:
             raise InvalidModule("need one action matrix per algebra basis element")
@@ -64,83 +78,72 @@ class Module:
         return cls(algebra, 0, [z] * algebra.dim, check_unit=False)
 
     def act(self, vec) -> Matrix:
-        return Matrix.linear_combination(self.algebra.field, self.dim, self.dim, zip(vec, self.action))
+        terms = [(c, M) for c, M in zip(vec, self.action) if c]
+        if len(terms) == 1 and terms[0][0] == 1:
+            return terms[0][1]  # a basis vector acts by its stored (immutable) matrix
+        return Matrix.linear_combination(self.algebra.field, self.dim, self.dim, terms)
 
-    def verify_action(self, full=False, samples=60, seed=11):
-        """Check action matrices against the structure constants."""
-        A = self.algebra
-        f = A.field
-        pairs = None
-        if full or A.dim * A.dim <= 400:
-            pairs = [(i, j) for i in range(A.dim) for j in range(A.dim)]
-        else:
-            rng = random.Random(seed)
-            pairs = [(rng.randrange(A.dim), rng.randrange(A.dim)) for _ in range(samples)]
-        for i, j in pairs:
-            lhs = self.action[i] * self.action[j]
-            rhs = Matrix.zeros(f, self.dim, self.dim)
-            for k, c in A.mult[i][j]:
-                rhs = rhs + self.action[k].scale(c)
-            if lhs != rhs:
-                raise InvalidModule(f"action incompatible with structure constants at ({i},{j})")
-        return True
+    def _stacked(self):
+        """The action matrices top to bottom: row k*dim + r is row r of b_k's matrix."""
+        return Matrix.vcat(self.action)
+
+    def act_rows(self, R: Matrix) -> Matrix:
+        """act(r) for each row r of R, stacked top to bottom, in one product."""
+        d, n = self.dim, self.algebra.dim
+        return (R * self._stacked().reshape(n, d * d)).reshape(R.rows * d, d)
+
+    def orbit_matrix(self, v: Matrix) -> Matrix:
+        """The dim x dim(A) matrix of a |-> a·v for a column vector v: column k is b_k·v."""
+        return (self._stacked() * v).reshape(self.algebra.dim, self.dim).transpose()
+
+    def action_on(self, subspace: Subspace, R: Matrix | None = None):
+        """Coordinate matrices of act(r) on an invariant subspace, for each row r of R
+        (the basis of A when R is None), from one block product and one block check."""
+        stacked, k = (self._stacked(), self.algebra.dim) if R is None else (self.act_rows(R), R.rows)
+        if k == 0:
+            return []
+        img = (stacked * subspace.inclusion()).side_by_side(k)
+        try:
+            return subspace.coordinates(img).hsplit(k)
+        except NotInSubspace as exc:
+            raise InvalidModule("subspace is not action-invariant") from exc
 
     # -- sub/quotient --------------------------------------------------------
 
-    def invariant_closure(self, rows):
-        """Smallest submodule containing the span of the given row vectors."""
+    def invariant_closure(self, start):
+        """Smallest submodule containing start: a Subspace, or a list of row vectors."""
         A = self.algebra
-        span = Subspace.from_rows(A.field, self.dim, rows)
-        # Rows of span.basis * M^T are the images M v of the basis vectors v.
-        gens_t = [self.act(g).transpose() for g in A.generators()]
+        span = start if isinstance(start, Subspace) else Subspace.from_rows(A.field, self.dim, start)
+        k = len(A.generators())
+        G = self.act_rows(A.generator_rows())
         while True:
-            stacked = span.basis
-            for Mt in gens_t:
-                stacked = stacked.vstack(span.basis * Mt)
-            bigger = Subspace.row_space(stacked)
+            # row c*k + t: generator t applied to basis vector c
+            images = (G * span.inclusion()).transpose().reshape(span.dim * k, self.dim)
+            bigger = Subspace.row_space(span.basis.vstack(images))
             if bigger.dim == span.dim:
                 return span
             span = bigger
 
     def submodule(self, subspace: Subspace):
         """(module on the subspace, inclusion matrix dim(self) x dim(sub))."""
-        incl = subspace.inclusion()
-        try:
-            action = [subspace.coordinates(M * incl) for M in self.action]
-        except NotInSubspace as exc:
-            raise InvalidModule("subspace is not action-invariant") from exc
-        return Module(self.algebra, subspace.dim, action), incl
+        return Module(self.algebra, subspace.dim, self.action_on(subspace)), subspace.inclusion()
 
     def quotient(self, subspace: Subspace):
         """(quotient module, projection matrix dim(quot) x dim(self))."""
-        f = self.algebra.field
         proj = subspace.projection_matrix()
-        lift = subspace.lift_matrix()
-        qdim = self.dim - subspace.dim
-        action = [proj * M * lift for M in self.action]
-        return Module(self.algebra, qdim, action), proj
+        comp = subspace.complement_coords()
+        d, n = self.dim, self.algebra.dim
+        # M times the lift is the complement columns of M
+        kept = Matrix.hcat(self.action).take_cols([k * d + c for k in range(n) for c in comp])
+        return Module(self.algebra, len(comp), (proj * kept).hsplit(n)), proj
 
     @classmethod
     def direct_sum(cls, mods):
         if not mods:
             raise InvalidModule("empty direct sum needs an algebra")
         A = mods[0].algebra
-        f = A.field
-        dim = sum(m.dim for m in mods)
-        action = []
-        for i in range(A.dim):
-            rows = []
-            off = 0
-            big = [[f.zero] * dim for _ in range(dim)]
-            for m in mods:
-                M = m.action[i]
-                for r in range(m.dim):
-                    row = M.row(r)
-                    for c in range(m.dim):
-                        big[off + r][off + c] = row[c]
-                off += m.dim
-            action.append(Matrix.from_rows(f, big) if dim else Matrix.zeros(f, 0, 0))
-        return cls(A, dim, action, check_unit=False)
+        action = [Matrix.block_diagonal(A.field, [m.action[i] for m in mods]) for i in range(A.dim)]
+        return cls(A, sum(m.dim for m in mods), action, check_unit=False)
 
     # -- duality and transport -------------------------------------------------
 
@@ -151,17 +154,11 @@ class Module:
 
     def restrict_along(self, emb: Matrix, B):
         """Restriction along an algebra embedding B -> A given by emb columns."""
-        action = []
-        for j in range(B.dim):
-            action.append(self.act(emb.col(j)))
-        return Module(B, self.dim, action)
+        return Module(B, self.dim, self.act_rows(emb.transpose()).vsplit(B.dim))
 
     def inflate_along(self, proj: Matrix, A):
         """Inflation along a surjection A -> (algebra of self) with matrix proj."""
-        action = []
-        for j in range(A.dim):
-            action.append(self.act(proj.col(j)))
-        return Module(A, self.dim, action)
+        return Module(A, self.dim, self.act_rows(proj.transpose()).vsplit(A.dim))
 
     # -- invariant subspaces ----------------------------------------------------
 
@@ -169,29 +166,26 @@ class Module:
         """The subspace e·X for an idempotent element e."""
         return Subspace.row_space(self.act(e_vec).transpose())
 
+    def image_of(self, R: Matrix) -> Subspace:
+        """The span of r·x over the rows r of R and all x in the module."""
+        if R.rows == 0 or self.dim == 0:
+            return Subspace.zero(self.algebra.field, self.dim)
+        # the columns of every act(r), as rows
+        return Subspace.row_space(self.act_rows(R).side_by_side(R.rows).transpose())
+
+    def annihilated_by(self, R: Matrix) -> Subspace:
+        """The x with r·x = 0 for every row r of R."""
+        if R.rows == 0 or self.dim == 0:
+            return Subspace.full(self.algebra.field, self.dim)
+        return Subspace.row_space(self.act_rows(R).kernel_basis().transpose())
+
     def radical_subspace(self) -> Subspace:
-        if self._rad is not None:
-            return self._rad
-        A = self.algebra
-        rad = A.radical()
-        rows = []
-        for i in range(rad.dim):
-            M = self.act(rad.basis.row(i))
-            rows.extend(M.col(j) for j in range(M.cols))
-        self._rad = Subspace.from_rows(A.field, self.dim, rows)
+        if self._rad is None:
+            self._rad = self.image_of(self.algebra.radical().basis)
         return self._rad
 
     def socle_subspace(self) -> Subspace:
-        A = self.algebra
-        rad = A.radical()
-        if rad.dim == 0 or self.dim == 0:
-            return Subspace.full(A.field, self.dim)
-        stacked = None
-        for i in range(rad.dim):
-            M = self.act(rad.basis.row(i))
-            stacked = M if stacked is None else stacked.vstack(M)
-        K = stacked.kernel_basis()
-        return Subspace.from_rows(A.field, self.dim, [K.col(j) for j in range(K.cols)])
+        return self.annihilated_by(self.algebra.radical().basis)
 
     def top(self):
         """(top module, projection)."""
@@ -253,10 +247,10 @@ def injective(A, label):
 
 def comp_mult(X: Module, label) -> int:
     """[X : L_label] = dim e·X, independent of the choice of idempotent."""
-    idems = X.algebra.idempotents_for_label(label)
-    dims = [X.e_part(e).dim for e in idems]
-    assert len(set(dims)) == 1, "composition multiplicity depends on idempotent choice"
-    return dims[0]
+    dims = {X.e_part(e).dim for e in X.algebra.idempotents_for_label(label)}
+    if len(dims) != 1:
+        raise InvariantViolation("composition multiplicity depends on idempotent choice")
+    return dims.pop()
 
 
 def dimension_vector(X: Module):
@@ -265,35 +259,42 @@ def dimension_vector(X: Module):
 
 def trace_from_projective(label, Y: Module) -> Subspace:
     """Tr_{P_label}(Y): the submodule generated by e·Y."""
-    A = Y.algebra
-    e = A.idempotent_for_label(label)
-    part = Y.e_part(e)
-    return Y.invariant_closure([part.basis.row(i) for i in range(part.dim)])
+    return Y.invariant_closure(Y.e_part(Y.algebra.idempotent_for_label(label)))
 
 
 def trace_submodule(X: Module, Y: Module) -> Subspace:
     """Tr_X(Y): sum of the images of all homomorphisms X -> Y."""
-    rows = []
-    for h in hom_basis(X, Y):
-        rows.extend(h.col(j) for j in range(h.cols))
-    return Subspace.from_rows(Y.algebra.field, Y.dim, rows)
+    homs = hom_basis(X, Y)
+    if not homs:
+        return Subspace.zero(Y.algebra.field, Y.dim)
+    return Subspace.row_space(Matrix.hcat(homs).transpose())
 
 
 # -- hom spaces ------------------------------------------------------------------
 
 
 def _block_data(X: Module):
-    A = X.algebra
-    blocks = []
-    for e, _ in A.idempotents:
-        B = column_space(X.act(e))
-        blocks.append(B)
-    T = None
-    for B in blocks:
-        T = B if T is None else T.hstack(B)
-    if T is None or T.cols == 0:
-        T = Matrix.zeros(A.field, X.dim, 0)
-    return blocks, T
+    """(block sizes, T, T^-1, T^-1 X.act(g) T for the non-idempotent generators g).
+
+    Computed once per module and kept in its _blocks slot.
+    """
+    if X._blocks is None:
+        A = X.algebra
+        blocks = [column_space(X.act(e)) for e, _ in A.idempotents]
+        T = Matrix.hcat(blocks) if blocks else Matrix.zeros(A.field, X.dim, 0)
+        if T.cols != X.dim:
+            raise InvalidModule("idempotent blocks do not decompose the module")
+        Ti = T.inverse()
+        conj = tuple(Ti * X.act(g) * T for g in A.generators()[len(A.idempotents):])
+        X._blocks = (tuple(B.cols for B in blocks), T, Ti, conj)
+    return X._blocks
+
+
+def _offsets(sizes):
+    out = [0]
+    for s in sizes:
+        out.append(out[-1] + s)
+    return out
 
 
 def hom_basis(X: Module, Y: Module):
@@ -309,100 +310,66 @@ def hom_basis(X: Module, Y: Module):
     f = A.field
     if X.dim == 0 or Y.dim == 0:
         return []
-    xblocks, TX = _block_data(X)
-    yblocks, TY = _block_data(Y)
-    if TX.cols != X.dim or TY.cols != Y.dim:
-        raise InvalidModule("idempotent blocks do not decompose the module")
-    TXi = TX.inverse()
-    TYi = TY.inverse()
-
-    xsizes = [b.cols for b in xblocks]
-    ysizes = [b.cols for b in yblocks]
-    xoff = [0]
-    for s in xsizes:
-        xoff.append(xoff[-1] + s)
-    yoff = [0]
-    for s in ysizes:
-        yoff.append(yoff[-1] + s)
-
-    nblocks = len(xblocks)
-    xblock_of = [k for k in range(nblocks) for _ in range(xsizes[k])]
-    yblock_of = [k for k in range(nblocks) for _ in range(ysizes[k])]
-    unknowns = []
-    uidx = {}
-    for k in range(nblocks):
-        for a in range(yoff[k], yoff[k + 1]):
-            for b in range(xoff[k], xoff[k + 1]):
-                uidx[(a, b)] = len(unknowns)
-                unknowns.append((a, b))
-    if not unknowns:
+    xsizes, _, TXi, RX = _block_data(X)
+    ysizes, TY, _, SY = _block_data(Y)
+    nx, ny = X.dim, Y.dim
+    xoff, yoff = _offsets(xsizes), _offsets(ysizes)
+    # unknown F[a, b], a and b in block k, is number ubase[k] + (a - yoff[k]) * xsizes[k] + (b - xoff[k])
+    ubase = _offsets([ys * xs for ys, xs in zip(ysizes, xsizes)])
+    nu = ubase[-1]
+    if not nu:
         return []
+    xblock_of = [k for k, s in enumerate(xsizes) for _ in range(s)]
+    yblock_of = [k for k, s in enumerate(ysizes) for _ in range(s)]
 
-    n_idem = len(A.idempotents)
-    gens = A.generators()[n_idem:]
+    # F R - S F = 0 for R, S the conjugated actions of each generator, one
+    # equation per entry (i, j), scaled to integers by lcm(R.den, S.den).
     rows = []
-    for g in gens:
-        R = TXi * X.act(g) * TX
-        S = TYi * Y.act(g) * TY
-        for i in range(Y.dim):
+    for R, S in zip(RX, SY):
+        den = lcm(R.den, S.den)
+        fr, fs = den // R.den, den // S.den
+        Rn, Sn = R.nums, S.nums
+        for i in range(ny):
             ki = yblock_of[i]
-            for j in range(X.dim):
+            x0, x1 = xoff[ki], xoff[ki + 1]
+            ui = ubase[ki] + (i - yoff[ki]) * xsizes[ki] - x0
+            for j in range(nx):
                 kj = xblock_of[j]
-                row = [f.zero] * len(unknowns)
-                nonzero = False
-                # F R contribution: unknowns (i, b) with b in the x-block of i
-                for b in range(xoff[ki], xoff[ki + 1]):
-                    c = R[b, j]
-                    if not f.is_zero(c):
-                        u = uidx[(i, b)]
-                        row[u] = f.add(row[u], c)
-                        nonzero = True
-                # S F contribution: unknowns (a, j) with a in the y-block of j
+                row = None
+                for b in range(x0, x1):
+                    c = Rn[b * nx + j]
+                    if c:
+                        if row is None:
+                            row = [0] * nu
+                        row[ui + b] += fr * c
+                uj = ubase[kj] + j - xoff[kj]
                 for a in range(yoff[kj], yoff[kj + 1]):
-                    c = S[i, a]
-                    if not f.is_zero(c):
-                        u = uidx[(a, j)]
-                        row[u] = f.sub(row[u], c)
-                        nonzero = True
-                if nonzero:
+                    c = Sn[i * ny + a]
+                    if c:
+                        if row is None:
+                            row = [0] * nu
+                        row[uj + (a - yoff[kj]) * xsizes[kj]] -= fs * c
+                if row is not None:
                     rows.append(row)
     if rows:
-        K = Matrix.from_rows(f, rows).kernel_basis()
+        K = Matrix.from_integers(f, len(rows), nu, [x for row in rows for x in row]).kernel_basis()
     else:
-        K = Matrix.identity(f, len(unknowns))
-    out = []
-    for j in range(K.cols):
-        Fb = [[f.zero] * X.dim for _ in range(Y.dim)]
-        for u, (a, b) in enumerate(unknowns):
-            Fb[a][b] = K[u, j]
-        out.append(TY * Matrix.from_rows(f, Fb) * TXi)
-    return out
-
-
-def hom_basis_plain(X: Module, Y: Module):
-    """Reference implementation: full unknown matrix, all generators."""
-    A = X.algebra
-    f = A.field
-    if X.dim == 0 or Y.dim == 0:
+        K = Matrix.identity(f, nu)
+    nk = K.cols
+    if not nk:
         return []
-    unknowns = Y.dim * X.dim
-    rows = []
-    for g in A.generators():
-        R = X.act(g)
-        S = Y.act(g)
-        for i in range(Y.dim):
-            for j in range(X.dim):
-                row = [f.zero] * unknowns
-                for b in range(X.dim):
-                    row[i * X.dim + b] = f.add(row[i * X.dim + b], R[b, j])
-                for a in range(Y.dim):
-                    row[a * X.dim + j] = f.sub(row[a * X.dim + j], S[i, a])
-                rows.append(row)
-    K = Matrix.from_rows(f, rows).kernel_basis()
-    out = []
-    for j in range(K.cols):
-        out.append(Matrix(f, Y.dim, X.dim, [K[u, j] for u in range(unknowns)]))
-    return out
+    # Kernel vector t as the block-diagonal matrix F_t; the F_t stacked top to bottom.
+    Kn = K.nums
+    nums = [0] * (nk * ny * nx)
+    for k, (ys, xs) in enumerate(zip(ysizes, xsizes)):
+        for a in range(ys):
+            for b in range(xs):
+                u = ubase[k] + a * xs + b
+                pos = (yoff[k] + a) * nx + xoff[k] + b
+                for t in range(nk):
+                    nums[t * ny * nx + pos] = Kn[u * nk + t]
+    F = Matrix.from_integers(f, nk * ny, nx, nums, K.den)
+    return (TY * (F * TXi).side_by_side(nk)).hsplit(nk)
 
 
 # -- isomorphism testing ------------------------------------------------------------
@@ -469,18 +436,12 @@ def _search_invertible(homs, dim):
     for h in homs:
         if h.rank() == dim:
             return h
-    total = homs[0]
-    for h in homs[1:]:
-        total = total + h
+    total = Matrix.linear_combination(f, dim, dim, [(1, h) for h in homs])
     if total.rank() == dim:
         return total
     rng = random.Random(ISO_SEED)
     for _ in range(ISO_TRIALS):
-        coeffs = _trial_coefficients(rng, len(homs))
-        cand = Matrix.zeros(f, dim, dim)
-        for c, h in zip(coeffs, homs):
-            if c:
-                cand = cand + h.scale(c)
+        cand = Matrix.linear_combination(f, dim, dim, zip(_trial_coefficients(rng, len(homs)), homs))
         if cand.rank() == dim:
             return cand
     return None
@@ -496,27 +457,14 @@ def iso_to_direct_power(X: Module, S: Module, t: int) -> Matrix | None:
     if len(homs) < t:
         return None
     f = X.algebra.field
-
-    def assemble(cols_of_maps):
-        M = None
-        for h in cols_of_maps:
-            M = h if M is None else M.hstack(h)
-        return M
-
-    cand = assemble(homs[:t])
+    cand = Matrix.hcat(homs[:t])
     if cand.rank() == X.dim:
         return cand
     rng = random.Random(ISO_SEED)
     for _ in range(ISO_TRIALS):
-        maps = []
-        for _c in range(t):
-            coeffs = _trial_coefficients(rng, len(homs))
-            m = Matrix.zeros(f, X.dim, S.dim)
-            for c, h in zip(coeffs, homs):
-                if c:
-                    m = m + h.scale(c)
-            maps.append(m)
-        cand = assemble(maps)
+        maps = [Matrix.linear_combination(f, X.dim, S.dim, zip(_trial_coefficients(rng, len(homs)), homs))
+                for _c in range(t)]
+        cand = Matrix.hcat(maps)
         if cand.rank() == X.dim:
             return cand
     return None

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import NotAntisymmetric, InputError, UnknownLabel
+from .errors import InputError, InvariantViolation, NotAntisymmetric, UnknownLabel
 from .kernel.matrix import Matrix
 from .kernel.subspace import Subspace
 from .modules import (
@@ -246,12 +246,12 @@ class StratDatum:
                 U = U.plus(trace_from_projective(j, P))
         delta, proj = P.quotient(U)
         rad = delta.radical_subspace()
-        eirad_rows = []
-        e = A.idempotent_for_label(i)
-        Me = delta.act(e)
-        for r in range(rad.dim):
-            eirad_rows.append((Me * Matrix.column(A.field, rad.basis.row(r))).col(0))
-        T = delta.invariant_closure(eirad_rows) if eirad_rows else Subspace.zero(A.field, delta.dim)
+        if rad.dim:
+            # the span of e_i·rad(Delta_i), from the columns of e_i times the radical's inclusion
+            eirad = delta.act(A.idempotent_for_label(i)) * rad.inclusion()
+            T = delta.invariant_closure(Subspace.row_space(eirad.transpose()))
+        else:
+            T = Subspace.zero(A.field, delta.dim)
         dbar, proj2 = delta.quotient(T)
         return StandardData(delta, proj, U), StandardData(dbar, proj2, T)
 
@@ -319,7 +319,8 @@ class StratDatum:
         res = filtration_standard(X, self.delta, self.poset, allowed=allowed)
         if cross_check and allowed is None and self.left_stratified()[0] == YES and res.status != UNDET:
             oracle = self.ext_oracle_delta(X)
-            assert oracle == (res.status == YES), "greedy and Ext oracle disagree"
+            if oracle != (res.status == YES):
+                raise InvariantViolation("greedy and Ext oracle disagree")
         return res
 
     def ext_oracle_delta(self, X):
@@ -440,7 +441,7 @@ def filtration_standard(X: Module, family, poset, allowed=None, tie_break="forwa
         # record the chain step in ambient coordinates
         quot_proj = T_space.projection_matrix()
         step = (quot_proj * proj_to_cur).kernel_basis()
-        chain.append(Subspace.from_rows(f, X.dim, [step.col(c) for c in range(step.cols)]))
+        chain.append(Subspace.row_space(step.transpose()))
         layers.append((j, t))
         certs.append(cert)
         cur, qproj = cur.quotient(T_space)
@@ -494,11 +495,10 @@ def filtration_proper(X: Module, family, poset, allowed=None, tie_break="forward
                                     witness=f"no family member among top labels {cands} is a quotient",
                                     direction="top_down")
         K = epi.kernel_basis()
-        ker_space = Subspace.from_rows(f, cur.dim, [K.col(c) for c in range(K.cols)])
+        ker_space = Subspace.row_space(K.transpose())
         layers.append((j, 1))
         certs.append(epi)
-        kb = [(incl_to_X * Matrix.column(f, ker_space.basis.row(r))).col(0) for r in range(ker_space.dim)]
-        chain.append(Subspace.from_rows(f, X.dim, kb))
+        chain.append(Subspace.row_space((incl_to_X * ker_space.inclusion()).transpose()))
         ker_mod, incl = cur.submodule(ker_space)
         incl_to_X = incl_to_X * incl
         cur = ker_mod
@@ -519,7 +519,8 @@ def _find_surjection(X: Module, D: Module):
     _, top_proj = D.top()
     for h in homs:
         if not (top_proj * h).is_zero():
-            assert h.rank() == D.dim, "family member does not have simple top"
+            if h.rank() != D.dim:
+                raise InvariantViolation("family member does not have simple top")
             return h
     return None
 

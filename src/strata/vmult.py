@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError, NotQuasiHereditary, UnsupportedField
+from .errors import InputError, InvariantViolation, NotQuasiHereditary, UnsupportedField
 from .modules import comp_mult, hom_basis
 from .strat import YES, LabelPoset, strat_datum
 
@@ -205,7 +205,8 @@ def regular_borel_existence(V: VMatrix, dims: dict):
         x[i] = s
     for i in V.labels:
         acc = sum(V.rows[i].get(j, 0) * x[j] for j in V.labels)
-        assert acc == dims[i]
+        if acc != dims[i]:
+            raise InvariantViolation("back-substituted multiplicities do not reproduce the dimensions")
     if all(val > 0 for val in x.values()):
         return x
     return None
@@ -285,10 +286,6 @@ _RANK2_LENGTH = {
     "A1": {"e": 0, "s": 1},
     "A1xA1": {"e": 0, "s1": 1, "s2": 1, "w0": 2},
 }
-
-
-def _length(word):
-    return 0 if word == "e" else (len(word) if word[0] in "st" and "1" not in word and "2" not in word else None)
 
 
 def bruhat_poset(typ):

@@ -1,0 +1,482 @@
+"""Whole-matrix module constructions against the loop versions they replaced.
+
+Each reference below is the earlier per-matrix implementation, kept verbatim
+(apart from taking the module or the functor context as an argument): one product or one Fraction row
+per action matrix.  Hypothesis draws modules over the light corpus specs, over
+Q and F_32003, and submodules generated from random vectors; every rewritten
+construction must give `==` matrices and `==` subspaces.  Hom spaces are
+compared with the plain all-unknowns solver as spans.
+"""
+
+import gc
+import subprocess
+import sys
+import textwrap
+import weakref
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from strata.corpus import entry, entry_spec
+from strata.errors import InvalidModule, NotInSubspace
+from strata.functors import IdempotentContext, SubalgebraEmbedding
+from strata.homology import Summand
+from strata.kernel import Matrix, Subspace
+from strata.modules import Module, hom_basis, injective, projective, simple
+from strata.specfile import load_spec
+
+from oracles import hom_basis_plain, verify_action
+
+LIGHT_SPECS = ("auslander-x3", "diamond", "ext2-chain", "fork", "fork-refined", "rad-square-zero", "sl2-block")
+FIELDS = ("Q", "Fp")
+
+_ALGEBRAS = {}
+
+
+def algebra(name, field):
+    key = (name, field)
+    if key not in _ALGEBRAS:
+        if field == "Q":
+            _ALGEBRAS[key] = entry(name).algebra
+        else:
+            doc = entry_spec(name)
+            doc["field"] = {"Fp": 32003}
+            _ALGEBRAS[key] = load_spec(doc).algebra
+    return _ALGEBRAS[key]
+
+
+def pool(A):
+    mods = [Module.regular(A)]
+    for lab in A.labels:
+        mods += [projective(A, lab), simple(A, lab), injective(A, lab)]
+    return mods
+
+
+# -- the loop versions -----------------------------------------------------------------
+
+
+def ref_invariant_closure(X, rows):
+    A = X.algebra
+    span = Subspace.from_rows(A.field, X.dim, rows)
+    # Rows of span.basis * M^T are the images M v of the basis vectors v.
+    gens_t = [X.act(g).transpose() for g in A.generators()]
+    while True:
+        stacked = span.basis
+        for Mt in gens_t:
+            stacked = stacked.vstack(span.basis * Mt)
+        bigger = Subspace.row_space(stacked)
+        if bigger.dim == span.dim:
+            return span
+        span = bigger
+
+
+def ref_submodule(X, subspace):
+    incl = subspace.inclusion()
+    try:
+        action = [subspace.coordinates(M * incl) for M in X.action]
+    except NotInSubspace as exc:
+        raise InvalidModule("subspace is not action-invariant") from exc
+    return Module(X.algebra, subspace.dim, action), incl
+
+
+def ref_quotient(X, subspace):
+    proj = subspace.projection_matrix()
+    lift = subspace.lift_matrix()
+    qdim = X.dim - subspace.dim
+    action = [proj * M * lift for M in X.action]
+    return Module(X.algebra, qdim, action), proj
+
+
+def ref_direct_sum(mods):
+    A = mods[0].algebra
+    f = A.field
+    dim = sum(m.dim for m in mods)
+    action = []
+    for i in range(A.dim):
+        off = 0
+        big = [[f.zero] * dim for _ in range(dim)]
+        for m in mods:
+            M = m.action[i]
+            for r in range(m.dim):
+                row = M.row(r)
+                for c in range(m.dim):
+                    big[off + r][off + c] = row[c]
+            off += m.dim
+        action.append(Matrix.from_rows(f, big) if dim else Matrix.zeros(f, 0, 0))
+    return Module(A, dim, action, check_unit=False)
+
+
+def ref_radical_subspace(X):
+    A = X.algebra
+    rad = A.radical()
+    rows = []
+    for i in range(rad.dim):
+        M = X.act(rad.basis.row(i))
+        rows.extend(M.col(j) for j in range(M.cols))
+    return Subspace.from_rows(A.field, X.dim, rows)
+
+
+def ref_socle_subspace(X):
+    A = X.algebra
+    rad = A.radical()
+    if rad.dim == 0 or X.dim == 0:
+        return Subspace.full(A.field, X.dim)
+    stacked = None
+    for i in range(rad.dim):
+        M = X.act(rad.basis.row(i))
+        stacked = M if stacked is None else stacked.vstack(M)
+    K = stacked.kernel_basis()
+    return Subspace.from_rows(A.field, X.dim, [K.col(j) for j in range(K.cols)])
+
+
+def ref_summand(algebra, e_vec):
+    reg = Module.regular(algebra)
+    space = Subspace.row_space(algebra.right_mult_matrix(tuple(e_vec)).transpose())
+    return ref_submodule(reg, space)
+
+
+def ref_induce(emb, X):
+    A, B = emb.A, emb.B
+    f = A.field
+    nA, nX = A.dim, X.dim
+    dim = nA * nX
+    rows = []
+    for g in B.generators():
+        ig = emb.image_vec(g)
+        right = A.right_mult_matrix(ig)
+        actg = X.act(g)
+        for i in range(nA):
+            col_a = (right * Matrix.column(f, A.basis_vec(i))).col(0)
+            for j in range(nX):
+                vec = [f.zero] * dim
+                for k, c in enumerate(col_a):
+                    if not f.is_zero(c):
+                        vec[k * nX + j] = f.add(vec[k * nX + j], c)
+                for l in range(nX):
+                    c = actg[l, j]
+                    if not f.is_zero(c):
+                        vec[i * nX + l] = f.sub(vec[i * nX + l], c)
+                rows.append(vec)
+    rel = Subspace.from_rows(f, dim, rows)
+    proj = rel.projection_matrix()
+    lift = rel.lift_matrix()
+    qdim = dim - rel.dim
+    action = []
+    for bidx in range(A.dim):
+        lam = A.basis_left_mult(bidx)
+        big = [[f.zero] * dim for _ in range(dim)]
+        for i in range(nA):
+            col = lam.col(i)
+            for k, c in enumerate(col):
+                if not f.is_zero(c):
+                    for j in range(nX):
+                        big[k * nX + j][i * nX + j] = c
+        action.append(proj * Matrix.from_rows(f, big) * lift)
+    ind = Module(A, qdim, action)
+    cols = []
+    for j in range(nX):
+        vec = [f.zero] * dim
+        for k, c in enumerate(A.unit):
+            if not f.is_zero(c):
+                vec[k * nX + j] = c
+        cols.append((proj * Matrix.column(f, vec)).col(0))
+    insert = Matrix.from_columns(f, cols, nrows=qdim)
+    return ind, insert
+
+
+def ref_corner_tensor(self, Y):
+    """Ae ⊗_{eAe} Y as a module over A."""
+    A, C = self.A, self.corner
+    f = A.field
+    ae = Subspace.row_space(A.right_mult_matrix(self.e).transpose())
+    m = ae.dim
+    ae_incl = ae.inclusion()
+    nY = Y.dim
+    dim = m * nY
+    rows = []
+    for c in C.generators():
+        c_in_A = self.corner_emb * Matrix.column(f, list(c))
+        right = A.right_mult_matrix(c_in_A.col(0))
+        actc = Y.act(c)
+        # column i: coordinates of basis_i * c in Ae
+        XC = ae.coordinates(right * ae_incl)
+        for i in range(m):
+            xc_coords = XC.col(i)
+            for j in range(nY):
+                vec = [f.zero] * dim
+                for k, co in enumerate(xc_coords):
+                    vec[k * nY + j] = f.add(vec[k * nY + j], co)
+                for l in range(nY):
+                    co = actc[l, j]
+                    if not f.is_zero(co):
+                        vec[i * nY + l] = f.sub(vec[i * nY + l], co)
+                rows.append(vec)
+    rel = Subspace.from_rows(f, dim, rows)
+    proj = rel.projection_matrix()
+    lift = rel.lift_matrix()
+    qdim = dim - rel.dim
+    action = []
+    for bidx in range(A.dim):
+        # left multiplication on A, in the coordinates of Ae
+        L = ae.coordinates(A.basis_left_mult(bidx) * ae_incl)
+        big = [[f.zero] * dim for _ in range(dim)]
+        for i in range(m):
+            for k, co in enumerate(L.col(i)):
+                if not f.is_zero(co):
+                    for j in range(nY):
+                        big[k * nY + j][i * nY + j] = co
+        action.append(proj * Matrix.from_rows(f, big) * lift)
+    return Module(A, qdim, action)
+
+def ref_corner_hom(self, Y):
+    """Hom_{eAe}(eA, Y) as a module over A."""
+    A, C = self.A, self.corner
+    f = A.field
+    ea = Subspace.row_space(A.left_mult_matrix(self.e).transpose())
+    m = ea.dim
+    ea_incl = ea.inclusion()
+    nY = Y.dim
+    unknowns = nY * m  # f as nY x m matrix, column b = f(basis b)
+    rows = []
+    for c in C.generators():
+        c_in_A = (self.corner_emb * Matrix.column(f, list(c))).col(0)
+        left = A.left_mult_matrix(c_in_A)
+        actc = Y.act(c)
+        # column b: coordinates of c * basis_b in eA
+        CZ = ea.coordinates(left * ea_incl)
+        for b in range(m):
+            cz_coords = CZ.col(b)
+            for i in range(nY):
+                # f(c·z_b)_i - (c·f(z_b))_i = 0
+                row = [f.zero] * unknowns
+                for k, co in enumerate(cz_coords):
+                    row[i * m + k] = f.add(row[i * m + k], co)
+                for l in range(nY):
+                    co = actc[i, l]
+                    if not f.is_zero(co):
+                        row[l * m + b] = f.sub(row[l * m + b], co)
+                rows.append(row)
+    K = Matrix.from_rows(f, rows).kernel_basis() if rows else Matrix.identity(f, unknowns)
+    sol_space = Subspace.row_space(K.transpose())
+    sol_incl = sol_space.inclusion()
+    action = []
+    for bidx in range(A.dim):
+        # (a·f)(z_b) = f(z_b·a) = sum_k ZA[k, b] f(z_k): linear in f, block diagonal in i
+        ZA = ea.coordinates(A.right_mult_matrix(A.basis_vec(bidx)) * ea_incl)
+        T = [[f.zero] * unknowns for _ in range(unknowns)]
+        for b in range(m):
+            for k, co in enumerate(ZA.col(b)):
+                if not f.is_zero(co):
+                    for i in range(nY):
+                        T[i * m + b][i * m + k] = co
+        action.append(sol_space.coordinates(Matrix.from_rows(f, T) * sol_incl))
+    return Module(A, sol_space.dim, action)
+
+
+# -- strategies ------------------------------------------------------------------------
+
+SETTINGS = settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def module_and_vectors(draw):
+    A = algebra(draw(st.sampled_from(LIGHT_SPECS)), draw(st.sampled_from(FIELDS)))
+    X = draw(st.sampled_from(pool(A)))
+    vecs = draw(st.lists(st.lists(st.integers(-3, 3), min_size=X.dim, max_size=X.dim), min_size=1, max_size=2))
+    return X, vecs
+
+
+def same_module(X, Y):
+    return X.algebra is Y.algebra and X.dim == Y.dim and X.action == Y.action
+
+
+def hom_span(homs, X, Y):
+    f = X.algebra.field
+    return Subspace.from_rows(f, Y.dim * X.dim, [h.reshape(1, Y.dim * X.dim).row(0) for h in homs])
+
+
+# -- equal to the references -------------------------------------------------------------
+
+
+class TestAgainstLoopVersions:
+    @given(module_and_vectors())
+    @SETTINGS
+    def test_closure_submodule_quotient(self, case):
+        X, vecs = case
+        S = X.invariant_closure(vecs)
+        assert S == ref_invariant_closure(X, vecs)
+        sub, incl = X.submodule(S)
+        rsub, rincl = ref_submodule(X, S)
+        assert same_module(sub, rsub) and incl == rincl
+        quot, proj = X.quotient(S)
+        rquot, rproj = ref_quotient(X, S)
+        assert same_module(quot, rquot) and proj == rproj
+        verify_action(sub)
+        verify_action(quot)
+
+    @given(module_and_vectors())
+    @SETTINGS
+    def test_submodule_of_a_span_raises_exactly_when_the_loop_does(self, case):
+        X, vecs = case
+        S = Subspace.from_rows(X.algebra.field, X.dim, vecs)
+        try:
+            expected = ref_submodule(X, S)
+        except InvalidModule:
+            with pytest.raises(InvalidModule):
+                X.submodule(S)
+            return
+        sub, incl = X.submodule(S)
+        assert same_module(sub, expected[0]) and incl == expected[1]
+
+    @given(module_and_vectors())
+    @SETTINGS
+    def test_radical_socle_and_top(self, case):
+        X, vecs = case
+        sub, _ = X.submodule(X.invariant_closure(vecs))
+        for M in (X, sub):
+            assert M.radical_subspace() == ref_radical_subspace(M)
+            top, proj = M.top()
+            rtop, rproj = ref_quotient(M, ref_radical_subspace(M))
+            assert same_module(top, rtop) and proj == rproj
+            assert M.socle_subspace() == ref_socle_subspace(M)
+
+    @given(module_and_vectors(), st.data())
+    @SETTINGS
+    def test_direct_sum(self, case, data):
+        X, vecs = case
+        sub, _ = X.submodule(X.invariant_closure(vecs))
+        Y = data.draw(st.sampled_from(pool(X.algebra)))
+        for mods in ([X, Y], [sub, X, sub], [Module.zero(X.algebra), Y]):
+            assert same_module(Module.direct_sum(mods), ref_direct_sum(mods))
+
+    @given(module_and_vectors(), st.data())
+    @SETTINGS
+    def test_hom_basis_spans_the_plain_solution(self, case, data):
+        X, vecs = case
+        sub, _ = X.submodule(X.invariant_closure(vecs))
+        Y = data.draw(st.sampled_from(pool(X.algebra)))
+        for S, T in ((sub, Y), (Y, sub), (X, sub)):
+            homs = hom_basis(S, T)
+            plain = hom_basis_plain(S, T)
+            assert len(homs) == len(plain)
+            assert hom_span(homs, S, T) == hom_span(plain, S, T)
+            for h in homs:
+                assert all(h * a == b * h for a, b in zip(S.action, T.action))
+
+    @given(st.sampled_from(LIGHT_SPECS), st.sampled_from(FIELDS))
+    @settings(max_examples=14, deadline=None)
+    def test_summand(self, name, field):
+        A = algebra(name, field)
+        for e, lab in A.idempotents:
+            s = Summand(A, e, lab)
+            rmod, rbasis = ref_summand(A, e)
+            assert same_module(s.module, rmod) and s.basis == rbasis
+            assert Summand(A, e).module is s.module  # solved once per idempotent
+
+    @given(st.sampled_from(LIGHT_SPECS), st.sampled_from(FIELDS), st.data())
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_induce(self, name, field, data):
+        A = algebra(name, field)
+        idem = list(A.idempotents)
+        arrows = list(A.arrow_indices)
+        kept = data.draw(st.lists(st.sampled_from(arrows), unique=True, max_size=len(arrows)))
+        B, emb = A.subalgebra_closure(idem, [A.basis_vec(i) for i in kept])
+        sub = SubalgebraEmbedding(B, A, emb)
+        X = data.draw(st.sampled_from(pool(B) + [projective(A, A.labels[0]).restrict_along(emb, B)]))
+        ind, insert = sub.induce(X)
+        rind, rinsert = ref_induce(sub, X)
+        assert same_module(ind, rind) and insert == rinsert
+
+
+    @given(st.sampled_from(LIGHT_SPECS), st.sampled_from(FIELDS), st.data())
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_corner_tensor_and_hom(self, name, field, data):
+        A = algebra(name, field)
+        picks = data.draw(st.lists(st.sampled_from(A.labels), min_size=1, unique=True))
+        ctx = IdempotentContext(A, A.idempotent_sum_for_labels(picks))
+        Y = data.draw(st.sampled_from(pool(ctx.corner)))
+        assert same_module(ctx.corner_tensor(Y), ref_corner_tensor(ctx, Y))
+        assert same_module(ctx.corner_hom(Y), ref_corner_hom(ctx, Y))
+
+
+# -- per-module data ---------------------------------------------------------------------
+
+
+class TestModuleData:
+    def test_act_on_a_basis_vector_is_the_stored_matrix(self):
+        for field in FIELDS:
+            A = algebra("diamond", field)
+            X = projective(A, "1")
+            for i in range(A.dim):
+                assert X.act(A.basis_vec(i)) is X.action[i]
+            # anything else is the linear combination
+            v = [(-1) ** i * (i + 1) for i in range(A.dim)]
+            expected = Matrix.zeros(A.field, X.dim, X.dim)
+            for c, M in zip(v, X.action):
+                expected = expected + M.scale(c)
+            assert X.act(v) == expected
+            assert X.act([0] * A.dim) == Matrix.zeros(A.field, X.dim, X.dim)
+
+    def test_act_rows_stacks_act(self):
+        A = algebra("sl2-block", "Q")
+        X = Module.direct_sum([projective(A, "1"), simple(A, "2")])
+        R = A.radical().basis.vstack(Matrix.from_rows(A.field, [A.unit]))
+        blocks = X.act_rows(R).vsplit(R.rows)
+        assert blocks == [X.act(R.row(i)) for i in range(R.rows)]
+
+    def test_block_data_dies_with_its_module(self):
+        A = algebra("diamond", "Q")
+        X = Module.direct_sum([projective(A, "1"), simple(A, "3")])
+        assert hom_basis(X, projective(A, "2")) is not None
+        blocks = X._blocks
+        assert blocks is not None
+        assert gc.get_referrers(blocks) == [X]  # held by its module only
+        del blocks
+        ref = weakref.ref(X)
+        del X
+        gc.collect()
+        assert ref() is None
+
+
+def test_greedy_oracle_disagreement_raises_under_O():
+    # With asserts stripped, a disagreement must still stop the run rather
+    # than print a verdict.
+    code = textwrap.dedent(
+        """
+        from strata.corpus import entry
+        from strata.errors import InvariantViolation
+        from strata.modules import projective
+        from strata.strat import YES, StratDatum, strat_datum
+
+        ent = entry("fork")
+        sd = strat_datum(ent.algebra, ent.poset)
+        X = projective(ent.algebra, ent.algebra.labels[0])
+        if sd.left_stratified()[0] != YES or sd.delta_filtration(X).status != YES:
+            raise SystemExit("precondition")
+        StratDatum.ext_oracle_delta = lambda self, X: False
+        try:
+            sd.delta_filtration(X)
+        except InvariantViolation:
+            print("raised")
+        """
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                         cwd=_repo_root(), env=_src_env(), timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "raised"
+
+
+def _repo_root():
+    import os
+
+    return os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _src_env():
+    import os
+
+    env = dict(os.environ)
+    src = os.path.join(_repo_root(), "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return env

@@ -11,12 +11,13 @@ from strata.modules import (
     comp_mult,
     dimension_vector,
     hom_basis,
-    hom_basis_plain,
     iso_test,
     projective,
     simple,
 )
 from strata.strat import YES, all_posets, strat_datum
+
+from oracles import hom_basis_plain
 
 SMALL_NAMES = ("fork", "sl2-block", "ext2-chain")
 
