@@ -10,6 +10,6 @@ with no floating point anywhere.
 
 __version__ = "0.1.0"
 
-from .kernel import QQ, Matrix, PrimeField, Subspace, backend_name
+from .kernel import QQ, Matrix, PrimeField, Subspace
 
-__all__ = ["QQ", "PrimeField", "Matrix", "Subspace", "backend_name", "__version__"]
+__all__ = ["QQ", "PrimeField", "Matrix", "Subspace", "__version__"]

@@ -1,14 +1,16 @@
 """Finite-dimensional algebras as validated structure-constant data.
 
-An Algebra is a basis with a (sparse) multiplication tensor, a unit, and a
-distinguished family of primitive orthogonal idempotents carrying simple
-labels.  Several idempotents may share a label (non-basic algebras).
+An Algebra is a basis with a multiplication table, a unit, and a distinguished
+family of primitive orthogonal idempotents carrying simple labels.  Several
+idempotents may share a label (non-basic algebras).
 
-Multiplication runs through the regular representation: the integer
-matrices L_i of a |-> b_i * a (cached) and their right twins R_j, cut from the
-sparse table.  Products of whole families of elements are block products
-against the matrix of all basis products b_i * b_j, one elimination per span
-instead of one product per pair of elements.
+The table is one integer Matrix, n x n^2: row i, block j (columns
+j*n .. j*n + n-1) holds the coordinates of b_i * b_j.  It is the only stored
+form of the multiplication, and every reader cuts what it needs from it: the
+matrices L_i of a |-> b_i * a are its rows reshaped, their right twins R_j
+every n-th row of its n^2 x n reshape.  Products of whole families of elements
+are block products against the table, one elimination per span instead of one
+product per pair of elements.
 
 Every way of obtaining an algebra -- quiver compilation, raw structure
 constants, corner, quotient by an idempotent ideal, subalgebra closure,
@@ -43,28 +45,28 @@ from .kernel.subspace import Subspace
 from .quiver import QuiverPresentation, compile_presentation
 
 
-def _sparse(field, vec):
-    return tuple((k, x) for k, x in enumerate(vec) if not field.is_zero(x))
-
-
-def _table_from_coordinates(field, dim, products):
-    """Sparse mult table from the coordinate vectors of b_x * b_y, listed x-major."""
-    return tuple(tuple(_sparse(field, products[x * dim + y]) for y in range(dim)) for x in range(dim))
-
-
 def _row_matrix(field, dim, vectors):
     """The vectors as the rows of a matrix (0 x dim when there are none)."""
     vectors = list(vectors)
     return Matrix.from_rows(field, vectors) if vectors else Matrix.zeros(field, 0, dim)
 
 
+def _table_from_columns(C):
+    """The table of a d-dimensional algebra from the d x d^2 matrix whose
+    column x*d + y holds the coordinates of b_x * b_y."""
+    d = C.rows
+    return C.transpose().reshape(d, d * d)
+
+
 class Algebra:
-    def __init__(self, field, basis_names, mult_sparse, unit, idempotents, presentation=None,
+    def __init__(self, field, basis_names, table, unit, idempotents, presentation=None,
                  arrow_indices=None, radical_rows=None, associativity_inherited=False):
         self.field = field
         self.basis_names = tuple(basis_names)
-        self.dim = len(self.basis_names)
-        self.mult = mult_sparse  # mult[i][j] = tuple of (k, coeff)
+        self.dim = n = len(self.basis_names)
+        if not isinstance(table, Matrix) or table.field != field or (table.rows, table.cols) != (n, n * n):
+            raise InvalidAlgebra(f"multiplication table must be a {n}x{n * n} matrix over {field}")
+        self.table = table  # row i, block j: b_i * b_j
         self.unit = tuple(unit)
         self.idempotents = tuple((tuple(v), str(lab)) for v, lab in idempotents)
         labels = []
@@ -80,7 +82,6 @@ class Algebra:
         self._associativity_inherited = associativity_inherited
         self._op = None
         self._gens = None
-        self._left_mult = {}
         self._derived = {}  # (kind, e) -> corner/quotient/ideal, per idempotent
         self.validate()
 
@@ -99,26 +100,10 @@ class Algebra:
             raise InputError(f"element has length {len(v)}, algebra has dim {self.dim}")
         return tuple(self.field.coerce(x) for x in v)
 
-    def _basis_products(self, pairs):
-        """The matrix whose row r is b_i * b_j, for (i, j) the r-th of the pairs."""
-        n = self.dim
-        entries = {}
-        for r, (i, j) in enumerate(pairs):
-            for k, c in self.mult[i][j]:
-                entries[r * n + k] = c
-        return Matrix.from_sparse(self.field, len(pairs), n, entries)
-
-    def _products_table(self):
-        """The n x n^2 matrix whose row i, block j (columns j*n .. j*n + n-1) is b_i * b_j."""
-        n = self.dim
-        return self._basis_products([(i, j) for i in range(n) for j in range(n)]).reshape(n, n * n)
-
     def basis_left_mult(self, i):
         """L_i, the matrix of a |-> b_i * a: column j is b_i * b_j."""
-        L = self._left_mult.get(i)
-        if L is None:
-            L = self._left_mult[i] = self._basis_products([(i, j) for j in range(self.dim)]).transpose()
-        return L
+        n = self.dim
+        return self.table.take_rows([i]).reshape(n, n).transpose()
 
     def left_mult_matrix(self, vec):
         """Matrix of a |-> vec * a in the basis (columns = vec * b_j)."""
@@ -129,8 +114,9 @@ class Algebra:
     def right_mult_matrix(self, vec):
         """Matrix of a |-> a * vec in the basis (columns = b_j * vec)."""
         n = self.dim
+        products = self.table.reshape(n * n, n)  # row i*n + j: b_i * b_j
         # R_j, the matrix of a |-> a * b_j, has column i b_i * b_j
-        rights = [(c, self._basis_products([(i, j) for i in range(n)]).transpose()) for j, c in enumerate(vec) if c]
+        rights = [(c, products.take_rows(range(j, n * n, n)).transpose()) for j, c in enumerate(vec) if c]
         return Matrix.linear_combination(self.field, n, n, rights)
 
     def mult_vec(self, x, y):
@@ -144,7 +130,7 @@ class Algebra:
         the number of pairs.
         """
         n = self.dim
-        P = self._products_table()
+        P = self.table
         r = n if X is None else X.rows
         # row c*n + j: x_c * b_j
         W = (P if X is None else X * P).reshape(r * n, n)
@@ -254,7 +240,7 @@ class Algebra:
         (L_i [L_0 | ... | L_{n-1}])^T it is b_i (b_j b_l).
         """
         n = self.dim
-        P = self._products_table()  # row m, block l: b_m * b_l
+        P = self.table  # row m, block l: b_m * b_l
         M = P.reshape(n * n, n).transpose()  # column j*n + l: b_j * b_l
         for i in range(n):
             Lt = P.take_rows([i]).reshape(n, n)  # L_i^T: row j is b_i * b_j
@@ -303,26 +289,12 @@ class Algebra:
         return self._radical
 
     def _trace_form_radical(self):
-        f = self.field
-        # t[k] = trace of left multiplication by b_k
-        t = []
-        for k in range(self.dim):
-            s = f.zero
-            for l in range(self.dim):
-                for m, c in self.mult[k][l]:
-                    if m == l:
-                        s = f.add(s, c)
-            t.append(s)
-        rows = []
-        for i in range(self.dim):
-            row = []
-            for j in range(self.dim):
-                s = f.zero
-                for k, c in self.mult[i][j]:
-                    s = f.add(s, f.mul(c, t[k]))
-                row.append(s)
-            rows.append(row)
-        G = Matrix.from_rows(f, rows)
+        f, n, P = self.field, self.dim, self.table
+        # t[k] = trace of L_k = sum_l c_kl^l, the entries (k, l*n + l) of the table
+        traces = [sum(P.nums[k * n * n : (k + 1) * n * n : n + 1]) for k in range(n)]
+        t = Matrix.from_integers(f, n, 1, traces, P.den)
+        # G[i, j] = tr(L(b_i * b_j)) = sum_k c_ij^k t[k]
+        G = (P.reshape(n * n, n) * t).reshape(n, n)
         K = G.transpose().kernel_basis()
         return Subspace.from_rows(f, self.dim, [K.col(j) for j in range(K.cols)])
 
@@ -393,12 +365,13 @@ class Algebra:
         if self._op is not None:
             return self._op
         n = self.dim
-        mult = tuple(tuple(self.mult[j][i] for j in range(n)) for i in range(n))
+        # row i*n + j of the n^2 x n reshape is b_i * b_j; in A^op it is b_j * b_i
+        table = self.table.reshape(n * n, n).take_rows([j * n + i for i in range(n) for j in range(n)])
         rad = self._radical
         op = Algebra(
             self.field,
             self.basis_names,
-            mult,
+            table.reshape(n, n * n),
             self.unit,
             self.idempotents,
             presentation=None,
@@ -444,12 +417,12 @@ class Algebra:
             C = S.coordinates(img)
             return [tuple(C.col(j)) for j in range(C.cols)]
 
-        mult = _table_from_coordinates(f, S.dim, coords_of(self.products(S.basis, S.basis).transpose()))
+        table = _table_from_columns(S.coordinates(self.products(S.basis, S.basis).transpose()))
         idems = list(zip(coords_of(_row_matrix(f, n, [self.idempotents[k][0] for k in summands]).transpose()),
                          [self.idempotents[k][1] for k in summands]))
         rad_rows = coords_of(sandwich * self.radical().inclusion())
         names = [f"c{i}" for i in range(S.dim)]
-        out = Algebra(f, names, mult, coords_of(Matrix.column(f, list(e)))[0], idems,
+        out = Algebra(f, names, table, coords_of(Matrix.column(f, list(e)))[0], idems,
                       radical_rows=rad_rows, associativity_inherited=True)
         return out, S.inclusion()
 
@@ -479,8 +452,8 @@ class Algebra:
         comp = J.complement_coords()
         qdim = len(comp)
         # the classes of b_x * b_y, for x, y running over the complement coordinates
-        classes = proj * self._basis_products([(x, y) for x in comp for y in comp]).transpose()
-        mult = _table_from_coordinates(f, qdim, [classes.col(j) for j in range(classes.cols)])
+        products = self.table.reshape(n * n, n).take_rows([x * n + y for x in comp for y in comp])
+        table = _table_from_columns(proj * products.transpose())
 
         def project(v):
             return tuple((proj * Matrix.column(f, list(v))).col(0))
@@ -498,7 +471,7 @@ class Algebra:
         rad = proj * self.radical().inclusion()
         rad_rows = [rad.col(j) for j in range(rad.cols)]
         names = [f"q{i}" for i in range(qdim)]
-        out = Algebra(f, names, mult, project(self.unit), idems,
+        out = Algebra(f, names, table, project(self.unit), idems,
                       radical_rows=rad_rows, associativity_inherited=True)
         return out, proj
 
@@ -517,17 +490,20 @@ class Algebra:
         if not span.contains(self.unit):
             raise NotUnital("closure does not contain the unit of the ambient algebra")
 
-        def coords_of(img):  # coordinates of the columns of img
+        def coordinates(img):  # coordinates of the columns of img
             try:
-                C = span.coordinates(img)
+                return span.coordinates(img)
             except NotInSubspace as exc:
                 raise InvalidAlgebra("element escapes the closure") from exc
+
+        def coords_of(img):
+            C = coordinates(img)
             return [tuple(C.col(j)) for j in range(C.cols)]
 
-        mult = _table_from_coordinates(f, span.dim, coords_of(self.products(span.basis, span.basis).transpose()))
+        table = _table_from_columns(coordinates(self.products(span.basis, span.basis).transpose()))
         idems = list(zip(coords_of(_row_matrix(f, n, idem_vectors).transpose()), [lab for _, lab in idem_gens]))
         names = [f"b{i}" for i in range(span.dim)]
-        out = Algebra(f, names, mult, coords_of(Matrix.column(f, list(self.unit)))[0], idems,
+        out = Algebra(f, names, table, coords_of(Matrix.column(f, list(self.unit)))[0], idems,
                       associativity_inherited=True)
         return out, span.inclusion()
 
@@ -537,24 +513,13 @@ class Algebra:
         f = self.field
         nA, nB = self.dim, other.dim
         dim = nA * nB
-
-        def flat(i, j):
-            return i * nB + j
-
         names = [f"({self.basis_names[i]}|{other.basis_names[j]})" for i in range(nA) for j in range(nB)]
-        mult = []
-        for i in range(nA):
-            for j in range(nB):
-                row = []
-                for k in range(nA):
-                    for l in range(nB):
-                        entries = []
-                        for (a, ca) in self.mult[i][k]:
-                            for (b, cb) in other.mult[j][l]:
-                                entries.append((flat(a, b), f.mul(ca, cb)))
-                        entries.sort(key=lambda t: t[0])
-                        row.append(tuple(entries))
-                mult.append(tuple(row))
+        # (b_i|b'_j)(b_k|b'_l) = b_i b_k | b'_j b'_l: row (i*nA + k)*nB^2 + j*nB + l of the Kronecker
+        # product of the n^2 x n reshapes, in the order of (i*nB + j)*dim + k*nB + l
+        kron = self.table.reshape(nA * nA, nA).kron(other.table.reshape(nB * nB, nB))
+        table = kron.take_rows([(i * nA + k) * nB * nB + j * nB + l
+                                for i in range(nA) for j in range(nB) for k in range(nA) for l in range(nB)])
+
         def outer(u, v):
             return tuple(f.mul(u[i], v[j]) for i in range(nA) for j in range(nB))
         unit = outer(self.unit, other.unit)
@@ -573,7 +538,8 @@ class Algebra:
             for j in range(radB.dim):
                 rad_rows.append(outer(self.basis_vec(i), tuple(radB.basis.row(j))))
         # both factors are certified
-        return Algebra(f, names, tuple(mult), unit, idems, radical_rows=rad_rows, associativity_inherited=True)
+        return Algebra(f, names, table.reshape(dim, dim * dim), unit, idems, radical_rows=rad_rows,
+                       associativity_inherited=True)
 
     # -- equality (content-based; used by round-trip tests) -------------------------
 
@@ -582,7 +548,7 @@ class Algebra:
             isinstance(other, Algebra)
             and self.field == other.field
             and self.basis_names == other.basis_names
-            and self.mult == other.mult
+            and self.table == other.table
             and self.unit == other.unit
             and self.idempotents == other.idempotents
         )
@@ -604,26 +570,23 @@ def compile_quiver(pres: QuiverPresentation, fld) -> Algebra:
     dim = len(reps)
     proj = ideal.projection_matrix()
 
-    # representatives are honest paths, so products are concatenations
-    mult = []
+    # representatives are honest paths, so products are concatenations: the
+    # product of two representatives is the projection of a path, or zero
+    # (column proj.cols of the padded projection) when they do not compose
     path_key = {}
     for p in paths:
         path_key[(p.source,) + p.arrows] = p.index
+    picks = []
     for i in reps:
         p = paths[i]
-        mrow = []
         for j in reps:
             q = paths[j]
-            if q.target != p.source:
-                mrow.append(())
-                continue
             arrows = q.arrows + p.arrows  # q acts first
-            if len(arrows) >= L:
-                mrow.append(())
-                continue
-            cidx = path_key[(q.source,) + arrows]
-            mrow.append(_sparse(f, proj.col(cidx)))
-        mult.append(tuple(mrow))
+            if q.target != p.source or len(arrows) >= L:
+                picks.append(proj.cols)
+            else:
+                picks.append(path_key[(q.source,) + arrows])
+    table = _table_from_columns(proj.hstack(Matrix.zeros(f, dim, 1)).take_cols(picks))
 
     unit = [f.zero] * dim
     idems = []
@@ -645,22 +608,18 @@ def compile_quiver(pres: QuiverPresentation, fld) -> Algebra:
             vec[k] = f.one
             rad_rows.append(tuple(vec))
 
-    return Algebra(f, names, tuple(mult), tuple(unit), idems, presentation=pres,
+    return Algebra(f, names, table, tuple(unit), idems, presentation=pres,
                    arrow_indices=arrow_idx, radical_rows=rad_rows)
 
 
 def structure_constant_algebra(fld, basis_names, table, unit, idempotents_with_labels):
     """Build from raw data: table entries (i, j, k, coeff); associativity included, validated."""
     n = len(basis_names)
-    grid = [[dict() for _ in range(n)] for _ in range(n)]
+    entries = [fld.zero] * (n * n * n)  # entry (i*n + j)*n + k: c_ij^k
     for i, j, k, c in table:
         c = fld.coerce(c)
         if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
             raise InputError("structure constant index out of range")
-        grid[i][j][k] = fld.add(grid[i][j].get(k, fld.zero), c)
-    mult = tuple(
-        tuple(tuple(sorted((k, c) for k, c in grid[i][j].items() if not fld.is_zero(c))) for j in range(n))
-        for i in range(n)
-    )
+        entries[(i * n + j) * n + k] = fld.add(entries[(i * n + j) * n + k], c)
     idems = [(tuple(fld.coerce(x) for x in v), lab) for v, lab in idempotents_with_labels]
-    return Algebra(fld, basis_names, mult, [fld.coerce(x) for x in unit], idems)
+    return Algebra(fld, basis_names, Matrix(fld, n, n * n, entries), [fld.coerce(x) for x in unit], idems)

@@ -26,7 +26,6 @@ import sys
 
 from . import __version__
 from .errors import InputError, StrataError
-from .kernel.backend import backend_name
 from .modules import ISO_HEIGHT, ISO_SEED, ISO_TRIALS, comp_mult, projective
 from .specfile import dump, export_algebra, load_spec_file
 from .strat import NO, UNDET, YES, strat_datum, poset_search
@@ -48,7 +47,6 @@ def _settings():
         "iso_seed": ISO_SEED,
         "iso_trials": ISO_TRIALS,
         "iso_coefficient_height": ISO_HEIGHT,
-        "backend": backend_name(),
     }
 
 

@@ -1,4 +1,3 @@
-from .backend import backend_name
 from .fields import QQ, PrimeField, RationalField, field_from_json
 from .matrix import Matrix
 from .subspace import Subspace
@@ -9,6 +8,5 @@ __all__ = [
     "RationalField",
     "Matrix",
     "Subspace",
-    "backend_name",
     "field_from_json",
 ]

@@ -11,8 +11,7 @@ The whole library funnels its linear algebra through two functions:
       (Reduced) row echelon form over F_p with pivots normalized to 1.
 
 Both take a list of equal-length lists and return fresh lists.  Pivoting is
-deterministic: first nonzero column, topmost available row.  The compiled
-backend in _elim_cy.pyx mirrors these signatures exactly.
+deterministic: first nonzero column, topmost available row.
 """
 
 from math import gcd

@@ -7,9 +7,9 @@ and den == 1 for the zero matrix.  The form is canonical, so ``==`` and
 0..p-1 and ``den`` is 1.
 
 Arithmetic and elimination work on the integers only.  rank / rref hand the
-numerator rows straight to the backend pair (fraction-free elimination over Z
-for Q, ordinary reduction mod p): scaling a matrix by its denominator does not
-change its row space.  Field elements (``Fraction`` over Q, ints over F_p) are
+numerator rows straight to the two echelon routines of _elim_py
+(fraction-free elimination over Z for Q, ordinary reduction mod p): scaling a
+matrix by its denominator does not change its row space.  Field elements (``Fraction`` over Q, ints over F_p) are
 built only by the accessors -- ``m[i, j]``, ``row``, ``col``, ``entries``,
 ``to_json`` -- and never cached beside the integers.
 
@@ -25,7 +25,7 @@ from math import gcd, lcm
 from operator import add, sub
 
 from ..errors import DimensionMismatch, FieldMismatch
-from .backend import echelon_int, echelon_mod
+from ._elim_py import echelon_int, echelon_mod
 from .fields import RationalField
 
 
@@ -121,15 +121,6 @@ class Matrix:
         if any(len(c) != n for c in cols_):
             raise DimensionMismatch("ragged columns")
         return cls(field, n, len(cols_), [c[i] for i in range(n) for c in cols_])
-
-    @classmethod
-    def from_sparse(cls, field, rows, cols, entries):
-        """rows x cols matrix holding entries {row-major index: value}, zero elsewhere."""
-        den, vals = _ints(field, list(entries.values()))
-        nums = [0] * (rows * cols)
-        for idx, x in zip(entries, vals):
-            nums[idx] = x
-        return cls._new(field, rows, cols, den, tuple(nums))
 
     @classmethod
     def from_integers(cls, field, rows, cols, nums, den=1):
@@ -419,7 +410,7 @@ class Matrix:
             return echelon_mod(self._row_lists(), f.char, reduce)
         if isinstance(f, RationalField):
             return echelon_int(self._row_lists(), reduce)
-        raise FieldMismatch(f"no elimination backend for {f}")
+        raise FieldMismatch(f"no elimination routine for {f}")
 
     def rref(self):
         """Reduced row echelon form; returns (Matrix, pivot column list)."""

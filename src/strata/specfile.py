@@ -121,11 +121,13 @@ def load_spec_file(path) -> SpecData:
 def export_algebra(A, poset=None, meta=None) -> dict:
     """Structure-constant spec of any Algebra; re-importing gives an equal one."""
     fld = A.field
+    n = A.dim
     table = []
-    for i in range(A.dim):
-        for j in range(A.dim):
-            for k, c in A.mult[i][j]:
-                table.append([i, j, k, fld.fmt(c)])
+    # row-major: entry (i*n + j)*n + k of the table is the coefficient of b_k in b_i * b_j
+    for idx, x in enumerate(A.table.nums):
+        if x:
+            i, jk = divmod(idx, n * n)
+            table.append([i, *divmod(jk, n), fld.fmt(A.table[i, jk])])
     out = {
         "field": fld.to_json(),
         "presentation": {

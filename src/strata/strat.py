@@ -450,10 +450,16 @@ def filtration_standard(X: Module, family, poset, allowed=None, tie_break="forwa
 
 
 def _power_invariant_witness(T: Module, D: Module, t):
+    """An invariant telling T from D^t, or None: composition factors, then the
+    dimensions of radical and socle, which are additive and kept by isomorphisms."""
     for lab in T.algebra.labels:
         a, b = comp_mult(T, lab), t * comp_mult(D, lab)
         if a != b:
             return f"[trace : L_{lab}] = {a} != {t}*[layer : L_{lab}] = {b}"
+    for name, space in (("rad", Module.radical_subspace), ("soc", Module.socle_subspace)):
+        a, b = space(T).dim, t * space(D).dim
+        if a != b:
+            return f"dim {name}(trace) = {a} != {t}*dim {name}(layer) = {b}"
     return None
 
 

@@ -1,9 +1,4 @@
-"""Kernel layer: exact elimination, rank/kernel/solve contracts.
-
-Both elimination backends (pure Python and, when built, the compiled twin)
-are run against the same cases; the Matrix-level tests exercise whichever
-backend is active.
-"""
+"""Kernel layer: exact elimination, rank/kernel/solve contracts."""
 
 from fractions import Fraction
 
@@ -13,56 +8,49 @@ from hypothesis import strategies as st
 
 from strata.errors import InputError
 from strata.kernel import QQ, Matrix, PrimeField, Subspace
-from strata.kernel import _elim_py
-
-try:
-    from strata.kernel import _elim_cy
-
-    BACKENDS = [_elim_py, _elim_cy]
-except ImportError:
-    BACKENDS = [_elim_py]
+from strata.kernel._elim_py import echelon_int, echelon_mod
 
 
-@pytest.fixture(params=BACKENDS, ids=lambda m: m.__name__.rsplit("_", 1)[-1])
-def elim(request):
-    return request.param
-
-
-class TestEchelonBackends:
-    def test_int_identity(self, elim):
-        pivots, rows = elim.echelon_int([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+class TestEchelon:
+    def test_int_identity(self):
+        pivots, rows = echelon_int([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         assert pivots == [0, 1, 2]
         assert rows == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
-    def test_int_proportional_rows(self, elim):
-        pivots, rows = elim.echelon_int([[1, 2], [2, 4]])
+    def test_int_proportional_rows(self):
+        pivots, rows = echelon_int([[1, 2], [2, 4]])
         assert pivots == [0]
         assert rows[1] == [0, 0]
 
-    def test_int_primitive_normalization(self, elim):
-        pivots, rows = elim.echelon_int([[2, 4, 6], [0, 0, 10]], False)
+    def test_int_primitive_normalization(self):
+        pivots, rows = echelon_int([[2, 4, 6], [0, 0, 10]], False)
         assert rows[0] == [1, 2, 3]
         assert rows[1] == [0, 0, 1]
-        pivots, rows = elim.echelon_int([[2, 4, 6], [0, 0, 10]], True)
+        pivots, rows = echelon_int([[2, 4, 6], [0, 0, 10]], True)
         assert rows[0] == [1, 2, 0]
 
-    def test_mod2_rank(self, elim):
+    def test_mod2_rank(self):
         # [[1,1],[1,0]] over F_2: hand elimination gives two pivots.
-        pivots, rows = elim.echelon_mod([[1, 1], [1, 0]], 2)
+        pivots, rows = echelon_mod([[1, 1], [1, 0]], 2)
         assert pivots == [0, 1]
 
-    def test_backends_agree_on_fixed_cases(self):
+    def test_fixed_cases_match_hand_rref(self):
+        # (matrix, RREF over Q, RREF over F_7), eliminated by hand; the first
+        # has determinant -90, a unit mod 7, and the third has rank 2 in both
         cases = [
-            [[3, 1, 4], [1, 5, 9], [2, 6, 5]],
-            [[0, 0], [0, 0]],
-            [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
-            [[5]],
+            ([[3, 1, 4], [1, 5, 9], [2, 6, 5]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+            ([[0, 0], [0, 0]], [[0, 0], [0, 0]], [[0, 0], [0, 0]]),
+            ([[1, 2, 3], [4, 5, 6], [7, 8, 9]], [[1, 0, -1], [0, 1, 2], [0, 0, 0]], [[1, 0, 6], [0, 1, 2], [0, 0, 0]]),
+            ([[5]], [[1]], [[1]]),
         ]
-        for case in cases:
-            results = [b.echelon_int(case) for b in BACKENDS]
-            assert all(r == results[0] for r in results)
-            results = [b.echelon_mod(case, 7) for b in BACKENDS]
-            assert all(r == results[0] for r in results)
+        for case, over_q, over_7 in cases:
+            pivots = [next(j for j, x in enumerate(row) if x) for row in over_q if any(row)]
+            # the integer rows are primitive with a positive pivot; divided by it they are the RREF
+            q_pivots, rows = echelon_int(case)
+            assert q_pivots == pivots
+            assert [[Fraction(x, row[p]) for x in row] for row, p in zip(rows, q_pivots)] == over_q[: len(pivots)]
+            assert all(not any(row) for row in rows[len(pivots):])
+            assert echelon_mod(case, 7) == (pivots, over_7)
 
 
 small_int = st.integers(min_value=-9, max_value=9)

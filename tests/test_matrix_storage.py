@@ -209,7 +209,6 @@ class TestAgainstReference:
             A.transpose().transpose(),
             Matrix.linear_combination(f, n, m, [(c, A), (f.neg(f.coerce(c)), A), (1, A)]),
             Matrix.from_json(f, A.to_json()),
-            Matrix.from_sparse(f, n, m, {k: x for k, x in enumerate(a) if not f.is_zero(x)}),
             A.reshape(m, n).reshape(n, m),
             A.vstack(A).take_rows(range(n, 2 * n)),
         ]

@@ -22,6 +22,8 @@ from strata.errors import InvalidAlgebra
 from strata.kernel import QQ, Matrix, PrimeField, Subspace
 from strata.specfile import load_spec
 
+from oracles import sparse_table
+
 FIELDS = [QQ, PrimeField(7)]
 
 
@@ -53,18 +55,15 @@ def all_triples(n):
 
 
 def table_of(A):
-    return [[dict(A.mult[i][j]) for j in range(A.dim)] for i in range(A.dim)]
+    return [[dict(cell) for cell in row] for row in sparse_table(A)]
 
 
 def unvalidated(f, table):
     """An Algebra on the table with validation switched off, to probe one check alone."""
     n = len(table)
-    mult = tuple(
-        tuple(tuple(sorted((k, c) for k, c in table[i][j].items() if not f.is_zero(c))) for j in range(n))
-        for i in range(n)
-    )
+    entries = [table[i][j].get(k, f.zero) for i in range(n) for j in range(n) for k in range(n)]
     with mock.patch.object(Algebra, "validate", lambda self: None):
-        return Algebra(f, [f"b{i}" for i in range(n)], mult, [f.zero] * n, [])
+        return Algebra(f, [f"b{i}" for i in range(n)], Matrix(f, n, n * n, entries), [f.zero] * n, [])
 
 
 # -- associative tables in random bases --------------------------------------------------
