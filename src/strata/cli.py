@@ -93,17 +93,34 @@ def _load(path):
         raise InputError(f"no such spec file: {path}") from exc
 
 
+def _split_labels(arg):
+    """Split a comma list on the commas outside parentheses, so "(1,1),#2" is two tokens."""
+    toks, depth, start = [], 0, 0
+    for k, ch in enumerate(arg):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            toks.append(arg[start:k])
+            start = k + 1
+    toks.append(arg[start:])
+    return [t.strip() for t in toks if t.strip()]
+
+
 def _idempotent_from_arg(A, arg):
     picks = []
     labels = []
-    for tok in str(arg).split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
+    for tok in _split_labels(str(arg)):
         if tok.startswith("#"):
+            if not tok[1:].isdecimal() or int(tok[1:]) >= len(A.idempotents):
+                raise InputError(f"no distinguished idempotent {tok}")
             picks.append(int(tok[1:]))
         else:
             labels.append(tok)
+    unknown = sorted(set(labels) - set(A.labels))
+    if unknown:
+        raise InputError(f"unknown label(s) {unknown}")
     vec = A.zero_vec()
     f = A.field
     if labels:

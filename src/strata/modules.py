@@ -11,10 +11,11 @@ the complement columns instead of multiplying by a lift, and direct sums are
 integer block diagonals.  Acting by a basis vector returns the stored matrix.
 
 Data computed once per module, lazily, lives in slots beside the action, so it
-dies with the module: ``_rad`` (the subspace rad(A)·X) and ``_blocks`` (the
+dies with the module: ``_rad`` (the subspace rad(A)·X), ``_blocks`` (the
 idempotent block decomposition hom_basis solves in: block sizes, T with the
 block bases as columns, T⁻¹, and T⁻¹·X.act(g)·T for the generators g of A that
-are not distinguished idempotents).
+are not distinguished idempotents) and ``_mult`` (the composition
+multiplicities [X : L_i] asked for so far).
 
 Right modules never get their own type: they are left modules over the
 opposite algebra, and k-duality D swaps the two sides (dual() of a module
@@ -43,7 +44,7 @@ def column_space(M: Matrix) -> Matrix:
 
 
 class Module:
-    __slots__ = ("algebra", "dim", "action", "_rad", "_blocks", "_ext_cache", "__weakref__")
+    __slots__ = ("algebra", "dim", "action", "_rad", "_blocks", "_mult", "_ext_cache", "__weakref__")
 
     def __init__(self, algebra, dim, action, check_unit=True):
         self.algebra = algebra
@@ -51,6 +52,7 @@ class Module:
         self.action = tuple(action)
         self._rad = None
         self._blocks = None
+        self._mult = None  # label -> [X : L_label], allocated on first comp_mult
         self._ext_cache = {}
         if len(self.action) != algebra.dim:
             raise InvalidModule("need one action matrix per algebra basis element")
@@ -246,11 +248,18 @@ def injective(A, label):
 
 
 def comp_mult(X: Module, label) -> int:
-    """[X : L_label] = dim e·X, independent of the choice of idempotent."""
-    dims = {X.e_part(e).dim for e in X.algebra.idempotents_for_label(label)}
-    if len(dims) != 1:
-        raise InvariantViolation("composition multiplicity depends on idempotent choice")
-    return dims.pop()
+    """[X : L_label] = dim e·X, independent of the choice of idempotent.
+
+    Computed once per (module, label) and kept in the module's _mult slot.
+    """
+    if X._mult is None:
+        X._mult = {}
+    if label not in X._mult:
+        dims = {X.e_part(e).dim for e in X.algebra.idempotents_for_label(label)}
+        if len(dims) != 1:
+            raise InvariantViolation("composition multiplicity depends on idempotent choice")
+        X._mult[label] = dims.pop()
+    return X._mult[label]
 
 
 def dimension_vector(X: Module):

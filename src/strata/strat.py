@@ -213,6 +213,41 @@ class StandardData:
     kernel: Subspace
 
 
+class StandardRecord:
+    """Delta_i and DeltaBar_i for one label i and one set of labels j with j not <= i.
+
+    Delta_i = P_i / sum of Tr_{P_j}(P_i) over those j depends on the order only
+    through that set, so one record serves every order that gives the same set;
+    ker(P_i ->> Delta_i) as a module is built on first use and kept here too.
+    """
+
+    __slots__ = ("delta", "delta_bar", "_kernel")
+
+    def __init__(self, A, i, above):
+        P = projective(A, i)
+        U = Subspace.zero(A.field, P.dim)
+        for j in above:
+            U = U.plus(trace_from_projective(j, P))
+        delta, proj = P.quotient(U)
+        rad = delta.radical_subspace()
+        if rad.dim:
+            # the span of e_i·rad(Delta_i), from the columns of e_i times the radical's inclusion
+            eirad = delta.act(A.idempotent_for_label(i)) * rad.inclusion()
+            T = delta.invariant_closure(Subspace.row_space(eirad.transpose()))
+        else:
+            T = Subspace.zero(A.field, delta.dim)
+        dbar, proj2 = delta.quotient(T)
+        self.delta = StandardData(delta, proj, U)
+        self.delta_bar = StandardData(dbar, proj2, T)
+        self._kernel = None
+
+    def kernel_module(self, P):
+        """ker(P ->> Delta_i) as (module, inclusion), P being the projective P_i."""
+        if self._kernel is None:
+            self._kernel = P.submodule(self.delta.kernel)
+        return self._kernel
+
+
 class StratDatum:
     """All four standard families over (A, poset) plus verdicts."""
 
@@ -223,13 +258,9 @@ class StratDatum:
         self.poset = poset
         self.P = {i: projective(A, i) for i in A.labels}
         self.L = {i: simple(A, i) for i in A.labels}
-        self.delta = {}
-        self.delta_bar = {}
-        self._delta_data = {}
-        for i in A.labels:
-            self._delta_data[i] = self._build_delta(i)
-            self.delta[i] = self._delta_data[i][0].module
-            self.delta_bar[i] = self._delta_data[i][1].module
+        self._records = {i: self._build_delta(i) for i in A.labels}
+        self.delta = {i: rec.delta.module for i, rec in self._records.items()}
+        self.delta_bar = {i: rec.delta_bar.module for i, rec in self._records.items()}
         self._op = None  # lazy opposite StratDatum (one level, no recursion)
         self._nabla = None
         self._left = None
@@ -238,22 +269,14 @@ class StratDatum:
     # construction ------------------------------------------------------------
 
     def _build_delta(self, i):
-        A, poset = self.A, self.poset
-        P = self.P[i]
-        U = Subspace.zero(A.field, P.dim)
-        for j in A.labels:
-            if not poset.leq(j, i):
-                U = U.plus(trace_from_projective(j, P))
-        delta, proj = P.quotient(U)
-        rad = delta.radical_subspace()
-        if rad.dim:
-            # the span of e_i·rad(Delta_i), from the columns of e_i times the radical's inclusion
-            eirad = delta.act(A.idempotent_for_label(i)) * rad.inclusion()
-            T = delta.invariant_closure(Subspace.row_space(eirad.transpose()))
-        else:
-            T = Subspace.zero(A.field, delta.dim)
-        dbar, proj2 = delta.quotient(T)
-        return StandardData(delta, proj, U), StandardData(dbar, proj2, T)
+        """The StandardRecord of i, shared through A._derived by every order with the
+        same labels j not <= i (taken in A.labels order)."""
+        A = self.A
+        above = tuple(j for j in A.labels if not self.poset.leq(j, i))
+        key = ("delta", i, above)
+        if key not in A._derived:
+            A._derived[key] = StandardRecord(A, i, above)
+        return A._derived[key]
 
     @property
     def op(self) -> "StratDatum":
@@ -278,8 +301,7 @@ class StratDatum:
 
     def delta_kernel_module(self, i):
         """ker(P_i ->> Delta_i) as a Module with its inclusion."""
-        data = self._delta_data[i][0]
-        return self.P[i].submodule(data.kernel)
+        return self._records[i].kernel_module(self.P[i])
 
     def left_stratified(self):
         """(verdict YES/NO/UNDET, per-label filtration results)."""
@@ -556,7 +578,10 @@ def poset_search(A):
     """All posets on the labels with their left/right/qh verdicts."""
     out = []
     for poset in all_posets(A.labels):
-        sd = StratDatum(A, poset)  # uncached: poset-heavy, keep the cache clean
+        # neither side's datum is cached: the standard modules they share across
+        # orders are kept on A and A.opposite() by StratDatum._build_delta
+        sd = StratDatum(A, poset)
+        sd._op = StratDatum(A.opposite(), poset)
         left, _ = sd.left_stratified()
         right, _ = sd.right_stratified()
         qh = sd.quasi_hereditary()

@@ -148,6 +148,28 @@ class TestErrors:
         assert code == 1 or code == 2
 
 
+class TestIdempotentPicks:
+    # the labels of a tensor product are pairs "(a,b)", with a comma inside
+    SPEC = corpus_path("sl2-tensor-square")
+
+    def test_labels_with_commas_match_index_picks(self, capsys):
+        code, by_label, _ = run(capsys, "--json", "corner", self.SPEC, "--e", "(1,1),(2,2)")
+        code2, by_index, _ = run(capsys, "--json", "corner", self.SPEC, "--e", "#0,#3")
+        assert code == code2 == 0
+        assert by_label == by_index
+        assert json.loads(by_label)["labels"] == ["(1,1)", "(2,2)"]
+
+    def test_one_label_with_a_comma(self, capsys):
+        code, out, _ = run(capsys, "--json", "corner", self.SPEC, "--e", "(1,2)")
+        assert code == 0 and json.loads(out)["labels"] == ["(1,2)"]
+
+    @pytest.mark.parametrize("pick", ["(9,9)", "(1,1", "1", "#x", "#4"])
+    def test_unknown_pick_is_an_input_error(self, capsys, pick):
+        code, out, err = run(capsys, "corner", self.SPEC, "--e", pick)
+        assert code == 2 and not out
+        assert err.startswith("input error:")
+
+
 # -- every command with --json: parseable output and a documented exit code ----------
 
 LIGHT_SPECS = ("auslander-x3", "diamond", "ext2-chain", "fork", "fork-refined", "rad-square-zero", "sl2-block")

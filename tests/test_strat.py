@@ -1,14 +1,17 @@
 """Stratification layer: posets, standard families, filtrations, verdicts."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from strata.corpus import entry
+from strata.corpus import entry, entry_spec
 from strata.errors import NotAntisymmetric
 from strata.modules import Module, comp_mult, simple
 from strata.strat import (
     NO,
     YES,
     LabelPoset,
+    StratDatum,
     all_posets,
     bgg_reciprocity_check,
     filtration_proper,
@@ -17,6 +20,8 @@ from strata.strat import (
     poset_search,
     strat_datum,
 )
+from strata.specfile import load_spec
+from test_theorem_oracles import compile_rad_square_zero, rad_square_zero
 
 
 class TestLabelPoset:
@@ -280,3 +285,82 @@ class TestBGG:
         )
         sd = strat_datum(K2, LabelPoset.chain(["1", "2"]))
         assert bgg_reciprocity_check(sd)
+
+
+# -- standard modules shared across orders -------------------------------------------
+
+
+def _fresh_algebra(name, field):
+    doc = entry_spec(name)
+    doc["field"] = field
+    return load_spec(doc).algebra
+
+
+def _forget_standard_records(A):
+    """Drop the memoised standard modules of A and A^op, so the next datum builds its own."""
+    for side in (A, A.opposite()):
+        for key in [k for k in side._derived if k[0] == "delta"]:
+            del side._derived[key]
+
+
+def _datum_answers(sd):
+    """What a StratDatum answers: verdicts, the action matrices of Delta, DeltaBar and
+    NablaBar, and the kernel filtrations on both sides with their certificates."""
+    left, results = sd.left_stratified()
+    right, op_results = sd.right_stratified()
+    per_label = {
+        i: (sd.delta[i].action, sd.delta_bar[i].action, sd.nabla_bar[i].action,
+            results[i].to_json(), results[i].certs, op_results[i].to_json(), op_results[i].certs)
+        for i in sd.A.labels
+    }
+    return left, right, sd.quasi_hereditary(), per_label
+
+
+def _memo_matches_fresh(shared, fresh, posets):
+    """Datums on `shared` reuse each other's standard modules; each datum on `fresh`
+    builds its own. Both must give the same answers, entry for entry."""
+    for poset in posets:
+        _forget_standard_records(fresh)
+        assert _datum_answers(StratDatum(shared, poset)) == _datum_answers(StratDatum(fresh, poset)), poset
+
+
+def _standard_record_keys(A):
+    return {k for k in A._derived if k[0] == "delta"}
+
+
+class TestStandardMemo:
+    @pytest.mark.parametrize("field", ["Q", {"Fp": 32003}], ids=["q", "fp"])
+    @pytest.mark.parametrize("name", ["diamond", "nonbasic-endo"])
+    def test_every_order_matches_a_fresh_algebra(self, name, field):
+        shared = _fresh_algebra(name, field)
+        _memo_matches_fresh(shared, _fresh_algebra(name, field), all_posets(shared.labels))
+
+    def test_poset_search_keeps_one_record_per_label_and_labels_above(self):
+        A = _fresh_algebra("diamond", "Q")
+        posets = all_posets(A.labels)
+        poset_search(A)
+        n = len(A.labels)
+        want = {("delta", i, tuple(j for j in A.labels if not p.leq(j, i))) for p in posets for i in A.labels}
+        assert len(want) <= n * 2 ** (n - 1)
+        for side in (A, A.opposite()):
+            assert _standard_record_keys(side) == want
+            assert not [k for k in side._derived if k[0] == "strat"]
+
+    def test_datums_share_the_record(self):
+        A = _fresh_algebra("diamond", "Q")
+        # 1 < 2 and the antichain agree on the labels not below 1: {2, 3, 4}
+        a = StratDatum(A, LabelPoset(A.labels, [("1", "2")]))
+        b = StratDatum(A, LabelPoset.antichain(A.labels))
+        assert a.delta["1"] is b.delta["1"] and a.delta_bar["1"] is b.delta_bar["1"]
+        assert a.delta_kernel_module("1")[0] is b.delta_kernel_module("1")[0]
+        assert a.delta["2"] is not b.delta["2"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(rad_square_zero(), st.data())
+def test_memo_matches_fresh_on_random_orders(quiver, data):
+    f, vertices, arrows = quiver
+    posets = all_posets(vertices)
+    picked = data.draw(st.lists(st.sampled_from(posets), min_size=1, max_size=6))
+    _memo_matches_fresh(compile_rad_square_zero(f, vertices, arrows),
+                        compile_rad_square_zero(f, vertices, arrows), picked)
