@@ -218,9 +218,6 @@ class Matrix:
     def col(self, j):
         return self._elems(self.nums[j :: self.cols])
 
-    def row_list(self):
-        return [self.row(i) for i in range(self.rows)]
-
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)

@@ -128,7 +128,9 @@ class Module:
 
     def submodule(self, subspace: Subspace):
         """(module on the subspace, inclusion matrix dim(self) x dim(sub))."""
-        return Module(self.algebra, subspace.dim, self.action_on(subspace)), subspace.inclusion()
+        # action_on certifies the restricted action, so the unit acts as the identity
+        sub = Module(self.algebra, subspace.dim, self.action_on(subspace), check_unit=False)
+        return sub, subspace.inclusion()
 
     def quotient(self, subspace: Subspace):
         """(quotient module, projection matrix dim(quot) x dim(self))."""
@@ -137,7 +139,7 @@ class Module:
         d, n = self.dim, self.algebra.dim
         # M times the lift is the complement columns of M
         kept = Matrix.hcat(self.action).take_cols([k * d + c for k in range(n) for c in comp])
-        return Module(self.algebra, len(comp), (proj * kept).hsplit(n)), proj
+        return Module(self.algebra, len(comp), (proj * kept).hsplit(n), check_unit=False), proj
 
     @classmethod
     def direct_sum(cls, mods):
@@ -152,10 +154,12 @@ class Module:
     def dual(self):
         """The k-dual, a module over the opposite algebra."""
         op = self.algebra.opposite()
-        return Module(op, self.dim, [M.transpose() for M in self.action])
+        return Module(op, self.dim, [M.transpose() for M in self.action], check_unit=False)
 
     def restrict_along(self, emb: Matrix, B):
-        """Restriction along an algebra embedding B -> A given by emb columns."""
+        """Restriction along an algebra embedding B -> A given by emb columns.
+
+        The unit is checked: a corner embedding eAe -> A is not unital."""
         return Module(B, self.dim, self.act_rows(emb.transpose()).vsplit(B.dim))
 
     def inflate_along(self, proj: Matrix, A):

@@ -151,13 +151,6 @@ def enumerate_paths(pres: QuiverPresentation, upto: int):
     return paths, index
 
 
-def path_index(pres, index, written_path):
-    """Index of a written-order arrow-name path in the enumeration, or None."""
-    src, _ = pres.path_endpoints(written_path)
-    key = (src,) + tuple(reversed(written_path))
-    return index.get(key)
-
-
 def compile_presentation(pres: QuiverPresentation, fld):
     """Return the raw compilation data used by algebra.compile_quiver.
 

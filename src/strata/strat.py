@@ -206,13 +206,6 @@ def all_posets(labels):
 # -- standard objects --------------------------------------------------------------
 
 
-@dataclass
-class StandardData:
-    module: Module
-    projection: Matrix  # from P_i (for delta) or from delta (for delta_bar)
-    kernel: Subspace
-
-
 class StandardRecord:
     """Delta_i and DeltaBar_i for one label i and one set of labels j with j not <= i.
 
@@ -221,14 +214,14 @@ class StandardRecord:
     ker(P_i ->> Delta_i) as a module is built on first use and kept here too.
     """
 
-    __slots__ = ("delta", "delta_bar", "_kernel")
+    __slots__ = ("delta", "delta_bar", "_kernel_space", "_kernel")
 
     def __init__(self, A, i, above):
         P = projective(A, i)
         U = Subspace.zero(A.field, P.dim)
         for j in above:
             U = U.plus(trace_from_projective(j, P))
-        delta, proj = P.quotient(U)
+        delta, _ = P.quotient(U)
         rad = delta.radical_subspace()
         if rad.dim:
             # the span of e_i·rad(Delta_i), from the columns of e_i times the radical's inclusion
@@ -236,15 +229,15 @@ class StandardRecord:
             T = delta.invariant_closure(Subspace.row_space(eirad.transpose()))
         else:
             T = Subspace.zero(A.field, delta.dim)
-        dbar, proj2 = delta.quotient(T)
-        self.delta = StandardData(delta, proj, U)
-        self.delta_bar = StandardData(dbar, proj2, T)
+        self.delta = delta
+        self.delta_bar, _ = delta.quotient(T)
+        self._kernel_space = U
         self._kernel = None
 
     def kernel_module(self, P):
         """ker(P ->> Delta_i) as (module, inclusion), P being the projective P_i."""
         if self._kernel is None:
-            self._kernel = P.submodule(self.delta.kernel)
+            self._kernel = P.submodule(self._kernel_space)
         return self._kernel
 
 
@@ -259,8 +252,8 @@ class StratDatum:
         self.P = {i: projective(A, i) for i in A.labels}
         self.L = {i: simple(A, i) for i in A.labels}
         self._records = {i: self._build_delta(i) for i in A.labels}
-        self.delta = {i: rec.delta.module for i, rec in self._records.items()}
-        self.delta_bar = {i: rec.delta_bar.module for i, rec in self._records.items()}
+        self.delta = {i: rec.delta for i, rec in self._records.items()}
+        self.delta_bar = {i: rec.delta_bar for i, rec in self._records.items()}
         self._op = None  # lazy opposite StratDatum (one level, no recursion)
         self._nabla = None
         self._left = None
@@ -351,15 +344,32 @@ class StratDatum:
 
         return all(ext_dim(X, self.nabla_bar[j], 1) == 0 for j in self.A.labels)
 
-    def proper_costandard_filtration_of_dual(self, X_over_op):
-        """Check D(X) in F(NablaBar) for a right module given over the opposite."""
-        return filtration_proper(X_over_op, self.op.delta_bar, self.poset)
+    def dimension_counts(self):
+        """(sum_j dim Delta_j * dim NablaBar_j, sum_j dim Delta^op_j * dim DeltaBar_j),
+        reading dim NablaBar_j as dim DeltaBar^op_j.
+
+        Over a split algebra, BGG reciprocity (P_i : Delta_j) = [NablaBar_j : L_i]
+        (Agoston, Happel, Lukacs and Unger 2000) gives dim A = the first count when
+        (A, poset) is left standardly stratified, and dim A = the second when it is
+        right standardly stratified.  The converse fails, so a count can refute a
+        side but never confirm it.
+        """
+        op = self.op
+        labels = self.A.labels
+        return (sum(self.delta[j].dim * op.delta_bar[j].dim for j in labels),
+                sum(op.delta[j].dim * self.delta_bar[j].dim for j in labels))
 
     def report_json(self):
         """Verdicts plus per-label filtration certificates (the chain matrices
         allow independent re-verification)."""
         left, results = self.left_stratified()
         right, op_results = self.right_stratified()
+        if is_split(self.A):
+            # both sides are built here, so checking each YES against its count is free
+            for side, verdict, count in zip(("left", "right"), (left, right), self.dimension_counts()):
+                if verdict == YES and count != self.A.dim:
+                    raise InvariantViolation(f"{side} standardly stratified, but the dimension count "
+                                             f"is {count}, not dim A = {self.A.dim}")
         return {
             "left_standardly_stratified": left,
             "right_standardly_stratified": right,
@@ -383,6 +393,12 @@ class StratDatum:
                 if comp_mult(self.delta[i], j) != 0 or comp_mult(self.nabla_bar[i], j) != 0:
                     pairs.append((j, i))
         return LabelPoset(self.A.labels, pairs)
+
+
+def is_split(A):
+    """Every End(L_j) = k.  dim End(L_j) = dim Hom(P_j, L_j) = dim e_j L_j = [L_j : L_j],
+    which comp_mult keeps on the cached simple module, so no Hom space is solved."""
+    return all(comp_mult(simple(A, j), j) == 1 for j in A.labels)
 
 
 def strat_datum(A, poset: LabelPoset) -> StratDatum:
@@ -556,16 +572,6 @@ def _find_surjection(X: Module, D: Module):
 # -- public verdict API -------------------------------------------------------------
 
 
-def is_left_standardly_stratified(A, poset):
-    sd = strat_datum(A, poset)
-    return sd.left_stratified()
-
-
-def is_right_standardly_stratified(A, poset):
-    sd = strat_datum(A, poset)
-    return sd.right_stratified()
-
-
 def is_quasi_hereditary(A, poset):
     return strat_datum(A, poset).quasi_hereditary()
 
@@ -575,16 +581,25 @@ def essential_order(A, poset):
 
 
 def poset_search(A):
-    """All posets on the labels with their left/right/qh verdicts."""
+    """All posets on the labels with their left/right/qh verdicts.
+
+    Over a split algebra, a side whose dimension count (StratDatum.dimension_counts)
+    is not dim A is not stratified, so it is answered NO without a filtration; a
+    side whose count is dim A is peeled as usual.
+    """
+    gated = is_split(A)
     out = []
     for poset in all_posets(A.labels):
         # neither side's datum is cached: the standard modules they share across
         # orders are kept on A and A.opposite() by StratDatum._build_delta
         sd = StratDatum(A, poset)
         sd._op = StratDatum(A.opposite(), poset)
-        left, _ = sd.left_stratified()
-        right, _ = sd.right_stratified()
-        qh = sd.quasi_hereditary()
+        # an algebra that is not split peels every side
+        s_left, s_right = sd.dimension_counts() if gated else (A.dim, A.dim)
+        left = sd.left_stratified()[0] if s_left == A.dim else NO
+        right = sd.right_stratified()[0] if s_right == A.dim else NO
+        # quasi-hereditary needs left standardly stratified
+        qh = sd.quasi_hereditary() if s_left == A.dim else NO
         out.append((poset, {"left": left, "right": right, "quasi_hereditary": qh}))
     return out
 

@@ -3,8 +3,10 @@
 import pytest
 
 from strata.corpus import entry
+from strata.errors import InvalidModule
 from strata.functors import SubalgebraEmbedding
 from strata.homology import ext_dim, ext_dims_upto, global_dimension, resolution
+from strata.kernel.matrix import Matrix
 from strata.modules import (
     Module,
     comp_mult,
@@ -94,6 +96,29 @@ class TestActionInvariant:
         X = projective(A, "1")
         Y = Module.from_json(A, X.to_json())
         assert Y.dim == X.dim and Y.action == X.action
+
+    def test_non_unital_modules_are_refused(self):
+        # every basis element acting by zero is multiplicative but not unital; a user
+        # module, its JSON form and a restriction along a corner embedding are checked
+        A = entry("fork").algebra
+        zero = Matrix.zeros(A.field, 1, 1)
+        with pytest.raises(InvalidModule, match="unit"):
+            Module(A, 1, [zero] * A.dim)
+        doc = {"dim": 1, "action": {name: zero.to_json() for name in A.basis_names}}
+        with pytest.raises(InvalidModule, match="unit"):
+            Module.from_json(A, doc)
+        P = projective(A, "1")
+        e = A.idempotent_for_label("1")
+        assert P.e_part(e).dim < P.dim
+        C, emb = A.corner(e)
+        with pytest.raises(InvalidModule, match="unit"):
+            P.restrict_along(emb, C)
+
+    def test_certified_constructions_are_unital(self):
+        A = entry("fork").algebra
+        P = projective(A, "1")
+        for X in (P.submodule(P.radical_subspace())[0], P.top()[0], P.dual()):
+            assert X.act(X.algebra.unit) == Matrix.identity(A.field, X.dim)
 
 
 class TestHom:

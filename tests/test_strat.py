@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strata.algebra import Algebra, structure_constant_algebra
 from strata.corpus import entry, entry_spec
-from strata.errors import NotAntisymmetric
+from strata.errors import InvariantViolation, NotAntisymmetric
+from strata.kernel.fields import QQ
 from strata.modules import Module, comp_mult, simple
 from strata.strat import (
     NO,
@@ -17,11 +19,12 @@ from strata.strat import (
     filtration_proper,
     filtration_standard,
     is_quasi_hereditary,
+    is_split,
     poset_search,
     strat_datum,
 )
 from strata.specfile import load_spec
-from test_theorem_oracles import compile_rad_square_zero, rad_square_zero
+from test_theorem_oracles import compile_rad_square_zero, rad_square_zero, verdicts
 
 
 class TestLabelPoset:
@@ -364,3 +367,68 @@ def test_memo_matches_fresh_on_random_orders(quiver, data):
     picked = data.draw(st.lists(st.sampled_from(posets), min_size=1, max_size=6))
     _memo_matches_fresh(compile_rad_square_zero(f, vertices, arrows),
                         compile_rad_square_zero(f, vertices, arrows), picked)
+
+
+# -- the dimension count that gates poset_search -------------------------------------
+
+
+def _gaussian_rationals(monkeypatch):
+    """Q(i) over Q, built without the primitivity check: End(L) = Q(i) is not Q, so the
+    algebra is not split.  It is semisimple, so every side of its one order is stratified."""
+    monkeypatch.setattr(Algebra, "_check_primitivity_and_labels", lambda self: None)
+    return structure_constant_algebra(
+        QQ, ["1", "i"], [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, -1)], [1, 0], [([1, 0], "1")],
+    )
+
+
+class TestDimensionGate:
+    @pytest.mark.parametrize("field", ["Q", {"Fp": 32003}], ids=["q", "fp"])
+    @pytest.mark.parametrize("name", ["auslander-x3", "diamond", "dual-extension", "nonbasic-endo"])
+    def test_gated_search_matches_the_peeled_verdicts(self, name, field):
+        A = _fresh_algebra(name, field)
+        gated = {poset: (row["left"], row["right"], row["quasi_hereditary"]) for poset, row in poset_search(A)}
+        assert gated == verdicts(A)
+
+    def test_an_order_that_meets_the_count_is_still_peeled(self):
+        # rad^2 = 0 with a loop at 1 and arrows 1 -> 2, 1 -> 3, under 2 < 1: the right count
+        # is dim A, yet no side is stratified, so equality must not answer YES.  Over A^op
+        # the sides swap, which puts the count that is met on the left.
+        A = compile_rad_square_zero(QQ, ["1", "2", "3"], [("1", "1"), ("1", "2"), ("1", "3")])
+        poset = LabelPoset(A.labels, [("2", "1")])
+        for side, counts in ((A, (5, 6)), (A.opposite(), (6, 5))):
+            assert StratDatum(side, poset).dimension_counts() == counts and side.dim == 6
+            assert dict(poset_search(side))[poset] == {"left": NO, "right": NO, "quasi_hereditary": NO}
+
+    def test_search_counts_every_order_of_a_split_algebra(self, monkeypatch):
+        A = _fresh_algebra("fork", "Q")
+        seen = []
+        counts = StratDatum.dimension_counts
+        monkeypatch.setattr(StratDatum, "dimension_counts", lambda sd: seen.append(sd.poset) or counts(sd))
+        poset_search(A)
+        assert len(seen) == len(all_posets(A.labels)) == 19
+
+    def test_search_skips_the_count_when_not_split(self, monkeypatch):
+        A = _gaussian_rationals(monkeypatch)
+        assert not is_split(A)
+        sd = StratDatum(A, LabelPoset.antichain(A.labels))
+        # the count misses dim A although both sides are stratified
+        assert sd.dimension_counts() == (4, 4) and A.dim == 2
+        assert sd.report_json()["left_standardly_stratified"] == YES
+
+        def refuse(sd):
+            raise AssertionError("dimension count used on an algebra that is not split")
+
+        monkeypatch.setattr(StratDatum, "dimension_counts", refuse)
+        [(_, row)] = poset_search(A)
+        assert row == {"left": YES, "right": YES, "quasi_hereditary": YES}
+
+    def test_report_refuses_a_yes_that_misses_the_count(self):
+        # a freshly loaded algebra, so that the swap below reaches no cached datum
+        A = _fresh_algebra("diamond", "Q")
+        sd = StratDatum(A, entry("diamond").poset)
+        assert sd.report_json()["left_standardly_stratified"] == YES
+        # a wrong DeltaBar^op_2 (the simple L_2 over A^op, of smaller dimension) breaks the count
+        assert sd.op.delta_bar["2"].dim > 1
+        sd.op.delta_bar["2"] = simple(A.opposite(), "2")
+        with pytest.raises(InvariantViolation, match="dimension count"):
+            sd.report_json()

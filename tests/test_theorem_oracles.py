@@ -10,7 +10,12 @@ do not depend on the library:
   linear order of its vertices; a cycle of rad^2 = 0 gives infinite global
   dimension, which no quasi-hereditary algebra has);
 - QH(A, <=) = QH(A^op, <=) for every order (Dlab and Ringel 1989);
-- permuting the basis of a structure-constant algebra changes no verdict.
+- permuting the basis of a structure-constant algebra changes no verdict;
+- the dimension identity: over a split algebra, left standardly stratified
+  for <= gives dim A = sum_j dim Delta_j * dim NablaBar_j, by BGG reciprocity
+  (P_i : Delta_j) = [NablaBar_j : L_i] (Agoston, Happel, Lukacs and Unger
+  2000), and likewise on the right over A^op.  Only this direction holds: some
+  orders meet the count without being stratified.
 
 A verdict may be "undetermined" (an isomorphism the search could neither find
 nor refute); that is no answer, so it contradicts nothing.  Every determined
@@ -27,7 +32,7 @@ from strata.algebra import compile_quiver
 from strata.kernel import QQ, PrimeField
 from strata.quiver import QuiverPresentation
 from strata.specfile import export_algebra, load_spec
-from strata.strat import NO, UNDET, YES, LabelPoset, StratDatum, all_posets
+from strata.strat import NO, UNDET, YES, LabelPoset, StratDatum, all_posets, is_split, poset_search
 
 FIELDS = [QQ, PrimeField(32003)]
 
@@ -98,6 +103,25 @@ def test_rad_square_zero_verdicts(quiver, seed):
         assert agree(StratDatum(op, poset).quasi_hereditary(), q)
     again = verdicts(permuted(A, seed))
     assert all(agree(u, v) for poset in found for u, v in zip(found[poset], again[poset]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(rad_square_zero())
+def test_stratified_sides_meet_the_dimension_count(quiver):
+    A = compile_rad_square_zero(*quiver)
+    assert is_split(A)
+    for poset in all_posets(A.labels):
+        sd = StratDatum(A, poset)
+        s_left, s_right = sd.dimension_counts()
+        if sd.left_stratified()[0] == YES:
+            assert s_left == A.dim, poset
+        if sd.right_stratified()[0] == YES:
+            assert s_right == A.dim, poset
+    # the search, which answers NO from the count alone, agrees with the peeled verdicts
+    peeled = verdicts(A)
+    for poset, row in poset_search(A):
+        gated = (row["left"], row["right"], row["quasi_hereditary"])
+        assert all(agree(u, v) for u, v in zip(gated, peeled[poset])), poset
 
 
 def test_trace_told_from_standard_by_its_radical():
