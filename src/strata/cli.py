@@ -169,8 +169,6 @@ def cmd_check(args):
         rep.body["orders"] = rows
         good = sum(1 for r in rows if r["left"] == YES or r["right"] == YES)
         rep.line(f"{len(rows)} posets, {good} stratifying")
-        if any(UNDET in (r["left"], r["right"]) for r in rows):
-            rep.inconclusive()
         return rep
     data = strat_datum(A, poset)
     left, _ = data.left_stratified()
@@ -182,9 +180,7 @@ def cmd_check(args):
     rep.line(f"quasi-hereditary: {qh}")
     side = args.side or "left"
     headline = left if side == "left" else right
-    if headline == UNDET:
-        rep.inconclusive()
-    elif headline == NO:
+    if headline == NO:
         rep.fail()
     return rep
 
@@ -217,8 +213,6 @@ def cmd_idempotent(args):
     for k in sorted(report.conds):
         rep.line(f"condition {k}: {report.conds[k]}")
     rep.line(f"implication diagram consistent: {report.diagram_consistent}")
-    if report.inconclusive:
-        rep.inconclusive()
     if not report.diagram_consistent:
         rep.fail()
     return rep

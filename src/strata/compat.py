@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from .errors import InvariantViolation, SupportNotCoideal
 from .functors import IdempotentContext
 from .kernel.subspace import Subspace
-from .modules import Module, comp_mult, iso_test, iso_to_direct_power, simple
+from .modules import Module, iso_test, iso_to_direct_power, simple
 from .strat import (
     NO,
     UNDET,
@@ -84,7 +84,6 @@ def build_stratification_chain(A, poset, e_vec, sd: StratDatum | None = None):
         J = A.two_sided_ideal(ek)
         lab = ext[len(ext) - 1 - k]
         Jmod, _ = reg.submodule(J)
-        layer_space_rows = []
         # layer = J / prev inside Jmod coordinates
         prev_in_J = Subspace.row_space(J.coordinates(prev.inclusion()).transpose())
         layer, _ = Jmod.quotient(prev_in_J)
@@ -92,15 +91,8 @@ def build_stratification_chain(A, poset, e_vec, sd: StratDatum | None = None):
         if D.dim == 0 or layer.dim % D.dim:
             return NO, None, f"layer at {lab} has dim {layer.dim}, not a multiple of {D.dim}"
         t = layer.dim // D.dim
-        cert = iso_to_direct_power(layer, D, t)
-        if cert is None:
-            for lab2 in A.labels:
-                if comp_mult(layer, lab2) != t * comp_mult(D, lab2):
-                    raise AssertionError(
-                        "stratification layer fails invariants although the support "
-                        "is an essential coideal; internal inconsistency"
-                    )
-            return UNDET, None, f"layer at {lab} could not be certified"
+        if iso_to_direct_power(layer, D, t) is None:
+            return NO, None, f"layer at {lab} is not Delta_{lab}^{t}"
         ideals.append(J)
         layer_data.append((lab, t))
         prev = J
@@ -108,14 +100,14 @@ def build_stratification_chain(A, poset, e_vec, sd: StratDatum | None = None):
     AeA = A.two_sided_ideal(A.coerce_vec(e_vec))
     want = ideals[len(supp) - 1] if supp else Subspace.zero(A.field, A.dim)
     if supp and want != AeA:
-        raise AssertionError("J_l differs from AeA; internal inconsistency")
+        raise InvariantViolation("J_l differs from AeA")
     return YES, chain, None
 
 
 @dataclass
 class CompatReport:
     support: tuple
-    conds: dict  # 1..6 -> YES/NO/UNDET
+    conds: dict  # 1..6 -> YES/NO
     chain: StratificationChain | None
     filtration4: FiltrationResult | None
     filtration5: FiltrationResult | None
@@ -137,17 +129,14 @@ class CompatReport:
 
 
 def _imp(a, b):
-    """Three-valued implication: False only when a is YES and b is NO."""
-    if a == YES and b == NO:
-        return False
-    return True
+    return not (a == YES and b == NO)
 
 
 def _check_diagram(c):
     ok = True
     ok &= _imp(c[1], c[2])
     ok &= _imp(c[2], c[3]) and _imp(c[3], c[2])
-    c45 = YES if (c[4] == YES and c[5] == YES) else (NO if NO in (c[4], c[5]) else UNDET)
+    c45 = YES if (c[4] == YES and c[5] == YES) else NO
     ok &= _imp(c[3], c45) and _imp(c45, c[3])
     ok &= _imp(c[4], c[6])
     ok &= _imp(c[5], c[6])
@@ -174,7 +163,6 @@ def compatibility_battery(A, poset, e_vec, with_identities=True) -> CompatReport
     ess = sd.essential_order()
     conds[3] = YES if ess.is_coideal(supp) else NO
 
-    full = len(supp) == len(A.labels) and A.two_sided_ideal(e).dim == A.dim
     ctx = IdempotentContext(A, e)
 
     # condition 4: A/AeA as a left module has a standard filtration
@@ -199,11 +187,10 @@ def compatibility_battery(A, poset, e_vec, with_identities=True) -> CompatReport
         sub_verdicts.append(sq.left_stratified()[0])
     sc = strat_datum(ctx.corner, poset.restrict(supp))
     sub_verdicts.append(sc.left_stratified()[0])
-    conds[6] = (NO if NO in sub_verdicts else (UNDET if UNDET in sub_verdicts else YES))
+    conds[6] = NO if NO in sub_verdicts else YES
 
     # condition 2: constructive chain certificate
-    status2, chain, witness2 = build_stratification_chain(A, poset, e, sd)
-    conds[2] = status2
+    conds[2], chain, _ = build_stratification_chain(A, poset, e, sd)
 
     diagram = _check_diagram(conds)
     inconclusive = UNDET in conds.values()

@@ -139,7 +139,6 @@ class SubalgebraEmbedding:
         # unital algebra map checks
         if (emb * Matrix.column(f, list(B.unit))).col(0) != list(A.unit):
             raise DimensionMismatch("embedding does not preserve the unit")
-        self._unit_checked = True
 
     def image_vec(self, b_vec):
         f = self.A.field

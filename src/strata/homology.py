@@ -98,7 +98,6 @@ class Resolution:
         """Differential d_n expressed as algebra elements, grid [s][u]."""
         prev = self.layers[n - 1]
         cur = self.layers[n]
-        D = self.diffs[n]
         offs = [0]
         for s in prev:
             offs.append(offs[-1] + s.module.dim)

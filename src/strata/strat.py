@@ -11,7 +11,8 @@ Filtration checking is greedy with certificates.  For standard-type families
 the layers with maximal label sit at the bottom and are peeled all at once as
 the trace of the corresponding projective; for proper-standard-type families
 (which admit self-extensions) single top layers are peeled via surjections.
-A failed isomorphism search downgrades to "undetermined", never to "no".
+Both peels are decided exactly through the simple top of the layer
+(modules.surjection_onto_power), so every verdict is "yes" or "no".
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from .kernel.subspace import Subspace
 from .modules import (
     Module,
     comp_mult,
-    hom_basis,
     iso_to_direct_power,
     projective,
     simple,
+    surjection_onto_power,
     trace_from_projective,
 )
 
@@ -176,7 +177,6 @@ def all_posets(labels):
         raise InputError("poset enumeration limited to 5 labels")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     out = []
-    states = [0] * len(pairs)
 
     def transitive(rel):
         for i in range(n):
@@ -297,7 +297,7 @@ class StratDatum:
         return self._records[i].kernel_module(self.P[i])
 
     def left_stratified(self):
-        """(verdict YES/NO/UNDET, per-label filtration results)."""
+        """(verdict YES/NO, per-label filtration results)."""
         if self._left is not None:
             return self._left
         results = {}
@@ -309,8 +309,6 @@ class StratDatum:
             results[i] = res
             if res.status == NO:
                 verdict = NO
-            elif res.status == UNDET and verdict == YES:
-                verdict = UNDET
         self._left = (verdict, results)
         return self._left
 
@@ -321,18 +319,17 @@ class StratDatum:
 
     def quasi_hereditary(self):
         """left stratified and Delta_i = DeltaBar_i for every i."""
-        left, _ = self.left_stratified()
-        if left != YES:
-            return left if left == UNDET else NO
+        if self.left_stratified()[0] != YES:
+            return NO
         for i in self.A.labels:
             if self.delta[i].dim != self.delta_bar[i].dim:
                 return NO
         return YES
 
-    def delta_filtration(self, X, allowed=None, cross_check=True):
+    def delta_filtration(self, X, allowed=None):
         """Greedy Delta-filtration check, cross-checked against the Ext oracle."""
         res = filtration_standard(X, self.delta, self.poset, allowed=allowed)
-        if cross_check and allowed is None and self.left_stratified()[0] == YES and res.status != UNDET:
+        if allowed is None and self.left_stratified()[0] == YES:
             oracle = self.ext_oracle_delta(X)
             if oracle != (res.status == YES):
                 raise InvariantViolation("greedy and Ext oracle disagree")
@@ -414,7 +411,7 @@ def strat_datum(A, poset: LabelPoset) -> StratDatum:
 
 @dataclass
 class FiltrationResult:
-    status: str  # yes / no / undetermined
+    status: str  # yes / no
     layers: list = field(default_factory=list)  # (label, multiplicity) in peel order
     chain: list = field(default_factory=list)  # ascending subspaces of the ambient module
     certs: list = field(default_factory=list)
@@ -471,11 +468,8 @@ def filtration_standard(X: Module, family, poset, allowed=None, tie_break="forwa
         Tmod, _ = cur.submodule(T_space)
         cert = iso_to_direct_power(Tmod, D, t)
         if cert is None:
-            bad = _power_invariant_witness(Tmod, D, t)
-            if bad:
-                return FiltrationResult(NO, layers, chain, certs, witness=bad)
-            return FiltrationResult(UNDET, layers, chain, certs,
-                                    witness=f"could not certify trace = Delta_{j}^{t}")
+            bad = _power_invariant_witness(Tmod, D, t) or f"the trace of P_{j} does not map onto Delta_{j}^{t}"
+            return FiltrationResult(NO, layers, chain, certs, witness=bad)
         # record the chain step in ambient coordinates
         quot_proj = T_space.projection_matrix()
         step = (quot_proj * proj_to_cur).kernel_basis()
@@ -530,7 +524,7 @@ def filtration_proper(X: Module, family, poset, allowed=None, tie_break="forward
                        reverse=(tie_break == "reverse"))
         epi, j = None, None
         for cand in cands:
-            epi = _find_surjection(cur, family[cand])
+            epi = surjection_onto_power(cur, family[cand], 1)
             if epi is not None:
                 j = cand
                 break
@@ -547,26 +541,6 @@ def filtration_proper(X: Module, family, poset, allowed=None, tie_break="forward
         incl_to_X = incl_to_X * incl
         cur = ker_mod
     return FiltrationResult(YES, layers, chain, certs, direction="top_down")
-
-
-def _find_surjection(X: Module, D: Module):
-    """An epimorphism X ->> D, or None (exact: D must have simple top).
-
-    By Nakayama, a map to D is onto iff its composite with D ->> top(D) is
-    nonzero, and top(D) is simple, so epi existence is linear in Hom(X, D).
-    """
-    if D.dim == 0:
-        return None
-    homs = hom_basis(X, D)
-    if not homs:
-        return None
-    _, top_proj = D.top()
-    for h in homs:
-        if not (top_proj * h).is_zero():
-            if h.rank() != D.dim:
-                raise InvariantViolation("family member does not have simple top")
-            return h
-    return None
 
 
 # -- public verdict API -------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Compatibility battery: supports, the six conditions, chains, identities."""
 
+import pytest
+
+import strata.compat
 from strata.compat import (
     build_stratification_chain,
     compatibility_battery,
@@ -7,6 +10,7 @@ from strata.compat import (
     support,
 )
 from strata.corpus import entry
+from strata.errors import InvariantViolation
 from strata.strat import NO, YES, strat_datum
 
 
@@ -111,6 +115,18 @@ class TestChain:
             A, ent.poset, A.idempotent_for_label("1")
         )
         assert status == NO and chain is None and witness
+
+    def test_rejected_layer_breaks_the_diagram(self, monkeypatch):
+        # at e_2 of fork the support is an essential coideal (condition 3), so a layer
+        # the exact test rejects makes condition 2 NO, which the diagram refuses
+        ent = entry("fork")
+        A = ent.algebra
+        e2 = A.idempotent_for_label("2")
+        monkeypatch.setattr(strata.compat, "iso_to_direct_power", lambda X, S, t: None)
+        status, chain, witness = build_stratification_chain(A, ent.poset, e2)
+        assert status == NO and chain is None and "is not Delta_" in witness
+        with pytest.raises(InvariantViolation, match="implication diagram"):
+            compatibility_battery(A, ent.poset, e2, with_identities=False)
 
 
 class TestIdentitySuite:

@@ -15,35 +15,49 @@ do not depend on the library:
   for <= gives dim A = sum_j dim Delta_j * dim NablaBar_j, by BGG reciprocity
   (P_i : Delta_j) = [NablaBar_j : L_i] (Agoston, Happel, Lukacs and Unger
   2000), and likewise on the right over A^op.  Only this direction holds: some
-  orders meet the count without being stratified.
+  orders meet the count without being stratified;
+- every layer check of a standard filtration, "the trace T is Delta_j^t",
+  which the library decides through the simple top of Delta_j, agrees with
+  the general isomorphism search iso_test(T, Delta_j^t) wherever that search
+  is determined.
 
-A verdict may be "undetermined" (an isomorphism the search could neither find
-nor refute); that is no answer, so it contradicts nothing.  Every determined
-verdict must agree with the theorems.  Three labels at most keep the search
-over all orders small (19 posets).
+Three labels at most keep the search over all orders small (19 posets).
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import strata.modules
+import strata.strat
 from strata.algebra import compile_quiver
-from strata.kernel import QQ, PrimeField
+from strata.kernel import QQ, Matrix, PrimeField
+from strata.modules import (
+    Module,
+    hom_basis,
+    iso_test,
+    iso_to_direct_power,
+    projective,
+    simple,
+    surjection_onto_power,
+)
 from strata.quiver import QuiverPresentation
 from strata.specfile import export_algebra, load_spec
-from strata.strat import NO, UNDET, YES, LabelPoset, StratDatum, all_posets, is_split, poset_search
+from strata.strat import NO, YES, LabelPoset, StratDatum, all_posets, is_split, poset_search
 
 FIELDS = [QQ, PrimeField(32003)]
+SMALL_FIELDS = [QQ, PrimeField(2), PrimeField(3)]
 
 
 @st.composite
-def rad_square_zero(draw):
+def rad_square_zero(draw, fields=FIELDS):
     """(field, vertices, arrows as (source, target)) of a random quiver."""
     n = draw(st.integers(1, 3))
     vertices = [str(v) for v in range(1, n + 1)]
     arrows = draw(st.lists(st.tuples(st.sampled_from(vertices), st.sampled_from(vertices)), max_size=4))
-    return draw(st.sampled_from(FIELDS)), vertices, arrows
+    return draw(st.sampled_from(fields)), vertices, arrows
 
 
 def compile_rad_square_zero(f, vertices, arrows):
@@ -68,11 +82,6 @@ def verdicts(A):
         sd = StratDatum(A, poset)
         out[poset] = (sd.left_stratified()[0], sd.right_stratified()[0], sd.quasi_hereditary())
     return out
-
-
-def agree(u, v):
-    """Two verdicts contradict each other only when both are determined."""
-    return u == v or UNDET in (u, v)
 
 
 def permuted(A, seed):
@@ -100,9 +109,9 @@ def test_rad_square_zero_verdicts(quiver, seed):
     assert (YES in qh) == (not has_cycle(vertices, arrows))
     op = A.opposite()
     for poset, (_, _, q) in found.items():
-        assert agree(StratDatum(op, poset).quasi_hereditary(), q)
+        assert StratDatum(op, poset).quasi_hereditary() == q
     again = verdicts(permuted(A, seed))
-    assert all(agree(u, v) for poset in found for u, v in zip(found[poset], again[poset]))
+    assert found == again
 
 
 @settings(max_examples=30, deadline=None)
@@ -120,8 +129,7 @@ def test_stratified_sides_meet_the_dimension_count(quiver):
     # the search, which answers NO from the count alone, agrees with the peeled verdicts
     peeled = verdicts(A)
     for poset, row in poset_search(A):
-        gated = (row["left"], row["right"], row["quasi_hereditary"])
-        assert all(agree(u, v) for u, v in zip(gated, peeled[poset])), poset
+        assert (row["left"], row["right"], row["quasi_hereditary"]) == peeled[poset], poset
 
 
 def test_trace_told_from_standard_by_its_radical():
@@ -136,3 +144,69 @@ def test_trace_told_from_standard_by_its_radical():
     assert left == NO
     assert "dim rad(trace) = 0 != 1*dim rad(layer) = 1" in results["1"].witness
     assert sd.quasi_hereditary() == NO == StratDatum(A.opposite(), poset).quasi_hereditary()
+
+
+@settings(max_examples=25, deadline=None)
+@given(rad_square_zero(SMALL_FIELDS))
+def test_layer_checks_agree_with_the_general_iso_search(quiver):
+    A = compile_rad_square_zero(*quiver)
+    calls = []
+
+    def recording(T, D, t):
+        cert = iso_to_direct_power(T, D, t)
+        calls.append((T, D, t, cert))
+        return cert
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(strata.strat, "iso_to_direct_power", recording)
+        for poset in all_posets(A.labels):
+            StratDatum(A, poset).left_stratified()
+            StratDatum(A.opposite(), poset).left_stratified()
+    for T, D, t, cert in calls:
+        if cert is not None:
+            assert cert.rank() == T.dim
+        v = iso_test(T, Module.direct_sum([D] * t))
+        if v.kind != "undetermined":
+            assert (v.kind == "iso") == (cert is not None), (T, D, t)
+
+
+def test_iso_test_is_exact_against_a_simple_top(monkeypatch):
+    # rad P_1 = L_2 + L_2 and Delta_2 = P_2 (L_2 over L_2) on the quiver above: no map
+    # of Hom(rad P_1, P_2) is invertible, and End(P_2) is local, so the answer is
+    # not_iso without a random trial
+    A = compile_rad_square_zero(QQ, ["1", "2"], [("1", "2"), ("1", "2"), ("2", "2")])
+    sd = StratDatum(A, LabelPoset(("1", "2"), [("1", "2")]))
+    K, _ = sd.delta_kernel_module("1")
+
+    def no_trials(rng, n):
+        raise AssertionError("random trial on a pair with a local endomorphism ring")
+
+    monkeypatch.setattr(strata.modules, "_trial_coefficients", no_trials)
+    assert sd.delta["2"].dim == K.dim == 2
+    v = iso_test(K, sd.delta["2"])
+    assert v.kind == "not_iso"
+    assert "local" in v.witness
+    assert iso_to_direct_power(K, sd.delta["2"], 1) is None
+
+
+def test_power_certificate_skips_maps_into_the_radical():
+    # D = P_2 is L_2 over L_2 (the loop x); Hom(D^t, D) lists x on a summand before the
+    # identity on it, so the first t basis maps miss the top and the pivots must choose
+    A = compile_rad_square_zero(QQ, ["1", "2"], [("1", "2"), ("1", "2"), ("2", "2")])
+    D = projective(A, "2")
+    for t in (1, 2, 3):
+        X = Module.direct_sum([D] * t)
+        assert Matrix.vcat(hom_basis(X, D)[:t]).rank() < t * D.dim
+        cert = surjection_onto_power(X, D, t)
+        assert cert.rank() == X.dim
+        assert all(cert * M == M * cert for M in X.action)
+    # onto fewer copies than the top allows: the earliest maps that reach the top are kept
+    X = Module.direct_sum([D] * 3)
+    p = D.radical_subspace().projection_matrix()
+    reach = [h for h in hom_basis(X, D) if not (p * h).is_zero()]
+    assert len(reach) == 3
+    assert surjection_onto_power(X, D, 1) == reach[0]
+    assert surjection_onto_power(X, D, 2) == Matrix.vcat(reach[:2])
+    # D + (L_2 + L_2) has the dimensions of D^2, but only one map to D reaches the top
+    L2 = Module.direct_sum([simple(A, "2")] * 2)
+    assert iso_to_direct_power(Module.direct_sum([D, L2]), D, 2) is None
