@@ -27,7 +27,6 @@ from .kernel.subspace import Subspace
 from .modules import Module, iso_test, iso_to_direct_power, simple
 from .strat import (
     NO,
-    UNDET,
     YES,
     FiltrationResult,
     StratDatum,
@@ -193,8 +192,8 @@ def compatibility_battery(A, poset, e_vec, with_identities=True) -> CompatReport
     conds[2], chain, _ = build_stratification_chain(A, poset, e, sd)
 
     diagram = _check_diagram(conds)
-    inconclusive = UNDET in conds.values()
-    report = CompatReport(supp, conds, chain, f4, f5, diagram, inconclusive)
+    # every condition is YES or NO; the field stays for the report's bytes
+    report = CompatReport(supp, conds, chain, f4, f5, diagram, False)
     if with_identities:
         report.identity_checks = recollement_identity_suite(A, poset, e, ctx=ctx, sd=sd, conds=conds)
     if not diagram:

@@ -489,9 +489,6 @@ def surjection_onto_power(X: Module, D: Module, t: int) -> Matrix | None:
     homs = hom_basis(X, D)
     if len(homs) < t:
         return None
-    cand = Matrix.vcat(homs[:t])
-    if cand.rank() == t * D.dim:
-        return cand
     p = D.radical_subspace().projection_matrix()
     # column k holds the entries of p·h_k, so the pivots are the greedy independent picks
     tops = Matrix.vcat([p * h for h in homs]).reshape(len(homs), p.rows * X.dim).transpose()
