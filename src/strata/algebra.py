@@ -291,7 +291,7 @@ class Algebra:
     def _trace_form_radical(self):
         f, n, P = self.field, self.dim, self.table
         # t[k] = trace of L_k = sum_l c_kl^l, the entries (k, l*n + l) of the table
-        traces = [sum(P.nums[k * n * n : (k + 1) * n * n : n + 1]) for k in range(n)]
+        traces = [r and ((0,), (sum([x for j, x in zip(*r) if not j % (n + 1)]),)) for r in P.nonzeros]
         t = Matrix.from_integers(f, n, 1, traces, P.den)
         # G[i, j] = tr(L(b_i * b_j)) = sum_k c_ij^k t[k]
         G = (P.reshape(n * n, n) * t).reshape(n, n)

@@ -212,9 +212,8 @@ def cmd_idempotent(args):
     rep.line(f"support: {list(report.support)}")
     for k in sorted(report.conds):
         rep.line(f"condition {k}: {report.conds[k]}")
+    # compatibility_battery raises InvariantViolation on an inconsistent diagram
     rep.line(f"implication diagram consistent: {report.diagram_consistent}")
-    if not report.diagram_consistent:
-        rep.fail()
     return rep
 
 

@@ -1,17 +1,23 @@
-"""Dense exact matrices over Q or F_p, stored as integers.
+"""Sparse exact matrices over Q or F_p, stored as integer rows.
 
-Over Q a matrix is a tuple of integer numerators ``nums`` (row-major) over one
-positive common denominator ``den``, in lowest terms: gcd(den, *nums) == 1,
-and den == 1 for the zero matrix.  The form is canonical, so ``==`` and
-``hash`` compare ``(den, nums)``.  Over F_p ``nums`` holds residues in
-0..p-1 and ``den`` is 1.
+A matrix keeps one entry of ``nonzeros`` per row: ``None`` for a zero row,
+otherwise a pair ``(columns, values)`` of tuples, the strictly increasing
+column indices of the row's nonzero entries and the nonzero integers there.
+Over Q the values are numerators over one positive common denominator
+``den``, in lowest terms: gcd(den, *values) == 1, and den == 1 for the zero
+matrix.  Over F_p the values are residues in 1..p-1 and ``den`` is 1.  The
+form is canonical, so ``==`` and ``hash`` compare ``(den, nonzeros)``.
 
-Arithmetic and elimination work on the integers only.  rank / rref hand the
-numerator rows straight to the two echelon routines of _elim_py
-(fraction-free elimination over Z for Q, ordinary reduction mod p): scaling a
-matrix by its denominator does not change its row space.  Field elements (``Fraction`` over Q, ints over F_p) are
-built only by the accessors -- ``m[i, j]``, ``row``, ``col``, ``entries``,
-``to_json`` -- and never cached beside the integers.
+Every operation touches only the stored nonzeros: a product runs over the
+left factor's nonzeros against the right factor's stored rows; row picks and
+stacking select row tuples; transposes, reshapes, splits and Kronecker
+products are one pass over the nonzeros.  Elimination builds dense integer
+rows once per rank / rref and hands them to the two echelon routines of
+_elim_py (fraction-free elimination over Z for Q, ordinary reduction mod p):
+scaling a matrix by its denominator does not change its row space.  Field
+elements (``Fraction`` over Q, ints over F_p) are built only by the
+accessors -- ``m[i, j]``, ``row``, ``col``, ``entries``, ``to_json`` -- and
+never cached beside the integers.
 
 Immutable after construction.  rank / kernel_basis / solve are exact: solve
 re-multiplies to verify its answer, kernel columns multiply to exactly zero.
@@ -19,10 +25,10 @@ re-multiplies to verify its answer, kernel columns multiply to exactly zero.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain, compress
 from math import gcd, lcm
-from operator import add, sub
 
 from ..errors import DimensionMismatch, FieldMismatch
 from ._elim_py import echelon_int, echelon_mod
@@ -33,20 +39,36 @@ def _ints(field, entries):
     """(den, nums) of a sequence of field elements (or coercible values)."""
     p = field.char
     if p:
-        return 1, tuple(x % p if type(x) is int else field.coerce(x) for x in entries)
+        return 1, [x % p if type(x) is int else field.coerce(x) for x in entries]
     try:
         den = lcm(*{x.denominator for x in entries})  # ints and Fractions
     except AttributeError:
         entries = [field.coerce(x) for x in entries]
         den = lcm(*{x.denominator for x in entries})
     if den == 1:
-        return 1, tuple(x.numerator for x in entries)
+        return 1, [x.numerator for x in entries]
     # Lowest-terms entries over the lcm of their denominators are already canonical.
-    return den, tuple(x.numerator * (den // x.denominator) for x in entries)
+    return den, [x.numerator * (den // x.denominator) for x in entries]
+
+
+def _pack(row, cols):
+    """The stored form of a dense row of integers (zeros allowed): None or (columns, values)."""
+    where = tuple(compress(cols, row))
+    return (where, tuple(compress(row, row))) if where else None
+
+
+def _at(r, j):
+    """The integer at column j of the stored row r."""
+    if r:
+        where = r[0]
+        k = bisect_left(where, j)
+        if k < len(where) and where[k] == j:
+            return r[1][k]
+    return 0
 
 
 class Matrix:
-    __slots__ = ("field", "rows", "cols", "den", "nums", "_echelon")
+    __slots__ = ("field", "rows", "cols", "den", "nonzeros", "_echelon")
 
     def __init__(self, field, rows, cols, entries):
         if len(entries) != rows * cols:
@@ -54,33 +76,32 @@ class Matrix:
         self.field = field
         self.rows = rows
         self.cols = cols
-        self.den, self.nums = _ints(field, entries)
+        self.den, nums = _ints(field, entries)
+        span = range(cols)
+        self.nonzeros = tuple([_pack(nums[i * cols : (i + 1) * cols], span) for i in range(rows)])
         self._echelon = None
 
     @classmethod
-    def _new(cls, field, rows, cols, den, nums):
-        """Wrap integers already in canonical form."""
+    def _new(cls, field, rows, cols, den, nonzeros):
+        """Wrap rows already in canonical form (nonzeros: a tuple)."""
         m = object.__new__(cls)
         m.field = field
         m.rows = rows
         m.cols = cols
         m.den = den
-        m.nums = nums
+        m.nonzeros = nonzeros
         m._echelon = None
         return m
 
     @classmethod
-    def _reduced(cls, field, rows, cols, den, nums):
-        """Wrap integers, bringing them to canonical form (nums: tuple or list)."""
-        p = field.char
-        if p:
-            return cls._new(field, rows, cols, 1, tuple([x % p for x in nums]))
+    def _reduced(cls, field, rows, cols, den, nonzeros):
+        """Wrap rows of nonzero values (residues over F_p), dividing out gcd(den, *values) over Q."""
         if den != 1:
-            g = gcd(den, *nums)
+            g = gcd(den, *chain.from_iterable(r[1] for r in nonzeros if r))
             if g != 1:
                 den //= g
-                nums = [x // g for x in nums]
-        return cls._new(field, rows, cols, den, tuple(nums))
+                nonzeros = tuple([r and (r[0], tuple([x // g for x in r[1]])) for r in nonzeros])
+        return cls._new(field, rows, cols, den, nonzeros)
 
     # -- construction -----------------------------------------------------
 
@@ -98,13 +119,11 @@ class Matrix:
 
     @classmethod
     def zeros(cls, field, rows, cols):
-        return cls._new(field, rows, cols, 1, (0,) * (rows * cols))
+        return cls._new(field, rows, cols, 1, (None,) * rows)
 
     @classmethod
     def identity(cls, field, n):
-        e = [0] * (n * n)
-        e[:: n + 1] = [1] * n
-        return cls._new(field, n, n, 1, tuple(e))
+        return cls._new(field, n, n, 1, tuple([((i,), (1,)) for i in range(n)]))
 
     @classmethod
     def column(cls, field, vec):
@@ -123,11 +142,24 @@ class Matrix:
         return cls(field, n, len(cols_), [c[i] for i in range(n) for c in cols_])
 
     @classmethod
-    def from_integers(cls, field, rows, cols, nums, den=1):
-        """rows x cols matrix of the integers nums (row-major) over den (1 over F_p)."""
-        if len(nums) != rows * cols:
-            raise DimensionMismatch(f"{rows}x{cols} matrix needs {rows*cols} entries, got {len(nums)}")
-        return cls._reduced(field, rows, cols, den, nums)
+    def from_integers(cls, field, rows, cols, nonzeros, den=1):
+        """rows x cols matrix over den (1 over F_p) whose row i holds the integers
+        nonzeros[i] = (columns, values), None for a zero row.  Columns strictly
+        increase; values may be zero or unreduced."""
+        if len(nonzeros) != rows:
+            raise DimensionMismatch(f"{rows}x{cols} matrix needs {rows} rows, got {len(nonzeros)}")
+        p = field.char
+        out = []
+        for r in nonzeros:
+            if r:
+                where, vals = r
+                if p:
+                    vals = [x % p for x in vals]
+                if not all(vals):
+                    where, vals = tuple(compress(where, vals)), tuple(compress(vals, vals))
+                r = (tuple(where), tuple(vals)) if where else None
+            out.append(r)
+        return cls._reduced(field, rows, cols, den, tuple(out))
 
     @classmethod
     def vcat(cls, mats):
@@ -136,8 +168,8 @@ class Matrix:
         if any(M.cols != first.cols for M in mats):
             raise DimensionMismatch("vstack col mismatch")
         den = cls._common_den(mats)
-        nums = tuple(chain.from_iterable(M._over(den) for M in mats))
-        return cls._new(first.field, sum(M.rows for M in mats), first.cols, den, nums)
+        rows = tuple(chain.from_iterable(M._over(den) for M in mats))
+        return cls._new(first.field, len(rows), first.cols, den, rows)
 
     @classmethod
     def hcat(cls, mats):
@@ -146,28 +178,25 @@ class Matrix:
         if any(M.rows != first.rows for M in mats):
             raise DimensionMismatch("hstack row mismatch")
         den = cls._common_den(mats)
-        parts = [(M._over(den), M.cols) for M in mats]
-        nums = []
-        for i in range(first.rows):
-            for a, c in parts:
-                nums.extend(a[i * c : (i + 1) * c])
-        return cls._new(first.field, first.rows, sum(M.cols for M in mats), den, tuple(nums))
+        offsets = [0]
+        for M in mats:
+            offsets.append(offsets[-1] + M.cols)
+        rows = _side_by_side(zip(*[M._over(den) for M in mats]), offsets)
+        return cls._new(first.field, first.rows, offsets[-1], den, rows)
 
     @classmethod
     def block_diagonal(cls, field, mats):
         """The block-diagonal matrix with the given diagonal blocks, top left first."""
         den = cls._common_den(mats, field)
-        rows, cols = sum(M.rows for M in mats), sum(M.cols for M in mats)
-        nums = [0] * (rows * cols)
-        r0 = c0 = 0
+        out = []
+        c0 = 0
         for M in mats:
-            a, c = M._over(den), M.cols
-            for i in range(M.rows):
-                start = (r0 + i) * cols + c0
-                nums[start : start + c] = a[i * c : (i + 1) * c]
-            r0 += M.rows
-            c0 += c
-        return cls._new(field, rows, cols, den, tuple(nums))
+            if c0:
+                out.extend([r and (tuple([c0 + j for j in r[0]]), r[1]) for r in M._over(den)])
+            else:
+                out.extend(M._over(den))
+            c0 += M.cols
+        return cls._new(field, len(out), c0, den, tuple(out))
 
     @staticmethod
     def _common_den(mats, field=None):
@@ -182,14 +211,23 @@ class Matrix:
     def linear_combination(cls, field, rows, cols, terms):
         """sum of c * M over the (c, M) in terms, each M rows x cols, in one pass."""
         terms = [(field.coerce(c), M) for c, M in terms if c]
+        p = field.char
         den = 1
-        if not field.char:
+        if not p:
             den = lcm(*(c.denominator * M.den for c, M in terms))
-        acc = [0] * (rows * cols)
+        acc = [None] * rows
         for c, M in terms:
-            factor = c if field.char else c.numerator * (den // (c.denominator * M.den))
-            acc = list(map(add, acc, map(factor.__mul__, M.nums)))
-        return cls._reduced(field, rows, cols, den, acc)
+            factor = c if p else c.numerator * (den // (c.denominator * M.den))
+            for i, r in enumerate(M.nonzeros):
+                if r:
+                    row = acc[i]
+                    if row is None:
+                        row = acc[i] = [0] * cols
+                    for j, x in zip(*r):
+                        row[j] += factor * x
+        span = range(cols)
+        out = tuple([row and _pack([x % p for x in row] if p else row, span) for row in acc])
+        return cls._reduced(field, rows, cols, den, out)
 
     # -- access ------------------------------------------------------------
 
@@ -201,22 +239,29 @@ class Matrix:
             return [Fraction(x) for x in nums]
         return [Fraction(x, den) for x in nums]
 
+    def _dense(self, r):
+        row = [0] * self.cols
+        if r:
+            for j, x in zip(*r):
+                row[j] = x
+        return row
+
     @property
     def entries(self):
-        return tuple(self._elems(self.nums))
+        return tuple(self._elems([x for r in self.nonzeros for x in self._dense(r)]))
 
     def __getitem__(self, ij):
         i, j = ij
-        x = self.nums[i * self.cols + j]
+        x = _at(self.nonzeros[i], j)
         if self.field.char:
             return x
         return Fraction(x, self.den) if self.den != 1 else Fraction(x)
 
     def row(self, i):
-        return self._elems(self.nums[i * self.cols : (i + 1) * self.cols])
+        return self._elems(self._dense(self.nonzeros[i]))
 
     def col(self, j):
-        return self._elems(self.nums[j :: self.cols])
+        return self._elems([_at(r, j) for r in self.nonzeros])
 
     def __eq__(self, other):
         return (
@@ -225,18 +270,18 @@ class Matrix:
             and self.rows == other.rows
             and self.cols == other.cols
             and self.den == other.den
-            and self.nums == other.nums
+            and self.nonzeros == other.nonzeros
         )
 
     def __hash__(self):
-        return hash((self.field, self.rows, self.cols, self.den, self.nums))
+        return hash((self.field, self.rows, self.cols, self.den, self.nonzeros))
 
     def __repr__(self):
         body = "; ".join(" ".join(self.field.fmt(x) for x in self.row(i)) for i in range(self.rows))
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
     def is_zero(self):
-        return not any(self.nums)
+        return not any(self.nonzeros)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -249,14 +294,25 @@ class Matrix:
         self._same_field(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch(f"{what} shape mismatch")
-        a, b = self.nums, other.nums
+        p = self.field.char
         da, db = self.den, other.den
-        if da == db:
-            nums = list(map(add if sign > 0 else sub, a, b))
-            return Matrix._reduced(self.field, self.rows, self.cols, da, nums)
         den = lcm(da, db)
         fa, fb = den // da, sign * (den // db)
-        return Matrix._reduced(self.field, self.rows, self.cols, den, [fa * x + fb * y for x, y in zip(a, b)])
+        span = range(self.cols)
+        out = []
+        for ra, rb in zip(self.nonzeros, other.nonzeros):
+            if rb is None:
+                out.append(ra if fa == 1 or ra is None else (ra[0], tuple([fa * x for x in ra[1]])))
+            elif ra is None:
+                out.append((rb[0], tuple([(fb * y) % p for y in rb[1]] if p else [fb * y for y in rb[1]])))
+            else:
+                row = self._dense(ra)
+                if fa != 1:
+                    row = [fa * x for x in row]
+                for j, y in zip(*rb):
+                    row[j] += fb * y
+                out.append(_pack([x % p for x in row] if p else row, span))
+        return Matrix._reduced(self.field, self.rows, self.cols, den, tuple(out))
 
     def __add__(self, other):
         return self._combine(other, 1, "add")
@@ -266,80 +322,106 @@ class Matrix:
 
     def __neg__(self):
         p = self.field.char
-        nums = tuple((-x) % p for x in self.nums) if p else tuple(-x for x in self.nums)
-        return Matrix._new(self.field, self.rows, self.cols, self.den, nums)
+        if p:
+            rows = tuple([r and (r[0], tuple([p - x for x in r[1]])) for r in self.nonzeros])
+        else:
+            rows = tuple([r and (r[0], tuple([-x for x in r[1]])) for r in self.nonzeros])
+        return Matrix._new(self.field, self.rows, self.cols, self.den, rows)
 
     def scale(self, c):
         f = self.field
         c = f.coerce(c)
+        if not c:
+            return Matrix.zeros(f, self.rows, self.cols)
         if f.char:
-            return Matrix._reduced(f, self.rows, self.cols, 1, [c * x for x in self.nums])
-        num, den = c.numerator, c.denominator * self.den
-        return Matrix._reduced(f, self.rows, self.cols, den, [num * x for x in self.nums])
-
-    def _sparse_rows(self):
-        """(columns, values) of the nonzero entries of each row, None for a zero row."""
-        m = self.cols
-        b = self.nums
-        cols = range(m)
-        out = []
-        for t in range(self.rows):
-            row = b[t * m : (t + 1) * m]
-            out.append((tuple(compress(cols, row)), tuple(compress(row, row))) if any(row) else None)
-        return out
+            p = f.char
+            rows = tuple([r and (r[0], tuple([c * x % p for x in r[1]])) for r in self.nonzeros])
+            return Matrix._new(f, self.rows, self.cols, 1, rows)
+        num = c.numerator
+        rows = tuple([r and (r[0], tuple([num * x for x in r[1]])) for r in self.nonzeros])
+        return Matrix._reduced(f, self.rows, self.cols, c.denominator * self.den, rows)
 
     def __mul__(self, other):
         self._same_field(other)
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        n, k, m = self.rows, self.cols, other.cols
-        a = self.nums
-        brows = other._sparse_rows()
+        m = other.cols
+        brows = other.nonzeros
         p = self.field.char
-        zeros = [0] * m
+        span = range(m)
         out = []
-        for i in range(n):
+        for arow in self.nonzeros:
+            if arow is None:
+                out.append(None)
+                continue
+            where, vals = arow
+            if len(where) == 1:
+                # one nonzero: a multiple of one stored row of the right factor
+                brow = brows[where[0]]
+                x = vals[0]
+                if brow is None or x == 1:
+                    out.append(brow)
+                elif p:
+                    out.append((brow[0], tuple([x * y % p for y in brow[1]])))
+                else:
+                    out.append((brow[0], tuple([x * y for y in brow[1]])))
+                continue
             acc = None
-            for x, brow in zip(a[i * k : (i + 1) * k], brows):
-                if x and brow:
+            for t, x in zip(where, vals):
+                brow = brows[t]
+                if brow is not None:
                     if acc is None:
                         acc = [0] * m
                     for j, y in zip(*brow):
                         acc[j] += x * y
             if acc is None:
-                out.extend(zeros)
-            elif p:
-                out.extend([v % p for v in acc])
+                out.append(None)
             else:
-                out.extend(acc)
-        if p:
-            return Matrix._new(self.field, n, m, 1, tuple(out))
-        return Matrix._reduced(self.field, n, m, self.den * other.den, out)
+                out.append(_pack([v % p for v in acc] if p else acc, span))
+        return Matrix._reduced(self.field, self.rows, m, self.den * other.den, tuple(out))
 
     def transpose(self):
         c = self.cols
-        nums = tuple(chain.from_iterable(self.nums[j::c] for j in range(c)))
-        return Matrix._new(self.field, c, self.rows, self.den, nums)
+        where = [[] for _ in range(c)]
+        vals = [[] for _ in range(c)]
+        for i, r in enumerate(self.nonzeros):
+            if r:
+                for j, x in zip(*r):
+                    where[j].append(i)
+                    vals[j].append(x)
+        rows = tuple([(tuple(w), tuple(v)) if w else None for w, v in zip(where, vals)])
+        return Matrix._new(self.field, c, self.rows, self.den, rows)
 
     def kron(self, other):
         """The Kronecker product: entry (i*r + k, j*c + l) is self[i, j] * other[k, l], r x c = other's shape."""
         self._same_field(other)
-        r, c, m = other.rows, other.cols, self.cols
-        width = m * c
-        b = [(k * width + l, y) for k in range(r) for l in range(c) if (y := other.nums[k * c + l])]
-        nums = [0] * (self.rows * r * width)
-        for i in range(self.rows):
-            for j, x in enumerate(self.nums[i * m : (i + 1) * m]):
-                if x:
-                    base = i * r * width + j * c
-                    for off, y in b:
-                        nums[base + off] = x * y
-        return Matrix._reduced(self.field, self.rows * r, width, self.den * other.den, nums)
+        r, c = other.rows, other.cols
+        p = self.field.char
+        zero_block = (None,) * r
+        out = []
+        for arow in self.nonzeros:
+            if arow is None:
+                out.extend(zero_block)
+                continue
+            for brow in other.nonzeros:
+                if brow is None:
+                    out.append(None)
+                    continue
+                bw, bv = brow
+                where, vals = [], []
+                for j, x in zip(*arow):
+                    base = j * c
+                    where.extend([base + l for l in bw])
+                    vals.extend([x * y % p for y in bv] if p else [x * y for y in bv])
+                out.append((tuple(where), tuple(vals)))
+        return Matrix._reduced(self.field, self.rows * r, self.cols * c, self.den * other.den, tuple(out))
 
     def _over(self, den):
-        # numerators of self rewritten over a multiple den of self.den
+        # the stored rows of self rewritten over a multiple den of self.den
         f = den // self.den
-        return self.nums if f == 1 else [f * x for x in self.nums]
+        if f == 1:
+            return self.nonzeros
+        return tuple([r and (r[0], tuple([f * x for x in r[1]])) for r in self.nonzeros])
 
     def hstack(self, other):
         return Matrix.hcat([self, other])
@@ -351,62 +433,96 @@ class Matrix:
         """The same entries, in row-major order, as a rows x cols matrix."""
         if rows * cols != self.rows * self.cols:
             raise DimensionMismatch(f"cannot reshape {self.rows}x{self.cols} to {rows}x{cols}")
-        return Matrix._new(self.field, rows, cols, self.den, self.nums)
+        if cols == self.cols and rows == self.rows:
+            return self
+        out = [None] * rows  # every row, also when there are no entries (rows x 0)
+        c = self.cols
+        cur, where, vals = -1, None, None
+        # Row-major order is kept, so each new row fills left to right, top to bottom.
+        for i, r in enumerate(self.nonzeros):
+            if r:
+                base = i * c
+                for j, x in zip(*r):
+                    k, jj = divmod(base + j, cols)
+                    if k != cur:
+                        if where:
+                            out[cur] = (tuple(where), tuple(vals))
+                        cur, where, vals = k, [jj], [x]
+                    else:
+                        where.append(jj)
+                        vals.append(x)
+        if where:
+            out[cur] = (tuple(where), tuple(vals))
+        return Matrix._new(self.field, rows, cols, self.den, tuple(out))
 
     def take_rows(self, indices):
         """The submatrix of the given rows, in the given order."""
-        c = self.cols
-        nums = [x for i in indices for x in self.nums[i * c : (i + 1) * c]]
-        if self.field.char:  # residues stay reduced
-            return Matrix._new(self.field, len(indices), c, 1, tuple(nums))
-        return Matrix._reduced(self.field, len(indices), c, self.den, nums)
+        rows = self.nonzeros
+        rows = tuple([rows[i] for i in indices])
+        return Matrix._reduced(self.field, len(rows), self.cols, self.den, rows)
 
     def take_cols(self, indices):
         """The submatrix of the given columns, in the given order."""
-        c = self.cols
-        nums = [self.nums[i * c + j] for i in range(self.rows) for j in indices]
-        if self.field.char:
-            return Matrix._new(self.field, self.rows, len(indices), 1, tuple(nums))
-        return Matrix._reduced(self.field, self.rows, len(indices), self.den, nums)
+        new = {}  # column -> its positions in the submatrix
+        for k, j in enumerate(indices):
+            new.setdefault(j, []).append(k)
+        out = []
+        for r in self.nonzeros:
+            picked = sorted([(k, x) for j, x in zip(*r) if j in new for k in new[j]]) if r else None
+            out.append((tuple([k for k, _ in picked]), tuple([x for _, x in picked])) if picked else None)
+        return Matrix._reduced(self.field, self.rows, len(indices), self.den, tuple(out))
 
     def vsplit(self, k):
         """The k row blocks of equal height, top to bottom."""
         if k <= 0 or self.rows % k:
             raise DimensionMismatch(f"cannot split {self.rows} rows into {k} blocks")
         h = self.rows // k
-        return [self.take_rows(range(t * h, (t + 1) * h)) for t in range(k)]
+        rows = self.nonzeros
+        return [Matrix._reduced(self.field, h, self.cols, self.den, rows[t * h : (t + 1) * h]) for t in range(k)]
 
     def side_by_side(self, k):
         """The k row blocks of equal height placed side by side, the top block leftmost."""
         if k <= 0 or self.rows % k:
             raise DimensionMismatch(f"cannot split {self.rows} rows into {k} blocks")
         h, c = self.rows // k, self.cols
-        a = self.nums
+        rows = self.nonzeros
         # A permutation of the entries keeps the integers canonical.
-        nums = tuple(chain.from_iterable(a[(t * h + i) * c : (t * h + i + 1) * c] for i in range(h) for t in range(k)))
-        return Matrix._new(self.field, h, k * c, self.den, nums)
+        blocks = [rows[t * h : (t + 1) * h] for t in range(k)]
+        return Matrix._new(self.field, h, k * c, self.den, _side_by_side(zip(*blocks), [t * c for t in range(k)]))
 
     def hsplit(self, k):
         """The k column blocks of equal width, left to right."""
-        r = self.rows
         if k <= 0 or self.cols % k:
             raise DimensionMismatch(f"cannot split {self.cols} columns into {k} blocks")
-        # After the reshape, row i * k + t is row i of block t.
-        flat = self.reshape(r * k, self.cols // k)
-        return [flat.take_rows(range(t, r * k, k)) for t in range(k)]
+        w = self.cols // k
+        blocks = [[] for _ in range(k)]
+        for r in self.nonzeros:
+            if r is None:
+                for b in blocks:
+                    b.append(None)
+                continue
+            where, vals = r
+            lo = 0
+            for t, b in enumerate(blocks):
+                hi = bisect_left(where, (t + 1) * w, lo)
+                if hi == lo:
+                    b.append(None)
+                else:
+                    off = t * w
+                    b.append((tuple([j - off for j in where[lo:hi]]) if off else where[lo:hi], vals[lo:hi]))
+                    lo = hi
+        return [Matrix._reduced(self.field, self.rows, w, self.den, tuple(b)) for b in blocks]
 
     # -- elimination ---------------------------------------------------------
 
-    def _row_lists(self):
-        c = self.cols
-        return [list(self.nums[i * c : (i + 1) * c]) for i in range(self.rows)]
-
     def _echelon_form(self, reduce):
+        # Zero rows change no row space: only the nonzero rows are eliminated.
         f = self.field
+        rows = [self._dense(r) for r in self.nonzeros if r]
         if f.char:
-            return echelon_mod(self._row_lists(), f.char, reduce)
+            return echelon_mod(rows, f.char, reduce)
         if isinstance(f, RationalField):
-            return echelon_int(self._row_lists(), reduce)
+            return echelon_int(rows, reduce)
         raise FieldMismatch(f"no elimination routine for {f}")
 
     def rref(self):
@@ -414,18 +530,22 @@ class Matrix:
         if self._echelon is not None and self._echelon[0] == "rref":
             return self._echelon[1], self._echelon[2]
         pivots, rows = self._echelon_form(True)
+        rows = rows[: len(pivots)]
         den = 1
         if not self.field.char:
             # Row k is primitive with positive pivot entry; the true RREF row is row / pivot.
             leads = [rows[k][pc] for k, pc in enumerate(pivots)]
-            den = lcm(*leads) if leads else 1
+            den = lcm(*leads)
             for k, lead in enumerate(leads):
                 if lead != den:
                     s = den // lead
                     rows[k] = [s * x for x in rows[k]]
-        out = Matrix._reduced(self.field, self.rows, self.cols, den, list(chain.from_iterable(rows)))
-        self._echelon = ("rref", out, pivots)
-        return out, pivots
+        span = range(self.cols)
+        out = [_pack(row, span) for row in rows]
+        out.extend([None] * (self.rows - len(pivots)))
+        R = Matrix._reduced(self.field, self.rows, self.cols, den, tuple(out))
+        self._echelon = ("rref", R, pivots)
+        return R, pivots
 
     def rank(self):
         if self._echelon is not None:
@@ -438,16 +558,21 @@ class Matrix:
         R, pivots = self.rref()
         c = self.cols
         pivset = set(pivots)
-        free = [j for j in range(c) if j not in pivset]
-        nf = len(free)
+        free = {}  # free column -> its kernel vector
+        for j in range(c):
+            if j not in pivset:
+                free[j] = len(free)
         p = self.field.char
-        nums = [0] * (c * nf)
-        for t, fc in enumerate(free):
-            nums[fc * nf + t] = R.den
-            for k, pc in enumerate(pivots):
-                x = R.nums[k * c + fc]
-                nums[pc * nf + t] = (-x) % p if p else -x
-        return Matrix._reduced(self.field, c, nf, R.den, nums)
+        out = [None] * c
+        for fc, t in free.items():
+            out[fc] = ((t,), (R.den,))
+        # RREF row k holds R.den at pivots[k], zero at the other pivots, the rest at free columns.
+        for r, pc in zip(R.nonzeros, pivots):
+            where, vals = r
+            if len(where) > 1:
+                vals = [p - x for x in vals[1:]] if p else [-x for x in vals[1:]]
+                out[pc] = (tuple([free[j] for j in where[1:]]), tuple(vals))
+        return Matrix._reduced(self.field, c, len(free), R.den, tuple(out))
 
     def solve(self, b):
         """Some X with self @ X = b, or None when inconsistent.  Verified."""
@@ -459,11 +584,13 @@ class Matrix:
         n = self.cols
         if any(p >= n for p in pivots):
             return None
-        w = aug.cols
-        nums = [0] * (n * b.cols)
-        for k, pc in enumerate(pivots):
-            nums[pc * b.cols : (pc + 1) * b.cols] = R.nums[k * w + n : (k + 1) * w]
-        X = Matrix._reduced(self.field, n, b.cols, R.den, nums)
+        out = [None] * n
+        for r, pc in zip(R.nonzeros, pivots):
+            where, vals = r
+            s = bisect_left(where, n)
+            if s < len(where):
+                out[pc] = (tuple([j - n for j in where[s:]]), vals[s:])
+        X = Matrix._reduced(self.field, n, b.cols, R.den, tuple(out))
         if self * X != b:
             return None
         return X
@@ -488,3 +615,16 @@ class Matrix:
     @classmethod
     def from_json(cls, field, obj):
         return cls(field, obj["rows"], obj["cols"], [field.parse(s) for s in obj["entries"]])
+
+
+def _side_by_side(rows, offsets):
+    """The stored rows joining each tuple of stored rows in rows, its t-th shifted right by offsets[t]."""
+    out = []
+    for parts in rows:
+        where, vals = [], []
+        for r, off in zip(parts, offsets):
+            if r:
+                where.extend([off + j for j in r[0]] if off else r[0])
+                vals.extend(r[1])
+        out.append((tuple(where), tuple(vals)) if where else None)
+    return tuple(out)

@@ -315,7 +315,10 @@ def hom_basis(X: Module, Y: Module):
 
     Solved blockwise: an intertwiner maps e·X into e·Y for every distinguished
     idempotent e, so unknowns live only on matching blocks; the remaining
-    equations come from a generating set of the algebra.
+    equations come from a generating set of the algebra, built from the stored
+    nonzeros of the generators' actions conjugated to the block bases.  Each
+    kernel vector is a block-diagonal map F_t, and the nk maps are TY F_t TXi:
+    one product against TXi for all of them, stacked, then one TY product each.
     """
     A = X.algebra
     if A != Y.algebra and A is not Y.algebra:
@@ -332,57 +335,59 @@ def hom_basis(X: Module, Y: Module):
     nu = ubase[-1]
     if not nu:
         return []
-    xblock_of = [k for k, s in enumerate(xsizes) for _ in range(s)]
     yblock_of = [k for k, s in enumerate(ysizes) for _ in range(s)]
 
     # F R - S F = 0 for R, S the conjugated actions of each generator, one
-    # equation per entry (i, j), scaled to integers by lcm(R.den, S.den).
-    rows = []
+    # equation per entry (i, j), scaled to integers by lcm(R.den, S.den).  The
+    # terms are read off the stored nonzeros of R and S.
+    eqs = []
     for R, S in zip(RX, SY):
         den = lcm(R.den, S.den)
         fr, fs = den // R.den, den // S.den
-        Rn, Sn = R.nums, S.nums
-        for i in range(ny):
+        Rrows = R.nonzeros
+        for i, srow in enumerate(S.nonzeros):
+            row_eqs = {}  # j -> {unknown: coefficient} of equation (i, j)
+            # + F[i, b] R[b, j], b in the block of i
             ki = yblock_of[i]
-            x0, x1 = xoff[ki], xoff[ki + 1]
-            ui = ubase[ki] + (i - yoff[ki]) * xsizes[ki] - x0
-            for j in range(nx):
-                kj = xblock_of[j]
-                row = None
-                for b in range(x0, x1):
-                    c = Rn[b * nx + j]
-                    if c:
-                        if row is None:
-                            row = [0] * nu
-                        row[ui + b] += fr * c
-                uj = ubase[kj] + j - xoff[kj]
-                for a in range(yoff[kj], yoff[kj + 1]):
-                    c = Sn[i * ny + a]
-                    if c:
-                        if row is None:
-                            row = [0] * nu
-                        row[uj + (a - yoff[kj]) * xsizes[kj]] -= fs * c
-                if row is not None:
-                    rows.append(row)
-    if rows:
-        K = Matrix.from_integers(f, len(rows), nu, [x for row in rows for x in row]).kernel_basis()
+            ui = ubase[ki] + (i - yoff[ki]) * xsizes[ki] - xoff[ki]
+            for b in range(xoff[ki], xoff[ki + 1]):
+                if Rrows[b]:
+                    u = ui + b
+                    for j, c in zip(*Rrows[b]):
+                        eq = row_eqs.setdefault(j, {})
+                        eq[u] = eq.get(u, 0) + fr * c
+            # - S[i, a] F[a, j], j in the block of a
+            if srow:
+                for a, c in zip(*srow):
+                    ka = yblock_of[a]
+                    ua = ubase[ka] + (a - yoff[ka]) * xsizes[ka] - xoff[ka]
+                    for j in range(xoff[ka], xoff[ka + 1]):
+                        eq = row_eqs.setdefault(j, {})
+                        eq[ua + j] = eq.get(ua + j, 0) - fs * c
+            for eq in row_eqs.values():
+                unknowns = sorted(eq)
+                eqs.append((unknowns, [eq[u] for u in unknowns]))
+    if eqs:
+        K = Matrix.from_integers(f, len(eqs), nu, eqs).kernel_basis()
     else:
         K = Matrix.identity(f, nu)
     nk = K.cols
     if not nk:
         return []
-    # Kernel vector t as the block-diagonal matrix F_t; the F_t stacked top to bottom.
-    Kn = K.nums
-    nums = [0] * (nk * ny * nx)
-    for k, (ys, xs) in enumerate(zip(ysizes, xsizes)):
-        for a in range(ys):
-            for b in range(xs):
-                u = ubase[k] + a * xs + b
-                pos = (yoff[k] + a) * nx + xoff[k] + b
-                for t in range(nk):
-                    nums[t * ny * nx + pos] = Kn[u * nk + t]
-    F = Matrix.from_integers(f, nk * ny, nx, nums, K.den)
-    return (TY * (F * TXi).side_by_side(nk)).hsplit(nk)
+    # Kernel vector t as the block-diagonal matrix F_t, the F_t stacked top to
+    # bottom: unknown u is entry cell[u] of each F_t.
+    cell = [(yoff[k] + a, xoff[k] + b) for k, (ys, xs) in enumerate(zip(ysizes, xsizes))
+            for a in range(ys) for b in range(xs)]
+    where = [[] for _ in range(nk * ny)]
+    vals = [[] for _ in range(nk * ny)]
+    for u, r in enumerate(K.nonzeros):
+        if r:
+            a, b = cell[u]
+            for t, x in zip(*r):
+                where[t * ny + a].append(b)
+                vals[t * ny + a].append(x)
+    F = Matrix.from_integers(f, nk * ny, nx, [(w, v) if w else None for w, v in zip(where, vals)], K.den)
+    return [TY * G for G in (F * TXi).vsplit(nk)]
 
 
 # -- isomorphism testing ------------------------------------------------------------

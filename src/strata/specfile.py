@@ -124,9 +124,8 @@ def export_algebra(A, poset=None, meta=None) -> dict:
     n = A.dim
     table = []
     # row-major: entry (i*n + j)*n + k of the table is the coefficient of b_k in b_i * b_j
-    for idx, x in enumerate(A.table.nums):
-        if x:
-            i, jk = divmod(idx, n * n)
+    for i, r in enumerate(A.table.nonzeros):
+        for jk in r[0] if r else ():
             table.append([i, *divmod(jk, n), fld.fmt(A.table[i, jk])])
     out = {
         "field": fld.to_json(),

@@ -5,7 +5,10 @@ element per entry: ``mul``, ``add`` and ``scale`` are those loops verbatim, on
 flat lists of field elements, and ``rref`` is a textbook Gauss-Jordan pass
 with the same pivot rule (first nonzero column, topmost available row).  The
 reduced echelon form is unique, so every derived operation -- rank,
-kernel_basis, solve, inverse -- is pinned entrywise by it.
+kernel_basis, solve, inverse -- is pinned entrywise by it.  The layout
+operations (transposes, reshapes, splits, row and column picks, stacking,
+Kronecker products) are checked against index arithmetic on the same flat
+lists, and every result against the canonical stored form (assert_canonical).
 """
 
 import gc
@@ -14,6 +17,7 @@ import sys
 import textwrap
 import weakref
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -118,8 +122,14 @@ def elements(f):
     return st.integers(-3 * f.p, 3 * f.p)  # unreduced, so that coercion is exercised
 
 
+# 0 x n and n x 0 shapes, or any shape up to 4 x 4
+shapes = st.sampled_from([(0, 0), (0, 3), (3, 0)]) | st.tuples(st.integers(0, 4), st.integers(0, 4))
+
+
 @st.composite
-def matrix_data(draw, f, rows=None, cols=None):
+def matrix_data(draw, f, rows=None, cols=None, shape=None):
+    if shape is not None:
+        rows, cols = draw(shape)
     n = draw(st.integers(0, 4)) if rows is None else rows
     m = draw(st.integers(0, 4)) if cols is None else cols
     entries = draw(st.lists(elements(f), min_size=n * m, max_size=n * m))
@@ -153,6 +163,8 @@ class TestAgainstReference:
         assert A.is_zero() == all(f.is_zero(x) for x in a)
         assert [[A[i, j] for j in range(k)] for i in range(n)] == [a[i * k : (i + 1) * k] for i in range(n)]
         assert [A.col(j) for j in range(k)] == [a[j::k] for j in range(k)]
+        for M in (A, A * B, A + A2, A - A2, -A, A.scale(c)):
+            assert_canonical(M)
 
     @given(fields, st.data())
     @settings(max_examples=150, deadline=None)
@@ -172,6 +184,9 @@ class TestAgainstReference:
         assert (X is None) == (ref_X is None)
         if X is not None:
             assert list(X.entries) == ref_X
+            assert_canonical(X)
+        assert_canonical(R)
+        assert_canonical(K)
 
     @given(fields, st.data())
     @settings(max_examples=80, deadline=None)
@@ -215,14 +230,94 @@ class TestAgainstReference:
         for V in variants:
             assert V == A
             assert hash(V) == hash(A)
-            assert (V.den, V.nums) == (A.den, A.nums)
-        if f == QQ:
-            assert A.den > 0
-            from math import gcd
+            assert (V.den, V.nonzeros) == (A.den, A.nonzeros)
+            assert_canonical(V)
 
-            assert gcd(A.den, *A.nums) == 1
-        else:
-            assert A.den == 1 and all(0 <= x < f.p for x in A.nums)
+    @given(fields, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_layout_operations(self, f, data):
+        n, m, a = data.draw(matrix_data(f, shape=shapes))
+        A = Matrix(f, n, m, a)
+
+        def check(M, rows, cols, entries):
+            assert (M.rows, M.cols) == (rows, cols)
+            assert list(M.entries) == entries
+            assert_canonical(M)
+
+        check(A.transpose(), m, n, [a[i * m + j] for j in range(m) for i in range(n)])
+        if n * m:
+            r = data.draw(st.sampled_from([d for d in range(1, n * m + 1) if n * m % d == 0]))
+            c = n * m // r
+        else:  # a matrix without entries keeps the row count it is given
+            r, c = data.draw(st.sampled_from([(0, 0), (0, 3), (3, 0), (1, 0), (0, 1)]))
+        check(A.reshape(r, c), r, c, a)
+
+        k = data.draw(st.sampled_from([d for d in range(1, 5) if n % d == 0]))
+        h = n // k
+        check(A.side_by_side(k), h, k * m,
+              [a[(t * h + i) * m + j] for i in range(h) for t in range(k) for j in range(m)])
+        for t, B in enumerate(A.vsplit(k)):
+            check(B, h, m, a[t * h * m : (t + 1) * h * m])
+        k = data.draw(st.sampled_from([d for d in range(1, 5) if m % d == 0]))
+        w = m // k
+        for t, B in enumerate(A.hsplit(k)):
+            check(B, n, w, [a[i * m + t * w + j] for i in range(n) for j in range(w)])
+
+        rows = data.draw(st.lists(st.integers(0, n - 1), max_size=6)) if n else []
+        check(A.take_rows(rows), len(rows), m, [a[i * m + j] for i in rows for j in range(m)])
+        cols = data.draw(st.lists(st.integers(0, m - 1), max_size=6)) if m else []
+        check(A.take_cols(cols), n, len(cols), [a[i * m + j] for i in range(n) for j in cols])
+
+        r, c, b = data.draw(matrix_data(f, shape=shapes))
+        check(A.kron(Matrix(f, r, c, b)), n * r, m * c,
+              [f.mul(a[i * m + j], b[k * c + l]) for i in range(n) for k in range(r)
+               for j in range(m) for l in range(c)])
+
+        more = [data.draw(matrix_data(f, cols=m)) for _ in range(data.draw(st.integers(0, 2)))]
+        check(Matrix.vcat([A] + [Matrix(f, *x) for x in more]), n + sum(x[0] for x in more), m,
+              a + [e for x in more for e in x[2]])
+        more = [data.draw(matrix_data(f, rows=n)) for _ in range(data.draw(st.integers(0, 2)))]
+        blocks = [(m, a)] + [(x[1], x[2]) for x in more]
+        check(Matrix.hcat([A] + [Matrix(f, *x) for x in more]), n, sum(bc for bc, _ in blocks),
+              [e for i in range(n) for bc, be in blocks for e in be[i * bc : (i + 1) * bc]])
+        more = [data.draw(matrix_data(f, shape=shapes)) for _ in range(data.draw(st.integers(0, 2)))]
+        diag = [(n, m, a)] + more
+        width = sum(x[1] for x in diag)
+        dense = []
+        c0 = 0
+        for br, bc, be in diag:
+            for i in range(br):
+                dense += [f.zero] * c0 + be[i * bc : (i + 1) * bc] + [f.zero] * (width - c0 - bc)
+            c0 += bc
+        check(Matrix.block_diagonal(f, [Matrix(f, *x) for x in diag]), sum(x[0] for x in diag), width, dense)
+
+        terms = [(data.draw(elements(f)), data.draw(matrix_data(f, rows=n, cols=m))[2])
+                 for _ in range(data.draw(st.integers(0, 3)))]
+        acc = [f.zero] * (n * m)
+        for coef, be in terms:
+            acc = ref_add(f, acc, ref_scale(f, coef, be))
+        check(Matrix.linear_combination(f, n, m, [(coef, Matrix(f, n, m, be)) for coef, be in terms]), n, m, acc)
+
+
+def assert_canonical(M):
+    """M's stored rows: strictly increasing columns, no stored zero, values in lowest terms."""
+    f = M.field
+    assert type(M.nonzeros) is tuple and len(M.nonzeros) == M.rows
+    values = []
+    for r in M.nonzeros:
+        if r is None:
+            continue
+        where, vals = r
+        assert type(where) is tuple and type(vals) is tuple
+        assert 0 < len(where) == len(vals)
+        assert 0 <= where[0] and where[-1] < M.cols
+        assert all(j < k for j, k in zip(where, where[1:]))
+        assert all(type(x) is int and x for x in vals)
+        values.extend(vals)
+    if f == QQ:
+        assert M.den > 0 and gcd(M.den, *values) == 1
+    else:
+        assert M.den == 1 and all(1 <= x < f.p for x in values)
 
 
 # -- the Subspace coordinate routine -------------------------------------------------

@@ -19,7 +19,11 @@ do not depend on the library:
 - every layer check of a standard filtration, "the trace T is Delta_j^t",
   which the library decides through the simple top of Delta_j, agrees with
   the general isomorphism search iso_test(T, Delta_j^t) wherever that search
-  is determined.
+  is determined;
+- the Auslander algebra of k[x]/(x^n) has dimension n(n+1)(2n+1)/6, is
+  quasi-hereditary for the chain 1 < ... < n (Dlab and Ringel 1989), and has
+  global dimension 2, within the bound 2n - 2 for quasi-hereditary algebras
+  with n simples.
 
 Three labels at most keep the search over all orders small (19 posets).
 """
@@ -33,6 +37,8 @@ from hypothesis import strategies as st
 import strata.modules
 import strata.strat
 from strata.algebra import compile_quiver
+from strata.corpus import build_auslander_x3
+from strata.homology import ext_dims_upto
 from strata.kernel import QQ, Matrix, PrimeField
 from strata.modules import (
     Module,
@@ -210,3 +216,28 @@ def test_power_certificate_skips_maps_into_the_radical():
     # D + (L_2 + L_2) has the dimensions of D^2, but only one map to D reaches the top
     L2 = Module.direct_sum([simple(A, "2")] * 2)
     assert iso_to_direct_power(Module.direct_sum([D, L2]), D, 2) is None
+
+
+def auslander(n):
+    """The Auslander algebra of k[x]/(x^n), on the pattern of the auslander-x3 spec:
+    a_i: i -> i+1, b_i: i+1 -> i, a_i b_i = b_{i+1} a_{i+1} and a_{n-1} b_{n-1} = 0."""
+    vertices = [str(v) for v in range(1, n + 1)]
+    arrows = [arrow for i in range(1, n) for arrow in ((f"a{i}", str(i), str(i + 1)), (f"b{i}", str(i + 1), str(i)))]
+    relations = [[(1, (f"a{i}", f"b{i}")), (-1, (f"b{i + 1}", f"a{i + 1}"))] for i in range(1, n - 1)]
+    relations.append([(1, (f"a{n - 1}", f"b{n - 1}"))])
+    return compile_quiver(QuiverPresentation.make(vertices, arrows, relations, 2 * n - 1), QQ)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_auslander_algebras_of_truncated_polynomials(n):
+    A = auslander(n)
+    if n == 3:
+        assert export_algebra(A) == export_algebra(build_auslander_x3()[0])
+    assert A.dim == n * (n + 1) * (2 * n + 1) // 6
+    sd = StratDatum(A, LabelPoset(A.labels, [(str(i), str(i + 1)) for i in range(1, n)]))
+    assert (sd.left_stratified()[0], sd.right_stratified()[0], sd.quasi_hereditary()) == (YES, YES, YES)
+    # global dimension 2 <= 2n - 2: Ext^3 vanishes between simples, Ext^2 does not
+    simples = [simple(A, lab) for lab in A.labels]
+    ext = [ext_dims_upto(X, Y, 3) for X in simples for Y in simples]
+    assert all(e[3] == 0 for e in ext)
+    assert any(e[2] for e in ext)
