@@ -106,18 +106,18 @@ class Algebra:
         return self.table.take_rows([i]).reshape(n, n).transpose()
 
     def left_mult_matrix(self, vec):
-        """Matrix of a |-> vec * a in the basis (columns = vec * b_j)."""
-        return Matrix.linear_combination(
-            self.field, self.dim, self.dim, [(c, self.basis_left_mult(i)) for i, c in enumerate(vec) if c]
-        )
+        """Matrix of a |-> vec * a in the basis (columns = vec * b_j).
+
+        Row j of (vec · table) reshaped to n x n is vec * b_j."""
+        n = self.dim
+        return (Matrix.from_rows(self.field, [vec]) * self.table).reshape(n, n).transpose()
 
     def right_mult_matrix(self, vec):
-        """Matrix of a |-> a * vec in the basis (columns = b_j * vec)."""
-        n = self.dim
-        products = self.table.reshape(n * n, n)  # row i*n + j: b_i * b_j
-        # R_j, the matrix of a |-> a * b_j, has column i b_i * b_j
-        rights = [(c, products.take_rows(range(j, n * n, n)).transpose()) for j, c in enumerate(vec) if c]
-        return Matrix.linear_combination(self.field, n, n, rights)
+        """Matrix of a |-> a * vec in the basis (columns = b_j * vec).
+
+        Row i of table · (vec ⊗ I) is sum_j vec_j b_i * b_j = b_i * vec."""
+        f = self.field
+        return (self.table * Matrix.column(f, list(vec)).kron(Matrix.identity(f, self.dim))).transpose()
 
     def mult_vec(self, x, y):
         return tuple((self.left_mult_matrix(x) * Matrix.column(self.field, list(y))).col(0))

@@ -14,8 +14,15 @@ Data computed once per module, lazily, lives in slots beside the action, so it
 dies with the module: ``_rad`` (the subspace rad(A)·X), ``_blocks`` (the
 idempotent block decomposition hom_basis solves in: block sizes, T with the
 block bases as columns, T⁻¹, and T⁻¹·X.act(g)·T for the generators g of A that
-are not distinguished idempotents) and ``_mult`` (the composition
-multiplicities [X : L_i] asked for so far).
+are not distinguished idempotents), ``_mult`` (the composition
+multiplicities [X : L_i] asked for so far) and ``_peels`` (one ``Peel`` per
+label j asked for: the trace T = Tr_{P_j}(X), the module on T and the quotient
+X/T with its projection, each built on first use, and the certificates T = D^t
+found for family members D, held weakly by D).  A filtration that peels label
+j off X reaches the same quotient module as every earlier peel of j off X, so
+the peels of a module and of its quotients are computed once.  Taking the
+quotient by the zero subspace, or the submodule on the whole space, returns the
+module itself, so those share its caches too.
 
 Right modules never get their own type: they are left modules over the
 opposite algebra, and k-duality D swaps the two sides (dual() of a module
@@ -26,6 +33,7 @@ same Algebra instance).
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
 from math import lcm
 
@@ -44,7 +52,7 @@ def column_space(M: Matrix) -> Matrix:
 
 
 class Module:
-    __slots__ = ("algebra", "dim", "action", "_rad", "_blocks", "_mult", "_ext_cache", "__weakref__")
+    __slots__ = ("algebra", "dim", "action", "_rad", "_blocks", "_mult", "_peels", "_ext_cache", "__weakref__")
 
     def __init__(self, algebra, dim, action, check_unit=True):
         self.algebra = algebra
@@ -53,6 +61,7 @@ class Module:
         self._rad = None
         self._blocks = None
         self._mult = None  # label -> [X : L_label], allocated on first comp_mult
+        self._peels = None  # label -> Peel, allocated on first peel
         self._ext_cache = {}
         if len(self.action) != algebra.dim:
             raise InvalidModule("need one action matrix per algebra basis element")
@@ -127,14 +136,20 @@ class Module:
             span = bigger
 
     def submodule(self, subspace: Subspace):
-        """(module on the subspace, inclusion matrix dim(self) x dim(sub))."""
+        """(module on the subspace, inclusion matrix dim(self) x dim(sub));
+        the module itself when the subspace is everything."""
+        if subspace.dim == self.dim:
+            return self, subspace.inclusion()
         # action_on certifies the restricted action, so the unit acts as the identity
         sub = Module(self.algebra, subspace.dim, self.action_on(subspace), check_unit=False)
         return sub, subspace.inclusion()
 
     def quotient(self, subspace: Subspace):
-        """(quotient module, projection matrix dim(quot) x dim(self))."""
+        """(quotient module, projection matrix dim(quot) x dim(self));
+        the module itself when the subspace is zero."""
         proj = subspace.projection_matrix()
+        if subspace.dim == 0:
+            return self, proj
         comp = subspace.complement_coords()
         d, n = self.dim, self.algebra.dim
         # M times the lift is the complement columns of M
@@ -197,6 +212,14 @@ class Module:
         """(top module, projection)."""
         return self.quotient(self.radical_subspace())
 
+    def peel(self, label) -> "Peel":
+        """The peel of the trace of P_label off this module, kept in the _peels slot."""
+        if self._peels is None:
+            self._peels = {}
+        if label not in self._peels:
+            self._peels[label] = Peel(self, label)
+        return self._peels[label]
+
     def to_json(self):
         """dim plus one named action matrix per algebra basis element."""
         return {
@@ -220,14 +243,21 @@ class Module:
 # -- named modules -------------------------------------------------------------
 
 
+def left_ideal(A, label) -> Subspace:
+    """A e as a subspace of A, for the first distinguished idempotent e with that label."""
+    key = ("Ae", str(label))
+    if key not in A._derived:
+        # column i of R(e) is b_i * e
+        A._derived[key] = Subspace.row_space(A.right_mult_matrix(A.idempotent_for_label(label)).transpose())
+    return A._derived[key]
+
+
 def projective(A, label):
     """P_label = A e for the first distinguished idempotent with that label."""
     key = ("P", str(label))
     if key in A._derived:
         return A._derived[key]
-    e = A.idempotent_for_label(label)
-    reg = Module.regular(A)
-    out = reg.submodule(Subspace.row_space(A.right_mult_matrix(e).transpose()))[0]  # A e
+    out = Module.regular(A).submodule(left_ideal(A, label))[0]
     A._derived[key] = out
     return out
 
@@ -271,8 +301,8 @@ def dimension_vector(X: Module):
 
 
 def trace_from_projective(label, Y: Module) -> Subspace:
-    """Tr_{P_label}(Y): the submodule generated by e·Y."""
-    return Y.invariant_closure(Y.e_part(Y.algebra.idempotent_for_label(label)))
+    """Tr_{P_label}(Y) = A·e·Y, the span of a·y over a in A e (one image_of)."""
+    return Y.image_of(left_ideal(Y.algebra, label).basis)
 
 
 def trace_submodule(X: Module, Y: Module) -> Subspace:
@@ -517,3 +547,52 @@ def iso_to_direct_power(X: Module, S: Module, t: int) -> Matrix | None:
     if t == 0:
         return Matrix.zeros(X.algebra.field, 0, 0)
     return surjection_onto_power(X, S, t)
+
+
+# -- peels -----------------------------------------------------------------------
+
+
+class Peel:
+    """The trace T = Tr_{P_label}(X) of one module X, and what a filtration reads off it.
+
+    Kept in X's _peels slot (Module.peel), so it dies with X; it holds X itself
+    only weakly.  The module on T and the quotient X/T are built on first use,
+    and certificates() keeps the answer to "T = D^t?" per family member D, held
+    weakly by D the way homology.ext_dims_upto holds Ext by its target.
+    """
+
+    __slots__ = ("space", "_source", "_module", "_quotient", "_certs")
+
+    def __init__(self, X: Module, label):
+        self.space = trace_from_projective(label, X)
+        self._source = weakref.ref(X)
+        self._module = None
+        self._quotient = None
+        self._certs = None
+
+    def module(self) -> Module:
+        """The module on T (X itself when T is all of X, which is not stored)."""
+        if self._module is None:
+            X = self._source()
+            sub = X.submodule(self.space)[0]
+            if sub is X:
+                return X
+            self._module = sub
+        return self._module
+
+    def quotient(self):
+        """(X/T, the projection X ->> X/T), as Module.quotient gives them."""
+        if self._quotient is None:
+            X = self._source()
+            quot, proj = X.quotient(self.space)
+            if quot is X:
+                return X, proj
+            self._quotient = (quot, proj)
+        return self._quotient
+
+    def certificates(self) -> weakref.WeakKeyDictionary:
+        """Family member D -> iso_to_direct_power(T, D, dim T / dim D), for the D asked
+        about so far; held weakly by D, so an entry goes when its D dies."""
+        if self._certs is None:
+            self._certs = weakref.WeakKeyDictionary()
+        return self._certs

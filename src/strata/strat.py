@@ -26,10 +26,10 @@ from .modules import (
     Module,
     comp_mult,
     iso_to_direct_power,
+    left_ideal,
     projective,
     simple,
     surjection_onto_power,
-    trace_from_projective,
 )
 
 YES, NO, UNDET = "yes", "no", "undetermined"
@@ -218,9 +218,11 @@ class StandardRecord:
 
     def __init__(self, A, i, above):
         P = projective(A, i)
-        U = Subspace.zero(A.field, P.dim)
-        for j in above:
-            U = U.plus(trace_from_projective(j, P))
+        # the sum of the traces Tr_{P_j}(P) = A e_j P is the image of the rows of every A e_j
+        if above:
+            U = P.image_of(Matrix.vcat([left_ideal(A, j).basis for j in above]))
+        else:
+            U = Subspace.zero(A.field, P.dim)
         delta, _ = P.quotient(U)
         rad = delta.radical_subspace()
         if rad.dim:
@@ -439,7 +441,10 @@ def filtration_standard(X: Module, family, poset, allowed=None, tie_break="forwa
     """Greedy bottom-up filtration by a standard-type family.
 
     Repeatedly peels the trace of P_j for j maximal among the composition
-    factor labels; that trace must be Delta_j^t with t = [X : L_j].
+    factor labels; that trace must be Delta_j^t with t = [X : L_j].  The peels
+    come from each module's own cache (Module.peel), so every filtration that
+    peels j off the same module reaches the same quotient; the chain in X's
+    coordinates is built per call.
     """
     A = X.algebra
     f = A.field
@@ -461,23 +466,24 @@ def filtration_standard(X: Module, family, poset, allowed=None, tie_break="forwa
             return FiltrationResult(NO, layers, chain, certs,
                                     witness=f"[X : L_{j}] = {comp_mult(cur, j)} is not a multiple of {m}")
         t = comp_mult(cur, j) // m
-        T_space = trace_from_projective(j, cur)
-        if T_space.dim != t * D.dim:
+        peel = cur.peel(j)
+        if peel.space.dim != t * D.dim:
             return FiltrationResult(NO, layers, chain, certs,
-                                    witness=f"trace of P_{j} has dim {T_space.dim}, expected {t}*{D.dim}")
-        Tmod, _ = cur.submodule(T_space)
-        cert = iso_to_direct_power(Tmod, D, t)
+                                    witness=f"trace of P_{j} has dim {peel.space.dim}, expected {t}*{D.dim}")
+        known = peel.certificates()
+        if D not in known:
+            known[D] = iso_to_direct_power(peel.module(), D, t)
+        cert = known[D]
         if cert is None:
-            bad = _power_invariant_witness(Tmod, D, t) or f"the trace of P_{j} does not map onto Delta_{j}^{t}"
+            bad = (_power_invariant_witness(peel.module(), D, t)
+                   or f"the trace of P_{j} does not map onto Delta_{j}^{t}")
             return FiltrationResult(NO, layers, chain, certs, witness=bad)
+        cur, qproj = peel.quotient()
+        proj_to_cur = qproj * proj_to_cur
         # record the chain step in ambient coordinates
-        quot_proj = T_space.projection_matrix()
-        step = (quot_proj * proj_to_cur).kernel_basis()
-        chain.append(Subspace.row_space(step.transpose()))
+        chain.append(Subspace.row_space(proj_to_cur.kernel_basis().transpose()))
         layers.append((j, t))
         certs.append(cert)
-        cur, qproj = cur.quotient(T_space)
-        proj_to_cur = qproj * proj_to_cur
     return FiltrationResult(YES, layers, chain, certs)
 
 

@@ -1,7 +1,10 @@
 """Test-only reference implementations of module and algebra computations.
 
 These are the plain textbook versions the library's faster routines are
-checked against; nothing in the library calls them.  The algebra references
+checked against; nothing in the library calls them.  The trace of a
+projective is the closure it was defined by, and left and right
+multiplication matrices are the linear combinations of per-basis matrices
+they were built from.  The algebra table references
 are the earlier loop constructions, kept verbatim over the sparse
 multiplication table ``mult[i][j] = ((k, c_ij^k), ...)`` (nonzero
 coefficients, k ascending) that algebras used to store; ``sparse_table``
@@ -38,6 +41,11 @@ def hom_basis_plain(X, Y):
     for j in range(K.cols):
         out.append(Matrix(f, Y.dim, X.dim, [K[u, j] for u in range(unknowns)]))
     return out
+
+
+def trace_from_projective_closure(label, Y):
+    """Tr_{P_label}(Y) as the submodule generated by e·Y: the invariant closure of e·Y."""
+    return Y.invariant_closure(Y.e_part(Y.algebra.idempotent_for_label(label)))
 
 
 def verify_action(X):
@@ -84,6 +92,22 @@ def _basis_products(A, pairs):
         for k, c in mult[i][j]:
             entries[r * n + k] = c
     return Matrix(A.field, len(pairs), n, entries)
+
+
+def ref_left_mult_matrix(A, vec):
+    """Matrix of a |-> vec * a in the basis (columns = vec * b_j)."""
+    return Matrix.linear_combination(
+        A.field, A.dim, A.dim, [(c, A.basis_left_mult(i)) for i, c in enumerate(vec) if c]
+    )
+
+
+def ref_right_mult_matrix(A, vec):
+    """Matrix of a |-> a * vec in the basis (columns = b_j * vec)."""
+    n = A.dim
+    products = A.table.reshape(n * n, n)  # row i*n + j: b_i * b_j
+    # R_j, the matrix of a |-> a * b_j, has column i b_i * b_j
+    rights = [(c, products.take_rows(range(j, n * n, n)).transpose()) for j, c in enumerate(vec) if c]
+    return Matrix.linear_combination(A.field, n, n, rights)
 
 
 def ref_quiver_table(f, pres):

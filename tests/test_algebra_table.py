@@ -9,8 +9,10 @@ closure tables as lists of coordinate tuples.  Hypothesis draws the light
 corpus specs over Q and F_32003 (the opposite and the trace form run on every
 corpus spec), idempotents that are sums of distinguished
 ones, and closure generators; every table must equal its reference entry by
-entry.  Exporting any of these algebras and loading the export back must give
-an equal algebra.
+entry.  Left and right multiplication by an element, one product against the
+table each, must equal the linear combinations of per-basis matrices they
+replaced, on every corpus algebra.  Exporting any of these algebras and
+loading the export back must give an equal algebra.
 """
 
 import itertools
@@ -27,9 +29,11 @@ from strata.specfile import export_algebra, load_spec
 from oracles import (
     ref_closure_table,
     ref_corner_table,
+    ref_left_mult_matrix,
     ref_opposite_table,
     ref_quiver_table,
     ref_quotient_table,
+    ref_right_mult_matrix,
     ref_tensor_table,
     ref_trace_form_radical,
     sparse_table,
@@ -120,6 +124,17 @@ class TestTables:
         gens = [A.coerce_vec(v) for v in data.draw(st.lists(coeffs, max_size=2))]
         B, _ = A.subalgebra_closure(A.idempotents, gens)
         assert sparse_table(B) == ref_closure_table(A, [v for v, _ in A.idempotents] + gens)
+
+
+@every_algebra
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_multiplication_matrices_are_one_product(name, field, data):
+    A = algebra(name, field)
+    coeff = st.integers(-3, 3) | (st.fractions(max_denominator=4) if field == "Q" else st.nothing())
+    vec = A.coerce_vec(data.draw(st.lists(coeff, min_size=A.dim, max_size=A.dim)))
+    assert A.left_mult_matrix(vec) == ref_left_mult_matrix(A, vec)
+    assert A.right_mult_matrix(vec) == ref_right_mult_matrix(A, vec)
 
 
 def test_table_of_the_wrong_shape_is_refused():

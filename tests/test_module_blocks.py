@@ -5,7 +5,8 @@ Each reference below is the earlier per-matrix implementation, kept verbatim
 per action matrix.  Hypothesis draws modules over the light corpus specs, over
 Q and F_32003, and submodules generated from random vectors; every rewritten
 construction must give `==` matrices and `==` subspaces.  Hom spaces are
-compared with the plain all-unknowns solver as spans.
+compared with the plain all-unknowns solver as spans, and the trace of a
+projective, one product, with the invariant closure it is defined by.
 """
 
 import gc
@@ -23,10 +24,11 @@ from strata.errors import InvalidModule, NotInSubspace
 from strata.functors import IdempotentContext, SubalgebraEmbedding
 from strata.homology import Summand
 from strata.kernel import Matrix, Subspace
-from strata.modules import Module, hom_basis, injective, projective, simple
+from strata.modules import Module, hom_basis, injective, projective, simple, trace_from_projective
 from strata.specfile import load_spec
+from strata.strat import LabelPoset, StandardRecord, filtration_standard
 
-from oracles import hom_basis_plain, verify_action
+from oracles import hom_basis_plain, trace_from_projective_closure, verify_action
 
 LIGHT_SPECS = ("auslander-x3", "diamond", "ext2-chain", "fork", "fork-refined", "rad-square-zero", "sl2-block")
 FIELDS = ("Q", "Fp")
@@ -364,6 +366,27 @@ class TestAgainstLoopVersions:
             for h in homs:
                 assert all(h * a == b * h for a, b in zip(S.action, T.action))
 
+    @given(module_and_vectors())
+    @SETTINGS
+    def test_trace_from_projective_is_the_closure_of_e_y(self, case):
+        X, vecs = case
+        S = X.invariant_closure(vecs)
+        for M in (X, X.submodule(S)[0], X.quotient(S)[0]):
+            for lab in M.algebra.labels:
+                assert trace_from_projective(lab, M) == trace_from_projective_closure(lab, M)
+
+    @given(st.sampled_from(LIGHT_SPECS), st.sampled_from(FIELDS), st.data())
+    @SETTINGS
+    def test_standard_kernel_is_the_sum_of_the_closure_traces(self, name, field, data):
+        A = algebra(name, field)
+        i = data.draw(st.sampled_from(A.labels))
+        above = tuple(data.draw(st.lists(st.sampled_from(A.labels), unique=True)))
+        P = projective(A, i)
+        U = Subspace.zero(A.field, P.dim)
+        for j in above:
+            U = U.plus(trace_from_projective_closure(j, P))
+        assert StandardRecord(A, i, above)._kernel_space == U
+
     @given(st.sampled_from(LIGHT_SPECS), st.sampled_from(FIELDS))
     @settings(max_examples=14, deadline=None)
     def test_summand(self, name, field):
@@ -437,6 +460,62 @@ class TestModuleData:
         del X
         gc.collect()
         assert ref() is None
+
+    def test_peel_dies_with_its_module(self):
+        A = algebra("diamond", "Q")
+        X = Module.direct_sum([projective(A, "1"), simple(A, "3")])
+        peel = X.peel("3")
+        assert X.peel("3") is peel  # computed once per (module, label)
+        assert 0 < peel.space.dim < X.dim  # the module on T and X/T are new modules
+        quot = peel.quotient()[0]
+        assert peel.quotient()[0] is quot and peel.module() is peel.module()
+        assert X not in (quot, peel.module())
+        assert gc.get_referrers(X._peels) == [X]
+        assert gc.get_referrers(peel) == [X._peels]  # held by its module only
+        del peel
+        refs = [weakref.ref(X), weakref.ref(quot)]
+        gc.disable()
+        try:
+            del X, quot
+            # freed by reference counting alone: the peel holds X weakly, so there is no cycle
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
+
+    def test_certificate_goes_with_its_family_member(self):
+        A = algebra("diamond", "Q")
+        X = Module.direct_sum([projective(A, "4")] * 2)
+        D = Module.direct_sum([projective(A, "4")])  # equal to P_4, not the cached object
+        res = filtration_standard(X, {"4": D}, LabelPoset.chain(A.labels))
+        assert res.layers == [("4", 2)]
+        known = X.peel("4").certificates()
+        assert list(known.keys()) == [D] and known[D] is res.certs[0]
+        del D, res
+        gc.collect()
+        assert len(known) == 0
+
+    def test_certificates_are_kept_per_family_member(self):
+        # two quotients of P_1 of the same dimension with top L_1: [1 over 2] and [1 over 4]
+        A = algebra("diamond", "Q")
+        P = projective(A, "1")
+        over2, over4 = (P.quotient(trace_from_projective(j, P))[0] for j in ("4", "2"))
+        X = Module.direct_sum([over2, over2])
+        one_last = LabelPoset.chain(["4", "3", "2", "1"])
+        for D, status in ((over4, "no"), (over2, "yes"), (over4, "no")):
+            assert filtration_standard(X, {"1": D}, one_last).status == status
+        assert len(X.peel("1").certificates()) == 2
+
+    def test_identity_constructions_return_the_module(self):
+        for field in FIELDS:
+            A = algebra("diamond", field)
+            X = Module.direct_sum([projective(A, "1"), simple(A, "3")])
+            identity = Matrix.identity(A.field, X.dim)
+            quot, proj = X.quotient(Subspace.zero(A.field, X.dim))
+            assert quot is X and proj == identity
+            sub, incl = X.submodule(Subspace.full(A.field, X.dim))
+            assert sub is X and incl == identity
+            # the dual is a new module over the opposite algebra, not cached on X
+            assert X.dual().dual() is not X
 
 
 def test_greedy_oracle_disagreement_raises_under_O():

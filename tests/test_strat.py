@@ -331,9 +331,15 @@ def _standard_record_keys(A):
     return {k for k in A._derived if k[0] == "delta"}
 
 
+# every poset-search spec over Q and F_32003, and the 4-label sl2-tensor-square over Q
+MEMO_CASES = [pytest.param(name, field, id=f"{name}-{fid}")
+              for name in ("auslander-x3", "diamond", "dual-extension", "nonbasic-endo")
+              for field, fid in (({"Fp": 32003}, "fp"), ("Q", "q"))]
+MEMO_CASES.append(pytest.param("sl2-tensor-square", "Q", id="sl2-tensor-square-q"))
+
+
 class TestStandardMemo:
-    @pytest.mark.parametrize("field", ["Q", {"Fp": 32003}], ids=["q", "fp"])
-    @pytest.mark.parametrize("name", ["diamond", "nonbasic-endo"])
+    @pytest.mark.parametrize("name, field", MEMO_CASES)
     def test_every_order_matches_a_fresh_algebra(self, name, field):
         shared = _fresh_algebra(name, field)
         _memo_matches_fresh(shared, _fresh_algebra(name, field), all_posets(shared.labels))
