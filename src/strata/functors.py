@@ -182,7 +182,7 @@ class SubalgebraEmbedding:
             action.append(self.A.right_mult_matrix(ib))
         A_right = Module(Bop, self.A.dim, action)
         covers = _minimal_cover(Bop, A_right)
-        summands = [Summand(Bop, Bop.idempotent_for_label(lab), lab) for lab, _ in covers]
+        summands = [Summand(Bop, lab) for lab, _ in covers]
         cover = _cover_matrix(A_right, covers, summands)
         total = sum(s.module.dim for s in summands)
         if total != A_right.dim:

@@ -1,12 +1,11 @@
 """Minimal projective resolutions, Ext groups, and comparison maps on Ext.
 
-A resolution layer is a list of summands A·e (e an idempotent element, not
-necessarily distinguished -- induced resolutions use images of subalgebra
-idempotents).  Differentials are stored twice: concretely, as matrices between
-the realized direct sums, and symbolically, as grids of algebra elements
-m ∈ e_col·A·e_row acting by right multiplication.  The symbolic form is what
-makes Hom(P_n, Y) = ⊕ e_u·Y computable without solving intertwiner systems,
-and is what transports along algebra embeddings.
+A resolution layer is a list of summands P_label = A·e, e the first
+distinguished idempotent with that label.  Differentials are stored twice:
+concretely, as matrices between the realized direct sums, and symbolically, as
+grids of algebra elements m ∈ e_col·A·e_row acting by right multiplication.
+The symbolic form is what makes Hom(P_n, Y) = ⊕ e_u·Y computable without
+solving intertwiner systems, and is what transports along algebra embeddings.
 """
 
 from __future__ import annotations
@@ -16,27 +15,24 @@ import weakref
 from .errors import InvariantViolation
 from .kernel.matrix import Matrix
 from .kernel.subspace import Subspace
-from .modules import Module
+from .modules import Module, left_ideal, projective
 
 
 class Summand:
-    """A e as a module, with basis the columns of `basis` (in A's coordinates).
+    """P_label = A e as a resolution summand, e the first distinguished idempotent
+    with that label, with basis the columns of `basis` (in A's coordinates).
 
-    The submodule is solved once per idempotent and kept in the algebra's
-    derived cache, so every summand for the same e shares one module.
+    The module is `projective(A, label)` itself, so every summand for the same
+    label shares one module.
     """
 
     __slots__ = ("e_vec", "basis", "module", "label")
 
-    def __init__(self, algebra, e_vec, label=None):
-        self.e_vec = tuple(e_vec)
+    def __init__(self, algebra, label):
         self.label = label
-        key = ("summand", self.e_vec)
-        if key not in algebra._derived:
-            # column i of R(e) is b_i * e, so its columns span A e
-            space = Subspace.row_space(algebra.right_mult_matrix(self.e_vec).transpose())
-            algebra._derived[key] = Module.regular(algebra).submodule(space)
-        self.module, self.basis = algebra._derived[key]
+        self.e_vec = tuple(algebra.idempotent_for_label(label))
+        self.module = projective(algebra, label)
+        self.basis = left_ideal(algebra, label).inclusion()
 
 
 def _minimal_cover(A, K: Module):
@@ -84,7 +80,7 @@ class Resolution:
     def _append_layer(self, kernel_module, kernel_incl, prev_layer_exists):
         A = self.A
         covers = _minimal_cover(A, kernel_module)
-        summands = [Summand(A, A.idempotent_for_label(lab), lab) for lab, _ in covers]
+        summands = [Summand(A, lab) for lab, _ in covers]
         cover = _cover_matrix(kernel_module, covers, summands)  # concrete map P_new -> kernel_module
         concrete = kernel_incl * cover if prev_layer_exists else cover
         self.layers.append(summands)
@@ -173,10 +169,9 @@ def _coords_in(basis: Matrix, vec, f):
 
 
 def resolution(X: Module) -> Resolution:
-    cache = X._ext_cache
-    if "res" not in cache:
-        cache["res"] = Resolution(X)
-    return cache["res"]
+    if X._res is None:
+        X._res = Resolution(X)
+    return X._res
 
 
 # -- Hom cochain complexes --------------------------------------------------------
@@ -225,7 +220,9 @@ def ext_dims_upto(X: Module, Y: Module, nmax) -> list:
     """[dim Ext^0, ..., dim Ext^nmax], via a minimal projective resolution."""
     # Keyed on Y itself, held weakly: an id() key would hand a dead Y's
     # answer to a new module that reuses its address.
-    by_target = X._ext_cache.setdefault("ext", weakref.WeakKeyDictionary())
+    if X._ext is None:
+        X._ext = weakref.WeakKeyDictionary()
+    by_target = X._ext
     cached = by_target.get(Y, {})
     if nmax in cached:
         return cached[nmax]

@@ -15,14 +15,16 @@ dies with the module: ``_rad`` (the subspace rad(A)·X), ``_blocks`` (the
 idempotent block decomposition hom_basis solves in: block sizes, T with the
 block bases as columns, T⁻¹, and T⁻¹·X.act(g)·T for the generators g of A that
 are not distinguished idempotents), ``_mult`` (the composition
-multiplicities [X : L_i] asked for so far) and ``_peels`` (one ``Peel`` per
+multiplicities [X : L_i] asked for so far), ``_peels`` (one ``Peel`` per
 label j asked for: the trace T = Tr_{P_j}(X), the module on T and the quotient
 X/T with its projection, each built on first use, and the certificates T = D^t
-found for family members D, held weakly by D).  A filtration that peels label
-j off X reaches the same quotient module as every earlier peel of j off X, so
-the peels of a module and of its quotients are computed once.  Taking the
-quotient by the zero subspace, or the submodule on the whole space, returns the
-module itself, so those share its caches too.
+found for family members D, held weakly by D), ``_res`` (the minimal
+projective resolution of X, extended on demand) and ``_ext`` (the dimensions
+of Ext^n(X, Y) asked for so far, keyed by Y and held weakly by Y).  A
+filtration that peels label j off X reaches the same quotient module as every
+earlier peel of j off X, so the peels of a module and of its quotients are
+computed once.  Taking the quotient by the zero subspace, or the submodule on
+the whole space, returns the module itself, so those share its caches too.
 
 Right modules never get their own type: they are left modules over the
 opposite algebra, and k-duality D swaps the two sides (dual() of a module
@@ -52,7 +54,7 @@ def column_space(M: Matrix) -> Matrix:
 
 
 class Module:
-    __slots__ = ("algebra", "dim", "action", "_rad", "_blocks", "_mult", "_peels", "_ext_cache", "__weakref__")
+    __slots__ = ("algebra", "dim", "action", "_rad", "_blocks", "_mult", "_peels", "_res", "_ext", "__weakref__")
 
     def __init__(self, algebra, dim, action, check_unit=True):
         self.algebra = algebra
@@ -62,7 +64,8 @@ class Module:
         self._blocks = None
         self._mult = None  # label -> [X : L_label], allocated on first comp_mult
         self._peels = None  # label -> Peel, allocated on first peel
-        self._ext_cache = {}
+        self._res = None  # the minimal projective resolution, built on first Ext
+        self._ext = None  # target Y -> {n: Ext dims}, allocated on first Ext
         if len(self.action) != algebra.dim:
             raise InvalidModule("need one action matrix per algebra basis element")
         for M in self.action:

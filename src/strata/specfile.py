@@ -146,18 +146,5 @@ def export_algebra(A, poset=None, meta=None) -> dict:
     return out
 
 
-def export_quiver_spec(pres: QuiverPresentation, fld, poset, subalgebras=None, meta=None) -> dict:
-    out = {
-        "field": fld.to_json(),
-        "presentation": pres.to_json(),
-        "order": [list(p) for p in poset.cover_pairs()],
-    }
-    if subalgebras:
-        out["subalgebras"] = subalgebras
-    if meta:
-        out["meta"] = meta
-    return out
-
-
 def dump(obj) -> str:
     return json.dumps(obj, indent=1, sort_keys=True)

@@ -107,7 +107,11 @@ class LabelPoset:
 
     def is_coideal(self, subset):
         subset = {str(s) for s in subset}
-        return all(self.up_set(a) <= subset for a in subset)
+        unknown = subset.difference(self.labels)
+        if unknown:
+            raise UnknownLabel(f"labels {sorted(unknown)} are not in the poset")
+        # walk the labels in poset order: where all() stops may not depend on the hash seed
+        return all(self.up_set(a) <= subset for a in self.labels if a in subset)
 
     def maximal_of(self, labels):
         labels = [str(l) for l in labels]

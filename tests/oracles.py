@@ -8,10 +8,17 @@ they were built from.  The algebra table references
 are the earlier loop constructions, kept verbatim over the sparse
 multiplication table ``mult[i][j] = ((k, c_ij^k), ...)`` (nonzero
 coefficients, k ascending) that algebras used to store; ``sparse_table``
-reads that form off an algebra's integer table.
+reads that form off an algebra's integer table.  The nonbasic-endo corpus
+spec, a table no one reads by eye, is checked against the matrix-pattern
+construction it was written from.
 """
 
+import json
+
+from strata.algebra import structure_constant_algebra
+from strata.corpus import corpus_path
 from strata.errors import InvalidModule
+from strata.kernel.fields import QQ
 from strata.kernel.matrix import Matrix
 from strata.kernel.subspace import Subspace
 from strata.quiver import compile_presentation
@@ -222,3 +229,68 @@ def ref_closure_table(A, vectors):
         return [tuple(C.col(j)) for j in range(C.cols)]
 
     return _table_from_coordinates(A.field, span.dim, coords_of(A.products(span.basis, span.basis).transpose()))
+
+
+# -- corpus spec files -----------------------------------------------------------------
+
+
+def corpus_doc(name):
+    """The JSON document of a bundled corpus spec file."""
+    with open(corpus_path(name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+ENDO_PATTERN = [
+    (1, 1), (1, 2), (2, 2), (3, 2), (3, 3), (3, 4), (3, 5),
+    (4, 2), (4, 3), (4, 4), (4, 5), (5, 5),
+]
+
+
+def nonbasic_endo():
+    """12-dim algebra of a pattern of 5x5 matrices with multiplication opposite
+    to matrix multiplication; the two idempotents E33, E44 share the label 3."""
+    names = [f"E{r}{c}" for r, c in ENDO_PATTERN]
+    pos = {rc: k for k, rc in enumerate(ENDO_PATTERN)}
+    table = []
+    # x * y = y · x in usual matrix terms: E_ab * E_cd = delta_{d,a} E_cb
+    for i, (a, b) in enumerate(ENDO_PATTERN):
+        for j, (c, d) in enumerate(ENDO_PATTERN):
+            if d == a:
+                k = pos.get((c, b))
+                if k is None:
+                    raise AssertionError("pattern is not multiplicatively closed")
+                table.append((i, j, k, 1))
+    unit = [0] * len(names)
+    for r in (1, 2, 3, 4, 5):
+        unit[pos[(r, r)]] = 1
+    labels = {1: "1", 2: "2", 3: "3", 4: "3", 5: "4"}
+    idems = []
+    for r in (1, 2, 3, 4, 5):
+        v = [0] * len(names)
+        v[pos[(r, r)]] = 1
+        idems.append((v, labels[r]))
+    return structure_constant_algebra(QQ, names, table, unit, idems)
+
+
+def nonbasic_endo_borel_generators(A):
+    """(idempotents with labels, generators) of the 8-dim directed subalgebra "borel"."""
+    pos = {rc: k for k, rc in enumerate(ENDO_PATTERN)}
+
+    def unit_vec(*rcs):
+        v = [0] * A.dim
+        for rc in rcs:
+            v[pos[rc]] = 1
+        return tuple(QQ.coerce(x) for x in v)
+
+    idem = [
+        (unit_vec((1, 1), (4, 4)), "1"),
+        (unit_vec((2, 2)), "2"),
+        (unit_vec((3, 3)), "3"),
+        (unit_vec((5, 5)), "4"),
+    ]
+    gens = [
+        unit_vec((1, 2), (4, 2)),  # arrow 1 -> 2
+        unit_vec((4, 3)),          # arrow 1 -> 3
+        unit_vec((3, 5)),          # arrow 3 -> 4
+    ]
+    return idem, gens

@@ -22,11 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strata.algebra import Algebra
-from strata.corpus import corpus, entry, entry_spec
+from strata.corpus import corpus, entry
 from strata.errors import InvalidAlgebra, StrataError
 from strata.specfile import export_algebra, load_spec
 
 from oracles import (
+    corpus_doc,
     ref_closure_table,
     ref_corner_table,
     ref_left_mult_matrix,
@@ -51,7 +52,7 @@ def algebra(name, field):
         if field == "Q":
             _ALGEBRAS[key] = entry(name).algebra
         else:
-            doc = entry_spec(name)
+            doc = corpus_doc(name)
             doc["field"] = {"Fp": 32003}
             _ALGEBRAS[key] = load_spec(doc).algebra
     return _ALGEBRAS[key]

@@ -5,8 +5,10 @@ import json
 import pytest
 
 from strata.cli import main
-from strata.corpus import corpus_path, entry_spec
+from strata.corpus import corpus_path
 from strata.specfile import dump
+
+from oracles import corpus_doc
 
 
 def run(capsys, *argv):
@@ -127,7 +129,7 @@ class TestErrors:
         assert code == 2 and "input error" in err
 
     def test_tampered_relation_detected(self, capsys, tmp_path):
-        doc = entry_spec("sl2-block")
+        doc = corpus_doc("sl2-block")
         doc["presentation"]["relations"] = []  # drop the bounding relation
         bad = tmp_path / "tampered.json"
         bad.write_text(json.dumps(doc))
@@ -136,7 +138,7 @@ class TestErrors:
         assert "survives" in err  # names the surviving path claim
 
     def test_tampered_order_fails_check(self, capsys, tmp_path):
-        doc = entry_spec("sl2-block")
+        doc = corpus_doc("sl2-block")
         doc["order"] = [["2", "1"]]
         bad = tmp_path / "reordered.json"
         bad.write_text(json.dumps(doc))
@@ -192,7 +194,7 @@ VERDICT_CODES = {"pass": 0, "fail": 1, "inconclusive": 3}
 
 
 def _spec_file(tmp_path, name, field):
-    doc = entry_spec(name)
+    doc = corpus_doc(name)
     doc["field"] = FIELDS[field]
     path = tmp_path / f"{name}.{field}.json"
     path.write_text(dump(doc))

@@ -23,11 +23,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strata.corpus import build_fork, entry
+from strata.corpus import corpus_path, entry
 from strata.errors import InvalidModule, NotInSubspace
 from strata.homology import ext_dim, ext_dims_upto
 from strata.kernel import QQ, Matrix, PrimeField, Subspace
 from strata.modules import Module, projective, simple
+from strata.specfile import load_spec_file
 from strata.strat import strat_datum
 
 FIELDS = [QQ, PrimeField(2), PrimeField(7), PrimeField(32003)]
@@ -378,7 +379,7 @@ def _src_env():
 
 def _non_invariant_example():
     """The regular module of the fork algebra and a basis line it does not preserve."""
-    A, _ = build_fork()
+    A = load_spec_file(corpus_path("fork")).algebra
     reg = Module.regular(A)
     for i in range(A.dim):
         S = Subspace.from_rows(A.field, A.dim, [A.basis_vec(i)])
@@ -422,7 +423,9 @@ class TestExtCache:
 
 
 def test_strat_datum_dies_with_its_algebra():
-    A, poset = build_fork()
+    spec = load_spec_file(corpus_path("fork"))
+    A, poset = spec.algebra, spec.poset
+    del spec
     sd = strat_datum(A, poset)
     assert strat_datum(A, poset) is sd
     ref = weakref.ref(A)

@@ -19,16 +19,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from strata.corpus import entry, entry_spec
+from strata.corpus import entry
 from strata.errors import InvalidModule, NotInSubspace
 from strata.functors import IdempotentContext, SubalgebraEmbedding
-from strata.homology import Summand
+from strata.homology import Summand, resolution
 from strata.kernel import Matrix, Subspace
-from strata.modules import Module, hom_basis, injective, projective, simple, trace_from_projective
+from strata.modules import Module, hom_basis, injective, left_ideal, projective, simple, trace_from_projective
 from strata.specfile import load_spec
 from strata.strat import LabelPoset, StandardRecord, filtration_standard
 
-from oracles import hom_basis_plain, trace_from_projective_closure, verify_action
+from oracles import corpus_doc, hom_basis_plain, trace_from_projective_closure, verify_action
 
 LIGHT_SPECS = ("auslander-x3", "diamond", "ext2-chain", "fork", "fork-refined", "rad-square-zero", "sl2-block")
 FIELDS = ("Q", "Fp")
@@ -42,7 +42,7 @@ def algebra(name, field):
         if field == "Q":
             _ALGEBRAS[key] = entry(name).algebra
         else:
-            doc = entry_spec(name)
+            doc = corpus_doc(name)
             doc["field"] = {"Fp": 32003}
             _ALGEBRAS[key] = load_spec(doc).algebra
     return _ALGEBRAS[key]
@@ -391,11 +391,14 @@ class TestAgainstLoopVersions:
     @settings(max_examples=14, deadline=None)
     def test_summand(self, name, field):
         A = algebra(name, field)
-        for e, lab in A.idempotents:
-            s = Summand(A, e, lab)
-            rmod, rbasis = ref_summand(A, e)
-            assert same_module(s.module, rmod) and s.basis == rbasis
-            assert Summand(A, e).module is s.module  # solved once per idempotent
+        for lab in A.labels:
+            rmod, rbasis = ref_summand(A, A.idempotent_for_label(lab))
+            assert same_module(projective(A, lab), rmod) and left_ideal(A, lab).inclusion() == rbasis
+            s = Summand(A, lab)
+            assert s.module is projective(A, lab) and s.basis == rbasis
+            # every resolution layer is built from the projectives themselves
+            res = resolution(simple(A, lab)).extend_to(2)
+            assert all(t.module is projective(A, t.label) for layer in res.layers for t in layer)
 
     @given(st.sampled_from(LIGHT_SPECS), st.sampled_from(FIELDS), st.data())
     @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -17,12 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strata.algebra import Algebra
-from strata.corpus import build_fork, build_sl2_block, entry, entry_spec
+from strata.corpus import corpus_path, entry
 from strata.errors import InvalidAlgebra
 from strata.kernel import QQ, Matrix, PrimeField, Subspace
-from strata.specfile import load_spec
+from strata.specfile import load_spec, load_spec_file
 
-from oracles import sparse_table
+from oracles import corpus_doc, sparse_table
 
 FIELDS = [QQ, PrimeField(7)]
 
@@ -146,7 +146,7 @@ class TestCertificate:
         assert named in failing
 
     def test_perturbed_structure_constant_spec_of_dimension_25(self):
-        spec = entry_spec("sl2-tensor-square")
+        spec = corpus_doc("sl2-tensor-square")
         sc = spec["presentation"]["structure_constants"]
         n = len(sc["basis"])
         assert n >= 16
@@ -177,7 +177,7 @@ class TestCertificate:
 
 class TestInheritance:
     def test_quotient_by_a_one_sided_ideal_is_refused(self, monkeypatch):
-        A, _ = build_sl2_block()  # a fresh algebra: the patched ideal must not reach the corpus caches
+        A = load_spec_file(corpus_path("sl2-block")).algebra  # a fresh algebra: the patched ideal must not reach the corpus caches
         e = A.idempotent_for_label("1")
         # A e: a left ideal that is not two-sided
         monkeypatch.setattr(Algebra, "_two_sided_ideal",
@@ -191,7 +191,7 @@ class TestInheritance:
         e = A.idempotent_sum_for_labels(["1", "2"])
         C, _ = A.corner(e)
         Q, _ = A.quotient_by_idempotent_ideal(A.idempotent_for_label("3"))
-        F, _ = build_fork()
+        F = load_spec_file(corpus_path("fork")).algebra
         for B in (C, Q, A.opposite(), C.opposite(), F.tensor_product(F)):
             B.check_associativity()
 

@@ -1,37 +1,42 @@
-"""Spec file schema: strictness, element specs, round-trips, serialization."""
+"""Spec file schema: strictness, element specs, round-trips, serialization, and the
+corpus spec files that are not readable by eye against the constructions they
+were written from."""
 
 import json
 
 import pytest
 
-from strata.corpus import corpus, corpus_path, entry, entry_spec
+from strata.corpus import corpus, corpus_path, entry
 from strata.errors import InputError
 from strata.kernel.fields import QQ
 from strata.kernel.matrix import Matrix
 from strata.specfile import dump, export_algebra, load_spec, load_spec_file
+from strata.strat import LabelPoset
+
+from oracles import corpus_doc, nonbasic_endo, nonbasic_endo_borel_generators
 
 
 class TestSchema:
     def test_unknown_top_key_rejected(self):
-        doc = entry_spec("sl2-block")
+        doc = corpus_doc("sl2-block")
         doc["surprise"] = 1
         with pytest.raises(InputError):
             load_spec(json.dumps(doc))
 
     def test_missing_required_key(self):
-        doc = entry_spec("sl2-block")
+        doc = corpus_doc("sl2-block")
         del doc["order"]
         with pytest.raises(InputError):
             load_spec(json.dumps(doc))
 
     def test_unknown_sc_key_rejected(self):
-        doc = entry_spec("nonbasic-endo")
+        doc = corpus_doc("nonbasic-endo")
         doc["presentation"]["structure_constants"]["extra"] = []
         with pytest.raises(InputError):
             load_spec(json.dumps(doc))
 
     def test_bad_field_descriptor(self):
-        doc = entry_spec("sl2-block")
+        doc = corpus_doc("sl2-block")
         doc["field"] = "R"
         with pytest.raises(InputError):
             load_spec(json.dumps(doc))
@@ -46,14 +51,29 @@ class TestSchema:
         assert composite == A.mult_vec(A.element_from_path(["b"]), A.element_from_path(["d"]))
 
 
-class TestRoundTrip:
-    def test_all_corpus_files_load_to_builders(self):
-        for name in corpus():
-            sd = load_spec_file(corpus_path(name))
-            ent = entry(name)
-            assert sd.algebra == ent.algebra, name
-            assert sd.poset == ent.poset, name
+class TestCorpusFiles:
+    @pytest.mark.parametrize("name", sorted(corpus()))
+    def test_file_is_its_canonical_dump(self, name):
+        with open(corpus_path(name), encoding="utf-8") as fh:
+            text = fh.read()
+        assert text == dump(json.loads(text)) + "\n"
 
+    def test_nonbasic_endo_is_the_matrix_pattern(self):
+        sd = load_spec_file(corpus_path("nonbasic-endo"))
+        A = nonbasic_endo()
+        assert sd.algebra == A
+        assert sd.poset == LabelPoset(A.labels, [("1", "2"), ("2", "3"), ("3", "4")])
+        idem, gens = nonbasic_endo_borel_generators(A)
+        assert sd.subalgebras == {"borel": (idem, gens)}
+
+    def test_sl2_tensor_square_is_the_tensor_square_of_sl2_block(self):
+        sd = load_spec_file(corpus_path("sl2-tensor-square"))
+        sl2 = load_spec_file(corpus_path("sl2-block"))
+        assert sd.algebra == sl2.algebra.tensor_product(sl2.algebra)
+        assert sd.poset == LabelPoset.product(sl2.poset, sl2.poset)
+
+
+class TestRoundTrip:
     def test_derived_algebra_round_trip(self):
         # corner, quotient, tensor and closure re-import identically
         A = entry("auslander-x3").algebra
@@ -75,8 +95,8 @@ class TestRoundTrip:
         assert back.algebra == ent.algebra
 
     def test_dump_deterministic(self):
-        a = dump(entry_spec("fork"))
-        b = dump(entry_spec("fork"))
+        a = dump(corpus_doc("fork"))
+        b = dump(corpus_doc("fork"))
         assert a == b
 
 
@@ -87,7 +107,7 @@ class TestSerialization:
         assert M == M2
 
     def test_scalar_strings_in_files(self):
-        doc = entry_spec("diamond")
+        doc = corpus_doc("diamond")
         rels = doc["presentation"]["relations"]
         coeffs = {c for rel in rels for c, _ in rel}
         assert coeffs == {"1", "-1"}

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strata.algebra import Algebra, structure_constant_algebra
-from strata.corpus import entry, entry_spec
-from strata.errors import InvariantViolation, NotAntisymmetric
+from strata.corpus import entry
+from strata.errors import InvariantViolation, NotAntisymmetric, UnknownLabel
 from strata.kernel.fields import QQ
 from strata.modules import Module, comp_mult, simple
 from strata.strat import (
@@ -24,6 +24,7 @@ from strata.strat import (
     strat_datum,
 )
 from strata.specfile import load_spec
+from oracles import corpus_doc
 from test_theorem_oracles import compile_rad_square_zero, rad_square_zero, verdicts
 
 
@@ -40,6 +41,21 @@ class TestLabelPoset:
         assert p.is_coideal({"2", "3"})
         assert not p.is_coideal({"2"})
         assert p.is_coideal(set())
+
+    def test_coideal_walks_labels_in_poset_order(self, monkeypatch):
+        # the labels in poset order, up to the first one whose up-set leaves the
+        # subset: where the walk stops may not depend on the hash seed
+        p = LabelPoset(["4", "1", "3", "2"], [("1", "2"), ("3", "2")])
+        seen = []
+        up_set = LabelPoset.up_set
+        monkeypatch.setattr(LabelPoset, "up_set", lambda self, a: seen.append(a) or up_set(self, a))
+        assert not p.is_coideal({"3", "1", "4"})
+        assert seen == ["4", "1"]
+        seen.clear()
+        assert p.is_coideal({"2", "1", "4"})
+        assert seen == ["4", "1", "2"]
+        with pytest.raises(UnknownLabel):
+            p.is_coideal({"1", "2", "9"})
 
     def test_linear_extension_with_deferral(self):
         p = LabelPoset(["1", "2", "3"], [("1", "2")])
@@ -294,7 +310,7 @@ class TestBGG:
 
 
 def _fresh_algebra(name, field):
-    doc = entry_spec(name)
+    doc = corpus_doc(name)
     doc["field"] = field
     return load_spec(doc).algebra
 

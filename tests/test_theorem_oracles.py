@@ -37,7 +37,7 @@ from hypothesis import strategies as st
 import strata.modules
 import strata.strat
 from strata.algebra import compile_quiver
-from strata.corpus import build_auslander_x3
+from strata.corpus import corpus_path
 from strata.homology import ext_dims_upto
 from strata.kernel import QQ, Matrix, PrimeField
 from strata.modules import (
@@ -50,7 +50,7 @@ from strata.modules import (
     surjection_onto_power,
 )
 from strata.quiver import QuiverPresentation
-from strata.specfile import export_algebra, load_spec
+from strata.specfile import export_algebra, load_spec, load_spec_file
 from strata.strat import NO, YES, LabelPoset, StratDatum, all_posets, is_split, poset_search
 
 FIELDS = [QQ, PrimeField(32003)]
@@ -232,7 +232,7 @@ def auslander(n):
 def test_auslander_algebras_of_truncated_polynomials(n):
     A = auslander(n)
     if n == 3:
-        assert export_algebra(A) == export_algebra(build_auslander_x3()[0])
+        assert export_algebra(A) == export_algebra(load_spec_file(corpus_path("auslander-x3")).algebra)
     assert A.dim == n * (n + 1) * (2 * n + 1) // 6
     sd = StratDatum(A, LabelPoset(A.labels, [(str(i), str(i + 1)) for i in range(1, n)]))
     assert (sd.left_stratified()[0], sd.right_stratified()[0], sd.quasi_hereditary()) == (YES, YES, YES)
