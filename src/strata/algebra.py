@@ -14,15 +14,41 @@ product per pair of elements.
 
 Every way of obtaining an algebra -- quiver compilation, raw structure
 constants, corner, quotient by an idempotent ideal, subalgebra closure,
-opposite, tensor product -- funnels through validation: unit, idempotent
-family, primitivity and labels are verified, never trusted.  Associativity is
-certified exactly, at every size, where a table enters from outside:
-compile_quiver and structure_constant_algebra check L_i L_j == sum_k c_ij^k L_k
-for every pair (i, j).  Constructions from certified algebras inherit it: the
-opposite is a transposed table, the corner and the subalgebra closure are
-closed subspaces (closure is re-checked by Subspace.coordinates), the quotient
-by AeA is taken after certifying that AeA is a two-sided ideal, and a tensor
-product has certified factors.
+opposite, tensor product -- funnels through validate(), which runs four
+checks: the unit, the idempotent family (idempotent, nonzero, orthogonal,
+summing to the unit), associativity, and primitivity with labels (e_aAe_a is
+local with residue field k; e_a and e_b share a label exactly when e_aAe_b is
+not inside the radical, i.e. when their projectives are isomorphic).  Where a
+table enters from outside -- compile_quiver and structure_constant_algebra --
+every check runs; associativity is certified exactly, at every size, as
+L_i L_j == sum_k c_ij^k L_k for every pair (i, j).  A construction from
+certified algebras names what its result inherits, and validate() skips
+exactly that:
+
+- the subalgebra closure and the tensor product inherit associativity (a
+  closed subspace, re-checked by Subspace.coordinates; certified factors),
+  and nothing else: a subalgebra can separate isomorphic projectives, so the
+  labels are checked again;
+- the corner eAe, for e a sum of distinguished idempotents, inherits every
+  check.  Its unit is e and its idempotents are the summands of e, so the
+  family axioms are A's; e_a(eAe)e_b = e_aAe_b for the summands e_a, e_b, and
+  rad(eAe) = e rad(A) e, so each corner space meets the radical as in A;
+- the quotient A/AeA inherits every check, once AeA is certified two-sided
+  (the constructor checks it against the generators).  The surviving
+  idempotents are images of an orthogonal family summing to 1, less those in
+  AeA, and the constructor raises if one of them dies.  rad(A/AeA) =
+  (rad A + AeA)/AeA and ē_aĀē_a is a nonzero quotient of the local ring
+  e_aAe_a, so primitivity and split residue fields pass down; an isomorphism
+  P_a ≅ P_b stays one, and e_aAe_b ⊆ rad A maps into the radical.  In the
+  non-basic case an idempotent e_c sharing a label with a summand e_a of e is
+  a product through e_a (P_c ≅ P_a), so it lies in AeA and leaves the family;
+  the constructor raises if one does not;
+- the opposite inherits every check: A^op has the same unit, idempotents,
+  radical and spaces e_aAe_b, and its table is the transpose of a certified
+  one.
+
+The inherited checks are re-run on derived algebras by the test suite, not
+here.
 
 Elements are plain coordinate tuples over the algebra's field.
 """
@@ -58,9 +84,15 @@ def _table_from_columns(C):
     return C.transpose().reshape(d, d * d)
 
 
+# What validate() may skip: the checks an algebra inherits from the certified
+# algebras it is built from (see the module docstring).
+ASSOCIATIVITY = frozenset({"associativity"})  # subalgebra closures, tensor products
+EVERY_CHECK = frozenset({"unit", "idempotents", "associativity", "labels"})  # corners, quotients, opposites
+
+
 class Algebra:
     def __init__(self, field, basis_names, table, unit, idempotents, presentation=None,
-                 arrow_indices=None, radical_rows=None, associativity_inherited=False):
+                 arrow_indices=None, radical_rows=None, inherits=frozenset()):
         self.field = field
         self.basis_names = tuple(basis_names)
         self.dim = n = len(self.basis_names)
@@ -77,12 +109,10 @@ class Algebra:
         self.presentation = presentation
         self.arrow_indices = tuple(arrow_indices) if arrow_indices is not None else None
         self._radical = Subspace.from_rows(field, self.dim, radical_rows) if radical_rows is not None else None
-        # True when the table comes from certified algebras by a construction
-        # that preserves associativity (see the module docstring).
-        self._associativity_inherited = associativity_inherited
+        self._inherits = inherits  # checks validate() skips (see the module docstring)
         self._op = None
         self._gens = None
-        self._derived = {}  # (kind, e) -> corner/quotient/ideal, per idempotent
+        self._derived = {}  # (kind, e) -> summands/corner/quotient/ideal, per idempotent
         self.validate()
 
     # -- element arithmetic -------------------------------------------------
@@ -172,8 +202,16 @@ class Algebra:
         return self.sum_idempotents([k for k, (_, lab) in enumerate(self.idempotents) if lab in labels])
 
     def subset_sum_decomposition(self, e):
-        """Indices S with e = sum of the S-indexed distinguished idempotents."""
+        """Indices S with e = sum of the S-indexed distinguished idempotents.
+
+        Solved once per e; an e that is no such sum raises on every call."""
         e = self.coerce_vec(e)
+        key = ("summands", e)
+        if key not in self._derived:
+            self._derived[key] = self._subset_sum_decomposition(e)
+        return self._derived[key]
+
+    def _subset_sum_decomposition(self, e):
         if not self.is_idempotent(e):
             raise NotIdempotent("element is not idempotent")
         cols = [list(v) for v, _ in self.idempotents]
@@ -202,17 +240,32 @@ class Algebra:
     def validate(self):
         """Check the algebra axioms, raising InvalidAlgebra on the first failure.
 
-        Associativity is certified here unless the algebra inherits it from
-        the certified algebras it was built from.
+        A check is skipped when the algebra inherits it from the certified
+        algebras it was built from (the constructor's inherits).
         """
-        f = self.field
+        inherited = self._inherits
+        if "unit" not in inherited:
+            self.check_unit()
+        if "idempotents" not in inherited:
+            self.check_idempotents()
+        if "associativity" not in inherited:
+            self.check_associativity()
+        if "labels" not in inherited:
+            self._check_primitivity_and_labels()
+
+    def check_unit(self):
         n = self.dim
         if len(self.unit) != n:
             raise InvalidAlgebra("unit has wrong length")
-        ident = Matrix.identity(f, n)
+        ident = Matrix.identity(self.field, n)
         if self.left_mult_matrix(self.unit) != ident or self.right_mult_matrix(self.unit) != ident:
             raise InvalidAlgebra("unit is not a two-sided identity")
-        # idempotent family axioms; column b of prods[a] is v_a * v_b
+
+    def check_idempotents(self):
+        """The distinguished family: idempotent, nonzero, orthogonal, summing to the unit."""
+        f = self.field
+        n = self.dim
+        # column b of prods[a] is v_a * v_b
         family = _row_matrix(f, n, [v for v, _ in self.idempotents]).transpose()
         prods = [self.left_mult_matrix(v) * family for v, _ in self.idempotents]
         total = [f.zero] * n
@@ -227,9 +280,6 @@ class Algebra:
                     raise InvalidAlgebra(f"idempotents {a},{b} are not orthogonal")
         if tuple(total) != self.unit:
             raise InvalidAlgebra("distinguished idempotents do not sum to the unit")
-        if not self._associativity_inherited:
-            self.check_associativity()
-        self._check_primitivity_and_labels()
 
     def check_associativity(self):
         """Certify (b_i b_j) b_l == b_i (b_j b_l) on every basis triple, exactly.
@@ -377,7 +427,7 @@ class Algebra:
             presentation=None,
             arrow_indices=self.arrow_indices,
             radical_rows=[rad.basis.row(i) for i in range(rad.dim)] if rad is not None else None,
-            associativity_inherited=True,  # the transpose of a certified table
+            inherits=EVERY_CHECK,  # the transpose of a certified table
         )
         self._op = op
         op._op = self
@@ -423,7 +473,7 @@ class Algebra:
         rad_rows = coords_of(sandwich * self.radical().inclusion())
         names = [f"c{i}" for i in range(S.dim)]
         out = Algebra(f, names, table, coords_of(Matrix.column(f, list(e)))[0], idems,
-                      radical_rows=rad_rows, associativity_inherited=True)
+                      radical_rows=rad_rows, inherits=EVERY_CHECK)
         return out, S.inclusion()
 
     def quotient_by_idempotent_ideal(self, e):
@@ -472,7 +522,7 @@ class Algebra:
         rad_rows = [rad.col(j) for j in range(rad.cols)]
         names = [f"q{i}" for i in range(qdim)]
         out = Algebra(f, names, table, project(self.unit), idems,
-                      radical_rows=rad_rows, associativity_inherited=True)
+                      radical_rows=rad_rows, inherits=EVERY_CHECK)
         return out, proj
 
     def subalgebra_closure(self, idem_gens, gens=()):
@@ -504,7 +554,7 @@ class Algebra:
         idems = list(zip(coords_of(_row_matrix(f, n, idem_vectors).transpose()), [lab for _, lab in idem_gens]))
         names = [f"b{i}" for i in range(span.dim)]
         out = Algebra(f, names, table, coords_of(Matrix.column(f, list(self.unit)))[0], idems,
-                      associativity_inherited=True)
+                      inherits=ASSOCIATIVITY)
         return out, span.inclusion()
 
     def tensor_product(self, other):
@@ -539,7 +589,7 @@ class Algebra:
                 rad_rows.append(outer(self.basis_vec(i), tuple(radB.basis.row(j))))
         # both factors are certified
         return Algebra(f, names, table.reshape(dim, dim * dim), unit, idems, radical_rows=rad_rows,
-                       associativity_inherited=True)
+                       inherits=ASSOCIATIVITY)
 
     # -- equality (content-based; used by round-trip tests) -------------------------
 

@@ -383,66 +383,96 @@ def cmd_verify(args):
     return rep
 
 
-def build_parser():
-    p = argparse.ArgumentParser(prog="strata",
-                                description="exact stratification data for finite-dimensional algebras")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("describe");
+def _add_file(sp):
     sp.add_argument("file")
-    sp.set_defaults(fn=cmd_describe)
 
-    sp = sub.add_parser("check")
+
+def _add_check(sp):
     sp.add_argument("file")
     sp.add_argument("--side", choices=["left", "right"])
     sp.add_argument("--all-orders", action="store_true")
-    sp.set_defaults(fn=cmd_check)
 
-    sp = sub.add_parser("essential-order")
-    sp.add_argument("file")
-    sp.set_defaults(fn=cmd_essential_order)
 
-    sp = sub.add_parser("idempotent")
+def _add_idempotent(sp):
     sp.add_argument("file")
     sp.add_argument("--e", required=True, help="comma list of labels (or #index)")
-    sp.set_defaults(fn=cmd_idempotent)
 
-    sp = sub.add_parser("corner")
+
+def _add_e(sp):
     sp.add_argument("file")
     sp.add_argument("--e", required=True)
-    sp.set_defaults(fn=cmd_corner)
 
-    sp = sub.add_parser("quotient")
-    sp.add_argument("file")
-    sp.add_argument("--e", required=True)
-    sp.set_defaults(fn=cmd_quotient)
 
-    sp = sub.add_parser("borel")
+def _add_borel(sp):
     sp.add_argument("file")
     sp.add_argument("--subalgebra")
     sp.add_argument("--depth", type=int)
     sp.add_argument("--idempotent")
     sp.add_argument("--diagnostic", action="store_true")
-    sp.set_defaults(fn=cmd_borel)
 
-    for name in ("vmatrix", "ell"):
-        sp = sub.add_parser(name)
-        sp.add_argument("file", nargs="?")
-        sp.add_argument("--type")
-        sp.add_argument("--tables")
-        if name == "ell":
-            sp.add_argument("--dims", help="label=dim comma list for the existence solve")
-        sp.set_defaults(fn=cmd_vmatrix if name == "vmatrix" else cmd_ell)
 
-    sp = sub.add_parser("verify-paper")
+def _add_tables(sp):
+    sp.add_argument("file", nargs="?")
+    sp.add_argument("--type")
+    sp.add_argument("--tables")
+
+
+def _add_ell(sp):
+    _add_tables(sp)
+    sp.add_argument("--dims", help="label=dim comma list for the existence solve")
+
+
+def _add_verify(sp):
     sp.add_argument("--filter")
-    sp.set_defaults(fn=cmd_verify)
+
+
+# (command, handler, adds its arguments to a subparser), in the order of the usage line
+COMMANDS = [
+    ("describe", cmd_describe, _add_file),
+    ("check", cmd_check, _add_check),
+    ("essential-order", cmd_essential_order, _add_file),
+    ("idempotent", cmd_idempotent, _add_idempotent),
+    ("corner", cmd_corner, _add_e),
+    ("quotient", cmd_quotient, _add_e),
+    ("borel", cmd_borel, _add_borel),
+    ("vmatrix", cmd_vmatrix, _add_tables),
+    ("ell", cmd_ell, _add_ell),
+    ("verify-paper", cmd_verify, _add_verify),
+]
+COMMAND_NAMES = [name for name, _, _ in COMMANDS]
+
+
+def build_parser(only=None):
+    """The argument parser: every command, or only the named one.
+
+    A parser for one command prints the same top-level usage line as the full
+    one, so both report a bad command line alike.
+    """
+    p = argparse.ArgumentParser(prog="strata",
+                                description="exact stratification data for finite-dimensional algebras")
+    p.add_argument("--json", action="store_true", help="machine-readable output")
+    metavar = None if only is None else "{" + ",".join(COMMAND_NAMES) + "}"
+    sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, fn, add_arguments in COMMANDS:
+        if only in (None, name):
+            sp = sub.add_parser(name)
+            add_arguments(sp)
+            sp.set_defaults(fn=fn)
     return p
 
 
+def _invoked_command(argv):
+    """The command of an argv of the form [--json] COMMAND ... that asks for no help, else None."""
+    rest = argv[1:] if argv[:1] == ["--json"] else argv
+    if rest and rest[0] in COMMAND_NAMES and "-h" not in argv and "--help" not in argv:
+        return rest[0]
+    return None
+
+
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # building one subparser instead of ten is most of a short query's parse time
+    parser = build_parser(_invoked_command(argv))
     args = parser.parse_args(argv)
     try:
         rep = args.fn(args)

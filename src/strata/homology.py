@@ -61,16 +61,21 @@ def _cover_matrix(K: Module, covers, summands) -> Matrix:
 
 
 class Resolution:
-    """Minimal projective resolution of a module, extended on demand."""
+    """Minimal projective resolution of a module, extended on demand.
+
+    Layer 0, the projective cover of X, is built at once; the later layers
+    need nothing of X, so the resolution keeps no reference to it.  X holds
+    its resolution (``X._res``), and is freed by reference counting alone.
+    """
 
     def __init__(self, X: Module):
         self.A = X.algebra
-        self.X = X
         self.layers = []  # list of list[Summand]
         self.diffs = []  # diffs[0]: aug (dimX x dimP0); diffs[n]: P_n -> P_{n-1}
         self.element_diffs = []  # element_diffs[n][s][u] in A-coords, n >= 1
         self.modules = []  # concrete P_n
         self._exhausted_at = None  # layer index where the resolution stops (kernel 0)
+        self._append_layer(X, None, prev_layer_exists=False)
 
     def _concrete(self, summands):
         if not summands:
@@ -131,13 +136,9 @@ class Resolution:
             if self._exhausted_at is not None:
                 self.layers.append([])
                 self.modules.append(Module.zero(self.A))
-                prev_dim = self.modules[-2].dim if len(self.modules) >= 2 else self.X.dim
-                self.diffs.append(Matrix.zeros(self.A.field, prev_dim, 0))
+                self.diffs.append(Matrix.zeros(self.A.field, self.modules[-2].dim, 0))
                 if len(self.layers) >= 2:
                     self.element_diffs.append([[ ] for _ in self.layers[-2]])
-                continue
-            if not self.layers:
-                self._append_layer(self.X, None, prev_layer_exists=False)
                 continue
             P = self.modules[-1]
             D = self.diffs[-1]

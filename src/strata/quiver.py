@@ -17,7 +17,9 @@ of length < L and any concatenation reaching length L is zero in the quotient.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from math import lcm
 
 from .errors import (
     InputError,
@@ -26,6 +28,8 @@ from .errors import (
     NotFiniteDimensionalWithinBound,
     NotInSubspace,
 )
+from .kernel.matrix import Matrix
+from .kernel.subspace import Subspace
 
 PATH_COUNT_GUARD = 40000
 
@@ -157,9 +161,6 @@ def compile_presentation(pres: QuiverPresentation, fld):
     Output: (paths, ideal subspace in the truncated path space, representative
     path indices, work bound).
     """
-    from .kernel.matrix import Matrix
-    from .kernel.subspace import Subspace
-
     pres.validate()
     L = pres.max_path_length
     spread = 0
@@ -170,43 +171,60 @@ def compile_presentation(pres: QuiverPresentation, fld):
 
     paths, index = enumerate_paths(pres, L_work)
     n = len(paths)
+    # paths come in order of length, so each list below is too
     by_target = {}
     by_source = {}
+    blocks = {}  # (source, target) -> its paths' indices, increasing
+    local = []  # path index -> position in its block
     for p in paths:
         by_target.setdefault(p.target, []).append(p)
         by_source.setdefault(p.source, []).append(p)
+        block = blocks.setdefault((p.source, p.target), [])
+        local.append(len(block))
+        block.append(p.index)
+    # fits[v][m]: how many paths from v have length <= m
+    fits = {}
+    for v, ps in by_source.items():
+        lens = [len(p.arrows) for p in ps]
+        fits[v] = [bisect_right(lens, m) for m in range(L_work + 1)]
 
-    gens = []
+    char = fld.char
+    gens = {}  # (source, target) -> generator rows (local columns, integers), deduplicated
     for rel in pres.relations:
-        ends = pres.path_endpoints(rel[0][1])
-        rsrc, rtgt = ends
+        rsrc, rtgt = pres.path_endpoints(rel[0][1])
         maxlen = max(len(path) for _, path in rel)
-        # q is applied before the relation, p after it
+        terms = _integer_terms(fld, rel)
         for q in by_target.get(rsrc, []):
-            for p in by_source.get(rtgt, []):
-                if len(q.arrows) + maxlen + len(p.arrows) > L_work:
-                    continue
-                vec = [fld.zero] * n
-                for coeff, wpath in rel:
-                    arrows = q.arrows + tuple(reversed(wpath)) + p.arrows
-                    idx = index[(q.source,) + arrows]
-                    vec[idx] = fld.add(vec[idx], fld.coerce(coeff))
-                gens.append(vec)
+            room = L_work - maxlen - len(q.arrows)
+            if room < 0:
+                break
+            # q is applied before the relation, p after it
+            for p in by_source.get(rtgt, [])[: fits[rtgt][room]]:
+                row = {}
+                for c, wpath in terms:
+                    idx = index[(q.source,) + q.arrows + wpath + p.arrows]
+                    row[idx] = row.get(idx, 0) + c
+                if char:
+                    row = {j: x % char for j, x in row.items()}
+                where = sorted([j for j, x in row.items() if x])
+                if where:
+                    key = (tuple([local[j] for j in where]), tuple([row[j] for j in where]))
+                    gens.setdefault((q.source, p.target), {})[key] = None
 
-    ideal = Subspace.from_rows(fld, n, gens)
+    ideal = _block_sum(fld, n, [(blocks[b], list(rows)) for b, rows in gens.items()])
 
     # finite-dimensionality witness: every path of length in [L, L_work] dies
     long_paths = [p for p in paths if L <= len(p.arrows) <= L_work]
     if long_paths:
-        units = []
-        for p in long_paths:
-            v = [0] * n
-            v[p.index] = 1
-            units.append(v)
+        units = [None] * n  # column k is the unit vector of the k-th long path
+        for k, p in enumerate(long_paths):
+            units[p.index] = ((k,), (1,))
+        U = Matrix.from_integers(fld, n, len(long_paths), units)
         try:
-            ideal.coordinates(Matrix.from_columns(fld, units, nrows=n))
+            ideal.coordinates(U)
         except NotInSubspace:
-            p = next(p for p, v in zip(long_paths, units) if not ideal.contains(v))
+            k = next(k for k in range(U.cols) if not ideal.contains_columns(U.take_cols([k])))
+            p = long_paths[k]
             raise NotFiniteDimensionalWithinBound(
                 f"path {p.name()} of length {len(p.arrows)} survives modulo the relations"
             ) from None
@@ -215,3 +233,34 @@ def compile_presentation(pres: QuiverPresentation, fld):
     if any(len(paths[i].arrows) >= L for i in reps):
         raise InvariantViolation("a path of length >= max_path_length represents a basis element")
     return paths, ideal, reps, L_work
+
+
+def _integer_terms(fld, rel):
+    """The terms of a relation as (integer, arrows in application order), scaled
+    by one common denominator over Q (a multiple spans the same ideal)."""
+    coeffs = [fld.coerce(c) for c, _ in rel]
+    if not fld.char:
+        den = lcm(*(c.denominator for c in coeffs))
+        coeffs = [c.numerator * (den // c.denominator) for c in coeffs]
+    return [(c, tuple(reversed(wpath))) for c, (_, wpath) in zip(coeffs, rel)]
+
+
+def _block_sum(fld, n, blocks):
+    """The subspace of k^n spanned by the generator rows of each block.
+
+    blocks: (the block's ambient columns, increasing; its rows in local
+    columns).  The blocks' columns are disjoint, so the RREF of the sum is the
+    union of the blocks' RREF rows, sorted by pivot, over a common denominator.
+    """
+    rows = []  # (pivot, columns, integers, denominator)
+    for cols, gens in blocks:
+        R, pivots = Matrix.from_integers(fld, len(gens), len(cols), gens).rref()
+        for r, pc in zip(R.nonzeros, pivots):
+            rows.append((cols[pc], tuple([cols[j] for j in r[0]]), r[1], R.den))
+    if not rows:
+        return Subspace.zero(fld, n)
+    rows.sort()
+    den = lcm(*(d for *_, d in rows))
+    basis = Matrix.from_integers(fld, len(rows), n, [(w, tuple([x * (den // d) for x in v])) for _, w, v, d in rows],
+                                 den)
+    return Subspace(fld, n, basis, [pc for pc, *_ in rows])

@@ -556,14 +556,6 @@ def filtration_proper(X: Module, family, poset, allowed=None, tie_break="forward
 # -- public verdict API -------------------------------------------------------------
 
 
-def is_quasi_hereditary(A, poset):
-    return strat_datum(A, poset).quasi_hereditary()
-
-
-def essential_order(A, poset):
-    return strat_datum(A, poset).essential_order()
-
-
 def poset_search(A):
     """All posets on the labels with their left/right/qh verdicts.
 

@@ -17,11 +17,11 @@ import json
 
 from strata.algebra import structure_constant_algebra
 from strata.corpus import corpus_path
-from strata.errors import InvalidModule
+from strata.errors import InvalidModule, InvariantViolation, NotFiniteDimensionalWithinBound, NotInSubspace
 from strata.kernel.fields import QQ
 from strata.kernel.matrix import Matrix
 from strata.kernel.subspace import Subspace
-from strata.quiver import compile_presentation
+from strata.quiver import enumerate_paths
 
 
 def hom_basis_plain(X, Y):
@@ -117,9 +117,73 @@ def ref_right_mult_matrix(A, vec):
     return Matrix.linear_combination(A.field, n, n, rights)
 
 
+def ref_compile_presentation(pres, fld):
+    """compile_presentation as it was before the per-block elimination, verbatim:
+    one dense vector per generator, one elimination of the whole ideal.
+
+    Output: (paths, ideal subspace in the truncated path space, representative
+    path indices, work bound).
+    """
+    pres.validate()
+    L = pres.max_path_length
+    spread = 0
+    for rel in pres.relations:
+        lens = [len(path) for _, path in rel]
+        spread = max(spread, max(lens) - min(lens))
+    L_work = L + spread
+
+    paths, index = enumerate_paths(pres, L_work)
+    n = len(paths)
+    by_target = {}
+    by_source = {}
+    for p in paths:
+        by_target.setdefault(p.target, []).append(p)
+        by_source.setdefault(p.source, []).append(p)
+
+    gens = []
+    for rel in pres.relations:
+        ends = pres.path_endpoints(rel[0][1])
+        rsrc, rtgt = ends
+        maxlen = max(len(path) for _, path in rel)
+        # q is applied before the relation, p after it
+        for q in by_target.get(rsrc, []):
+            for p in by_source.get(rtgt, []):
+                if len(q.arrows) + maxlen + len(p.arrows) > L_work:
+                    continue
+                vec = [fld.zero] * n
+                for coeff, wpath in rel:
+                    arrows = q.arrows + tuple(reversed(wpath)) + p.arrows
+                    idx = index[(q.source,) + arrows]
+                    vec[idx] = fld.add(vec[idx], fld.coerce(coeff))
+                gens.append(vec)
+
+    ideal = Subspace.from_rows(fld, n, gens)
+
+    # finite-dimensionality witness: every path of length in [L, L_work] dies
+    long_paths = [p for p in paths if L <= len(p.arrows) <= L_work]
+    if long_paths:
+        units = []
+        for p in long_paths:
+            v = [0] * n
+            v[p.index] = 1
+            units.append(v)
+        try:
+            ideal.coordinates(Matrix.from_columns(fld, units, nrows=n))
+        except NotInSubspace:
+            p = next(p for p, v in zip(long_paths, units) if not ideal.contains(v))
+            raise NotFiniteDimensionalWithinBound(
+                f"path {p.name()} of length {len(p.arrows)} survives modulo the relations"
+            ) from None
+
+    reps = ideal.complement_coords()
+    if any(len(paths[i].arrows) >= L for i in reps):
+        raise InvariantViolation("a path of length >= max_path_length represents a basis element")
+    return paths, ideal, reps, L_work
+
+
 def ref_quiver_table(f, pres):
     """The multiplication of compile_quiver, one pair of path representatives at a time."""
-    paths, ideal, reps, _ = compile_presentation(pres, f)
+    paths, ideal, reps, _ = ref_compile_presentation(pres, f)
     L = pres.max_path_length
     proj = ideal.projection_matrix()
     mult = []

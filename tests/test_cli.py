@@ -242,3 +242,67 @@ class TestJsonSurface:
         assert _json_run(capsys, "vmatrix", "--type", "A1xA1")["verdict"] == "pass"
         assert _json_run(capsys, "verify-paper", "--filter", "c05")["verdict"] == "pass"
         assert _json_run(capsys, "check", corpus_path("rad-square-zero"), "--all-orders") is not None
+
+
+# -- the parser of the invoked command alone against the full parser --------------------
+
+PARSER_CASES = [
+    [], ["--json"], ["-h"], ["--help"], ["--json", "-h"], ["bogus"], ["--json", "bogus", "f"],
+    ["describe", "-h"], ["--json", "check", "--help"], ["check", "f", "-h"], ["check", "f", "--he"],
+    ["describe"], ["idempotent", "f"], ["check", "f", "--side", "up"], ["borel", "f", "--depth", "x"],
+    ["describe", "f", "extra"], ["--bogus", "describe", "f"], ["describe", "f", "--bogus"],
+    ["--json", "describe", "f", "--bogus"], ["check", "f", "--json"],
+    ["--json", "check", "f", "--all-orders", "--side", "left"], ["corner", "f", "--e", "1,#2"],
+    ["verify-paper", "--filter", "c01"], ["ell", "--type", "A2", "--dims", "1=1"], ["vmatrix"],
+]
+
+_PARSER_SCRIPT = """
+import contextlib, io, json, sys
+from strata import cli
+
+cases = json.loads(sys.argv[1])
+
+def stub(args):
+    print(sorted((k, v) for k, v in vars(args).items() if k != "fn"))
+    return cli.Report(args.command)
+
+cli.COMMANDS[:] = [(name, stub, add) for name, _, add in cli.COMMANDS]
+invoked = cli._invoked_command
+
+def outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return [code, out.getvalue(), err.getvalue()]
+
+rows = []
+for argv in cases:
+    cli._invoked_command = invoked
+    lean = outcome(argv)
+    cli._invoked_command = lambda argv: None
+    rows.append([invoked(argv), lean, outcome(argv)])
+print(json.dumps(rows))
+"""
+
+
+def test_one_command_parser_reports_like_the_full_parser():
+    import os
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=os.path.join(root, "src"))
+    out = subprocess.run([sys.executable, "-c", _PARSER_SCRIPT, json.dumps(PARSER_CASES)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    rows = json.loads(out.stdout)
+    for argv, (_, lean, full) in zip(PARSER_CASES, rows):
+        assert lean == full, argv
+    assert sum("('command', " in full[1] for _, _, full in rows) == 5  # the lines that parse
+    # the one-command parser is built exactly for [--json] COMMAND ... without a help flag
+    lean_cases = [argv for argv, (command, _, _) in zip(PARSER_CASES, rows) if command is not None]
+    assert len(lean_cases) == 14
+    assert not any("-h" in argv or "--help" in argv for argv in lean_cases)

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from strata.corpus import entry
 from strata.errors import InvalidModule, NotInSubspace
 from strata.functors import IdempotentContext, SubalgebraEmbedding
-from strata.homology import Summand, resolution
+from strata.homology import Summand, ext_dim, resolution
 from strata.kernel import Matrix, Subspace
 from strata.modules import Module, hom_basis, injective, left_ideal, projective, simple, trace_from_projective
 from strata.specfile import load_spec
@@ -482,6 +482,20 @@ class TestModuleData:
             del X, quot
             # freed by reference counting alone: the peel holds X weakly, so there is no cycle
             assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
+
+    def test_resolution_dies_with_its_module(self):
+        A = algebra("sl2-block", "Q")
+        X = Module.direct_sum([simple(A, "1")])  # equal to L_1, not the cached object
+        assert ext_dim(X, simple(A, "2"), 1) == 1
+        assert X._res is not None
+        ref = weakref.ref(X)
+        gc.disable()
+        try:
+            del X
+            # freed by reference counting alone: the resolution keeps no reference to X
+            assert ref() is None
         finally:
             gc.enable()
 

@@ -18,7 +18,6 @@ from strata.strat import (
     bgg_reciprocity_check,
     filtration_proper,
     filtration_standard,
-    is_quasi_hereditary,
     is_split,
     poset_search,
     strat_datum,
@@ -128,7 +127,7 @@ class TestVerdicts:
         }
         for name, want in expectations.items():
             ent = entry(name)
-            assert is_quasi_hereditary(ent.algebra, ent.poset) == want, name
+            assert strat_datum(ent.algebra, ent.poset).quasi_hereditary() == want, name
 
     def test_rad_square_zero_not_stratified(self):
         ent = entry("rad-square-zero")
@@ -138,7 +137,7 @@ class TestVerdicts:
     def test_qh_implies_opposite_qh(self):
         for name in ("fork", "sl2-block", "diamond", "auslander-x3"):
             ent = entry(name)
-            assert is_quasi_hereditary(ent.algebra.opposite(), ent.poset) == YES
+            assert strat_datum(ent.algebra.opposite(), ent.poset).quasi_hereditary() == YES
 
     def test_semisimple_every_poset_works(self):
         from strata.algebra import structure_constant_algebra
