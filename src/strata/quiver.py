@@ -13,6 +13,14 @@ the two-sided ideal generated by the relations there, and demands that every
 path of maximal length reduces to zero.  That check certifies rad^L ⊆ I, which
 makes the truncation exact: the surviving coordinates are path representatives
 of length < L and any concatenation reaching length L is zero in the quotient.
+
+The ideal is spanned by the products u·ρ·v of a relation ρ with paths u and v,
+and every path in u·ρ·v runs from the source of v to the target of u.  So the
+ideal is the direct sum of its parts in the (source, target) blocks of the path
+space.  Each block's generators are eliminated on their own, as sparse integer
+rows, and the RREF of the ideal is the union of the blocks' RREF rows sorted by
+pivot: the RREF is unique, so the pivots, the representatives and the ideal
+are those of one elimination of all the generators together.
 """
 
 from __future__ import annotations

@@ -6,17 +6,24 @@ entries the expected dimensions are frozen from hand enumeration.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strata.algebra import compile_quiver, structure_constant_algebra
-from strata.corpus import corpus, entry
+from strata.corpus import corpus, corpus_path, entry
 from strata.errors import (
     InvalidAlgebra,
     MalformedRelation,
     NotFiniteDimensionalWithinBound,
+    NotIdempotent,
+    NotIdempotentSum,
     NotUnital,
 )
 from strata.kernel.fields import QQ, PrimeField
-from strata.quiver import QuiverPresentation
+from strata.quiver import QuiverPresentation, compile_presentation
+from strata.specfile import load_spec_file
+
+from oracles import ref_compile_presentation, ref_quiver_table, sparse_table
 
 
 def product(A, i, j):
@@ -226,6 +233,23 @@ class TestTransforms:
         with pytest.raises(Exception):
             A.subset_sum_decomposition(bad)
 
+    def test_split_is_solved_once_and_refusals_repeat(self):
+        A = load_spec_file(corpus_path("nonbasic-endo")).algebra  # a fresh algebra: its memo starts empty
+        e = A.idempotent_sum_for_labels(["3"])
+        picks = A.subset_sum_decomposition(e)
+        assert [A.idempotents[k][1] for k in picks] == ["3", "3"]
+        assert A.subset_sum_decomposition(list(e)) is picks  # memoised under the coerced e
+        half = tuple(x / 2 for x in A.unit)
+        e1 = A.idempotent_for_label("1")
+        off = A.basis_vec(A.basis_names.index("E12"))  # e1 + E12 is idempotent, outside the span
+        not_a_sum = tuple(x + y for x, y in zip(e1, off))
+        for _ in range(2):  # refusals are not memoised
+            with pytest.raises(NotIdempotent):
+                A.subset_sum_decomposition(half)
+            with pytest.raises(NotIdempotentSum):
+                A.subset_sum_decomposition(not_a_sum)
+        assert not any(key[0] == "summands" and key[1] in (half, not_a_sum) for key in A._derived)
+
     def test_closure_full_basis_gives_whole(self):
         A = entry("sl2-block").algebra
         idem = [(v, lab) for v, lab in A.idempotents]
@@ -272,3 +296,68 @@ class TestTransforms:
         for name in ("sl2-block", "fork", "diamond", "ext2-chain"):
             A = entry(name).algebra
             assert A._trace_form_radical() == A.radical()
+
+
+# -- the per-block elimination against the whole-ideal reference ----------------------
+
+
+@st.composite
+def presentations(draw):
+    """(presentation, field): a random quiver on at most three vertices, cycles and
+    loops allowed, with up to four relations of one to three terms, and sometimes
+    every path of length L as a monomial relation besides; the terms of a relation
+    share their endpoints but may differ in length (spread > 0)."""
+    f = draw(st.sampled_from([QQ, PrimeField(7), PrimeField(32003)]))
+    n = draw(st.integers(1, 3))
+    vertices = [str(v) for v in range(1, n + 1)]
+    arrows = draw(st.lists(st.tuples(st.sampled_from(vertices), st.sampled_from(vertices)), min_size=1, max_size=4))
+    named = [(f"a{t}", s, e) for t, (s, e) in enumerate(arrows)]
+    L = draw(st.integers(2, 3))
+    words = [[a] for a in named]  # written order: words[k][0] is applied last
+    candidates = []
+    relations = []
+    for length in range(2, L + 2):
+        words = [[x] + w for w in words for x in named if x[1] == w[0][2]]
+        candidates += words
+        if length == L and draw(st.booleans()):
+            # kill every path of length L, so that more draws are finite-dimensional
+            relations = [[(1, tuple(a[0] for a in w))] for w in words]
+    for _ in range(draw(st.integers(0, 4)) if candidates else 0):
+        first = draw(st.sampled_from(candidates))
+        same_ends = [w for w in candidates if (w[-1][1], w[0][2]) == (first[-1][1], first[0][2])]
+        others = draw(st.lists(st.sampled_from(same_ends), max_size=2))
+        terms = {tuple(a[0] for a in w): None for w in [first] + others}
+        coeffs = st.sampled_from([1, -1, 2, 7, "1/2", "-3/2"])
+        relations.append([(draw(coeffs), word) for word in terms])
+    return QuiverPresentation.make(vertices, named, relations, L), f
+
+
+def _compiled(compile_, pres, f):
+    try:
+        return compile_(pres, f)
+    except NotFiniteDimensionalWithinBound as exc:
+        return str(exc)
+
+
+class TestBlockElimination:
+    @settings(max_examples=80, deadline=None)
+    @given(presentations())
+    def test_matches_the_whole_ideal_elimination(self, case):
+        pres, f = case
+        got = _compiled(compile_presentation, pres, f)
+        want = _compiled(ref_compile_presentation, pres, f)
+        if isinstance(want, str):
+            assert got == want  # the same message: the same first surviving path
+            return
+        (paths, ideal, reps, L_work), (ref_paths, ref_ideal, ref_reps, ref_L_work) = got, want
+        assert [p.index for p in paths] == [p.index for p in ref_paths] and L_work == ref_L_work
+        assert reps == ref_reps
+        assert ideal.pivots == ref_ideal.pivots and ideal.basis == ref_ideal.basis
+        assert sparse_table(compile_quiver(pres, f)) == ref_quiver_table(f, pres)
+
+    def test_a_surviving_path_is_named(self):
+        # x*x = x*x*x leaves every power of x alive; the first long path is named
+        pres = QuiverPresentation.make(["1"], [("x", "1", "1")], [[(1, ("x", "x")), (-1, ("x", "x", "x"))]], 2)
+        for compile_ in (compile_presentation, ref_compile_presentation):
+            with pytest.raises(NotFiniteDimensionalWithinBound, match="path x\\*x of length 2 survives"):
+                compile_(pres, QQ)

@@ -7,6 +7,8 @@ raise exactly when that sweep finds a failing triple.
 """
 
 import copy
+import functools
+import itertools
 import subprocess
 import sys
 import textwrap
@@ -16,13 +18,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strata.algebra import Algebra
+import strata.corpus
+from strata import acceptance
+from strata.algebra import EVERY_CHECK, Algebra, compile_quiver
 from strata.corpus import corpus_path, entry
 from strata.errors import InvalidAlgebra
 from strata.kernel import QQ, Matrix, PrimeField, Subspace
+from strata.quiver import QuiverPresentation
 from strata.specfile import load_spec, load_spec_file
 
 from oracles import corpus_doc, sparse_table
+from test_theorem_oracles import compile_rad_square_zero, rad_square_zero
 
 FIELDS = [QQ, PrimeField(7)]
 
@@ -175,6 +181,42 @@ class TestCertificate:
         A.check_associativity()
 
 
+def recertify(B):
+    """Every check that corners, quotients and opposites inherit, run in full."""
+    B.check_unit()
+    B.check_idempotents()
+    B.check_associativity()
+    B._check_primitivity_and_labels()
+    if B.field.char == 0 or B.field.char > B.dim:
+        assert B.radical() == B._trace_form_radical()  # the radical they are handed
+
+
+def derived_algebras(A):
+    """A's opposite, and its corner and quotient at every nonzero subset sum, with their opposites."""
+    out = [A.opposite()]
+    n = len(A.idempotents)
+    for r in range(1, n + 1):
+        for picks in itertools.combinations(range(n), r):
+            e = A.sum_idempotents(picks)
+            for B, _ in (A.corner(e), A.quotient_by_idempotent_ideal(e)):
+                out += [B, B.opposite()]
+    return out
+
+
+@st.composite
+def truncated_path_algebra(draw):
+    """(presentation, field) of kQ/J^L: every path of length L is a relation."""
+    f, vertices, arrows = draw(rad_square_zero(FIELDS))
+    L = draw(st.integers(2, 3))
+    named = [(f"a{t}", s, e) for t, (s, e) in enumerate(arrows)]
+    words = [[a] for a in named]
+    for _ in range(L - 1):
+        # written order: the new arrow is applied after the word
+        words = [[x] + w for w in words for x in named if x[1] == w[0][2]]
+    relations = [[(1, tuple(a[0] for a in w))] for w in words]
+    return QuiverPresentation.make(vertices, named, relations, L), f
+
+
 class TestInheritance:
     def test_quotient_by_a_one_sided_ideal_is_refused(self, monkeypatch):
         A = load_spec_file(corpus_path("sl2-block")).algebra  # a fresh algebra: the patched ideal must not reach the corpus caches
@@ -194,6 +236,34 @@ class TestInheritance:
         F = load_spec_file(corpus_path("fork")).algebra
         for B in (C, Q, A.opposite(), C.opposite(), F.tensor_product(F)):
             B.check_associativity()
+
+    def test_battery_builds_only_certifiable_derived_algebras(self, monkeypatch):
+        # a fresh corpus and sweep, so that the battery builds every derived algebra again
+        monkeypatch.setattr(strata.corpus, "_CACHE", None)
+        monkeypatch.setattr(acceptance, "battery_sweep", functools.cache(acceptance.battery_sweep.__wrapped__))
+        built = []
+        validate = Algebra.validate
+
+        def recording(self):
+            built.append(self)
+            validate(self)
+
+        monkeypatch.setattr(Algebra, "validate", recording)
+        acceptance.run_all()
+        derived = [B for B in built if B._inherits == EVERY_CHECK]
+        assert len(derived) >= 250  # the corners, quotients and opposites of verify-paper
+        for B in derived:
+            recertify(B)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.one_of(rad_square_zero(FIELDS), truncated_path_algebra()))
+    def test_generated_derived_algebras_pass_every_check(self, quiver):
+        if len(quiver) == 3:
+            A = compile_rad_square_zero(*quiver)
+        else:
+            A = compile_quiver(*quiver[:2])
+        for B in derived_algebras(A) + derived_algebras(A.opposite()):
+            recertify(B)
 
     def test_opposite_shares_generators(self):
         A = entry("nonbasic-endo").algebra

@@ -228,7 +228,7 @@ def auslander(n):
     return compile_quiver(QuiverPresentation.make(vertices, arrows, relations, 2 * n - 1), QQ)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_auslander_algebras_of_truncated_polynomials(n):
     A = auslander(n)
     if n == 3:
