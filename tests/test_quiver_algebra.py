@@ -6,7 +6,7 @@ entries the expected dimensions are frozen from hand enumeration.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from strata.algebra import compile_quiver, structure_constant_algebra
@@ -303,12 +303,12 @@ class TestTransforms:
 
 @st.composite
 def presentations(draw):
-    """(presentation, field): a random quiver on at most three vertices, cycles and
+    """(presentation, field): a random quiver on at most four vertices, cycles and
     loops allowed, with up to four relations of one to three terms, and sometimes
     every path of length L as a monomial relation besides; the terms of a relation
     share their endpoints but may differ in length (spread > 0)."""
     f = draw(st.sampled_from([QQ, PrimeField(7), PrimeField(32003)]))
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
     vertices = [str(v) for v in range(1, n + 1)]
     arrows = draw(st.lists(st.tuples(st.sampled_from(vertices), st.sampled_from(vertices)), min_size=1, max_size=4))
     named = [(f"a{t}", s, e) for t, (s, e) in enumerate(arrows)]
@@ -339,9 +339,16 @@ def _compiled(compile_, pres, f):
         return str(exc)
 
 
+# a -> b -> c: each length-2 relation reaches length 3 only when extended on its
+# one free side, after it (first) or before it (second)
+_LINE = (["1", "2", "3", "4"], [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4")])
+
+
 class TestBlockElimination:
     @settings(max_examples=80, deadline=None)
     @given(presentations())
+    @example((QuiverPresentation.make(*_LINE, [[(1, ("b", "a"))]], 3), QQ))
+    @example((QuiverPresentation.make(*_LINE, [[(1, ("c", "b"))]], 3), PrimeField(7)))
     def test_matches_the_whole_ideal_elimination(self, case):
         pres, f = case
         got = _compiled(compile_presentation, pres, f)
