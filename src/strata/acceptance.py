@@ -30,6 +30,7 @@ from .modules import (
     injective,
     iso_test,
     projective,
+    quotient_module,
     simple,
     trace_submodule,
 )
@@ -76,23 +77,6 @@ class Criterion:
         }
 
 
-def _quotient_module(A, e_vec):
-    """A/AeA as a left A-module."""
-    ideal = A.two_sided_ideal(e_vec)
-    if ideal.dim == A.dim:
-        return Module.zero(A)
-    return Module.regular(A).quotient(ideal)[0]
-
-
-def _dual_quotient_over_op(A, e_vec):
-    """A/AeA as a right module, i.e. a left module over the opposite."""
-    opA = A.opposite()
-    ideal = opA.two_sided_ideal(e_vec)
-    if ideal.dim == opA.dim:
-        return Module.zero(opA)
-    return Module.regular(opA).quotient(ideal)[0]
-
-
 def _battery(A, poset, e_vec):
     return compatibility_battery(A, poset, e_vec, with_identities=False)
 
@@ -122,11 +106,11 @@ def criterion_02():
     repop = _battery(B, poset, B.idempotent_for_label("1"))
     c.check("opposite: cond5 true at e_1", repop.conds[5] == YES)
     c.check("opposite: cond4 false at e_1", repop.conds[4] == NO)
-    dual_quot = _dual_quotient_over_op(A, A.idempotent_for_label("1")).dual()
+    dual_quot = quotient_module(A.opposite(), A.idempotent_for_label("1")).dual()
     cand = Module.direct_sum([projective(A, "1'"), simple(A, "1'")])
     c.check("D(A/Ae_1A) = P_1' + L_1'", iso_test(dual_quot, cand).kind == "iso")
     sd = strat_datum(A, poset)
-    quot = _quotient_module(A, A.idempotent_for_label("1"))
+    quot = quotient_module(A, A.idempotent_for_label("1"))
     nb2 = sd.nabla_bar["2"]
     tr = trace_submodule(quot, nb2)
     c.check("trace has dim 2 inside dim 3", (tr.dim, nb2.dim) == (2, 3), f"{tr.dim} in {nb2.dim}")
@@ -145,7 +129,7 @@ def criterion_03():
     for i in ("1", "3", "4"):
         v = iso_test(ctx.inflate(sq.delta[i]), sd.delta[i])
         c.check(f"inflate(Delta_{i}^quot) = Delta_{i}", v.kind == "iso")
-    res = sd.delta_filtration(_quotient_module(A, e2))
+    res = sd.delta_filtration(quotient_module(A, e2))
     c.check("A/Ae_2A not standardly filtered", res.status == NO, res.witness or "")
     bb = basic_borel_criterion(A, poset)
     c.check("basic criterion fails at some label", any(v == NO for v in bb.values()), str(bb))
@@ -158,7 +142,7 @@ def criterion_04():
     e = entry("auslander-x3")
     A, poset = e.algebra, e.poset
     ev = A.idempotent_sum_for_labels(["1", "2"])
-    quot = _quotient_module(A, ev)
+    quot = quotient_module(A, ev)
     c.check("A/A(e1+e2)A = L_3", iso_test(quot, simple(A, "3")).kind == "iso")
     corner, _ = A.corner(ev)
     sc = strat_datum(corner, poset.restrict(["1", "2"]))
@@ -435,7 +419,7 @@ def criterion_13():
         ent = entry(name)
         sd = strat_datum(ent.algebra, ent.poset)
         for picks, ev in _nonzero_subset_sums(ent.algebra):
-            X = _quotient_module(ent.algebra, ev)
+            X = quotient_module(ent.algebra, ev)
             res = filtration_standard(X, sd.delta, ent.poset)
             if sd.ext_oracle_delta(X) != (res.status == YES):
                 agree = False

@@ -68,6 +68,7 @@ from .errors import (
 )
 from .kernel.matrix import Matrix
 from .kernel.subspace import Subspace
+from .memo import derived
 from .quiver import QuiverPresentation, compile_presentation
 
 
@@ -112,7 +113,7 @@ class Algebra:
         self._inherits = inherits  # checks validate() skips (see the module docstring)
         self._op = None
         self._gens = None
-        self._derived = {}  # (kind, e) -> summands/corner/quotient/ideal, per idempotent
+        self._derived = {}
         self.validate()
 
     # -- element arithmetic -------------------------------------------------
@@ -206,10 +207,7 @@ class Algebra:
 
         Solved once per e; an e that is no such sum raises on every call."""
         e = self.coerce_vec(e)
-        key = ("summands", e)
-        if key not in self._derived:
-            self._derived[key] = self._subset_sum_decomposition(e)
-        return self._derived[key]
+        return derived(self, ("summands", e), self._subset_sum_decomposition, e)
 
     def _subset_sum_decomposition(self, e):
         if not self.is_idempotent(e):
@@ -360,10 +358,7 @@ class Algebra:
 
     def generator_rows(self):
         """generators() as the rows of a matrix, built once."""
-        key = ("generator rows",)
-        if key not in self._derived:
-            self._derived[key] = Matrix.from_rows(self.field, self.generators())
-        return self._derived[key]
+        return derived(self, ("generator rows",), lambda: Matrix.from_rows(self.field, self.generators()))
 
     def _find_generators(self):
         f, n = self.field, self.dim
@@ -436,12 +431,7 @@ class Algebra:
     def two_sided_ideal(self, e):
         """AeA as a Subspace of A."""
         e = self.coerce_vec(e)
-        key = ("ideal", e)
-        if key in self._derived:
-            return self._derived[key]
-        out = self._two_sided_ideal(e)
-        self._derived[key] = out
-        return out
+        return derived(self, ("ideal", e), self._two_sided_ideal, e)
 
     def _two_sided_ideal(self, e):
         eA = Subspace.row_space(self.left_mult_matrix(e).transpose())
@@ -450,12 +440,7 @@ class Algebra:
     def corner(self, e):
         """(eAe, embedding matrix dim(A) x dim(eAe))."""
         e = self.coerce_vec(e)
-        key = ("corner", e)
-        if key in self._derived:
-            return self._derived[key]
-        out = self._corner(e)
-        self._derived[key] = out
-        return out
+        return derived(self, ("corner", e), self._corner, e)
 
     def _corner(self, e):
         summands = self.subset_sum_decomposition(e)
@@ -479,12 +464,7 @@ class Algebra:
     def quotient_by_idempotent_ideal(self, e):
         """(A/AeA, projection matrix dim(quotient) x dim(A))."""
         e = self.coerce_vec(e)
-        key = ("quotient", e)
-        if key in self._derived:
-            return self._derived[key]
-        out = self._quotient_by_idempotent_ideal(e)
-        self._derived[key] = out
-        return out
+        return derived(self, ("quotient", e), self._quotient_by_idempotent_ideal, e)
 
     def _quotient_by_idempotent_ideal(self, e):
         summands = self.subset_sum_decomposition(e)

@@ -109,27 +109,21 @@ def _split_labels(arg):
 
 
 def _idempotent_from_arg(A, arg):
-    picks = []
-    labels = []
+    """The sum of the distinguished idempotents named by --e: a label names all of
+    its idempotents and #i the i-th; one named twice is summed once."""
+    indices, unknown = set(), set()
     for tok in _split_labels(str(arg)):
         if tok.startswith("#"):
             if not tok[1:].isdecimal() or int(tok[1:]) >= len(A.idempotents):
                 raise InputError(f"no distinguished idempotent {tok}")
-            picks.append(int(tok[1:]))
+            indices.add(int(tok[1:]))
+        elif tok in A.labels:
+            indices.update(k for k, (_, lab) in enumerate(A.idempotents) if lab == tok)
         else:
-            labels.append(tok)
-    unknown = sorted(set(labels) - set(A.labels))
+            unknown.add(tok)
     if unknown:
-        raise InputError(f"unknown label(s) {unknown}")
-    vec = A.zero_vec()
-    f = A.field
-    if labels:
-        lv = A.idempotent_sum_for_labels(labels)
-        vec = tuple(f.add(a, b) for a, b in zip(vec, lv))
-    if picks:
-        pv = A.sum_idempotents(picks)
-        vec = tuple(f.add(a, b) for a, b in zip(vec, pv))
-    return vec
+        raise InputError(f"unknown label(s) {sorted(unknown)}")
+    return A.sum_idempotents(sorted(indices))
 
 
 def cmd_describe(args):

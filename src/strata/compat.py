@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from .errors import InvariantViolation, SupportNotCoideal
 from .functors import IdempotentContext
 from .kernel.subspace import Subspace
-from .modules import Module, iso_test, iso_to_direct_power, simple
+from .modules import Module, iso_test, iso_to_direct_power, quotient_module, simple
 from .strat import (
     NO,
     YES,
@@ -165,18 +165,11 @@ def compatibility_battery(A, poset, e_vec, with_identities=True) -> CompatReport
     ctx = IdempotentContext(A, e)
 
     # condition 4: A/AeA as a left module has a standard filtration
-    if ctx.quotient is None:
-        quot_mod = Module.zero(A)
-    else:
-        quot_mod, _ = Module.regular(A).quotient(ctx.ideal)
-    f4 = sd.delta_filtration(quot_mod)
+    f4 = sd.delta_filtration(quotient_module(A, e))
     conds[4] = f4.status
 
     # condition 5: D(A/AeA) proper-costandardly filtered, via the opposite side
-    opA = A.opposite()
-    op_ideal = opA.two_sided_ideal(e)
-    quot_op, _ = Module.regular(opA).quotient(op_ideal)
-    f5 = filtration_proper(quot_op, sd.op.delta_bar, poset)
+    f5 = filtration_proper(quotient_module(A.opposite(), e), sd.op.delta_bar, poset)
     conds[5] = f5.status
 
     # condition 6: quotient and corner stratified for the induced orders
@@ -195,13 +188,13 @@ def compatibility_battery(A, poset, e_vec, with_identities=True) -> CompatReport
     # every condition is YES or NO; the field stays for the report's bytes
     report = CompatReport(supp, conds, chain, f4, f5, diagram, False)
     if with_identities:
-        report.identity_checks = recollement_identity_suite(A, poset, e, ctx=ctx, sd=sd, conds=conds)
+        report.identity_checks = _identity_checks(ctx, sd, poset, supp, conds)
     if not diagram:
         raise InvariantViolation(f"implication diagram violated: {conds}")
     return report
 
 
-def recollement_identity_suite(A, poset, e_vec, ctx=None, sd=None, conds=None):
+def _identity_checks(ctx, sd, poset, supp, conds):
     """Standard-object identities across the recollement, per hypothesis.
 
     Always (for i outside the support): the quotient-algebra standard objects
@@ -209,18 +202,7 @@ def recollement_identity_suite(A, poset, e_vec, ctx=None, sd=None, conds=None):
     recovers the ambient standards and the corner identities hold; under
     condition 5, the dual suite.
     """
-    sd = sd or strat_datum(A, poset)
-    e = A.coerce_vec(e_vec)
-    ctx = ctx or IdempotentContext(A, e)
-    supp = set(support(A, e))
-    if conds is None:
-        quot_mod = Module.zero(A) if ctx.quotient is None else Module.regular(A).quotient(ctx.ideal)[0]
-        opA = A.opposite()
-        quot_op, _ = Module.regular(opA).quotient(opA.two_sided_ideal(e))
-        conds = {
-            4: sd.delta_filtration(quot_mod).status,
-            5: filtration_proper(quot_op, sd.op.delta_bar, poset).status,
-        }
+    A = ctx.A
     out = []
 
     def verdict(v):
@@ -238,13 +220,13 @@ def recollement_identity_suite(A, poset, e_vec, ctx=None, sd=None, conds=None):
                         verdict(iso_test(ctx.quotient_hom(sd.nabla[i]), sq.nabla[i]))))
             out.append((f"quotient_hom(NablaBar_{i}) = NablaBar_{i}^quot",
                         verdict(iso_test(ctx.quotient_hom(sd.nabla_bar[i]), sq.nabla_bar[i]))))
-        if conds and conds.get(4) == YES:
+        if conds[4] == YES:
             for i in outside:
                 out.append((f"inflate(Delta_{i}^quot) = Delta_{i}",
                             verdict(iso_test(ctx.inflate(sq.delta[i]), sd.delta[i]))))
         else:
             out.append(("inflation identities", "skipped"))
-        if conds and conds.get(5) == YES:
+        if conds[5] == YES:
             for i in outside:
                 out.append((f"inflate(NablaBar_{i}^quot) = NablaBar_{i}",
                             verdict(iso_test(ctx.inflate(sq.nabla_bar[i]), sd.nabla_bar[i]))))
@@ -253,7 +235,7 @@ def recollement_identity_suite(A, poset, e_vec, ctx=None, sd=None, conds=None):
 
     sc = strat_datum(ctx.corner, poset.restrict(supp))
     inside = [l for l in A.labels if l in supp]
-    if conds and conds.get(4) == YES:
+    if conds[4] == YES:
         for i in inside:
             out.append((f"corner(Delta_{i}) = Delta_{i}^corner",
                         verdict(iso_test(ctx.corner_apply(sd.delta[i]), sc.delta[i]))))
@@ -263,7 +245,7 @@ def recollement_identity_suite(A, poset, e_vec, ctx=None, sd=None, conds=None):
                         verdict(iso_test(ctx.corner_hom(sc.nabla_bar[i]), sd.nabla_bar[i]))))
     else:
         out.append(("corner identities", "skipped"))
-    if conds and conds.get(5) == YES:
+    if conds[5] == YES:
         for i in inside:
             out.append((f"corner_tensor(Delta_{i}^corner) = Delta_{i}",
                         verdict(iso_test(ctx.corner_tensor(sc.delta[i]), sd.delta[i]))))

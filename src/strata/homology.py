@@ -10,11 +10,10 @@ solving intertwiner systems, and is what transports along algebra embeddings.
 
 from __future__ import annotations
 
-import weakref
-
 from .errors import InvariantViolation
 from .kernel.matrix import Matrix
 from .kernel.subspace import Subspace
+from .memo import derived
 from .modules import Module, left_ideal, projective
 
 
@@ -64,8 +63,7 @@ class Resolution:
     """Minimal projective resolution of a module, extended on demand.
 
     Layer 0, the projective cover of X, is built at once; the later layers
-    need nothing of X, so the resolution keeps no reference to it.  X holds
-    its resolution (``X._res``), and is freed by reference counting alone.
+    need nothing of X, so the resolution keeps no reference to it.
     """
 
     def __init__(self, X: Module):
@@ -170,9 +168,7 @@ def _coords_in(basis: Matrix, vec, f):
 
 
 def resolution(X: Module) -> Resolution:
-    if X._res is None:
-        X._res = Resolution(X)
-    return X._res
+    return derived(X, ("resolution",), Resolution, X)
 
 
 # -- Hom cochain complexes --------------------------------------------------------
@@ -219,14 +215,6 @@ def hom_cochain(A, layer_idems, element_diffs, Y: Module, upto):
 
 def ext_dims_upto(X: Module, Y: Module, nmax) -> list:
     """[dim Ext^0, ..., dim Ext^nmax], via a minimal projective resolution."""
-    # Keyed on Y itself, held weakly: an id() key would hand a dead Y's
-    # answer to a new module that reuses its address.
-    if X._ext is None:
-        X._ext = weakref.WeakKeyDictionary()
-    by_target = X._ext
-    cached = by_target.get(Y, {})
-    if nmax in cached:
-        return cached[nmax]
     A = X.algebra
     res = resolution(X).extend_to(nmax + 1)
     layer_idems = [res.layer_idempotents(n) for n in range(len(res.layers))]
@@ -239,7 +227,6 @@ def ext_dims_upto(X: Module, Y: Module, nmax) -> list:
         ker = cn - (d_out.rank() if d_out is not None else 0)
         im = d_in.rank() if d_in is not None else 0
         out.append(ker - im)
-    by_target.setdefault(Y, {})[nmax] = out
     return out
 
 

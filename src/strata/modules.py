@@ -10,21 +10,14 @@ product against the action matrices stacked top to bottom, a quotient selects
 the complement columns instead of multiplying by a lift, and direct sums are
 integer block diagonals.  Acting by a basis vector returns the stored matrix.
 
-Data computed once per module, lazily, lives in slots beside the action, so it
-dies with the module: ``_rad`` (the subspace rad(A)·X), ``_blocks`` (the
-idempotent block decomposition hom_basis solves in: block sizes, T with the
-block bases as columns, T⁻¹, and T⁻¹·X.act(g)·T for the generators g of A that
-are not distinguished idempotents), ``_mult`` (the composition
-multiplicities [X : L_i] asked for so far), ``_peels`` (one ``Peel`` per
-label j asked for: the trace T = Tr_{P_j}(X), the module on T and the quotient
-X/T with its projection, each built on first use, and the certificates T = D^t
-found for family members D, held weakly by D), ``_res`` (the minimal
-projective resolution of X, extended on demand) and ``_ext`` (the dimensions
-of Ext^n(X, Y) asked for so far, keyed by Y and held weakly by Y).  A
-filtration that peels label j off X reaches the same quotient module as every
-earlier peel of j off X, so the peels of a module and of its quotients are
-computed once.  Taking the quotient by the zero subspace, or the submodule on
-the whole space, returns the module itself, so those share its caches too.
+Data computed once per module is kept by memo.derived in the module's
+``_derived`` dict, so it dies with the module: the radical, the idempotent
+block data hom_basis solves in, the multiplicities [X : L_i], one ``Peel`` per
+label and the projective resolution.  A filtration that peels label j off X
+reaches the same quotient module as every earlier peel of j off X, so the
+peels of a module and of its quotients are computed once.  Taking the
+quotient by the zero subspace, or the submodule on the whole space, returns
+the module itself, so those share its caches too.
 
 Right modules never get their own type: they are left modules over the
 opposite algebra, and k-duality D swaps the two sides (dual() of a module
@@ -42,6 +35,7 @@ from math import lcm
 from .errors import DimensionMismatch, InvalidModule, InvariantViolation, NotInSubspace
 from .kernel.matrix import Matrix
 from .kernel.subspace import Subspace
+from .memo import derived
 
 ISO_TRIALS = 64
 ISO_HEIGHT = 8
@@ -54,18 +48,13 @@ def column_space(M: Matrix) -> Matrix:
 
 
 class Module:
-    __slots__ = ("algebra", "dim", "action", "_rad", "_blocks", "_mult", "_peels", "_res", "_ext", "__weakref__")
+    __slots__ = ("algebra", "dim", "action", "_derived", "__weakref__")
 
     def __init__(self, algebra, dim, action, check_unit=True):
         self.algebra = algebra
         self.dim = dim
         self.action = tuple(action)
-        self._rad = None
-        self._blocks = None
-        self._mult = None  # label -> [X : L_label], allocated on first comp_mult
-        self._peels = None  # label -> Peel, allocated on first peel
-        self._res = None  # the minimal projective resolution, built on first Ext
-        self._ext = None  # target Y -> {n: Ext dims}, allocated on first Ext
+        self._derived = None  # allocated by memo.derived on first use
         if len(self.action) != algebra.dim:
             raise InvalidModule("need one action matrix per algebra basis element")
         for M in self.action:
@@ -79,12 +68,8 @@ class Module:
 
     @classmethod
     def regular(cls, algebra):
-        key = ("regular",)
-        if key in algebra._derived:
-            return algebra._derived[key]
-        out = cls(algebra, algebra.dim, [algebra.basis_left_mult(i) for i in range(algebra.dim)])
-        algebra._derived[key] = out
-        return out
+        return derived(algebra, ("regular",),
+                       lambda: cls(algebra, algebra.dim, [algebra.basis_left_mult(i) for i in range(algebra.dim)]))
 
     @classmethod
     def zero(cls, algebra):
@@ -204,9 +189,7 @@ class Module:
         return Subspace.row_space(self.act_rows(R).kernel_basis().transpose())
 
     def radical_subspace(self) -> Subspace:
-        if self._rad is None:
-            self._rad = self.image_of(self.algebra.radical().basis)
-        return self._rad
+        return derived(self, ("rad",), lambda: self.image_of(self.algebra.radical().basis))
 
     def socle_subspace(self) -> Subspace:
         return self.annihilated_by(self.algebra.radical().basis)
@@ -216,12 +199,8 @@ class Module:
         return self.quotient(self.radical_subspace())
 
     def peel(self, label) -> "Peel":
-        """The peel of the trace of P_label off this module, kept in the _peels slot."""
-        if self._peels is None:
-            self._peels = {}
-        if label not in self._peels:
-            self._peels[label] = Peel(self, label)
-        return self._peels[label]
+        """The peel of the trace of P_label off this module, built once per label."""
+        return derived(self, ("peel", label), Peel, self, label)
 
     def to_json(self):
         """dim plus one named action matrix per algebra basis element."""
@@ -248,55 +227,46 @@ class Module:
 
 def left_ideal(A, label) -> Subspace:
     """A e as a subspace of A, for the first distinguished idempotent e with that label."""
-    key = ("Ae", str(label))
-    if key not in A._derived:
-        # column i of R(e) is b_i * e
-        A._derived[key] = Subspace.row_space(A.right_mult_matrix(A.idempotent_for_label(label)).transpose())
-    return A._derived[key]
+    # column i of R(e) is b_i * e
+    return derived(A, ("Ae", str(label)),
+                   lambda: Subspace.row_space(A.right_mult_matrix(A.idempotent_for_label(label)).transpose()))
 
 
 def projective(A, label):
     """P_label = A e for the first distinguished idempotent with that label."""
-    key = ("P", str(label))
-    if key in A._derived:
-        return A._derived[key]
-    out = Module.regular(A).submodule(left_ideal(A, label))[0]
-    A._derived[key] = out
-    return out
+    return derived(A, ("P", str(label)), lambda: Module.regular(A).submodule(left_ideal(A, label))[0])
 
 
 def simple(A, label):
-    key = ("L", str(label))
-    if key in A._derived:
-        return A._derived[key]
-    out = projective(A, label).top()[0]
-    A._derived[key] = out
-    return out
+    return derived(A, ("L", str(label)), lambda: projective(A, label).top()[0])
 
 
 def injective(A, label):
     """I_label = D(projective over the opposite algebra)."""
-    key = ("I", str(label))
-    if key in A._derived:
-        return A._derived[key]
-    out = projective(A.opposite(), label).dual()
-    A._derived[key] = out
-    return out
+    return derived(A, ("I", str(label)), lambda: projective(A.opposite(), label).dual())
+
+
+def quotient_module(A, e_vec):
+    """A/AeA as a left A-module; over A.opposite() it is A/AeA as a right module."""
+    ideal = A.two_sided_ideal(e_vec)
+    if ideal.dim == A.dim:
+        return Module.zero(A)
+    return Module.regular(A).quotient(ideal)[0]
 
 
 def comp_mult(X: Module, label) -> int:
     """[X : L_label] = dim e·X, independent of the choice of idempotent.
 
-    Computed once per (module, label) and kept in the module's _mult slot.
+    Computed once per (module, label).
     """
-    if X._mult is None:
-        X._mult = {}
-    if label not in X._mult:
-        dims = {X.e_part(e).dim for e in X.algebra.idempotents_for_label(label)}
-        if len(dims) != 1:
-            raise InvariantViolation("composition multiplicity depends on idempotent choice")
-        X._mult[label] = dims.pop()
-    return X._mult[label]
+    return derived(X, ("mult", label), _comp_mult, X, label)
+
+
+def _comp_mult(X: Module, label) -> int:
+    dims = {X.e_part(e).dim for e in X.algebra.idempotents_for_label(label)}
+    if len(dims) != 1:
+        raise InvariantViolation("composition multiplicity depends on idempotent choice")
+    return dims.pop()
 
 
 def dimension_vector(X: Module):
@@ -322,18 +292,20 @@ def trace_submodule(X: Module, Y: Module) -> Subspace:
 def _block_data(X: Module):
     """(block sizes, T, T^-1, T^-1 X.act(g) T for the non-idempotent generators g).
 
-    Computed once per module and kept in its _blocks slot.
+    Computed once per module.
     """
-    if X._blocks is None:
-        A = X.algebra
-        blocks = [column_space(X.act(e)) for e, _ in A.idempotents]
-        T = Matrix.hcat(blocks) if blocks else Matrix.zeros(A.field, X.dim, 0)
-        if T.cols != X.dim:
-            raise InvalidModule("idempotent blocks do not decompose the module")
-        Ti = T.inverse()
-        conj = tuple(Ti * X.act(g) * T for g in A.generators()[len(A.idempotents):])
-        X._blocks = (tuple(B.cols for B in blocks), T, Ti, conj)
-    return X._blocks
+    return derived(X, ("blocks",), _build_block_data, X)
+
+
+def _build_block_data(X: Module):
+    A = X.algebra
+    blocks = [column_space(X.act(e)) for e, _ in A.idempotents]
+    T = Matrix.hcat(blocks) if blocks else Matrix.zeros(A.field, X.dim, 0)
+    if T.cols != X.dim:
+        raise InvalidModule("idempotent blocks do not decompose the module")
+    Ti = T.inverse()
+    conj = tuple(Ti * X.act(g) * T for g in A.generators()[len(A.idempotents):])
+    return tuple(B.cols for B in blocks), T, Ti, conj
 
 
 def _offsets(sizes):
@@ -558,30 +530,22 @@ def iso_to_direct_power(X: Module, S: Module, t: int) -> Matrix | None:
 class Peel:
     """The trace T = Tr_{P_label}(X) of one module X, and what a filtration reads off it.
 
-    Kept in X's _peels slot (Module.peel), so it dies with X; it holds X itself
-    only weakly.  The module on T and the quotient X/T are built on first use,
-    and certificates() keeps the answer to "T = D^t?" per family member D, held
-    weakly by D the way homology.ext_dims_upto holds Ext by its target.
+    Kept by X (Module.peel), so it dies with X; it holds X itself only weakly.
+    The quotient X/T is built on first use, and certificates() keeps the answer
+    to "T = D^t?" per family member D, held weakly by D.
     """
 
-    __slots__ = ("space", "_source", "_module", "_quotient", "_certs")
+    __slots__ = ("space", "_source", "_quotient", "_certs")
 
     def __init__(self, X: Module, label):
         self.space = trace_from_projective(label, X)
         self._source = weakref.ref(X)
-        self._module = None
         self._quotient = None
         self._certs = None
 
     def module(self) -> Module:
-        """The module on T (X itself when T is all of X, which is not stored)."""
-        if self._module is None:
-            X = self._source()
-            sub = X.submodule(self.space)[0]
-            if sub is X:
-                return X
-            self._module = sub
-        return self._module
+        """The module on T, built on each call (X itself when T is all of X)."""
+        return self._source().submodule(self.space)[0]
 
     def quotient(self):
         """(X/T, the projection X ->> X/T), as Module.quotient gives them."""

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from .errors import InputError, InvariantViolation, NotAntisymmetric, UnknownLabel
 from .kernel.matrix import Matrix
 from .kernel.subspace import Subspace
+from .memo import derived
 from .modules import (
     Module,
     comp_mult,
@@ -218,7 +219,7 @@ class StandardRecord:
     ker(P_i ->> Delta_i) as a module is built on first use and kept here too.
     """
 
-    __slots__ = ("delta", "delta_bar", "_kernel_space", "_kernel")
+    __slots__ = ("delta", "delta_bar", "_kernel_space", "_derived")
 
     def __init__(self, A, i, above):
         P = projective(A, i)
@@ -238,13 +239,11 @@ class StandardRecord:
         self.delta = delta
         self.delta_bar, _ = delta.quotient(T)
         self._kernel_space = U
-        self._kernel = None
+        self._derived = None
 
     def kernel_module(self, P):
         """ker(P ->> Delta_i) as (module, inclusion), P being the projective P_i."""
-        if self._kernel is None:
-            self._kernel = P.submodule(self._kernel_space)
-        return self._kernel
+        return derived(self, ("kernel",), P.submodule, self._kernel_space)
 
 
 class StratDatum:
@@ -260,10 +259,7 @@ class StratDatum:
         self._records = {i: self._build_delta(i) for i in A.labels}
         self.delta = {i: rec.delta for i, rec in self._records.items()}
         self.delta_bar = {i: rec.delta_bar for i, rec in self._records.items()}
-        self._op = None  # lazy opposite StratDatum (one level, no recursion)
-        self._nabla = None
-        self._left = None
-        self._right = None
+        self._derived = {}  # the opposite datum, the costandards and the verdicts, on first use
 
     # construction ------------------------------------------------------------
 
@@ -272,29 +268,20 @@ class StratDatum:
         same labels j not <= i (taken in A.labels order)."""
         A = self.A
         above = tuple(j for j in A.labels if not self.poset.leq(j, i))
-        key = ("delta", i, above)
-        if key not in A._derived:
-            A._derived[key] = StandardRecord(A, i, above)
-        return A._derived[key]
+        return derived(A, ("delta", i, above), StandardRecord, A, i, above)
 
     @property
     def op(self) -> "StratDatum":
-        if self._op is None:
-            self._op = strat_datum(self.A.opposite(), self.poset)
-        return self._op
+        """The datum of the opposite algebra for the same order (one level, no recursion)."""
+        return derived(self, ("op",), lambda: strat_datum(self.A.opposite(), self.poset))
 
     @property
     def nabla(self):
-        if self._nabla is None:
-            opd = self.op
-            self._nabla = ({i: opd.delta[i].dual() for i in self.A.labels},
-                           {i: opd.delta_bar[i].dual() for i in self.A.labels})
-        return self._nabla[0]
+        return derived(self, ("nabla",), lambda: {i: self.op.delta[i].dual() for i in self.A.labels})
 
     @property
     def nabla_bar(self):
-        self.nabla
-        return self._nabla[1]
+        return derived(self, ("nabla_bar",), lambda: {i: self.op.delta_bar[i].dual() for i in self.A.labels})
 
     # filtration checking ---------------------------------------------------------
 
@@ -304,8 +291,9 @@ class StratDatum:
 
     def left_stratified(self):
         """(verdict YES/NO, per-label filtration results)."""
-        if self._left is not None:
-            return self._left
+        return derived(self, ("left",), self._left_stratified)
+
+    def _left_stratified(self):
         results = {}
         verdict = YES
         for i in self.A.labels:
@@ -315,13 +303,10 @@ class StratDatum:
             results[i] = res
             if res.status == NO:
                 verdict = NO
-        self._left = (verdict, results)
-        return self._left
+        return verdict, results
 
     def right_stratified(self):
-        if self._right is None:
-            self._right = self.op.left_stratified()
-        return self._right
+        return derived(self, ("right",), lambda: self.op.left_stratified())
 
     def quasi_hereditary(self):
         """left stratified and Delta_i = DeltaBar_i for every i."""
@@ -406,10 +391,7 @@ def is_split(A):
 
 def strat_datum(A, poset: LabelPoset) -> StratDatum:
     """The StratDatum of (A, poset), cached on A so that it dies with A."""
-    key = ("strat", poset.key())
-    if key not in A._derived:
-        A._derived[key] = StratDatum(A, poset)
-    return A._derived[key]
+    return derived(A, ("strat", poset.key()), StratDatum, A, poset)
 
 
 # -- filtration certificates ----------------------------------------------------------
@@ -566,10 +548,11 @@ def poset_search(A):
     gated = is_split(A)
     out = []
     for poset in all_posets(A.labels):
-        # neither side's datum is cached: the standard modules they share across
-        # orders are kept on A and A.opposite() by StratDatum._build_delta
+        # neither side's datum is cached on its algebra (sd is handed its own
+        # opposite): the standard modules they share across orders are kept on
+        # A and A.opposite() by StratDatum._build_delta
         sd = StratDatum(A, poset)
-        sd._op = StratDatum(A.opposite(), poset)
+        derived(sd, ("op",), StratDatum, A.opposite(), poset)
         # an algebra that is not split peels every side
         s_left, s_right = sd.dimension_counts() if gated else (A.dim, A.dim)
         left = sd.left_stratified()[0] if s_left == A.dim else NO

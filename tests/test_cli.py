@@ -165,6 +165,15 @@ class TestIdempotentPicks:
         code, out, _ = run(capsys, "--json", "corner", self.SPEC, "--e", "(1,2)")
         assert code == 0 and json.loads(out)["labels"] == ["(1,2)"]
 
+    @pytest.mark.parametrize("repeated, once", [("1,#0", "1"), ("#0,#0", "#0"), ("#0,1,#0", "#0")])
+    def test_a_summand_named_twice_is_summed_once(self, capsys, repeated, once):
+        # on fork, e_1 is the distinguished idempotent #0
+        spec = corpus_path("fork")
+        code, twice, _ = run(capsys, "--json", "idempotent", spec, "--e", repeated)
+        code2, single, _ = run(capsys, "--json", "idempotent", spec, "--e", once)
+        assert code == code2 == 0
+        assert twice == single
+
     @pytest.mark.parametrize("pick", ["(9,9)", "(1,1", "1", "#x", "#4"])
     def test_unknown_pick_is_an_input_error(self, capsys, pick):
         code, out, err = run(capsys, "corner", self.SPEC, "--e", pick)

@@ -6,7 +6,6 @@ import strata.compat
 from strata.compat import (
     build_stratification_chain,
     compatibility_battery,
-    recollement_identity_suite,
     support,
 )
 from strata.corpus import entry
@@ -133,7 +132,7 @@ class TestIdentitySuite:
     def test_fork_identities_at_1(self):
         ent = entry("fork")
         A = ent.algebra
-        checks = recollement_identity_suite(A, ent.poset, A.idempotent_for_label("1"))
+        checks = compatibility_battery(A, ent.poset, A.idempotent_for_label("1")).identity_checks
         named = dict(checks)
         # cond4 holds at e_1, so inflation and corner identities are live
         assert named["inflate(Delta_2^quot) = Delta_2"] == "iso"
@@ -147,7 +146,7 @@ class TestIdentitySuite:
         ent = entry("diamond")
         A = ent.algebra
         ev = A.idempotent_sum_for_labels(["3", "4"])
-        checks = recollement_identity_suite(A, ent.poset, ev)
+        checks = compatibility_battery(A, ent.poset, ev).identity_checks
         assert all(v in ("iso", "skipped") for _, v in checks)
         assert any(v == "iso" for _, v in checks)
 
