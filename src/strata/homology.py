@@ -6,11 +6,14 @@ concretely, as matrices between the realized direct sums, and symbolically, as
 grids of algebra elements m ∈ e_col·A·e_row acting by right multiplication.
 The symbolic form is what makes Hom(P_n, Y) = ⊕ e_u·Y computable without
 solving intertwiner systems, and is what transports along algebra embeddings.
+It is read, not solved: the coordinates of each summand generator e in the
+RREF basis of A e are its entries at the pivots (kept once per label), and d_n
+of all the generators of P_n is one product.
 """
 
 from __future__ import annotations
 
-from .errors import InvariantViolation
+from .errors import InvariantViolation, NotInSubspace
 from .kernel.matrix import Matrix
 from .kernel.subspace import Subspace
 from .memo import derived
@@ -94,39 +97,20 @@ class Resolution:
         return summands
 
     def _elements_of(self, n):
-        """Differential d_n expressed as algebra elements, grid [s][u]."""
-        prev = self.layers[n - 1]
-        cur = self.layers[n]
-        offs = [0]
-        for s in prev:
-            offs.append(offs[-1] + s.module.dim)
+        """Differential d_n expressed as algebra elements, grid [s][u]: the component
+        of d_n(e_u), e_u the generator of the u-th summand of P_n, in the s-th summand
+        of P_{n-1}, as an element of A e_s."""
+        A = self.A
+        # column u: the coordinates of e_u in its summand's basis, at the summand's offset
+        gens = Matrix.block_diagonal(A.field, [_generator_coordinates(A, u.label) for u in self.layers[n]])
+        images = self.diffs[n] * gens
         grid = []
-        for si, s in enumerate(prev):
-            row = []
-            for ui, u in enumerate(cur):
-                # image of the generator e_u: column at the generator coordinate
-                col = self._generator_column(n, ui)
-                block = col[offs[si] : offs[si + 1]]
-                elem = (s.basis * Matrix.column(self.A.field, block)).col(0)
-                row.append(tuple(elem))
-            grid.append(row)
-        return grid
-
-    def _generator_column(self, n, ui):
-        """Concrete image under d_n of the generator e_u of the ui-th summand."""
-        cur = self.layers[n]
-        f = self.A.field
         off = 0
-        for k in range(ui):
-            off += cur[k].module.dim
-        gen = cur[ui].e_vec
-        coords, rem = _coords_in(cur[ui].basis, gen, f)
-        if rem is not None:
-            raise InvariantViolation("a summand generator e lies outside its summand A e")
-        vec = [f.zero] * self.modules[n].dim
-        for k, c in enumerate(coords):
-            vec[off + k] = c
-        return (self.diffs[n] * Matrix.column(f, vec)).col(0)
+        for s in self.layers[n - 1]:
+            elems = s.basis * images.take_rows(range(off, off + s.module.dim))
+            off += s.module.dim
+            grid.append([tuple(elems.col(u)) for u in range(elems.cols)])
+        return grid
 
     def extend_to(self, n):
         """Ensure layers 0..n exist (or the resolution is known exhausted)."""
@@ -160,11 +144,17 @@ class Resolution:
         return [s.e_vec for s in self.layers[n]]
 
 
-def _coords_in(basis: Matrix, vec, f):
-    X = basis.solve(Matrix.column(f, list(vec)))
-    if X is None:
-        return None, vec
-    return [X[i, 0] for i in range(X.rows)], None
+def _generator_coordinates(A, label) -> Matrix:
+    """The column of coordinates of the summand generator e in the basis of A e,
+    read at the pivots of left_ideal(A, label); computed once per label."""
+    return derived(A, ("Ae-generator", str(label)), _read_generator_coordinates, A, label)
+
+
+def _read_generator_coordinates(A, label) -> Matrix:
+    try:
+        return left_ideal(A, label).coordinates(Matrix.column(A.field, list(A.idempotent_for_label(label))))
+    except NotInSubspace as exc:
+        raise InvariantViolation("a summand generator e lies outside its summand A e") from exc
 
 
 def resolution(X: Module) -> Resolution:

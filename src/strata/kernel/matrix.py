@@ -14,10 +14,13 @@ stacking select row tuples; transposes, reshapes, splits and Kronecker
 products are one pass over the nonzeros.  Elimination builds dense integer
 rows once per rank / rref and hands them to the two echelon routines of
 _elim_py (fraction-free elimination over Z for Q, ordinary reduction mod p):
-scaling a matrix by its denominator does not change its row space.  Field
-elements (``Fraction`` over Q, ints over F_p) are built only by the
-accessors -- ``m[i, j]``, ``row``, ``col``, ``entries``, ``to_json`` -- and
-never cached beside the integers.
+scaling a matrix by its denominator does not change its row space.  A matrix
+whose nonzero rows each hold one entry (the transpose of a coordinate
+projection, such as act(e) on a path basis) is not eliminated: its RREF is the
+unit rows at those columns, read off the stored rows.  Field elements
+(``Fraction`` over Q, ints over F_p) are built only by the accessors --
+``m[i, j]``, ``row``, ``col``, ``entries``, ``trace``, ``to_json`` -- and never
+cached beside the integers.
 
 Immutable after construction.  rank / kernel_basis / solve are exact: solve
 re-multiplies to verify its answer, kernel columns multiply to exactly zero.
@@ -262,6 +265,12 @@ class Matrix:
 
     def col(self, j):
         return self._elems([_at(r, j) for r in self.nonzeros])
+
+    def trace(self):
+        """The sum of the diagonal entries, a field element."""
+        t = sum([_at(r, i) for i, r in enumerate(self.nonzeros[: self.cols])])
+        p = self.field.char
+        return self._elems([t % p if p else t])[0]
 
     def __eq__(self, other):
         return (
@@ -525,10 +534,28 @@ class Matrix:
             return echelon_int(rows, reduce)
         raise FieldMismatch(f"no elimination routine for {f}")
 
+    def _unit_pivots(self):
+        """The sorted columns of the nonzeros when every nonzero row has one, else None:
+        then the rows are multiples of unit vectors, and their RREF is read, not eliminated."""
+        cols = set()
+        for r in self.nonzeros:
+            if r:
+                if len(r[0]) != 1:
+                    return None
+                cols.add(r[0][0])
+        return sorted(cols)
+
     def rref(self):
         """Reduced row echelon form; returns (Matrix, pivot column list)."""
         if self._echelon is not None and self._echelon[0] == "rref":
             return self._echelon[1], self._echelon[2]
+        pivots = self._unit_pivots()
+        if pivots is not None:
+            out = [((c,), (1,)) for c in pivots]
+            out.extend([None] * (self.rows - len(pivots)))
+            R = Matrix._new(self.field, self.rows, self.cols, 1, tuple(out))
+            self._echelon = ("rref", R, pivots)
+            return R, pivots
         pivots, rows = self._echelon_form(True)
         rows = rows[: len(pivots)]
         den = 1
@@ -550,7 +577,9 @@ class Matrix:
     def rank(self):
         if self._echelon is not None:
             return len(self._echelon[2])
-        pivots, _ = self._echelon_form(False)
+        pivots = self._unit_pivots()
+        if pivots is None:
+            pivots, _ = self._echelon_form(False)
         return len(pivots)
 
     def kernel_basis(self):

@@ -13,9 +13,15 @@ integer block diagonals.  Acting by a basis vector returns the stored matrix.
 Data computed once per module is kept by memo.derived in the module's
 ``_derived`` dict, so it dies with the module: the radical, the idempotent
 block data hom_basis solves in, the multiplicities [X : L_i], one ``Peel`` per
-label and the projective resolution.  A filtration that peels label j off X
-reaches the same quotient module as every earlier peel of j off X, so the
-peels of a module and of its quotients are computed once.  Taking the
+label and the projective resolution.  The block data and the multiplicities
+are read off canonical bases rather than solved: the distinguished idempotents
+are complete and orthogonal, so the block basis change T is inverted by
+reading each act(e) at the pivots of the RREF basis of e·X, and [X : L_i] =
+dim e_i·X is the trace of the idempotent matrix act(e_i) (eliminated instead
+over F_p when p <= dim X, where the trace gives the rank only mod p).  A
+filtration that peels label j off X reaches the same quotient module as every
+earlier peel of j off X, so the peels of a module and of its quotients are
+computed once.  Taking the
 quotient by the zero subspace, or the submodule on the whole space, returns
 the module itself, so those share its caches too.
 
@@ -40,11 +46,6 @@ from .memo import derived
 ISO_TRIALS = 64
 ISO_HEIGHT = 8
 ISO_SEED = 2024
-
-
-def column_space(M: Matrix) -> Matrix:
-    """Canonical basis (as columns) of the column space of M."""
-    return Subspace.row_space(M.transpose()).inclusion()
 
 
 class Module:
@@ -175,12 +176,16 @@ class Module:
         """The subspace e·X for an idempotent element e."""
         return Subspace.row_space(self.act(e_vec).transpose())
 
-    def image_of(self, R: Matrix) -> Subspace:
-        """The span of r·x over the rows r of R and all x in the module."""
-        if R.rows == 0 or self.dim == 0:
+    def image_of(self, R: Matrix, on: Subspace | None = None) -> Subspace:
+        """The span of r·x over the rows r of R and all x in the module, or all x in
+        the subspace `on`."""
+        if R.rows == 0 or self.dim == 0 or (on is not None and on.dim == 0):
             return Subspace.zero(self.algebra.field, self.dim)
-        # the columns of every act(r), as rows
-        return Subspace.row_space(self.act_rows(R).side_by_side(R.rows).transpose())
+        acts = self.act_rows(R)
+        if on is not None:
+            acts = acts * on.inclusion()
+        # the columns of every act(r) (restricted to `on`), as rows
+        return Subspace.row_space(acts.side_by_side(R.rows).transpose())
 
     def annihilated_by(self, R: Matrix) -> Subspace:
         """The x with r·x = 0 for every row r of R."""
@@ -263,10 +268,25 @@ def comp_mult(X: Module, label) -> int:
 
 
 def _comp_mult(X: Module, label) -> int:
-    dims = {X.e_part(e).dim for e in X.algebra.idempotents_for_label(label)}
+    dims = {_idempotent_rank(X, e) for e in X.algebra.idempotents_for_label(label)}
     if len(dims) != 1:
         raise InvariantViolation("composition multiplicity depends on idempotent choice")
     return dims.pop()
+
+
+def _idempotent_rank(X: Module, e) -> int:
+    """dim e·X, the rank of the idempotent matrix act(e), which equals its trace.
+
+    Over F_p the trace is the rank mod p, so it is read only when p > dim X;
+    otherwise e·X is eliminated.
+    """
+    p = X.algebra.field.char
+    if p and p <= X.dim:
+        return X.e_part(e).dim
+    t = X.act(e).trace()
+    if t != int(t) or not 0 <= t <= X.dim:
+        raise InvariantViolation(f"an idempotent acts with trace {t} on a module of dim {X.dim}")
+    return int(t)
 
 
 def dimension_vector(X: Module):
@@ -292,20 +312,28 @@ def trace_submodule(X: Module, Y: Module) -> Subspace:
 def _block_data(X: Module):
     """(block sizes, T, T^-1, T^-1 X.act(g) T for the non-idempotent generators g).
 
-    Computed once per module.
+    Computed once per module, with no inverse solved (see _build_block_data).
     """
     return derived(X, ("blocks",), _build_block_data, X)
 
 
 def _build_block_data(X: Module):
+    """T's blocks are the RREF bases of the e·X, e running over the distinguished
+    idempotents.  The family is complete and orthogonal (Algebra.check_idempotents,
+    inherited by corners and quotients), so X is the direct sum of the e·X and
+    act(e) projects onto e·X along the others.  The coordinates of act(e)·x in an
+    RREF basis are its entries at the pivots, so T^-1 is the rows of each act(e)
+    at its block's pivots, stacked: no inverse is solved.
+    """
     A = X.algebra
-    blocks = [column_space(X.act(e)) for e, _ in A.idempotents]
-    T = Matrix.hcat(blocks) if blocks else Matrix.zeros(A.field, X.dim, 0)
-    if T.cols != X.dim:
+    acts = [X.act(e) for e, _ in A.idempotents]
+    blocks = [Subspace.row_space(E.transpose()) for E in acts]
+    if sum(B.dim for B in blocks) != X.dim:
         raise InvalidModule("idempotent blocks do not decompose the module")
-    Ti = T.inverse()
+    T = Matrix.hcat([B.inclusion() for B in blocks])
+    Ti = Matrix.vcat([E.take_rows(B.pivots) for E, B in zip(acts, blocks)])
     conj = tuple(Ti * X.act(g) * T for g in A.generators()[len(A.idempotents):])
-    return tuple(B.cols for B in blocks), T, Ti, conj
+    return tuple(B.dim for B in blocks), T, Ti, conj
 
 
 def _offsets(sizes):

@@ -217,6 +217,9 @@ class StandardRecord:
     Delta_i = P_i / sum of Tr_{P_j}(P_i) over those j depends on the order only
     through that set, so one record serves every order that gives the same set;
     ker(P_i ->> Delta_i) as a module is built on first use and kept here too.
+    Both kernels are single images: the traces are the image of the stacked A e_j
+    on P_i, and DeltaBar_i's kernel A·e_i·rad(Delta_i) is the image of A e_i on
+    rad(Delta_i), so no invariant closure is iterated.
     """
 
     __slots__ = ("delta", "delta_bar", "_kernel_space", "_derived")
@@ -229,13 +232,8 @@ class StandardRecord:
         else:
             U = Subspace.zero(A.field, P.dim)
         delta, _ = P.quotient(U)
-        rad = delta.radical_subspace()
-        if rad.dim:
-            # the span of e_i·rad(Delta_i), from the columns of e_i times the radical's inclusion
-            eirad = delta.act(A.idempotent_for_label(i)) * rad.inclusion()
-            T = delta.invariant_closure(Subspace.row_space(eirad.transpose()))
-        else:
-            T = Subspace.zero(A.field, delta.dim)
+        # DeltaBar_i = Delta_i / A·e_i·rad(Delta_i), and A·e_i·rad(Delta_i) = (A e_i)·rad(Delta_i)
+        T = delta.image_of(left_ideal(A, i).basis, delta.radical_subspace())
         self.delta = delta
         self.delta_bar, _ = delta.quotient(T)
         self._kernel_space = U
@@ -438,7 +436,11 @@ def filtration_standard(X: Module, family, poset, allowed=None, tie_break="forwa
     proj_to_cur = Matrix.identity(f, X.dim)
     layers, chain, certs = [], [], []
     while cur.dim:
-        present = [lab for lab in A.labels if comp_mult(cur, lab) > 0]
+        mults = {lab: comp_mult(cur, lab) for lab in A.labels}
+        if sum(m * simple(A, lab).dim for lab, m in mults.items()) != cur.dim:
+            raise InvariantViolation(f"the composition factors of a module of dim {cur.dim} "
+                                     f"do not add up to its dimension")
+        present = [lab for lab in A.labels if mults[lab] > 0]
         maximal = poset.maximal_of(present)
         cands = sorted(maximal, key=A.labels.index, reverse=(tie_break == "reverse"))
         j = cands[0]
@@ -448,10 +450,12 @@ def filtration_standard(X: Module, family, poset, allowed=None, tie_break="forwa
         D = family[j]
         # each layer carries [D : L_j] = dim End(D) copies of the top factor
         m = comp_mult(D, j)
-        if comp_mult(cur, j) % m:
+        if m == 0:
+            raise InvariantViolation(f"[Delta_{j} : L_{j}] = 0")
+        if mults[j] % m:
             return FiltrationResult(NO, layers, chain, certs,
-                                    witness=f"[X : L_{j}] = {comp_mult(cur, j)} is not a multiple of {m}")
-        t = comp_mult(cur, j) // m
+                                    witness=f"[X : L_{j}] = {mults[j]} is not a multiple of {m}")
+        t = mults[j] // m
         peel = cur.peel(j)
         if peel.space.dim != t * D.dim:
             return FiltrationResult(NO, layers, chain, certs,
@@ -504,6 +508,8 @@ def filtration_proper(X: Module, family, poset, allowed=None, tie_break="forward
     while cur.dim:
         topmod, _ = cur.top()
         present = [lab for lab in A.labels if comp_mult(topmod, lab) > 0]
+        if not present:
+            raise InvariantViolation(f"the top of a module of dim {cur.dim} has no composition factor")
         if allowed is not None:
             bad = [lab for lab in present if lab not in allowed]
             present = [lab for lab in present if lab in allowed]

@@ -10,7 +10,10 @@ multiplication table ``mult[i][j] = ((k, c_ij^k), ...)`` (nonzero
 coefficients, k ascending) that algebras used to store; ``sparse_table``
 reads that form off an algebra's integer table.  The nonbasic-endo corpus
 spec, a table no one reads by eye, is checked against the matrix-pattern
-construction it was written from.
+construction it was written from.  The module and resolution data that the
+library now reads off canonical bases -- hom_basis's block data, the
+resolution differentials as algebra elements, the kernel of Delta_i ->>
+DeltaBar_i -- are kept here as the eliminations they used to be.
 """
 
 import json
@@ -53,6 +56,81 @@ def hom_basis_plain(X, Y):
 def trace_from_projective_closure(label, Y):
     """Tr_{P_label}(Y) as the submodule generated by e·Y: the invariant closure of e·Y."""
     return Y.invariant_closure(Y.e_part(Y.algebra.idempotent_for_label(label)))
+
+
+def column_space(M):
+    """Canonical basis (as columns) of the column space of M."""
+    return Subspace.row_space(M.transpose()).inclusion()
+
+
+def ref_block_data(X):
+    """modules._build_block_data as it was before T^-1 was read off the act(e),
+    verbatim: (block sizes, T, T^-1 by solving, the conjugated generators)."""
+    A = X.algebra
+    blocks = [column_space(X.act(e)) for e, _ in A.idempotents]
+    T = Matrix.hcat(blocks) if blocks else Matrix.zeros(A.field, X.dim, 0)
+    if T.cols != X.dim:
+        raise InvalidModule("idempotent blocks do not decompose the module")
+    Ti = T.inverse()
+    conj = tuple(Ti * X.act(g) * T for g in A.generators()[len(A.idempotents):])
+    return tuple(B.cols for B in blocks), T, Ti, conj
+
+
+def ref_element_diffs(res, n):
+    """Resolution._elements_of as it was before the one-product read, verbatim:
+    d_n of each summand generator, solved again for every (summand, summand) pair."""
+    prev = res.layers[n - 1]
+    cur = res.layers[n]
+    offs = [0]
+    for s in prev:
+        offs.append(offs[-1] + s.module.dim)
+    grid = []
+    for si, s in enumerate(prev):
+        row = []
+        for ui, u in enumerate(cur):
+            # image of the generator e_u: column at the generator coordinate
+            col = _ref_generator_column(res, n, ui)
+            block = col[offs[si] : offs[si + 1]]
+            elem = (s.basis * Matrix.column(res.A.field, block)).col(0)
+            row.append(tuple(elem))
+        grid.append(row)
+    return grid
+
+
+def _ref_generator_column(res, n, ui):
+    """Concrete image under d_n of the generator e_u of the ui-th summand."""
+    cur = res.layers[n]
+    f = res.A.field
+    off = 0
+    for k in range(ui):
+        off += cur[k].module.dim
+    gen = cur[ui].e_vec
+    coords, rem = _ref_coords_in(cur[ui].basis, gen, f)
+    if rem is not None:
+        raise InvariantViolation("a summand generator e lies outside its summand A e")
+    vec = [f.zero] * res.modules[n].dim
+    for k, c in enumerate(coords):
+        vec[off + k] = c
+    return (res.diffs[n] * Matrix.column(f, vec)).col(0)
+
+
+def _ref_coords_in(basis, vec, f):
+    X = basis.solve(Matrix.column(f, list(vec)))
+    if X is None:
+        return None, vec
+    return [X[i, 0] for i in range(X.rows)], None
+
+
+def ref_delta_bar_kernel(delta, label):
+    """The kernel of Delta ->> DeltaBar as StandardRecord built it before the one-image
+    read: the invariant closure of e·rad(Delta), e the idempotent of the label."""
+    A = delta.algebra
+    rad = delta.radical_subspace()
+    if rad.dim:
+        # the span of e_i·rad(Delta_i), from the columns of e_i times the radical's inclusion
+        eirad = delta.act(A.idempotent_for_label(label)) * rad.inclusion()
+        return delta.invariant_closure(Subspace.row_space(eirad.transpose()))
+    return Subspace.zero(A.field, delta.dim)
 
 
 def verify_action(X):

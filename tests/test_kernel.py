@@ -1,6 +1,7 @@
 """Kernel layer: exact elimination, rank/kernel/solve contracts."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -61,6 +62,20 @@ def int_matrix(draw):
     rows = draw(st.integers(min_value=1, max_value=5))
     cols = draw(st.integers(min_value=1, max_value=5))
     return [[draw(small_int) for _ in range(cols)] for _ in range(rows)]
+
+
+@st.composite
+def unit_row_matrix(draw):
+    """Rows that are zero or one nonzero integer (not a multiple of 3) at a drawn column."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    cols = draw(st.integers(min_value=1, max_value=5))
+    rows = []
+    for _ in range(n):
+        row = [0] * cols
+        if draw(st.booleans()):
+            row[draw(st.integers(0, cols - 1))] = draw(st.sampled_from([1, -1, 2, -2, 4, 5, -7]))
+        rows.append(row)
+    return rows
 
 
 class TestMatrixContracts:
@@ -130,6 +145,27 @@ class TestMatrixContracts:
             assert (M * X - b).is_zero()
         else:
             assert M.hstack(b).rank() > M.rank()
+
+    @given(unit_row_matrix(), st.sampled_from([QQ, PrimeField(3)]))
+    @settings(max_examples=120, deadline=None)
+    def test_unit_rows_read_like_the_elimination(self, rows, f):
+        # rows with one nonzero each: rref and rank are read, and must equal elimination
+        M = Matrix.from_rows(f, rows).scale(f.coerce(Fraction(1, 2)))
+        assert M._unit_pivots() is not None
+        with mock.patch.object(Matrix, "_unit_pivots", lambda self: None):
+            R, pivots = Matrix.from_rows(f, rows).scale(f.coerce(Fraction(1, 2))).rref()
+            rank = Matrix.from_rows(f, rows).rank()
+        assert M.rref() == (R, pivots)
+        assert Matrix.from_rows(f, rows).rank() == rank == len(pivots)
+
+    @given(int_matrix(), st.sampled_from([QQ, PrimeField(3)]))
+    @settings(max_examples=60, deadline=None)
+    def test_trace_is_the_diagonal_sum(self, rows, f):
+        M = Matrix.from_rows(f, rows).scale(f.coerce(Fraction(1, 2)))
+        expected = f.zero
+        for i in range(min(M.rows, M.cols)):
+            expected = f.add(expected, M[i, i])
+        assert M.trace() == expected
 
     @given(int_matrix())
     @settings(max_examples=60, deadline=None)
