@@ -23,12 +23,14 @@ from .compat import compatibility_battery, support
 from .corpus import corpus, entry
 from .functors import IdempotentContext
 from .homology import ext_dim, ext_dims_upto
+from .kernel.matrix import Matrix
 from .modules import (
     Module,
     comp_mult,
     hom_basis,
     injective,
     iso_test,
+    left_ideal,
     projective,
     quotient_module,
     simple,
@@ -481,13 +483,19 @@ def criterion_13():
                 v = iso_test(X, Y)
                 ok = ok and v.kind == "iso"
         c.check(f"refinement stability [{name}]", ok)
-    # dim(AeA) + dim(A/AeA) = dim A, every corpus algebra, every idempotent
+    # dim(AeA) + dim(A/AeA) = dim A, every corpus algebra, every idempotent, with
+    # dim(A/AeA) counted apart from AeA: A/AeA is the sum over the distinguished
+    # e_k of the P/AeP, P = A e_k, and AeP is the image of the A e_j, j in supp(e)
     ok = True
     for name in names:
-        ent = entry(name)
-        for picks, ev in _nonzero_subset_sums(ent.algebra):
-            ideal = ent.algebra.two_sided_ideal(ev)
-            if ideal.dim + (ent.algebra.dim - ideal.dim) != ent.algebra.dim:
+        A = entry(name).algebra
+        for picks, ev in _nonzero_subset_sums(A):
+            R = Matrix.vcat([left_ideal(A, j).basis for j in A.support_labels(ev)])
+            quotient_dim = 0
+            for _, lab in A.idempotents:
+                P = projective(A, lab)
+                quotient_dim += P.dim - P.image_of(R).dim
+            if A.two_sided_ideal(ev).dim + quotient_dim != A.dim:
                 ok = False
     c.check("ideal dimension partition", ok)
     # V unitriangularity with determinant one

@@ -12,6 +12,11 @@ every n-th row of its n^2 x n reshape.  Products of whole families of elements
 are block products against the table, one elimination per span instead of one
 product per pair of elements.
 
+A generating set is read off one elimination rather than searched for: the
+idempotents and the basis vectors outside span(idempotents) + rad² generate A,
+because rad A is nilpotent (Nakayama; see generators()).  The one closure loop,
+_closure, serves subalgebra_closure on generators the caller supplies.
+
 Every way of obtaining an algebra -- quiver compilation, raw structure
 constants, corner, quotient by an idempotent ideal, subalgebra closure,
 opposite, tensor product -- funnels through validate(), which runs four
@@ -93,7 +98,7 @@ EVERY_CHECK = frozenset({"unit", "idempotents", "associativity", "labels"})  # c
 
 class Algebra:
     def __init__(self, field, basis_names, table, unit, idempotents, presentation=None,
-                 arrow_indices=None, radical_rows=None, inherits=frozenset()):
+                 radical_rows=None, inherits=frozenset()):
         self.field = field
         self.basis_names = tuple(basis_names)
         self.dim = n = len(self.basis_names)
@@ -108,11 +113,9 @@ class Algebra:
                 labels.append(lab)
         self.labels = tuple(labels)
         self.presentation = presentation
-        self.arrow_indices = tuple(arrow_indices) if arrow_indices is not None else None
         self._radical = Subspace.from_rows(field, self.dim, radical_rows) if radical_rows is not None else None
         self._inherits = inherits  # checks validate() skips (see the module docstring)
         self._op = None
-        self._gens = None
         self._derived = {}
         self.validate()
 
@@ -349,30 +352,22 @@ class Algebra:
     # -- generators (for intertwiner solvers) --------------------------------------
 
     def generators(self):
-        """Element vectors generating A as an algebra, idempotents first."""
-        if self._gens is None:
-            # a set generates A exactly when it generates A^op
-            twin = self._op
-            self._gens = twin._gens if twin is not None and twin._gens is not None else self._find_generators()
-        return self._gens
+        """Element vectors generating A as an algebra: the distinguished
+        idempotents, then the basis vectors b_i at the complement coordinates of
+        S = span(idempotents) + rad². Built once.
 
-    def generator_rows(self):
-        """generators() as the rows of a matrix, built once."""
-        return derived(self, ("generator rows",), lambda: Matrix.from_rows(self.field, self.generators()))
+        They generate A because rad A is nilpotent: a subalgebra C with
+        C + rad² = A has rad = (C ∩ rad) + rad², so rad^k ⊆ C + rad^(k+1) for
+        every k, and C = A.  For a quiver algebra with homogeneous relations the
+        complement is the arrows.
+        """
+        return derived(self, ("generators",), self._read_generators)
 
-    def _find_generators(self):
-        f, n = self.field, self.dim
-        gens = [v for v, _ in self.idempotents]
-        if self.arrow_indices is not None:
-            return gens + [self.basis_vec(i) for i in self.arrow_indices]
-        span = self._closure(Subspace.from_rows(f, n, [self.unit] + gens))
-        for i in range(n):
-            b = self.basis_vec(i)
-            if not span.contains(b):
-                gens.append(b)
-                # the closure of a closed span and b is the closure of gens
-                span = self._closure(span.plus(Subspace.from_rows(f, n, [b])))
-        return gens
+    def _read_generators(self):
+        R = self.radical().basis
+        idems = [v for v, _ in self.idempotents]
+        S = Subspace.row_space(_row_matrix(self.field, self.dim, idems).vstack(self.products(R, R)))
+        return idems + [self.basis_vec(i) for i in S.complement_coords()]
 
     def _closure(self, span):
         """Smallest subspace containing span and closed under multiplication."""
@@ -420,7 +415,6 @@ class Algebra:
             self.unit,
             self.idempotents,
             presentation=None,
-            arrow_indices=self.arrow_indices,
             radical_rows=[rad.basis.row(i) for i in range(rad.dim)] if rad is not None else None,
             inherits=EVERY_CHECK,  # the transpose of a certified table
         )
@@ -628,18 +622,14 @@ def compile_quiver(pres: QuiverPresentation, fld) -> Algebra:
         vec[k] = f.one
         idems.append((tuple(vec), v))
 
-    arrow_idx = []
     rad_rows = []
     for k, p_idx in enumerate(reps):
-        if len(paths[p_idx].arrows) == 1:
-            arrow_idx.append(k)
         if len(paths[p_idx].arrows) >= 1:
             vec = [f.zero] * dim
             vec[k] = f.one
             rad_rows.append(tuple(vec))
 
-    return Algebra(f, names, table, tuple(unit), idems, presentation=pres,
-                   arrow_indices=arrow_idx, radical_rows=rad_rows)
+    return Algebra(f, names, table, tuple(unit), idems, presentation=pres, radical_rows=rad_rows)
 
 
 def structure_constant_algebra(fld, basis_names, table, unit, idempotents_with_labels):

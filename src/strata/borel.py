@@ -190,20 +190,12 @@ def check_regular(emb: BorelEmbedding, n_max=DEFAULT_NMAX, report: BorelReport |
             dims_b, deltas_b, bases_b = hom_cochain(B, layers_B, res.element_diffs, Lj, n_max + 1)
             Dj = emb.sd.delta[j]
             dims_a, deltas_a, bases_a = hom_cochain(A, layers_A, diffs_A, Dj, n_max + 1)
-            verticals = []
-            for n in range(len(bases_b)):
-                cols = []
-                for u, Sb in enumerate(bases_b[n]):
-                    Sa = bases_a[n][u]
-                    block = Sa.coordinates(Dj.act(layers_A[n][u]) * to_delta * Sb.inclusion())
-                    off = sum(s.dim for s in bases_a[n][:u])
-                    for c in range(Sb.dim):
-                        full = [f.zero] * sum(s.dim for s in bases_a[n])
-                        full[off : off + Sa.dim] = block.col(c)
-                        cols.append(full)
-                verticals.append(
-                    Matrix.from_columns(f, cols, nrows=sum(s.dim for s in bases_a[n]))
-                )
+            # verticals[n] is block diagonal: summand u of C^n_B maps into summand u of C^n_A
+            verticals = [
+                Matrix.block_diagonal(f, [Sa.coordinates(Dj.act(e) * to_delta * Sb.inclusion())
+                                          for e, Sa, Sb in zip(layers_A[n], bases_a[n], bases_b[n])])
+                for n in range(len(bases_b))
+            ]
             for n in range(1, min(len(verticals), len(deltas_b) + 1)):
                 # chain map sanity on the spot
                 lhs = verticals[n] * deltas_b[n - 1] if n - 1 < len(deltas_b) else None

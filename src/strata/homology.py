@@ -8,7 +8,9 @@ The symbolic form is what makes Hom(P_n, Y) = ⊕ e_u·Y computable without
 solving intertwiner systems, and is what transports along algebra embeddings.
 It is read, not solved: the coordinates of each summand generator e in the
 RREF basis of A e are its entries at the pivots (kept once per label), and d_n
-of all the generators of P_n is one product.
+of all the generators of P_n is one product.  Each layer's projective cover is
+read the same way, from one elimination per label (see _minimal_cover), with
+no span grown one vector at a time.
 """
 
 from __future__ import annotations
@@ -41,17 +43,18 @@ def _minimal_cover(A, K: Module):
     """Summands and lift vectors of the projective cover of K.
 
     Returns (list of (label, lift column vector in K coords)); lifts project
-    onto a basis of top(K), one summand P_label per lift.
+    onto a basis of top(K), one summand P_label per lift.  K is the direct sum
+    of the e·K and rad K of the e·rad K, so top(K) is the direct sum of the
+    images of the e·K: for each label the lifts are the rows of e·K's RREF
+    basis at the pivot columns of their images in K/rad K, one product and one
+    elimination per label.
     """
+    top = K.radical_subspace().projection_matrix()  # K ->> K/rad K
     covers = []
-    seen = K.radical_subspace()
     for lab in A.labels:
-        part = K.e_part(A.idempotent_for_label(lab))
-        for i in range(part.dim):
-            v = part.basis.take_rows([i])
-            if not seen.contains_columns(v.transpose()):
-                covers.append((lab, v.transpose()))
-                seen = Subspace.row_space(seen.basis.vstack(v))
+        rows = K.e_part(A.idempotent_for_label(lab)).basis
+        for i in (top * rows.transpose()).rref()[1]:
+            covers.append((lab, rows.take_rows([i]).transpose()))
     return covers
 
 

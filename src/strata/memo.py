@@ -1,7 +1,7 @@
 """The one place where derived data is memoised.
 
-Every value strata derives from an algebra or a module and keeps -- idempotent
-splits, corners, quotients, ideals, named modules, standard records,
+Every value strata derives from an algebra or a module and keeps -- generators,
+idempotent splits, corners, quotients, ideals, named modules, standard records,
 stratification data, radicals, block data, multiplicities, peels and
 resolutions -- is stored by ``derived`` in the ``_derived`` dict of the object
 it describes, so it dies with that object.  Nothing is keyed by ``id()``.

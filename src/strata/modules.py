@@ -110,20 +110,6 @@ class Module:
 
     # -- sub/quotient --------------------------------------------------------
 
-    def invariant_closure(self, start):
-        """Smallest submodule containing start: a Subspace, or a list of row vectors."""
-        A = self.algebra
-        span = start if isinstance(start, Subspace) else Subspace.from_rows(A.field, self.dim, start)
-        k = len(A.generators())
-        G = self.act_rows(A.generator_rows())
-        while True:
-            # row c*k + t: generator t applied to basis vector c
-            images = (G * span.inclusion()).transpose().reshape(span.dim * k, self.dim)
-            bigger = Subspace.row_space(span.basis.vstack(images))
-            if bigger.dim == span.dim:
-                return span
-            span = bigger
-
     def submodule(self, subspace: Subspace):
         """(module on the subspace, inclusion matrix dim(self) x dim(sub));
         the module itself when the subspace is everything."""

@@ -13,7 +13,10 @@ spec, a table no one reads by eye, is checked against the matrix-pattern
 construction it was written from.  The module and resolution data that the
 library now reads off canonical bases -- hom_basis's block data, the
 resolution differentials as algebra elements, the kernel of Delta_i ->>
-DeltaBar_i -- are kept here as the eliminations they used to be.
+DeltaBar_i, the projective covers of a resolution and the generators of an
+algebra -- are kept here as the eliminations and closure searches they used
+to be, with the invariant closure of a module that the library no longer
+needs.
 """
 
 import json
@@ -53,9 +56,64 @@ def hom_basis_plain(X, Y):
     return out
 
 
+def invariant_closure(X, start):
+    """Smallest submodule of X containing start: a Subspace, or a list of row vectors.
+
+    Module.invariant_closure as it was before the library stopped calling it,
+    verbatim apart from taking the module as an argument and stacking the
+    generator rows itself.
+    """
+    A = X.algebra
+    span = start if isinstance(start, Subspace) else Subspace.from_rows(A.field, X.dim, start)
+    k = len(A.generators())
+    G = X.act_rows(Matrix.from_rows(A.field, A.generators()))
+    while True:
+        # row c*k + t: generator t applied to basis vector c
+        images = (G * span.inclusion()).transpose().reshape(span.dim * k, X.dim)
+        bigger = Subspace.row_space(span.basis.vstack(images))
+        if bigger.dim == span.dim:
+            return span
+        span = bigger
+
+
 def trace_from_projective_closure(label, Y):
     """Tr_{P_label}(Y) as the submodule generated by e·Y: the invariant closure of e·Y."""
-    return Y.invariant_closure(Y.e_part(Y.algebra.idempotent_for_label(label)))
+    return invariant_closure(Y, Y.e_part(Y.algebra.idempotent_for_label(label)))
+
+
+def ref_generators(A):
+    """Algebra.generators as it was before the generators were read off rad²:
+    the arrows of a quiver algebra, otherwise a closure search over the basis,
+    kept verbatim.  compile_quiver used to hand the algebra the indices of its
+    basis paths of length one; here they are found by name."""
+    f, n = A.field, A.dim
+    gens = [v for v, _ in A.idempotents]
+    if A.presentation is not None:
+        arrows = {a.name for a in A.presentation.arrows}
+        return gens + [A.basis_vec(i) for i, name in enumerate(A.basis_names) if name in arrows]
+    span = A._closure(Subspace.from_rows(f, n, [A.unit] + gens))
+    for i in range(n):
+        b = A.basis_vec(i)
+        if not span.contains(b):
+            gens.append(b)
+            # the closure of a closed span and b is the closure of gens
+            span = A._closure(span.plus(Subspace.from_rows(f, n, [b])))
+    return gens
+
+
+def ref_minimal_cover(A, K):
+    """homology._minimal_cover as it was before the one-elimination read, verbatim:
+    a span grown one cover vector at a time, checked across the labels."""
+    covers = []
+    seen = K.radical_subspace()
+    for lab in A.labels:
+        part = K.e_part(A.idempotent_for_label(lab))
+        for i in range(part.dim):
+            v = part.basis.take_rows([i])
+            if not seen.contains_columns(v.transpose()):
+                covers.append((lab, v.transpose()))
+                seen = Subspace.row_space(seen.basis.vstack(v))
+    return covers
 
 
 def column_space(M):
@@ -77,19 +135,21 @@ def ref_block_data(X):
 
 
 def ref_element_diffs(res, n):
-    """Resolution._elements_of as it was before the one-product read, verbatim:
-    d_n of each summand generator, solved again for every (summand, summand) pair."""
+    """Resolution._elements_of as it was before the one-product read: d_n of each
+    summand generator, solved once per summand of P_n (the earlier code solved
+    it again for every (summand, summand) pair; the arithmetic is the same)."""
     prev = res.layers[n - 1]
     cur = res.layers[n]
     offs = [0]
     for s in prev:
         offs.append(offs[-1] + s.module.dim)
+    # image of the generator e_u: column at the generator coordinate
+    cols = [_ref_generator_column(res, n, ui) for ui in range(len(cur))]
     grid = []
     for si, s in enumerate(prev):
         row = []
         for ui, u in enumerate(cur):
-            # image of the generator e_u: column at the generator coordinate
-            col = _ref_generator_column(res, n, ui)
+            col = cols[ui]
             block = col[offs[si] : offs[si + 1]]
             elem = (s.basis * Matrix.column(res.A.field, block)).col(0)
             row.append(tuple(elem))
@@ -129,7 +189,7 @@ def ref_delta_bar_kernel(delta, label):
     if rad.dim:
         # the span of e_i·rad(Delta_i), from the columns of e_i times the radical's inclusion
         eirad = delta.act(A.idempotent_for_label(label)) * rad.inclusion()
-        return delta.invariant_closure(Subspace.row_space(eirad.transpose()))
+        return invariant_closure(delta, Subspace.row_space(eirad.transpose()))
     return Subspace.zero(A.field, delta.dim)
 
 

@@ -31,6 +31,8 @@ from strata.modules import Module, projective, simple
 from strata.specfile import load_spec_file
 from strata.strat import strat_datum
 
+from oracles import invariant_closure
+
 FIELDS = [QQ, PrimeField(2), PrimeField(7), PrimeField(32003)]
 
 
@@ -383,7 +385,7 @@ def _non_invariant_example():
     reg = Module.regular(A)
     for i in range(A.dim):
         S = Subspace.from_rows(A.field, A.dim, [A.basis_vec(i)])
-        if reg.invariant_closure([A.basis_vec(i)]).dim > 1:
+        if invariant_closure(reg, [A.basis_vec(i)]).dim > 1:
             return reg, S
     raise AssertionError("every basis line is invariant")
 
