@@ -55,7 +55,11 @@ exactly that:
 The inherited checks are re-run on derived algebras by the test suite, not
 here.
 
-Elements are plain coordinate tuples over the algebra's field.
+An element -- the unit, a distinguished idempotent, a generator, a product --
+is a canonical 1 x n row Matrix over the algebra's field, so it multiplies the
+table and the action matrices directly and serves as a memo key as it is.
+coerce_vec is the one way in for coordinates given any other way (a spec file,
+--e, a literal).
 """
 
 from __future__ import annotations
@@ -77,10 +81,18 @@ from .memo import derived
 from .quiver import QuiverPresentation, compile_presentation
 
 
-def _row_matrix(field, dim, vectors):
-    """The vectors as the rows of a matrix (0 x dim when there are none)."""
-    vectors = list(vectors)
-    return Matrix.from_rows(field, vectors) if vectors else Matrix.zeros(field, 0, dim)
+def _element(field, dim, v):
+    """v as an element of a dim-dimensional algebra: a 1 x dim row over field
+    passes through, a sequence of dim scalars (Fractions, ints or literals) is
+    coerced into the field."""
+    if isinstance(v, Matrix):
+        if v.field != field or (v.rows, v.cols) != (1, dim):
+            raise InputError(f"element is a {v.rows}x{v.cols} matrix over {v.field}, "
+                             f"algebra has dim {dim} over {field}")
+        return v
+    if len(v) != dim:
+        raise InputError(f"element has length {len(v)}, algebra has dim {dim}")
+    return Matrix(field, 1, dim, [field.coerce(x) for x in v])
 
 
 def _table_from_columns(C):
@@ -105,15 +117,15 @@ class Algebra:
         if not isinstance(table, Matrix) or table.field != field or (table.rows, table.cols) != (n, n * n):
             raise InvalidAlgebra(f"multiplication table must be a {n}x{n * n} matrix over {field}")
         self.table = table  # row i, block j: b_i * b_j
-        self.unit = tuple(unit)
-        self.idempotents = tuple((tuple(v), str(lab)) for v, lab in idempotents)
+        self.unit = unit
+        self.idempotents = tuple((v, str(lab)) for v, lab in idempotents)
         labels = []
         for _, lab in self.idempotents:
             if lab not in labels:
                 labels.append(lab)
         self.labels = tuple(labels)
         self.presentation = presentation
-        self._radical = Subspace.from_rows(field, self.dim, radical_rows) if radical_rows is not None else None
+        self._radical = Subspace.row_space(radical_rows) if radical_rows is not None else None
         self._inherits = inherits  # checks validate() skips (see the module docstring)
         self._op = None
         self._derived = {}
@@ -121,18 +133,12 @@ class Algebra:
 
     # -- element arithmetic -------------------------------------------------
 
-    def zero_vec(self):
-        return tuple([self.field.zero] * self.dim)
-
     def basis_vec(self, i):
-        v = [self.field.zero] * self.dim
-        v[i] = self.field.one
-        return tuple(v)
+        return Matrix.from_integers(self.field, 1, self.dim, [((i,), (1,))])
 
     def coerce_vec(self, v):
-        if len(v) != self.dim:
-            raise InputError(f"element has length {len(v)}, algebra has dim {self.dim}")
-        return tuple(self.field.coerce(x) for x in v)
+        """The element v as a 1 x dim row: see _element."""
+        return _element(self.field, self.dim, v)
 
     def basis_left_mult(self, i):
         """L_i, the matrix of a |-> b_i * a: column j is b_i * b_j."""
@@ -144,17 +150,17 @@ class Algebra:
 
         Row j of (vec · table) reshaped to n x n is vec * b_j."""
         n = self.dim
-        return (Matrix.from_rows(self.field, [vec]) * self.table).reshape(n, n).transpose()
+        return (vec * self.table).reshape(n, n).transpose()
 
     def right_mult_matrix(self, vec):
         """Matrix of a |-> a * vec in the basis (columns = b_j * vec).
 
         Row i of table · (vec ⊗ I) is sum_j vec_j b_i * b_j = b_i * vec."""
-        f = self.field
-        return (self.table * Matrix.column(f, list(vec)).kron(Matrix.identity(f, self.dim))).transpose()
+        return (self.table * vec.transpose().kron(Matrix.identity(self.field, self.dim))).transpose()
 
     def mult_vec(self, x, y):
-        return tuple((self.left_mult_matrix(x) * Matrix.column(self.field, list(y))).col(0))
+        """x * y: row j of (x · table) reshaped to n x n is x * b_j."""
+        return y * (x * self.table).reshape(self.dim, self.dim)
 
     def products(self, X=None, Y=None):
         """The rows x * y for every row x of X and every row y of Y, x-major.
@@ -177,9 +183,15 @@ class Algebra:
         return Z.take_rows([e * r + c for c in range(r) for e in range(s)])
 
     def is_idempotent(self, vec):
-        return self.mult_vec(vec, vec) == tuple(vec)
+        return self.mult_vec(vec, vec) == vec
 
     # -- labels and idempotents ----------------------------------------------
+
+    def _family(self):
+        """The distinguished idempotents as the rows of one matrix (none when dim A = 0)."""
+        if not self.idempotents:
+            return Matrix.zeros(self.field, 0, self.dim)
+        return Matrix.vcat([v for v, _ in self.idempotents])
 
     def idempotents_for_label(self, label):
         out = [v for v, lab in self.idempotents if lab == str(label)]
@@ -191,12 +203,7 @@ class Algebra:
         return self.idempotents_for_label(label)[0]
 
     def sum_idempotents(self, indices):
-        f = self.field
-        v = [f.zero] * self.dim
-        for i in indices:
-            w = self.idempotents[i][0]
-            v = [f.add(a, b) for a, b in zip(v, w)]
-        return tuple(v)
+        return Matrix.linear_combination(self.field, 1, self.dim, [(1, self.idempotents[i][0]) for i in indices])
 
     def idempotent_sum_for_labels(self, labels):
         labels = {str(l) for l in labels}
@@ -215,9 +222,7 @@ class Algebra:
     def _subset_sum_decomposition(self, e):
         if not self.is_idempotent(e):
             raise NotIdempotent("element is not idempotent")
-        cols = [list(v) for v, _ in self.idempotents]
-        M = Matrix.from_columns(self.field, cols, nrows=self.dim)
-        x = M.solve(Matrix.column(self.field, list(e)))
+        x = self._family().transpose().solve(e.transpose())
         if x is None:
             raise NotIdempotentSum("not in the span of the distinguished family")
         picked = []
@@ -256,7 +261,7 @@ class Algebra:
 
     def check_unit(self):
         n = self.dim
-        if len(self.unit) != n:
+        if (self.unit.rows, self.unit.cols) != (1, n):
             raise InvalidAlgebra("unit has wrong length")
         ident = Matrix.identity(self.field, n)
         if self.left_mult_matrix(self.unit) != ident or self.right_mult_matrix(self.unit) != ident:
@@ -264,22 +269,18 @@ class Algebra:
 
     def check_idempotents(self):
         """The distinguished family: idempotent, nonzero, orthogonal, summing to the unit."""
-        f = self.field
-        n = self.dim
-        # column b of prods[a] is v_a * v_b
-        family = _row_matrix(f, n, [v for v, _ in self.idempotents]).transpose()
-        prods = [self.left_mult_matrix(v) * family for v, _ in self.idempotents]
-        total = [f.zero] * n
-        for a, (v, lab) in enumerate(self.idempotents):
-            if tuple(prods[a].col(a)) != v:
+        k = len(self.idempotents)
+        family = self._family()
+        prods = self.products(family, family)  # row a*k + b: v_a * v_b
+        for a, (v, _) in enumerate(self.idempotents):
+            if prods.take_rows([a * k + a]) != v:
                 raise InvalidAlgebra(f"distinguished element {a} is not idempotent")
-            if all(f.is_zero(x) for x in v):
+            if v.is_zero():
                 raise InvalidAlgebra(f"distinguished idempotent {a} is zero")
-            total = [f.add(x, y) for x, y in zip(total, v)]
-            for b in range(a + 1, len(self.idempotents)):
-                if any(prods[a].col(b)) or any(prods[b].col(a)):
+            for b in range(a + 1, k):
+                if prods.nonzeros[a * k + b] or prods.nonzeros[b * k + a]:
                     raise InvalidAlgebra(f"idempotents {a},{b} are not orthogonal")
-        if tuple(total) != self.unit:
+        if self.sum_idempotents(range(k)) != self.unit:
             raise InvalidAlgebra("distinguished idempotents do not sum to the unit")
 
     def check_associativity(self):
@@ -346,13 +347,12 @@ class Algebra:
         t = Matrix.from_integers(f, n, 1, traces, P.den)
         # G[i, j] = tr(L(b_i * b_j)) = sum_k c_ij^k t[k]
         G = (P.reshape(n * n, n) * t).reshape(n, n)
-        K = G.transpose().kernel_basis()
-        return Subspace.from_rows(f, self.dim, [K.col(j) for j in range(K.cols)])
+        return Subspace.row_space(G.transpose().kernel_basis().transpose())
 
     # -- generators (for intertwiner solvers) --------------------------------------
 
     def generators(self):
-        """Element vectors generating A as an algebra: the distinguished
+        """A matrix whose rows generate A as an algebra: the distinguished
         idempotents, then the basis vectors b_i at the complement coordinates of
         S = span(idempotents) + rad². Built once.
 
@@ -365,9 +365,9 @@ class Algebra:
 
     def _read_generators(self):
         R = self.radical().basis
-        idems = [v for v, _ in self.idempotents]
-        S = Subspace.row_space(_row_matrix(self.field, self.dim, idems).vstack(self.products(R, R)))
-        return idems + [self.basis_vec(i) for i in S.complement_coords()]
+        family = self._family()
+        S = Subspace.row_space(family.vstack(self.products(R, R)))
+        return family.vstack(Matrix.identity(self.field, self.dim).take_rows(S.complement_coords()))
 
     def _closure(self, span):
         """Smallest subspace containing span and closed under multiplication."""
@@ -415,7 +415,7 @@ class Algebra:
             self.unit,
             self.idempotents,
             presentation=None,
-            radical_rows=[rad.basis.row(i) for i in range(rad.dim)] if rad is not None else None,
+            radical_rows=rad.basis if rad is not None else None,
             inherits=EVERY_CHECK,  # the transpose of a certified table
         )
         self._op = op
@@ -438,21 +438,16 @@ class Algebra:
 
     def _corner(self, e):
         summands = self.subset_sum_decomposition(e)
-        f, n = self.field, self.dim
         sandwich = self.left_mult_matrix(e) * self.right_mult_matrix(e)  # a |-> e a e
         S = Subspace.row_space(sandwich.transpose())
-
-        def coords_of(img):  # coordinates of the columns of img
-            C = S.coordinates(img)
-            return [tuple(C.col(j)) for j in range(C.cols)]
-
         table = _table_from_columns(S.coordinates(self.products(S.basis, S.basis).transpose()))
-        idems = list(zip(coords_of(_row_matrix(f, n, [self.idempotents[k][0] for k in summands]).transpose()),
-                         [self.idempotents[k][1] for k in summands]))
-        rad_rows = coords_of(sandwich * self.radical().inclusion())
+        # the coordinates in eAe of the summands of e, of e itself and of e rad(A) e, as rows
+        family = S.coordinates(self._family().take_rows(summands).transpose()).transpose()
+        idems = [(family.take_rows([t]), self.idempotents[k][1]) for t, k in enumerate(summands)]
+        rad = S.coordinates(sandwich * self.radical().inclusion()).transpose()
         names = [f"c{i}" for i in range(S.dim)]
-        out = Algebra(f, names, table, coords_of(Matrix.column(f, list(e)))[0], idems,
-                      radical_rows=rad_rows, inherits=EVERY_CHECK)
+        out = Algebra(self.field, names, table, S.coordinates(e.transpose()).transpose(), idems,
+                      radical_rows=rad, inherits=EVERY_CHECK)
         return out, S.inclusion()
 
     def quotient_by_idempotent_ideal(self, e):
@@ -467,7 +462,7 @@ class Algebra:
         J = self.two_sided_ideal(e)
         # the quotient inherits associativity once J is certified two-sided:
         # g J, J g ⊆ J for the generators g, hence for all of A (words in them)
-        G = _row_matrix(f, n, self.generators())
+        G = self.generators()
         try:
             J.coordinates(self.products(G, J.basis).vstack(self.products(J.basis, G)).transpose())
         except NotInSubspace as exc:
@@ -478,25 +473,20 @@ class Algebra:
         # the classes of b_x * b_y, for x, y running over the complement coordinates
         products = self.table.reshape(n * n, n).take_rows([x * n + y for x in comp for y in comp])
         table = _table_from_columns(proj * products.transpose())
-
-        def project(v):
-            return tuple((proj * Matrix.column(f, list(v))).col(0))
-
+        to_classes = proj.transpose()  # a row times it is the row's class
         idems = []
-        for k, (v, lab) in enumerate(self.idempotents):
+        for v, lab in self.idempotents:
             if lab in supp:
                 if not J.contains(v):
                     raise InvalidAlgebra("idempotent with supported label survives the quotient")
                 continue
-            img = project(v)
-            if all(f.is_zero(x) for x in img):
+            img = v * to_classes
+            if img.is_zero():
                 raise InvalidAlgebra(f"idempotent labelled {lab} dies in the quotient")
             idems.append((img, lab))
-        rad = proj * self.radical().inclusion()
-        rad_rows = [rad.col(j) for j in range(rad.cols)]
         names = [f"q{i}" for i in range(qdim)]
-        out = Algebra(f, names, table, project(self.unit), idems,
-                      radical_rows=rad_rows, inherits=EVERY_CHECK)
+        out = Algebra(f, names, table, self.unit * to_classes, idems,
+                      radical_rows=self.radical().basis * to_classes, inherits=EVERY_CHECK)
         return out, proj
 
     def subalgebra_closure(self, idem_gens, gens=()):
@@ -507,10 +497,10 @@ class Algebra:
         distinguished family of the subalgebra, validated as such.
         Returns (B, embedding matrix dim(A) x dim(B)).
         """
-        f, n = self.field, self.dim
-        idem_vectors = [self.coerce_vec(v) for v, _ in idem_gens]
-        vectors = idem_vectors + [self.coerce_vec(g) for g in gens]
-        span = self._closure(Subspace.from_rows(f, n, vectors))
+        if not idem_gens:
+            raise InvalidAlgebra("a subalgebra needs a distinguished idempotent family")
+        family = Matrix.vcat([self.coerce_vec(v) for v, _ in idem_gens])
+        span = self._closure(Subspace.row_space(Matrix.vcat([family] + [self.coerce_vec(g) for g in gens])))
         if not span.contains(self.unit):
             raise NotUnital("closure does not contain the unit of the ambient algebra")
 
@@ -520,14 +510,11 @@ class Algebra:
             except NotInSubspace as exc:
                 raise InvalidAlgebra("element escapes the closure") from exc
 
-        def coords_of(img):
-            C = coordinates(img)
-            return [tuple(C.col(j)) for j in range(C.cols)]
-
         table = _table_from_columns(coordinates(self.products(span.basis, span.basis).transpose()))
-        idems = list(zip(coords_of(_row_matrix(f, n, idem_vectors).transpose()), [lab for _, lab in idem_gens]))
+        family = coordinates(family.transpose()).transpose()  # the idempotents' coordinates, as rows
+        idems = [(family.take_rows([t]), lab) for t, (_, lab) in enumerate(idem_gens)]
         names = [f"b{i}" for i in range(span.dim)]
-        out = Algebra(f, names, table, coords_of(Matrix.column(f, list(self.unit)))[0], idems,
+        out = Algebra(self.field, names, table, coordinates(self.unit.transpose()).transpose(), idems,
                       inherits=ASSOCIATIVITY)
         return out, span.inclusion()
 
@@ -543,27 +530,13 @@ class Algebra:
         kron = self.table.reshape(nA * nA, nA).kron(other.table.reshape(nB * nB, nB))
         table = kron.take_rows([(i * nA + k) * nB * nB + j * nB + l
                                 for i in range(nA) for j in range(nB) for k in range(nA) for l in range(nB)])
-
-        def outer(u, v):
-            return tuple(f.mul(u[i], v[j]) for i in range(nA) for j in range(nB))
-        unit = outer(self.unit, other.unit)
-        idems = []
-        for u, la in self.idempotents:
-            for v, lb in other.idempotents:
-                idems.append((outer(u, v), f"({la},{lb})"))
-        radA = self.radical()
-        radB = other.radical()
-        rad_rows = []
-        for i in range(radA.dim):
-            r = radA.basis.row(i)
-            for j in range(nB):
-                rad_rows.append(outer(tuple(r), other.basis_vec(j)))
-        for i in range(nA):
-            for j in range(radB.dim):
-                rad_rows.append(outer(self.basis_vec(i), tuple(radB.basis.row(j))))
+        # the element u ⊗ v is the row u.kron(v); rad(A ⊗ B) = rad A ⊗ B + A ⊗ rad B
+        idems = [(u.kron(v), f"({la},{lb})") for u, la in self.idempotents for v, lb in other.idempotents]
+        rad = self.radical().basis.kron(Matrix.identity(f, nB)).vstack(
+            Matrix.identity(f, nA).kron(other.radical().basis))
         # both factors are certified
-        return Algebra(f, names, table.reshape(dim, dim * dim), unit, idems, radical_rows=rad_rows,
-                       inherits=ASSOCIATIVITY)
+        return Algebra(f, names, table.reshape(dim, dim * dim), self.unit.kron(other.unit), idems,
+                       radical_rows=rad, inherits=ASSOCIATIVITY)
 
     # -- equality (content-based; used by round-trip tests) -------------------------
 
@@ -612,24 +585,12 @@ def compile_quiver(pres: QuiverPresentation, fld) -> Algebra:
                 picks.append(path_key[(q.source,) + arrows])
     table = _table_from_columns(proj.hstack(Matrix.zeros(f, dim, 1)).take_cols(picks))
 
-    unit = [f.zero] * dim
-    idems = []
-    for v in pres.vertices:
-        path_idx = path_key[(v,)]
-        k = rep_pos[path_idx]
-        unit[k] = f.add(unit[k], f.one)
-        vec = [f.zero] * dim
-        vec[k] = f.one
-        idems.append((tuple(vec), v))
-
-    rad_rows = []
-    for k, p_idx in enumerate(reps):
-        if len(paths[p_idx].arrows) >= 1:
-            vec = [f.zero] * dim
-            vec[k] = f.one
-            rad_rows.append(tuple(vec))
-
-    return Algebra(f, names, table, tuple(unit), idems, presentation=pres, radical_rows=rad_rows)
+    # the idempotents are the trivial paths, the radical is spanned by the longer ones
+    basis = Matrix.identity(f, dim)
+    idems = [(basis.take_rows([rep_pos[path_key[(v,)]]]), v) for v in pres.vertices]
+    unit = Matrix.linear_combination(f, 1, dim, [(1, v) for v, _ in idems])
+    rad_rows = basis.take_rows([k for k, p_idx in enumerate(reps) if paths[p_idx].arrows])
+    return Algebra(f, names, table, unit, idems, presentation=pres, radical_rows=rad_rows)
 
 
 def structure_constant_algebra(fld, basis_names, table, unit, idempotents_with_labels):
@@ -641,5 +602,5 @@ def structure_constant_algebra(fld, basis_names, table, unit, idempotents_with_l
         if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
             raise InputError("structure constant index out of range")
         entries[(i * n + j) * n + k] = fld.add(entries[(i * n + j) * n + k], c)
-    idems = [(tuple(fld.coerce(x) for x in v), lab) for v, lab in idempotents_with_labels]
-    return Algebra(fld, basis_names, Matrix(fld, n, n * n, entries), [fld.coerce(x) for x in unit], idems)
+    idems = [(_element(fld, n, v), lab) for v, lab in idempotents_with_labels]
+    return Algebra(fld, basis_names, Matrix(fld, n, n * n, entries), _element(fld, n, unit), idems)

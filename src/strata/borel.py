@@ -270,21 +270,16 @@ def normality_certificate(emb: BorelEmbedding):
     if v.kind != "iso":
         return {"status": UNDET if v.kind == "undetermined" else NO, "witness": v.witness}
     phi = v.certificate  # B -> Res'(M)
-    m0 = (phi * Matrix.column(f, list(B.unit))).col(0)
-    cols = []
-    for k in range(A.dim):
-        # A^op action of b_k on M applied to m0, i.e. m0 · b_k on the right
-        cols.append((M.act(A.basis_vec(k)) * Matrix.column(f, m0)).col(0))
-    phibar = Matrix.from_columns(f, cols, nrows=M.dim)
+    # column k: the A^op action of b_k on m0 = phi(1), i.e. m0 · b_k on the right
+    phibar = M.orbit_matrix(phi * B.unit.transpose())
     pi = phi.inverse() * phibar  # A -> B
     comp = pi * emb.emb
     if comp != Matrix.identity(f, B.dim):
         raise InvariantViolation("splitting does not restrict to the identity")
-    K = phibar.kernel_basis()
-    ker = Subspace.from_rows(f, A.dim, [K.col(j) for j in range(K.cols)])
+    ker = Subspace.row_space(phibar.kernel_basis().transpose())
     # ker * g ⊆ ker for the generators g of A makes ker a right ideal
     try:
-        ker.coordinates(A.products(ker.basis, Matrix.from_rows(f, A.generators())).transpose())
+        ker.coordinates(A.products(ker.basis, A.generators()).transpose())
     except NotInSubspace:
         return {"status": NO, "witness": "kernel is not a right ideal"}
     return {"status": YES, "pi": pi, "kernel_dim": ker.dim}

@@ -61,11 +61,12 @@ class IdempotentContext:
         # Basis vector i*nY + j of Ae ⊗ Y is z_i ⊗ y_j.  For a generator c of
         # eAe the relation rows (i, j) are z_i c ⊗ y_j - z_i ⊗ c y_j, that is
         # Z^T ⊗ I - I ⊗ Y.act(c)^T, column i of Z the coordinates of z_i c in Ae.
+        G = C.generators()
+        in_A = G * self.corner_emb.transpose()  # row t: generator t as an element of A
         rels = []
-        for c in C.generators():
-            c_in_A = (self.corner_emb * Matrix.column(f, list(c))).col(0)
-            Z = ae.coordinates(A.right_mult_matrix(c_in_A) * ae_incl)
-            rels.append(Z.transpose().kron(IY) - Im.kron(Y.act(c).transpose()))
+        for t in range(G.rows):
+            Z = ae.coordinates(A.right_mult_matrix(in_A.take_rows([t])) * ae_incl)
+            rels.append(Z.transpose().kron(IY) - Im.kron(Y.act(G.take_rows([t])).transpose()))
         # A acts on Ae ⊗ Y through its left action on Ae
         return _tensor_quotient(A, rels, Module.regular(A).action_on(ae), IY)[0]
 
@@ -79,11 +80,12 @@ class IdempotentContext:
         # A map eA -> Y is the nY x m matrix of the images of the z_b, unknown
         # i*m + b.  For a generator c of eAe, f(c z_b) = c f(z_b) gives the rows
         # (i, b) of I ⊗ W^T - Y.act(c) ⊗ I, column b of W the coordinates of c z_b.
+        G = C.generators()
+        in_A = G * self.corner_emb.transpose()  # row t: generator t as an element of A
         eqs = []
-        for c in C.generators():
-            c_in_A = (self.corner_emb * Matrix.column(f, list(c))).col(0)
-            W = ea.coordinates(A.left_mult_matrix(c_in_A) * ea_incl)
-            eqs.append(IY.kron(W.transpose()) - Y.act(c).kron(Im))
+        for t in range(G.rows):
+            W = ea.coordinates(A.left_mult_matrix(in_A.take_rows([t])) * ea_incl)
+            eqs.append(IY.kron(W.transpose()) - Y.act(G.take_rows([t])).kron(Im))
         sol_space = Subspace.row_space(Matrix.vcat(eqs).kernel_basis().transpose())
         # (a·f)(z_b) = f(z_b a): a acts by I ⊗ V^T, column b of V the coordinates of z_b a
         rights = Matrix.vcat([A.right_mult_matrix(A.basis_vec(b)) for b in range(A.dim)])
@@ -135,14 +137,13 @@ class SubalgebraEmbedding:
         self.B = B
         self.A = A
         self.emb = emb
-        f = A.field
+        self._images = emb.transpose()  # row j: the image of b_j, so b_vec * _images is ι(b_vec)
         # unital algebra map checks
-        if (emb * Matrix.column(f, list(B.unit))).col(0) != list(A.unit):
+        if self.image_vec(B.unit) != A.unit:
             raise DimensionMismatch("embedding does not preserve the unit")
 
     def image_vec(self, b_vec):
-        f = self.A.field
-        return tuple((self.emb * Matrix.column(f, list(b_vec))).col(0))
+        return b_vec * self._images
 
     def restrict(self, Y: Module) -> Module:
         return Y.restrict_along(self.emb, self.B)
@@ -156,13 +157,14 @@ class SubalgebraEmbedding:
         # Basis vector i*nX + j of A ⊗ X is b_i ⊗ x_j.  For a generator g of B
         # the relation rows (i, j) are b_i ι(g) ⊗ x_j - b_i ⊗ g x_j, that is
         # R(ι(g))^T ⊗ I - I ⊗ X.act(g)^T.
-        rels = [
-            A.right_mult_matrix(self.image_vec(g)).transpose().kron(IX) - IA.kron(X.act(g).transpose())
-            for g in B.generators()
-        ]
+        G = B.generators()
+        rels = []
+        for t in range(G.rows):
+            g = G.take_rows([t])
+            rels.append(A.right_mult_matrix(self.image_vec(g)).transpose().kron(IX) - IA.kron(X.act(g).transpose()))
         # b acts on A ⊗ X by L_b ⊗ I
         ind, proj = _tensor_quotient(A, rels, [A.basis_left_mult(b) for b in range(nA)], IX)
-        insert = proj * Matrix.column(f, list(A.unit)).kron(IX)
+        insert = proj * A.unit.transpose().kron(IX)
         return ind, insert
 
     def induction_is_exact(self):
@@ -175,11 +177,8 @@ class SubalgebraEmbedding:
 
         Bop = self.B.opposite()
         f = self.A.field
-        # A as a left B^op-module: b ∘ a = a · ι(b)
-        action = []
-        for j in range(Bop.dim):
-            ib = self.image_vec(self.B.basis_vec(j))
-            action.append(self.A.right_mult_matrix(ib))
+        # A as a left B^op-module: b_j ∘ a = a · ι(b_j), ι(b_j) row j of _images
+        action = [self.A.right_mult_matrix(self._images.take_rows([j])) for j in range(Bop.dim)]
         A_right = Module(Bop, self.A.dim, action)
         covers = _minimal_cover(Bop, A_right)
         summands = [Summand(Bop, lab) for lab, _ in covers]

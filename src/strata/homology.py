@@ -34,7 +34,7 @@ class Summand:
 
     def __init__(self, algebra, label):
         self.label = label
-        self.e_vec = tuple(algebra.idempotent_for_label(label))
+        self.e_vec = algebra.idempotent_for_label(label)
         self.module = projective(algebra, label)
         self.basis = left_ideal(algebra, label).inclusion()
 
@@ -100,9 +100,9 @@ class Resolution:
         return summands
 
     def _elements_of(self, n):
-        """Differential d_n expressed as algebra elements, grid [s][u]: the component
-        of d_n(e_u), e_u the generator of the u-th summand of P_n, in the s-th summand
-        of P_{n-1}, as an element of A e_s."""
+        """Differential d_n expressed as algebra elements (1 x dim A rows), grid [s][u]:
+        the component of d_n(e_u), e_u the generator of the u-th summand of P_n, in the
+        s-th summand of P_{n-1}, as an element of A e_s."""
         A = self.A
         # column u: the coordinates of e_u in its summand's basis, at the summand's offset
         gens = Matrix.block_diagonal(A.field, [_generator_coordinates(A, u.label) for u in self.layers[n]])
@@ -110,9 +110,10 @@ class Resolution:
         grid = []
         off = 0
         for s in self.layers[n - 1]:
-            elems = s.basis * images.take_rows(range(off, off + s.module.dim))
+            # row u: the component of d_n(e_u), in A's coordinates
+            elems = (s.basis * images.take_rows(range(off, off + s.module.dim))).transpose()
             off += s.module.dim
-            grid.append([tuple(elems.col(u)) for u in range(elems.cols)])
+            grid.append([elems.take_rows([u]) for u in range(elems.rows)])
         return grid
 
     def extend_to(self, n):
@@ -155,7 +156,7 @@ def _generator_coordinates(A, label) -> Matrix:
 
 def _read_generator_coordinates(A, label) -> Matrix:
     try:
-        return left_ideal(A, label).coordinates(Matrix.column(A.field, list(A.idempotent_for_label(label))))
+        return left_ideal(A, label).coordinates(A.idempotent_for_label(label).transpose())
     except NotInSubspace as exc:
         raise InvariantViolation("a summand generator e lies outside its summand A e") from exc
 
@@ -173,7 +174,7 @@ def hom_cochain(A, layer_idems, element_diffs, Y: Module, upto):
     Returns (space dims C^0..C^upto, delta matrices D_1..D_upto with
     D_n: C^{n-1} -> C^n).  layer_idems[n] lists the summand idempotents of
     P_n; element_diffs[n-1][s][u] is the right-multiplication element of the
-    component A·e_u -> A·e_s of d_n.
+    component A·e_u -> A·e_s of d_n.  Elements are 1 x dim A rows.
     """
     f = A.field
     bases = []  # per layer: list of (Subspace of e_u Y, basis columns Matrix)
@@ -196,8 +197,8 @@ def hom_cochain(A, layer_idems, element_diffs, Y: Module, upto):
         for ui, Su in enumerate(cur):
             blocks = []
             for si, Ss in enumerate(prev):
-                m = grid[si][ui] if grid and si < len(grid) and ui < len(grid[si]) else None
-                if m is not None and Su.dim and Ss.dim:
+                m = grid[si][ui]
+                if Su.dim and Ss.dim and not m.is_zero():
                     blocks.append(Su.coordinates(Y.act(m) * Ss.inclusion()))
                 else:
                     blocks.append(Matrix.zeros(f, Su.dim, Ss.dim))

@@ -84,8 +84,9 @@ class Subspace:
         """True when every column of img lies in the subspace."""
         return self.inclusion() * img.take_rows(self.pivots) == img
 
-    def contains(self, vec):
-        return self.contains_columns(Matrix.column(self.field, vec))
+    def contains(self, vec: Matrix):
+        """True when the 1 x ambient_dim row vec lies in the subspace."""
+        return self.contains_columns(vec.transpose())
 
     def contains_space(self, other: "Subspace"):
         return self.contains_columns(other.inclusion())

@@ -1,6 +1,9 @@
 """Left modules over a validated Algebra.
 
-A Module stores one action matrix per algebra basis element.  Submodules and
+A Module stores one action matrix per algebra basis element.  An algebra
+element is a 1 x dim A row (see algebra.py), so acting by it reads the row's
+stored nonzeros: a basis vector acts by its stored matrix, returned as it is,
+and any other element acts through act_rows, one block product.  Submodules and
 quotients carry explicit inclusion/projection matrices; everything downstream
 (filtrations, functors, certificates) is built from these.
 
@@ -8,7 +11,7 @@ Constructions work on whole matrices: the action of every basis element (or
 of every row of a coefficient matrix, ``act_rows``) on a subspace is one block
 product against the action matrices stacked top to bottom, a quotient selects
 the complement columns instead of multiplying by a lift, and direct sums are
-integer block diagonals.  Acting by a basis vector returns the stored matrix.
+integer block diagonals.
 
 Data computed once per module is kept by memo.derived in the module's
 ``_derived`` dict, so it dies with the module: the radical, the idempotent
@@ -77,11 +80,14 @@ class Module:
         z = Matrix.zeros(algebra.field, 0, 0)
         return cls(algebra, 0, [z] * algebra.dim, check_unit=False)
 
-    def act(self, vec) -> Matrix:
-        terms = [(c, M) for c, M in zip(vec, self.action) if c]
-        if len(terms) == 1 and terms[0][0] == 1:
-            return terms[0][1]  # a basis vector acts by its stored (immutable) matrix
-        return Matrix.linear_combination(self.algebra.field, self.dim, self.dim, terms)
+    def act(self, vec: Matrix) -> Matrix:
+        """The action of the element vec, a 1 x dim A row."""
+        r = vec.nonzeros[0]
+        if r is None:
+            return Matrix.zeros(self.algebra.field, self.dim, self.dim)
+        if len(r[0]) == 1 and r[1][0] == 1 and vec.den == 1:
+            return self.action[r[0][0]]  # a basis vector acts by its stored (immutable) matrix
+        return self.act_rows(vec)
 
     def _stacked(self):
         """The action matrices top to bottom: row k*dim + r is row r of b_k's matrix."""
@@ -275,10 +281,6 @@ def _idempotent_rank(X: Module, e) -> int:
     return int(t)
 
 
-def dimension_vector(X: Module):
-    return tuple(comp_mult(X, lab) for lab in X.algebra.labels)
-
-
 def trace_from_projective(label, Y: Module) -> Subspace:
     """Tr_{P_label}(Y) = A·e·Y, the span of a·y over a in A e (one image_of)."""
     return Y.image_of(left_ideal(Y.algebra, label).basis)
@@ -318,7 +320,8 @@ def _build_block_data(X: Module):
         raise InvalidModule("idempotent blocks do not decompose the module")
     T = Matrix.hcat([B.inclusion() for B in blocks])
     Ti = Matrix.vcat([E.take_rows(B.pivots) for E, B in zip(acts, blocks)])
-    conj = tuple(Ti * X.act(g) * T for g in A.generators()[len(A.idempotents):])
+    G = A.generators()
+    conj = tuple(Ti * X.act(G.take_rows([k])) * T for k in range(len(A.idempotents), G.rows))
     return tuple(B.dim for B in blocks), T, Ti, conj
 
 

@@ -50,12 +50,11 @@ class SpecData:
     meta: dict = dfield(default_factory=dict)
 
 
-def parse_element(A, spec, fld):
+def parse_element(A, spec):
     if isinstance(spec, dict) and set(spec) == {"path"}:
         return A.element_from_path([str(x) for x in spec["path"]])
     if isinstance(spec, dict) and set(spec) == {"coords"}:
-        coords = [fld.parse(str(c)) if isinstance(c, str) else fld.coerce(c) for c in spec["coords"]]
-        return A.coerce_vec(coords)
+        return A.coerce_vec(spec["coords"])
     raise InputError(f"bad element spec {spec!r}")
 
 
@@ -83,27 +82,23 @@ def load_spec(obj) -> SpecData:
         table = []
         for row in sc["table"]:
             i, j, k, c = row
-            table.append((int(i), int(j), int(k), fld.parse(str(c)) if isinstance(c, str) else fld.coerce(c)))
-        idems = []
-        for item in sc["idempotents"]:
-            coords = [fld.parse(str(c)) if isinstance(c, str) else fld.coerce(c) for c in item["coords"]]
-            idems.append((coords, str(item["label"])))
-        unit = [fld.parse(str(c)) if isinstance(c, str) else fld.coerce(c) for c in sc["unit"]]
-        A = structure_constant_algebra(fld, [str(n) for n in sc["basis"]], table, unit, idems)
+            table.append((int(i), int(j), int(k), fld.coerce(c)))
+        idems = [(item["coords"], str(item["label"])) for item in sc["idempotents"]]
+        A = structure_constant_algebra(fld, [str(n) for n in sc["basis"]], table, sc["unit"], idems)
     else:
         unknown = set(pres) - _PRES_KEYS
         if unknown:
             raise InputError(f"unknown presentation keys {sorted(unknown)}")
         relations = []
         for rel in pres.get("relations", []):
-            relations.append([(fld.parse(str(c)) if isinstance(c, str) else fld.coerce(c), tuple(p)) for c, p in rel])
+            relations.append([(fld.coerce(c), tuple(p)) for c, p in rel])
         qp = QuiverPresentation.make(pres["vertices"], pres["arrows"], relations, pres["max_path_length"])
         A = compile_quiver(qp, fld)
     poset = LabelPoset(A.labels, [tuple(p) for p in obj["order"]])
     subs = {}
     for name, sub in obj.get("subalgebras", {}).items():
-        idem = [(parse_element(A, it["element"], fld), str(it["label"])) for it in sub["idempotents"]]
-        gens = [parse_element(A, g, fld) for g in sub.get("generators", [])]
+        idem = [(parse_element(A, it["element"]), str(it["label"])) for it in sub["idempotents"]]
+        gens = [parse_element(A, g) for g in sub.get("generators", [])]
         subs[str(name)] = (idem, gens)
     tables = None
     if "tables" in obj:
@@ -133,9 +128,9 @@ def export_algebra(A, poset=None, meta=None) -> dict:
             "structure_constants": {
                 "basis": list(A.basis_names),
                 "table": table,
-                "unit": [fld.fmt(c) for c in A.unit],
+                "unit": [fld.fmt(c) for c in A.unit.row(0)],
                 "idempotents": [
-                    {"coords": [fld.fmt(c) for c in v], "label": lab} for v, lab in A.idempotents
+                    {"coords": [fld.fmt(c) for c in v.row(0)], "label": lab} for v, lab in A.idempotents
                 ],
             }
         },

@@ -148,7 +148,6 @@ class LabelPoset:
         out = []
         while remaining:
             mins = self.minimal_of(remaining)
-            pick = None
             preferred = [m for m in mins if m not in put_last]
             pool = preferred if preferred else mins
             pick = min(pool, key=self.labels.index)

@@ -30,6 +30,12 @@ from strata.kernel.subspace import Subspace
 from strata.quiver import enumerate_paths
 
 
+def rows_of(M):
+    """The rows of M as 1 x cols matrices, top to bottom: for A.generators() the
+    generating elements."""
+    return [M.take_rows([t]) for t in range(M.rows)]
+
+
 def hom_basis_plain(X, Y):
     """Reference implementation: full unknown matrix, all generators."""
     A = X.algebra
@@ -38,7 +44,7 @@ def hom_basis_plain(X, Y):
         return []
     unknowns = Y.dim * X.dim
     rows = []
-    for g in A.generators():
+    for g in rows_of(A.generators()):
         R = X.act(g)
         S = Y.act(g)
         for i in range(Y.dim):
@@ -60,13 +66,12 @@ def invariant_closure(X, start):
     """Smallest submodule of X containing start: a Subspace, or a list of row vectors.
 
     Module.invariant_closure as it was before the library stopped calling it,
-    verbatim apart from taking the module as an argument and stacking the
-    generator rows itself.
+    verbatim apart from taking the module as an argument.
     """
     A = X.algebra
     span = start if isinstance(start, Subspace) else Subspace.from_rows(A.field, X.dim, start)
-    k = len(A.generators())
-    G = X.act_rows(Matrix.from_rows(A.field, A.generators()))
+    k = A.generators().rows
+    G = X.act_rows(A.generators())
     while True:
         # row c*k + t: generator t applied to basis vector c
         images = (G * span.inclusion()).transpose().reshape(span.dim * k, X.dim)
@@ -85,34 +90,62 @@ def ref_generators(A):
     """Algebra.generators as it was before the generators were read off rad²:
     the arrows of a quiver algebra, otherwise a closure search over the basis,
     kept verbatim.  compile_quiver used to hand the algebra the indices of its
-    basis paths of length one; here they are found by name."""
-    f, n = A.field, A.dim
+    basis paths of length one; here they are found by name.  The generators are
+    returned as the rows of one matrix, as Algebra.generators returns them."""
     gens = [v for v, _ in A.idempotents]
     if A.presentation is not None:
         arrows = {a.name for a in A.presentation.arrows}
-        return gens + [A.basis_vec(i) for i, name in enumerate(A.basis_names) if name in arrows]
-    span = A._closure(Subspace.from_rows(f, n, [A.unit] + gens))
-    for i in range(n):
+        return Matrix.vcat(gens + [A.basis_vec(i) for i, name in enumerate(A.basis_names) if name in arrows])
+    span = A._closure(Subspace.row_space(Matrix.vcat([A.unit] + gens)))
+    for i in range(A.dim):
         b = A.basis_vec(i)
         if not span.contains(b):
             gens.append(b)
             # the closure of a closed span and b is the closure of gens
-            span = A._closure(span.plus(Subspace.from_rows(f, n, [b])))
-    return gens
+            span = A._closure(span.plus(Subspace.row_space(b)))
+    return Matrix.vcat(gens)
 
 
 def ref_minimal_cover(A, K):
-    """homology._minimal_cover as it was before the one-elimination read, verbatim:
-    a span grown one cover vector at a time, checked across the labels."""
+    """homology._minimal_cover as it was before the one-elimination read: a span
+    grown one cover vector at a time, checked across the labels.
+
+    The span is rad K plus the vectors picked so far.  Instead of eliminating
+    the whole span again for every vector, each candidate is reduced against
+    the rows the span already holds: first against rad K's RREF basis (the
+    candidate less its entries at the pivots times that basis, for all of a
+    label's candidates in one product), then against the picked vectors, kept
+    as echelon rows with distinct leading columns.  A candidate lies in the
+    span exactly when nothing of it is left.
+    """
+    f = A.field
     covers = []
-    seen = K.radical_subspace()
+    rad = K.radical_subspace()
+    echelon = {}  # leading column -> {column: entry}, entry 1 at the leading column
     for lab in A.labels:
         part = K.e_part(A.idempotent_for_label(lab))
+        rest = part.basis - part.basis.take_cols(rad.pivots) * rad.basis
         for i in range(part.dim):
-            v = part.basis.take_rows([i])
-            if not seen.contains_columns(v.transpose()):
-                covers.append((lab, v.transpose()))
-                seen = Subspace.row_space(seen.basis.vstack(v))
+            nz = rest.nonzeros[i]
+            r = {j: rest[i, j] for j in nz[0]} if nz else {}  # column -> entry
+            while r and min(r) in echelon:
+                lead = min(r)
+                c = r[lead]
+                for j, x in echelon[lead].items():
+                    y = f.sub(r.get(j, f.zero), f.mul(c, x))
+                    if f.is_zero(y):
+                        r.pop(j, None)
+                    else:
+                        r[j] = y
+            if r:
+                # the candidate as a column, written out from its stored entries
+                col = [None] * K.dim
+                for j, x in zip(*part.basis.nonzeros[i]):
+                    col[j] = ((0,), (x,))
+                covers.append((lab, Matrix.from_integers(f, K.dim, 1, col, part.basis.den)))
+                lead = min(r)
+                inv = f.inv(r[lead])
+                echelon[lead] = {j: f.mul(inv, x) for j, x in r.items()}
     return covers
 
 
@@ -130,7 +163,7 @@ def ref_block_data(X):
     if T.cols != X.dim:
         raise InvalidModule("idempotent blocks do not decompose the module")
     Ti = T.inverse()
-    conj = tuple(Ti * X.act(g) * T for g in A.generators()[len(A.idempotents):])
+    conj = tuple(Ti * X.act(g) * T for g in rows_of(A.generators())[len(A.idempotents):])
     return tuple(B.cols for B in blocks), T, Ti, conj
 
 
@@ -152,7 +185,7 @@ def ref_element_diffs(res, n):
             col = cols[ui]
             block = col[offs[si] : offs[si + 1]]
             elem = (s.basis * Matrix.column(res.A.field, block)).col(0)
-            row.append(tuple(elem))
+            row.append(Matrix.from_rows(res.A.field, [elem]))
         grid.append(row)
     return grid
 
@@ -164,7 +197,7 @@ def _ref_generator_column(res, n, ui):
     off = 0
     for k in range(ui):
         off += cur[k].module.dim
-    gen = cur[ui].e_vec
+    gen = cur[ui].e_vec.row(0)
     coords, rem = _ref_coords_in(cur[ui].basis, gen, f)
     if rem is not None:
         raise InvariantViolation("a summand generator e lies outside its summand A e")
@@ -240,18 +273,18 @@ def _basis_products(A, pairs):
 
 
 def ref_left_mult_matrix(A, vec):
-    """Matrix of a |-> vec * a in the basis (columns = vec * b_j)."""
+    """Matrix of a |-> vec * a in the basis (columns = vec * b_j), vec a 1 x n row."""
     return Matrix.linear_combination(
-        A.field, A.dim, A.dim, [(c, A.basis_left_mult(i)) for i, c in enumerate(vec) if c]
+        A.field, A.dim, A.dim, [(c, A.basis_left_mult(i)) for i, c in enumerate(vec.row(0)) if c]
     )
 
 
 def ref_right_mult_matrix(A, vec):
-    """Matrix of a |-> a * vec in the basis (columns = b_j * vec)."""
+    """Matrix of a |-> a * vec in the basis (columns = b_j * vec), vec a 1 x n row."""
     n = A.dim
     products = A.table.reshape(n * n, n)  # row i*n + j: b_i * b_j
     # R_j, the matrix of a |-> a * b_j, has column i b_i * b_j
-    rights = [(c, products.take_rows(range(j, n * n, n)).transpose()) for j, c in enumerate(vec) if c]
+    rights = [(c, products.take_rows(range(j, n * n, n)).transpose()) for j, c in enumerate(vec.row(0)) if c]
     return Matrix.linear_combination(A.field, n, n, rights)
 
 
@@ -308,7 +341,7 @@ def ref_compile_presentation(pres, fld):
         try:
             ideal.coordinates(Matrix.from_columns(fld, units, nrows=n))
         except NotInSubspace:
-            p = next(p for p, v in zip(long_paths, units) if not ideal.contains(v))
+            p = next(p for p, v in zip(long_paths, units) if not ideal.contains(Matrix.from_rows(fld, [v])))
             raise NotFiniteDimensionalWithinBound(
                 f"path {p.name()} of length {len(p.arrows)} survives modulo the relations"
             ) from None
@@ -424,7 +457,7 @@ def ref_quotient_table(A, e):
 
 
 def ref_closure_table(A, vectors):
-    span = A._closure(Subspace.from_rows(A.field, A.dim, vectors))
+    span = A._closure(Subspace.row_space(Matrix.vcat(vectors)))
 
     def coords_of(img):  # coordinates of the columns of img
         C = span.coordinates(img)
@@ -482,7 +515,7 @@ def nonbasic_endo_borel_generators(A):
         v = [0] * A.dim
         for rc in rcs:
             v[pos[rc]] = 1
-        return tuple(QQ.coerce(x) for x in v)
+        return A.coerce_vec(v)
 
     idem = [
         (unit_vec((1, 1), (4, 4)), "1"),

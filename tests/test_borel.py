@@ -126,14 +126,14 @@ class TestSupportLemmas:
         # [Be : L_j^B] != 0 exactly for j in the support, for coideal supports
         e, emb = dual_extension_embedding()
         B = emb.B
-        from strata.kernel.subspace import Subspace
+        from strata.kernel import Matrix, Subspace
         from strata.modules import Module
 
         for labels in (["3"], ["2", "3"]):
             ev = B.idempotent_sum_for_labels(labels)
             reg = Module.regular(B)
             rows = [B.mult_vec(B.basis_vec(i), ev) for i in range(B.dim)]
-            Be, _ = reg.submodule(Subspace.from_rows(B.field, B.dim, rows))
+            Be, _ = reg.submodule(Subspace.row_space(Matrix.vcat(rows)))
             for j in B.labels:
                 assert (comp_mult(Be, j) != 0) == (j in labels)
 

@@ -25,12 +25,12 @@ from strata.algebra import Algebra, compile_quiver
 from strata.cli import main
 from strata.corpus import corpus, corpus_path, entry
 from strata.homology import Resolution, _minimal_cover
-from strata.kernel import Subspace
+from strata.kernel import Matrix, Subspace
 from strata.modules import projective, simple
 from strata.quiver import QuiverPresentation
 from strata.strat import StandardRecord, strat_datum
 
-from oracles import ref_generators, ref_minimal_cover
+from oracles import ref_generators, ref_minimal_cover, rows_of
 from test_regular_certificate import truncated_path_algebra
 from test_theorem_oracles import SMALL_FIELDS, compile_rad_square_zero, rad_square_zero
 
@@ -43,7 +43,7 @@ def build(quiver):
 
 
 def spans_the_algebra(A, gens):
-    return A._closure(Subspace.from_rows(A.field, A.dim, gens)).dim == A.dim
+    return A._closure(Subspace.row_space(gens)).dim == A.dim
 
 
 def line_quiver(f):
@@ -62,7 +62,7 @@ def derived_algebras(A):
             out += [A.corner(e)[0], A.quotient_by_idempotent_ideal(e)[0]]
     f = A.field
     if f.char == 0 or f.char > A.dim:  # a closure re-checks its labels on the trace-form radical
-        arrows = A.generators()[len(A.idempotents):]
+        arrows = rows_of(A.generators())[len(A.idempotents):]
         out.append(A.subalgebra_closure(A.idempotents, arrows[::2])[0])
     if A.dim <= 12:
         out.append(A.tensor_product(line_quiver(f)))
@@ -77,7 +77,7 @@ class TestGenerators:
         assert A.generators() == ref_generators(A)  # idempotents and arrows
         for B in [A] + derived_algebras(A):
             gens = B.generators()
-            assert gens[: len(B.idempotents)] == [v for v, _ in B.idempotents]
+            assert rows_of(gens)[: len(B.idempotents)] == [v for v, _ in B.idempotents]
             assert spans_the_algebra(B, gens)
             assert B.opposite().generators() == gens
 
@@ -88,13 +88,13 @@ class TestGenerators:
             arrows = {a.name for a in A.presentation.arrows}
             expected = [v for v, _ in A.idempotents]
             expected += [A.basis_vec(i) for i, name in enumerate(A.basis_names) if name in arrows]
-            assert A.generators() == expected == ref_generators(A)
+            assert A.generators() == Matrix.vcat(expected) == ref_generators(A)
 
     def test_nonbasic_endo_reads_one_more_generator(self):
         # E45 = E35 * E43 is a product of generators, but E43 is outside the radical,
         # so E45 is outside span(idempotents) + rad² and is read as one too
         A = entry("nonbasic-endo").algebra
-        assert len(A.generators()) == 12 and len(ref_generators(A)) == 11
+        assert A.generators().rows == 12 and ref_generators(A).rows == 11
         assert spans_the_algebra(A, A.generators())
 
 

@@ -202,8 +202,8 @@ class TestSubspace:
     def test_membership_and_complement(self):
         S = Subspace.from_rows(QQ, 3, [[1, 2, 0], [0, 0, 1]])
         assert S.dim == 2
-        assert S.contains([2, 4, 7])
-        assert not S.contains([0, 1, 0])
+        assert S.contains(Matrix.from_rows(QQ, [[2, 4, 7]]))
+        assert not S.contains(Matrix.from_rows(QQ, [[0, 1, 0]]))
         assert S.complement_coords() == [1]
 
     def test_projection_section(self):
@@ -221,4 +221,4 @@ class TestSubspace:
         assert A.plus(B).dim == 3
         I = A.intersect(B)
         assert I.dim == 1
-        assert I.contains([0, 1, 0, 0])
+        assert I.contains(Matrix.from_rows(QQ, [[0, 1, 0, 0]]))

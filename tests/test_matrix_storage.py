@@ -384,8 +384,8 @@ def _non_invariant_example():
     A = load_spec_file(corpus_path("fork")).algebra
     reg = Module.regular(A)
     for i in range(A.dim):
-        S = Subspace.from_rows(A.field, A.dim, [A.basis_vec(i)])
-        if invariant_closure(reg, [A.basis_vec(i)]).dim > 1:
+        S = Subspace.row_space(A.basis_vec(i))
+        if invariant_closure(reg, S).dim > 1:
             return reg, S
     raise AssertionError("every basis line is invariant")
 

@@ -52,7 +52,7 @@ def test_uncached_run_gives_the_same_report(capsys, monkeypatch, argv):
 
 def test_a_failed_build_is_not_stored():
     A = load_spec_file(corpus_path("fork")).algebra
-    half = tuple(x / 2 for x in A.unit)
+    half = A.unit.scale("1/2")
 
     def refuse():
         raise NotIdempotent("element is not idempotent")

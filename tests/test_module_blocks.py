@@ -28,7 +28,14 @@ from strata.modules import Module, hom_basis, injective, left_ideal, projective,
 from strata.specfile import load_spec
 from strata.strat import LabelPoset, StandardRecord, filtration_standard
 
-from oracles import corpus_doc, hom_basis_plain, invariant_closure, trace_from_projective_closure, verify_action
+from oracles import (
+    corpus_doc,
+    hom_basis_plain,
+    invariant_closure,
+    rows_of,
+    trace_from_projective_closure,
+    verify_action,
+)
 
 LIGHT_SPECS = ("auslander-x3", "diamond", "ext2-chain", "fork", "fork-refined", "rad-square-zero", "sl2-block")
 FIELDS = ("Q", "Fp")
@@ -62,7 +69,7 @@ def ref_invariant_closure(X, rows):
     A = X.algebra
     span = Subspace.from_rows(A.field, X.dim, rows)
     # Rows of span.basis * M^T are the images M v of the basis vectors v.
-    gens_t = [X.act(g).transpose() for g in A.generators()]
+    gens_t = [X.act(g).transpose() for g in rows_of(A.generators())]
     while True:
         stacked = span.basis
         for Mt in gens_t:
@@ -114,7 +121,7 @@ def ref_radical_subspace(X):
     rad = A.radical()
     rows = []
     for i in range(rad.dim):
-        M = X.act(rad.basis.row(i))
+        M = X.act(rad.basis.take_rows([i]))
         rows.extend(M.col(j) for j in range(M.cols))
     return Subspace.from_rows(A.field, X.dim, rows)
 
@@ -126,7 +133,7 @@ def ref_socle_subspace(X):
         return Subspace.full(A.field, X.dim)
     stacked = None
     for i in range(rad.dim):
-        M = X.act(rad.basis.row(i))
+        M = X.act(rad.basis.take_rows([i]))
         stacked = M if stacked is None else stacked.vstack(M)
     K = stacked.kernel_basis()
     return Subspace.from_rows(A.field, X.dim, [K.col(j) for j in range(K.cols)])
@@ -134,7 +141,7 @@ def ref_socle_subspace(X):
 
 def ref_summand(algebra, e_vec):
     reg = Module.regular(algebra)
-    space = Subspace.row_space(algebra.right_mult_matrix(tuple(e_vec)).transpose())
+    space = Subspace.row_space(algebra.right_mult_matrix(algebra.coerce_vec(e_vec)).transpose())
     return ref_submodule(reg, space)
 
 
@@ -144,12 +151,12 @@ def ref_induce(emb, X):
     nA, nX = A.dim, X.dim
     dim = nA * nX
     rows = []
-    for g in B.generators():
+    for g in rows_of(B.generators()):
         ig = emb.image_vec(g)
         right = A.right_mult_matrix(ig)
         actg = X.act(g)
         for i in range(nA):
-            col_a = (right * Matrix.column(f, A.basis_vec(i))).col(0)
+            col_a = (right * A.basis_vec(i).transpose()).col(0)
             for j in range(nX):
                 vec = [f.zero] * dim
                 for k, c in enumerate(col_a):
@@ -179,7 +186,7 @@ def ref_induce(emb, X):
     cols = []
     for j in range(nX):
         vec = [f.zero] * dim
-        for k, c in enumerate(A.unit):
+        for k, c in enumerate(A.unit.row(0)):
             if not f.is_zero(c):
                 vec[k * nX + j] = c
         cols.append((proj * Matrix.column(f, vec)).col(0))
@@ -197,9 +204,9 @@ def ref_corner_tensor(self, Y):
     nY = Y.dim
     dim = m * nY
     rows = []
-    for c in C.generators():
-        c_in_A = self.corner_emb * Matrix.column(f, list(c))
-        right = A.right_mult_matrix(c_in_A.col(0))
+    for c in rows_of(C.generators()):
+        c_in_A = self.corner_emb * c.transpose()
+        right = A.right_mult_matrix(c_in_A.transpose())
         actc = Y.act(c)
         # column i: coordinates of basis_i * c in Ae
         XC = ae.coordinates(right * ae_incl)
@@ -241,8 +248,8 @@ def ref_corner_hom(self, Y):
     nY = Y.dim
     unknowns = nY * m  # f as nY x m matrix, column b = f(basis b)
     rows = []
-    for c in C.generators():
-        c_in_A = (self.corner_emb * Matrix.column(f, list(c))).col(0)
+    for c in rows_of(C.generators()):
+        c_in_A = (self.corner_emb * c.transpose()).transpose()
         left = A.left_mult_matrix(c_in_A)
         actc = Y.act(c)
         # column b: coordinates of c * basis_b in eA
@@ -405,7 +412,7 @@ class TestAgainstLoopVersions:
     def test_induce(self, name, field, data):
         A = algebra(name, field)
         idem = list(A.idempotents)
-        arrows = A.generators()[len(idem):]
+        arrows = rows_of(A.generators())[len(idem):]
         kept = data.draw(st.lists(st.sampled_from(arrows), unique=True, max_size=len(arrows)))
         B, emb = A.subalgebra_closure(idem, kept)
         sub = SubalgebraEmbedding(B, A, emb)
@@ -441,15 +448,15 @@ class TestModuleData:
             expected = Matrix.zeros(A.field, X.dim, X.dim)
             for c, M in zip(v, X.action):
                 expected = expected + M.scale(c)
-            assert X.act(v) == expected
-            assert X.act([0] * A.dim) == Matrix.zeros(A.field, X.dim, X.dim)
+            assert X.act(A.coerce_vec(v)) == expected
+            assert X.act(Matrix.zeros(A.field, 1, A.dim)) == Matrix.zeros(A.field, X.dim, X.dim)
 
     def test_act_rows_stacks_act(self):
         A = algebra("sl2-block", "Q")
         X = Module.direct_sum([projective(A, "1"), simple(A, "2")])
-        R = A.radical().basis.vstack(Matrix.from_rows(A.field, [A.unit]))
+        R = A.radical().basis.vstack(A.unit)
         blocks = X.act_rows(R).vsplit(R.rows)
-        assert blocks == [X.act(R.row(i)) for i in range(R.rows)]
+        assert blocks == [X.act(r) for r in rows_of(R)]
 
     def test_block_data_dies_with_its_module(self):
         A = algebra("diamond", "Q")

@@ -20,6 +20,7 @@ from strata.errors import (
     NotUnital,
 )
 from strata.kernel.fields import QQ, PrimeField
+from strata.kernel.matrix import Matrix
 from strata.quiver import QuiverPresentation, compile_presentation
 from strata.specfile import load_spec_file
 
@@ -197,14 +198,14 @@ class TestTransforms:
         spanned = set()
         for i in range(A.dim):
             v = A.mult_vec(e, A.mult_vec(A.basis_vec(i), e))
-            if any(x != 0 for x in v):
-                spanned.add(tuple(v))
+            if not v.is_zero():
+                spanned.add(v)
         C, _ = A.corner(e)
         assert C.dim == len(spanned)
 
     def test_quotient_at_zero_is_identity_transform(self):
         A = entry("sl2-block").algebra
-        Q, proj = A.quotient_by_idempotent_ideal(A.zero_vec())
+        Q, proj = A.quotient_by_idempotent_ideal(Matrix.zeros(A.field, 1, A.dim))
         assert Q.dim == A.dim
 
     def test_quotient_dims(self):
@@ -225,10 +226,10 @@ class TestTransforms:
 
     def test_not_subset_sum_rejected(self):
         A = entry("sl2-block").algebra
-        half = tuple(QQ.coerce(x) * QQ.coerce("1/2") for x in A.unit)
+        half = tuple(QQ.coerce(x) * QQ.coerce("1/2") for x in A.unit.row(0))
         with pytest.raises(Exception):
             A.corner(half)
-        bad = list(A.zero_vec())
+        bad = [QQ.zero] * A.dim
         bad[A.basis_names.index("b*a")] = QQ.one  # b*a is not idempotent
         with pytest.raises(Exception):
             A.subset_sum_decomposition(bad)
@@ -238,17 +239,17 @@ class TestTransforms:
         e = A.idempotent_sum_for_labels(["3"])
         picks = A.subset_sum_decomposition(e)
         assert [A.idempotents[k][1] for k in picks] == ["3", "3"]
-        assert A.subset_sum_decomposition(list(e)) is picks  # memoised under the coerced e
-        half = tuple(x / 2 for x in A.unit)
+        assert A.subset_sum_decomposition(e.row(0)) is picks  # memoised under the coerced e
+        half = tuple(x / 2 for x in A.unit.row(0))
         e1 = A.idempotent_for_label("1")
         off = A.basis_vec(A.basis_names.index("E12"))  # e1 + E12 is idempotent, outside the span
-        not_a_sum = tuple(x + y for x, y in zip(e1, off))
+        not_a_sum = e1 + off
         for _ in range(2):  # refusals are not memoised
             with pytest.raises(NotIdempotent):
                 A.subset_sum_decomposition(half)
             with pytest.raises(NotIdempotentSum):
                 A.subset_sum_decomposition(not_a_sum)
-        assert not any(key[0] == "summands" and key[1] in (half, not_a_sum) for key in A._derived)
+        assert not any(key[0] == "summands" and key[1] in (A.coerce_vec(half), not_a_sum) for key in A._derived)
 
     def test_closure_full_basis_gives_whole(self):
         A = entry("sl2-block").algebra
@@ -268,6 +269,11 @@ class TestTransforms:
         idem = [(A.idempotent_for_label("1"), "1")]
         with pytest.raises(NotUnital):
             A.subalgebra_closure(idem, [])
+
+    def test_closure_without_idempotents_refused(self):
+        A = entry("sl2-block").algebra
+        with pytest.raises(InvalidAlgebra, match="idempotent family"):
+            A.subalgebra_closure([], [A.unit])
 
     def test_tensor_with_ground_field(self):
         A = entry("sl2-block").algebra

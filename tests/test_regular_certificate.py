@@ -27,7 +27,7 @@ from strata.kernel import QQ, Matrix, PrimeField, Subspace
 from strata.quiver import QuiverPresentation
 from strata.specfile import load_spec, load_spec_file
 
-from oracles import corpus_doc, sparse_table
+from oracles import corpus_doc, rows_of, sparse_table
 from test_theorem_oracles import compile_rad_square_zero, rad_square_zero
 
 FIELDS = [QQ, PrimeField(7)]
@@ -275,19 +275,14 @@ class TestProducts:
     @pytest.mark.parametrize("name", ["sl2-block", "nonbasic-endo"])
     def test_block_products_match_single_products(self, name):
         A = entry(name).algebra
-        f = A.field
-        xs = [A.idempotents[0][0], A.unit, tuple(f.coerce(k % 3 - 1) for k in range(A.dim))]
+        xs = [A.idempotents[0][0], A.unit, A.coerce_vec([k % 3 - 1 for k in range(A.dim)])]
         ys = [A.basis_vec(A.dim - 1), A.idempotents[-1][0]]
-        X, Y = Matrix.from_rows(f, xs), Matrix.from_rows(f, ys)
+        X, Y = Matrix.vcat(xs), Matrix.vcat(ys)
         basis = [A.basis_vec(i) for i in range(A.dim)]
-
-        def rows(M):
-            return [tuple(M.row(r)) for r in range(M.rows)]
-
-        assert rows(A.products(X, Y)) == [A.mult_vec(x, y) for x in xs for y in ys]
-        assert rows(A.products(X)) == [A.mult_vec(x, b) for x in xs for b in basis]
-        assert rows(A.products(None, Y)) == [A.mult_vec(b, y) for b in basis for y in ys]
-        assert rows(A.products()) == [A.mult_vec(a, b) for a in basis for b in basis]
+        assert rows_of(A.products(X, Y)) == [A.mult_vec(x, y) for x in xs for y in ys]
+        assert rows_of(A.products(X)) == [A.mult_vec(x, b) for x in xs for b in basis]
+        assert rows_of(A.products(None, Y)) == [A.mult_vec(b, y) for b in basis for y in ys]
+        assert rows_of(A.products()) == [A.mult_vec(a, b) for a in basis for b in basis]
 
 
 class TestQuiverInvariant:
