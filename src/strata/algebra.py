@@ -19,7 +19,7 @@ _closure, serves subalgebra_closure on generators the caller supplies.
 
 Every way of obtaining an algebra -- quiver compilation, raw structure
 constants, corner, quotient by an idempotent ideal, subalgebra closure,
-opposite, tensor product -- funnels through validate(), which runs four
+opposite -- funnels through validate(), which runs four
 checks: the unit, the idempotent family (idempotent, nonzero, orthogonal,
 summing to the unit), associativity, and primitivity with labels (e_aAe_a is
 local with residue field k; e_a and e_b share a label exactly when e_aAe_b is
@@ -30,10 +30,11 @@ L_i L_j == sum_k c_ij^k L_k for every pair (i, j).  A construction from
 certified algebras names what its result inherits, and validate() skips
 exactly that:
 
-- the subalgebra closure and the tensor product inherit associativity (a
-  closed subspace, re-checked by Subspace.coordinates; certified factors),
-  and nothing else: a subalgebra can separate isomorphic projectives, so the
-  labels are checked again;
+- the subalgebra closure inherits associativity (a closed subspace,
+  re-checked by Subspace.coordinates), and nothing else: a subalgebra can
+  separate isomorphic projectives, so the labels are checked again (the
+  tensor product of two certified algebras, built in the tests, inherits the
+  same);
 - the corner eAe, for e a sum of distinguished idempotents, inherits every
   check.  Its unit is e and its idempotents are the summands of e, so the
   family axioms are A's; e_a(eAe)e_b = e_aAe_b for the summands e_a, e_b, and
@@ -65,7 +66,6 @@ coerce_vec is the one way in for coordinates given any other way (a spec file,
 from __future__ import annotations
 
 from .errors import (
-    FieldMismatch,
     InputError,
     InvalidAlgebra,
     NotIdempotent,
@@ -104,7 +104,7 @@ def _table_from_columns(C):
 
 # What validate() may skip: the checks an algebra inherits from the certified
 # algebras it is built from (see the module docstring).
-ASSOCIATIVITY = frozenset({"associativity"})  # subalgebra closures, tensor products
+ASSOCIATIVITY = frozenset({"associativity"})  # subalgebra closures
 EVERY_CHECK = frozenset({"unit", "idempotents", "associativity", "labels"})  # corners, quotients, opposites
 
 
@@ -517,26 +517,6 @@ class Algebra:
         out = Algebra(self.field, names, table, coordinates(self.unit.transpose()).transpose(), idems,
                       inherits=ASSOCIATIVITY)
         return out, span.inclusion()
-
-    def tensor_product(self, other):
-        if self.field != other.field:
-            raise FieldMismatch(f"{self.field} vs {other.field}")
-        f = self.field
-        nA, nB = self.dim, other.dim
-        dim = nA * nB
-        names = [f"({self.basis_names[i]}|{other.basis_names[j]})" for i in range(nA) for j in range(nB)]
-        # (b_i|b'_j)(b_k|b'_l) = b_i b_k | b'_j b'_l: row (i*nA + k)*nB^2 + j*nB + l of the Kronecker
-        # product of the n^2 x n reshapes, in the order of (i*nB + j)*dim + k*nB + l
-        kron = self.table.reshape(nA * nA, nA).kron(other.table.reshape(nB * nB, nB))
-        table = kron.take_rows([(i * nA + k) * nB * nB + j * nB + l
-                                for i in range(nA) for j in range(nB) for k in range(nA) for l in range(nB)])
-        # the element u ⊗ v is the row u.kron(v); rad(A ⊗ B) = rad A ⊗ B + A ⊗ rad B
-        idems = [(u.kron(v), f"({la},{lb})") for u, la in self.idempotents for v, lb in other.idempotents]
-        rad = self.radical().basis.kron(Matrix.identity(f, nB)).vstack(
-            Matrix.identity(f, nA).kron(other.radical().basis))
-        # both factors are certified
-        return Algebra(f, names, table.reshape(dim, dim * dim), self.unit.kron(other.unit), idems,
-                       radical_rows=rad, inherits=ASSOCIATIVITY)
 
     # -- equality (content-based; used by round-trip tests) -------------------------
 

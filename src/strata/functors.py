@@ -89,8 +89,8 @@ class IdempotentContext:
         sol_space = Subspace.row_space(Matrix.vcat(eqs).kernel_basis().transpose())
         # (a·f)(z_b) = f(z_b a): a acts by I ⊗ V^T, column b of V the coordinates of z_b a
         rights = Matrix.vcat([A.right_mult_matrix(A.basis_vec(b)) for b in range(A.dim)])
-        Vs = ea.coordinates((rights * ea_incl).side_by_side(A.dim)).hsplit(A.dim)
-        outer = Module(A, Y.dim * m, [IY.kron(V.transpose()) for V in Vs], check_unit=False)
+        Vs = ea.coordinates(rights * ea_incl, blocks=A.dim).vsplit(A.dim)
+        outer = Module.from_actions(A, Y.dim * m, [IY.kron(V.transpose()) for V in Vs], check_unit=False)
         return outer.submodule(sol_space)[0]
 
     # -- quotient-side functors ----------------------------------------------------
@@ -111,20 +111,21 @@ class IdempotentContext:
 
     def _on_quotient(self, X: Module):
         """The action of Q's basis on an A-module killed by AeA, through the lift Q -> A."""
-        return X.act_rows(self.quotient_lift.transpose()).vsplit(self.quotient.dim)
+        return X.act_rows(self.quotient_lift.transpose())
 
 
 def _tensor_quotient(A, rels, lefts, IX):
-    """(V ⊗ X / span of the rows of rels, projection), b in A acting by lefts[b] ⊗ I.
+    """(V ⊗ X / span of the rows of rels, projection), b in A acting by L_b ⊗ I,
+    the L_b stacked in lefts as in a module's stack.
 
-    Times the lift of the quotient, lefts[b] ⊗ I keeps its complement columns,
-    so the whole action is one product with the projection.
+    lefts ⊗ I is the stack of the L_b ⊗ I; times the lift of the quotient each
+    block keeps its complement columns, so the action is the projection times
+    each block.
     """
     rel = Subspace.row_space(Matrix.vcat(rels))
     proj = rel.projection_matrix()
-    comp = rel.complement_coords()
-    kept = Matrix.hcat([L.kron(IX).take_cols(comp) for L in lefts])
-    return Module(A, len(comp), (proj * kept).hsplit(A.dim)), proj
+    kept = lefts.kron(IX).take_cols(rel.complement_coords())
+    return Module(A, proj.rows, proj.mul_blocks(kept, A.dim)), proj
 
 
 # -- induction / restriction along a subalgebra embedding -------------------------------
@@ -163,7 +164,7 @@ class SubalgebraEmbedding:
             g = G.take_rows([t])
             rels.append(A.right_mult_matrix(self.image_vec(g)).transpose().kron(IX) - IA.kron(X.act(g).transpose()))
         # b acts on A ⊗ X by L_b ⊗ I
-        ind, proj = _tensor_quotient(A, rels, [A.basis_left_mult(b) for b in range(nA)], IX)
+        ind, proj = _tensor_quotient(A, rels, Module.regular(A).stack, IX)
         insert = proj * A.unit.transpose().kron(IX)
         return ind, insert
 
@@ -177,9 +178,11 @@ class SubalgebraEmbedding:
 
         Bop = self.B.opposite()
         f = self.A.field
-        # A as a left B^op-module: b_j ∘ a = a · ι(b_j), ι(b_j) row j of _images
-        action = [self.A.right_mult_matrix(self._images.take_rows([j])) for j in range(Bop.dim)]
-        A_right = Module(Bop, self.A.dim, action)
+        # A as a left B^op-module: b_j ∘ a = a · ι(b_j), by R(ι(b_j)).  As in
+        # Algebra.right_mult_matrix, block j of table · (emb ⊗ I) is R(ι(b_j))^T,
+        # so its transpose stacks the R(ι(b_j)).
+        right = self.A.table * self.emb.kron(Matrix.identity(f, self.A.dim))
+        A_right = Module(Bop, self.A.dim, right.transpose())
         covers = _minimal_cover(Bop, A_right)
         summands = [Summand(Bop, lab) for lab, _ in covers]
         cover = _cover_matrix(A_right, covers, summands)

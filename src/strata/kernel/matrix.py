@@ -354,52 +354,43 @@ class Matrix:
         self._same_field(other)
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        m = other.cols
-        brows = other.nonzeros
-        p = self.field.char
-        span = range(m)
+        out = _products(self.nonzeros, other.nonzeros, other.cols, self.field.char)
+        return Matrix._reduced(self.field, self.rows, other.cols, self.den * other.den, tuple(out))
+
+    def mul_blocks(self, other, k):
+        """self times each of the k row blocks of other, stacked top to bottom: the
+        product (I_k ⊗ self) · other, with no block-diagonal matrix built."""
+        self._same_field(other)
+        c = self.cols
+        if other.rows != k * c:
+            raise DimensionMismatch(f"cannot multiply {k} blocks of {self.rows}x{c} by {other.rows}x{other.cols}")
+        brows, m, p = other.nonzeros, other.cols, self.field.char
         out = []
-        for arow in self.nonzeros:
-            if arow is None:
-                out.append(None)
-                continue
-            where, vals = arow
-            if len(where) == 1:
-                # one nonzero: a multiple of one stored row of the right factor
-                brow = brows[where[0]]
-                x = vals[0]
-                if brow is None or x == 1:
-                    out.append(brow)
-                elif p:
-                    out.append((brow[0], tuple([x * y % p for y in brow[1]])))
-                else:
-                    out.append((brow[0], tuple([x * y for y in brow[1]])))
-                continue
-            acc = None
-            for t, x in zip(where, vals):
-                brow = brows[t]
-                if brow is not None:
-                    if acc is None:
-                        acc = [0] * m
-                    for j, y in zip(*brow):
-                        acc[j] += x * y
-            if acc is None:
-                out.append(None)
-            else:
-                out.append(_pack([v % p for v in acc] if p else acc, span))
-        return Matrix._reduced(self.field, self.rows, m, self.den * other.den, tuple(out))
+        for t in range(k):
+            out.extend(_products(self.nonzeros, brows[t * c : (t + 1) * c], m, p))
+        return Matrix._reduced(self.field, k * self.rows, m, self.den * other.den, tuple(out))
 
     def transpose(self):
+        # Lists are made only for the occupied columns, so a wide matrix with
+        # few entries (a 1 x n row, one lifted vector) costs its entries, not its width.
         c = self.cols
-        where = [[] for _ in range(c)]
-        vals = [[] for _ in range(c)]
+        where, vals = [None] * c, [None] * c
+        occupied = []
         for i, r in enumerate(self.nonzeros):
             if r:
                 for j, x in zip(*r):
-                    where[j].append(i)
-                    vals[j].append(x)
-        rows = tuple([(tuple(w), tuple(v)) if w else None for w, v in zip(where, vals)])
-        return Matrix._new(self.field, c, self.rows, self.den, rows)
+                    w = where[j]
+                    if w is None:
+                        where[j] = [i]
+                        vals[j] = [x]
+                        occupied.append(j)
+                    else:
+                        w.append(i)
+                        vals[j].append(x)
+        rows = [None] * c
+        for j in occupied:
+            rows[j] = (tuple(where[j]), tuple(vals[j]))
+        return Matrix._new(self.field, c, self.rows, self.den, tuple(rows))
 
     def kron(self, other):
         """The Kronecker product: entry (i*r + k, j*c + l) is self[i, j] * other[k, l], r x c = other's shape."""
@@ -657,3 +648,39 @@ def _side_by_side(rows, offsets):
                 vals.extend(r[1])
         out.append((tuple(where), tuple(vals)) if where else None)
     return tuple(out)
+
+
+def _products(arows, brows, m, p):
+    """The stored rows of the product of the stored rows arows by the stored rows
+    brows (m columns), unreduced: each row runs over its nonzeros against brows."""
+    span = range(m)
+    out = []
+    for arow in arows:
+        if arow is None:
+            out.append(None)
+            continue
+        where, vals = arow
+        if len(where) == 1:
+            # one nonzero: a multiple of one stored row of the right factor
+            brow = brows[where[0]]
+            x = vals[0]
+            if brow is None or x == 1:
+                out.append(brow)
+            elif p:
+                out.append((brow[0], tuple([x * y % p for y in brow[1]])))
+            else:
+                out.append((brow[0], tuple([x * y for y in brow[1]])))
+            continue
+        acc = None
+        for t, x in zip(where, vals):
+            brow = brows[t]
+            if brow is not None:
+                if acc is None:
+                    acc = [0] * m
+                for j, y in zip(*brow):
+                    acc[j] += x * y
+        if acc is None:
+            out.append(None)
+        else:
+            out.append(_pack([v % p for v in acc] if p else acc, span))
+    return out

@@ -68,15 +68,18 @@ class Subspace:
             self._incl = self.basis.transpose()
         return self._incl
 
-    def coordinates(self, img: Matrix) -> Matrix:
+    def coordinates(self, img: Matrix, blocks=1) -> Matrix:
         """C with inclusion() * C == img: the basis coordinates of the columns of img.
 
+        With blocks = k, img is k row blocks of height ambient_dim stacked top
+        to bottom, and C is their coordinate matrices stacked the same way.
         The coordinates of a vector in the span are its entries at the pivot
-        positions (the basis is in RREF); the product re-checks them, and a
+        positions (the basis is in RREF); one product re-checks them, and a
         column outside the subspace raises NotInSubspace.
         """
-        C = img.take_rows(self.pivots)
-        if self.inclusion() * C != img:
+        n = self.ambient_dim
+        C = img.take_rows([t * n + p for t in range(blocks) for p in self.pivots])
+        if self.inclusion().mul_blocks(C, blocks) != img:
             raise NotInSubspace(f"a vector leaves the {self!r}")
         return C
 

@@ -1,17 +1,24 @@
 """Left modules over a validated Algebra.
 
-A Module stores one action matrix per algebra basis element.  An algebra
-element is a 1 x dim A row (see algebra.py), so acting by it reads the row's
-stored nonzeros: a basis vector acts by its stored matrix, returned as it is,
-and any other element acts through act_rows, one block product.  Submodules and
-quotients carry explicit inclusion/projection matrices; everything downstream
+A Module stores its action as one matrix, ``stack``: the action matrices of
+the algebra basis elements b_0, ..., b_{n-1} stacked top to bottom, so row
+k*dim + r is row r of the action of b_k.  The per-basis matrices (``action``)
+are cut from it once, on first use.  An algebra element is a 1 x dim A row
+(see algebra.py), so acting by it reads the row's stored nonzeros: a basis
+vector acts by its cut matrix, returned as it is, and any other element acts
+through act_rows, one product against the stack.  Submodules and quotients
+carry explicit inclusion/projection matrices; everything downstream
 (filtrations, functors, certificates) is built from these.
 
-Constructions work on whole matrices: the action of every basis element (or
-of every row of a coefficient matrix, ``act_rows``) on a subspace is one block
-product against the action matrices stacked top to bottom, a quotient selects
-the complement columns instead of multiplying by a lift, and direct sums are
-integer block diagonals.
+Each construction builds its stack from the stack it starts from, with no
+per-basis matrices in between: the action on an invariant subspace is the
+stack times the inclusion, read at each block's pivots and checked in one
+block product; a quotient keeps the complement columns of the stack (each
+action matrix times the lift) and multiplies each block by the projection;
+the dual transposes each block; restriction and inflation are one act_rows.
+Only the regular module, direct sums (integer block diagonals), modules read
+from JSON and the outer module of functors.corner_hom start from per-basis
+matrices, and stack them once.
 
 Data computed once per module is kept by memo.derived in the module's
 ``_derived`` dict, so it dies with the module: the radical, the idempotent
@@ -52,18 +59,17 @@ ISO_SEED = 2024
 
 
 class Module:
-    __slots__ = ("algebra", "dim", "action", "_derived", "__weakref__")
+    __slots__ = ("algebra", "dim", "stack", "_derived", "__weakref__")
 
-    def __init__(self, algebra, dim, action, check_unit=True):
+    def __init__(self, algebra, dim, stack, check_unit=True):
+        """The module on k^dim whose action is stack, the (dim A * dim) x dim matrix
+        in which row k*dim + r is row r of the action of the basis element b_k."""
         self.algebra = algebra
         self.dim = dim
-        self.action = tuple(action)
+        self.stack = stack
         self._derived = None  # allocated by memo.derived on first use
-        if len(self.action) != algebra.dim:
-            raise InvalidModule("need one action matrix per algebra basis element")
-        for M in self.action:
-            if M.rows != dim or M.cols != dim:
-                raise InvalidModule("action matrix has wrong shape")
+        if not isinstance(stack, Matrix) or (stack.rows, stack.cols) != (algebra.dim * dim, dim):
+            raise InvalidModule(f"action must be a {algebra.dim * dim}x{dim} stack of action matrices")
         if check_unit and dim:
             if self.act(algebra.unit) != Matrix.identity(algebra.field, dim):
                 raise InvalidModule("unit does not act as the identity")
@@ -71,14 +77,33 @@ class Module:
     # -- construction -------------------------------------------------------
 
     @classmethod
+    def from_actions(cls, algebra, dim, actions, check_unit=True):
+        """The module in which b_k acts by actions[k]: the matrices stacked once."""
+        actions = list(actions)
+        if len(actions) != algebra.dim:
+            raise InvalidModule("need one action matrix per algebra basis element")
+        if any(M.rows != dim or M.cols != dim for M in actions):
+            raise InvalidModule("action matrix has wrong shape")
+        stack = Matrix.vcat(actions) if actions else Matrix.zeros(algebra.field, 0, dim)
+        return cls(algebra, dim, stack, check_unit)
+
+    @classmethod
     def regular(cls, algebra):
-        return derived(algebra, ("regular",),
-                       lambda: cls(algebra, algebra.dim, [algebra.basis_left_mult(i) for i in range(algebra.dim)]))
+        return derived(algebra, ("regular",), lambda: cls.from_actions(
+            algebra, algebra.dim, [algebra.basis_left_mult(i) for i in range(algebra.dim)]))
 
     @classmethod
     def zero(cls, algebra):
-        z = Matrix.zeros(algebra.field, 0, 0)
-        return cls(algebra, 0, [z] * algebra.dim, check_unit=False)
+        return cls(algebra, 0, Matrix.zeros(algebra.field, 0, 0), check_unit=False)
+
+    @property
+    def action(self):
+        """The action matrix of each basis element, cut from the stack once."""
+        return derived(self, ("action",), self._cut)
+
+    def _cut(self):
+        n = self.algebra.dim
+        return tuple(self.stack.vsplit(n)) if n else ()
 
     def act(self, vec: Matrix) -> Matrix:
         """The action of the element vec, a 1 x dim A row."""
@@ -86,31 +111,25 @@ class Module:
         if r is None:
             return Matrix.zeros(self.algebra.field, self.dim, self.dim)
         if len(r[0]) == 1 and r[1][0] == 1 and vec.den == 1:
-            return self.action[r[0][0]]  # a basis vector acts by its stored (immutable) matrix
+            return self.action[r[0][0]]  # a basis vector acts by its cut (immutable) matrix
         return self.act_rows(vec)
-
-    def _stacked(self):
-        """The action matrices top to bottom: row k*dim + r is row r of b_k's matrix."""
-        return Matrix.vcat(self.action)
 
     def act_rows(self, R: Matrix) -> Matrix:
         """act(r) for each row r of R, stacked top to bottom, in one product."""
         d, n = self.dim, self.algebra.dim
-        return (R * self._stacked().reshape(n, d * d)).reshape(R.rows * d, d)
+        return (R * self.stack.reshape(n, d * d)).reshape(R.rows * d, d)
 
     def orbit_matrix(self, v: Matrix) -> Matrix:
         """The dim x dim(A) matrix of a |-> a·v for a column vector v: column k is b_k·v."""
-        return (self._stacked() * v).reshape(self.algebra.dim, self.dim).transpose()
+        return (self.stack * v).reshape(self.algebra.dim, self.dim).transpose()
 
-    def action_on(self, subspace: Subspace, R: Matrix | None = None):
-        """Coordinate matrices of act(r) on an invariant subspace, for each row r of R
-        (the basis of A when R is None), from one block product and one block check."""
-        stacked, k = (self._stacked(), self.algebra.dim) if R is None else (self.act_rows(R), R.rows)
-        if k == 0:
-            return []
-        img = (stacked * subspace.inclusion()).side_by_side(k)
+    def action_on(self, subspace: Subspace, R: Matrix | None = None) -> Matrix:
+        """The stacked coordinate matrices of act(r) on an invariant subspace, for each
+        row r of R (the basis of A when R is None), from one block product and one
+        block check."""
+        stack, k = (self.stack, self.algebra.dim) if R is None else (self.act_rows(R), R.rows)
         try:
-            return subspace.coordinates(img).hsplit(k)
+            return subspace.coordinates(stack * subspace.inclusion(), blocks=k)
         except NotInSubspace as exc:
             raise InvalidModule("subspace is not action-invariant") from exc
 
@@ -131,11 +150,10 @@ class Module:
         proj = subspace.projection_matrix()
         if subspace.dim == 0:
             return self, proj
-        comp = subspace.complement_coords()
-        d, n = self.dim, self.algebra.dim
-        # M times the lift is the complement columns of M
-        kept = Matrix.hcat(self.action).take_cols([k * d + c for k in range(n) for c in comp])
-        return Module(self.algebra, len(comp), (proj * kept).hsplit(n), check_unit=False), proj
+        A = self.algebra
+        # each action matrix times the lift is its complement columns
+        kept = self.stack.take_cols(subspace.complement_coords())
+        return Module(A, proj.rows, proj.mul_blocks(kept, A.dim), check_unit=False), proj
 
     @classmethod
     def direct_sum(cls, mods):
@@ -143,24 +161,25 @@ class Module:
             raise InvalidModule("empty direct sum needs an algebra")
         A = mods[0].algebra
         action = [Matrix.block_diagonal(A.field, [m.action[i] for m in mods]) for i in range(A.dim)]
-        return cls(A, sum(m.dim for m in mods), action, check_unit=False)
+        return cls.from_actions(A, sum(m.dim for m in mods), action, check_unit=False)
 
     # -- duality and transport -------------------------------------------------
 
     def dual(self):
-        """The k-dual, a module over the opposite algebra."""
-        op = self.algebra.opposite()
-        return Module(op, self.dim, [M.transpose() for M in self.action], check_unit=False)
+        """The k-dual, a module over the opposite algebra: b_k acts by act(b_k)^T."""
+        n = self.algebra.dim
+        stack = self.stack.side_by_side(n).transpose() if n else self.stack
+        return Module(self.algebra.opposite(), self.dim, stack, check_unit=False)
 
     def restrict_along(self, emb: Matrix, B):
         """Restriction along an algebra embedding B -> A given by emb columns.
 
         The unit is checked: a corner embedding eAe -> A is not unital."""
-        return Module(B, self.dim, self.act_rows(emb.transpose()).vsplit(B.dim))
+        return Module(B, self.dim, self.act_rows(emb.transpose()))
 
     def inflate_along(self, proj: Matrix, A):
         """Inflation along a surjection A -> (algebra of self) with matrix proj."""
-        return Module(A, self.dim, self.act_rows(proj.transpose()).vsplit(A.dim))
+        return Module(A, self.dim, self.act_rows(proj.transpose()))
 
     # -- invariant subspaces ----------------------------------------------------
 
@@ -213,7 +232,7 @@ class Module:
         action = [
             Matrix.from_json(algebra.field, obj["action"][name]) for name in algebra.basis_names
         ]
-        return cls(algebra, obj["dim"], action)
+        return cls.from_actions(algebra, obj["dim"], action)
 
     def __repr__(self):
         return f"Module(dim {self.dim} over {self.algebra!r})"

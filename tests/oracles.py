@@ -16,14 +16,22 @@ resolution differentials as algebra elements, the kernel of Delta_i ->>
 DeltaBar_i, the projective covers of a resolution and the generators of an
 algebra -- are kept here as the eliminations and closure searches they used
 to be, with the invariant closure of a module that the library no longer
-needs.
+needs.  Module.action_on, quotient and dual are kept as they were when a
+module held one action matrix per basis element, and the tensor product of
+two algebras, which no library code builds, lives here too.
 """
 
 import json
 
-from strata.algebra import structure_constant_algebra
+from strata.algebra import ASSOCIATIVITY, Algebra, structure_constant_algebra
 from strata.corpus import corpus_path
-from strata.errors import InvalidModule, InvariantViolation, NotFiniteDimensionalWithinBound, NotInSubspace
+from strata.errors import (
+    FieldMismatch,
+    InvalidModule,
+    InvariantViolation,
+    NotFiniteDimensionalWithinBound,
+    NotInSubspace,
+)
 from strata.kernel.fields import QQ
 from strata.kernel.matrix import Matrix
 from strata.kernel.subspace import Subspace
@@ -226,6 +234,40 @@ def ref_delta_bar_kernel(delta, label):
     return Subspace.zero(A.field, delta.dim)
 
 
+# -- module actions as one matrix per basis element ------------------------------------------
+# Module.action_on, Module.quotient and Module.dual as they were before a module
+# stored its action as one stacked matrix: each re-stacks, splits or transposes
+# the per-basis matrices on every call, and returns them per basis element.
+
+
+def ref_action_on(X, subspace, R=None):
+    """Coordinate matrices of act(r) on an invariant subspace, for each row r of R
+    (the basis of A when R is None), from one block product and one block check."""
+    stacked, k = (Matrix.vcat(X.action), X.algebra.dim) if R is None else (X.act_rows(R), R.rows)
+    if k == 0:
+        return []
+    img = (stacked * subspace.inclusion()).side_by_side(k)
+    try:
+        return subspace.coordinates(img).hsplit(k)
+    except NotInSubspace as exc:
+        raise InvalidModule("subspace is not action-invariant") from exc
+
+
+def ref_quotient_action(X, subspace):
+    """(the action matrices of X/subspace, the projection), for a nonzero subspace."""
+    proj = subspace.projection_matrix()
+    comp = subspace.complement_coords()
+    d, n = X.dim, X.algebra.dim
+    # M times the lift is the complement columns of M
+    kept = Matrix.hcat(X.action).take_cols([k * d + c for k in range(n) for c in comp])
+    return (proj * kept).hsplit(n), proj
+
+
+def ref_dual_action(X):
+    """The action matrices of the k-dual of X, over the opposite algebra."""
+    return [M.transpose() for M in X.action]
+
+
 def verify_action(X):
     """Check every pair of action matrices against the structure constants:
     act(b_i) act(b_j) == act(b_i * b_j)."""
@@ -383,6 +425,31 @@ def ref_opposite_table(A):
     n = A.dim
     mult = sparse_table(A)
     return tuple(tuple(mult[j][i] for j in range(n)) for i in range(n))
+
+
+def tensor_product(A, B):
+    """A ⊗ B over their common field, basis (b_i|b'_j) in the order i*dim B + j.
+
+    Both factors are certified, so it inherits their associativity.  No library
+    code needs it; the sl2-tensor-square spec and the derived-algebra tests
+    build their tensor products here."""
+    if A.field != B.field:
+        raise FieldMismatch(f"{A.field} vs {B.field}")
+    f = A.field
+    nA, nB = A.dim, B.dim
+    dim = nA * nB
+    names = [f"({A.basis_names[i]}|{B.basis_names[j]})" for i in range(nA) for j in range(nB)]
+    # (b_i|b'_j)(b_k|b'_l) = b_i b_k | b'_j b'_l: row (i*nA + k)*nB^2 + j*nB + l of the Kronecker
+    # product of the n^2 x n reshapes, in the order of (i*nB + j)*dim + k*nB + l
+    kron = A.table.reshape(nA * nA, nA).kron(B.table.reshape(nB * nB, nB))
+    table = kron.take_rows([(i * nA + k) * nB * nB + j * nB + l
+                            for i in range(nA) for j in range(nB) for k in range(nA) for l in range(nB)])
+    # the element u ⊗ v is the row u.kron(v); rad(A ⊗ B) = rad A ⊗ B + A ⊗ rad B
+    idems = [(u.kron(v), f"({la},{lb})") for u, la in A.idempotents for v, lb in B.idempotents]
+    rad = A.radical().basis.kron(Matrix.identity(f, nB)).vstack(Matrix.identity(f, nA).kron(B.radical().basis))
+    # both factors are certified
+    return Algebra(f, names, table.reshape(dim, dim * dim), A.unit.kron(B.unit), idems,
+                   radical_rows=rad, inherits=ASSOCIATIVITY)
 
 
 def ref_tensor_table(A, B):

@@ -181,7 +181,7 @@ def test_standard_filtration_checks_the_dimension_count(monkeypatch):
 
 def test_standard_filtration_refuses_a_layer_without_its_top(monkeypatch):
     A, sd = fork_datum()
-    copies = {j: Module(A, D.dim, D.action) for j, D in sd.delta.items()}
+    copies = {j: Module(A, D.dim, D.stack) for j, D in sd.delta.items()}
     real = strata.strat.comp_mult
     monkeypatch.setattr(strata.strat, "comp_mult",
                         lambda X, lab: 0 if any(X is D for D in copies.values()) else real(X, lab))

@@ -30,7 +30,7 @@ from strata.modules import projective, simple
 from strata.quiver import QuiverPresentation
 from strata.strat import StandardRecord, strat_datum
 
-from oracles import ref_generators, ref_minimal_cover, rows_of
+from oracles import ref_generators, ref_minimal_cover, rows_of, tensor_product
 from test_regular_certificate import truncated_path_algebra
 from test_theorem_oracles import SMALL_FIELDS, compile_rad_square_zero, rad_square_zero
 
@@ -65,7 +65,7 @@ def derived_algebras(A):
         arrows = rows_of(A.generators())[len(A.idempotents):]
         out.append(A.subalgebra_closure(A.idempotents, arrows[::2])[0])
     if A.dim <= 12:
-        out.append(A.tensor_product(line_quiver(f)))
+        out.append(tensor_product(A, line_quiver(f)))
     return out
 
 

@@ -178,6 +178,56 @@ class TestMatrixContracts:
         assert Mp.rank() <= M.rank()
 
 
+@st.composite
+def sparse_matrix(draw):
+    """A matrix over Q (entries with denominators up to 6), F_2 or F_7, up to 6 x 30,
+    each entry nonzero with probability about 1/5: zero rows, zero columns and
+    the 0 x n and n x 0 shapes all occur."""
+    f = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(7)]))
+    n, m = draw(st.integers(0, 6)), draw(st.integers(0, 30))
+    if f == QQ:
+        value = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 6))
+    else:
+        value = st.integers(0, f.p - 1)
+    cells = st.one_of(st.just(0), st.just(0), st.just(0), st.just(0), value)
+    return Matrix(f, n, m, [draw(cells) for _ in range(n * m)])
+
+
+def dense_transpose(M):
+    return Matrix(M.field, M.cols, M.rows, [M[i, j] for j in range(M.cols) for i in range(M.rows)])
+
+
+class TestTranspose:
+    @given(sparse_matrix())
+    @settings(max_examples=100, deadline=None)
+    def test_transpose_is_the_dense_transpose(self, M):
+        T = M.transpose()
+        assert T == dense_transpose(M)
+        assert (T.den, T.nonzeros) == (M.den, dense_transpose(M).nonzeros)
+        assert T.transpose() == M
+
+    def test_empty_shapes(self):
+        for f in (QQ, PrimeField(5)):
+            for rows, cols in ((0, 4), (4, 0), (0, 0)):
+                T = Matrix.zeros(f, rows, cols).transpose()
+                assert (T.rows, T.cols, T.den, T.nonzeros) == (cols, rows, 1, (None,) * cols)
+
+    def test_zero_rows_and_columns_over_a_denominator(self):
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        M = Matrix.from_rows(QQ, [[0, half, 0, 0], [0, 0, 0, 0], [third, 0, 0, -2 * third]])
+        T = M.transpose()
+        assert (T.rows, T.cols, T.den) == (4, 3, 6)
+        assert T.nonzeros == (((2,), (2,)), ((0,), (3,)), None, ((2,), (-4,)))
+        assert T.transpose() == M
+
+    def test_prime_field(self):
+        f = PrimeField(7)
+        M = Matrix.from_rows(f, [[0, 3, 0], [5, 0, 0], [0, 0, 0], [6, 1, 0]])
+        T = M.transpose()
+        assert T.nonzeros == (((1, 3), (5, 6)), ((0, 3), (3, 1)), None)
+        assert T.transpose() == M
+
+
 class TestScalarFormats:
     def test_rational_roundtrip(self):
         assert QQ.fmt(QQ.parse("3/4")) == "3/4"

@@ -225,6 +225,7 @@ class TestAgainstReference:
             A.scale(c).scale(f.inv(f.coerce(c))),
             (A + A) - A,
             A.transpose().transpose(),
+            Matrix(f, m, n, [a[i * m + j] for j in range(m) for i in range(n)]).transpose(),
             Matrix.linear_combination(f, n, m, [(c, A), (f.neg(f.coerce(c)), A), (1, A)]),
             Matrix.from_json(f, A.to_json()),
             A.reshape(m, n).reshape(n, m),
@@ -394,7 +395,7 @@ def _non_invariant_example():
 
 
 def _fresh(M):
-    return Module(M.algebra, M.dim, M.action)
+    return Module(M.algebra, M.dim, M.stack)
 
 
 class TestExtCache:

@@ -86,7 +86,7 @@ def ref_submodule(X, subspace):
         action = [subspace.coordinates(M * incl) for M in X.action]
     except NotInSubspace as exc:
         raise InvalidModule("subspace is not action-invariant") from exc
-    return Module(X.algebra, subspace.dim, action), incl
+    return Module.from_actions(X.algebra, subspace.dim, action), incl
 
 
 def ref_quotient(X, subspace):
@@ -94,7 +94,7 @@ def ref_quotient(X, subspace):
     lift = subspace.lift_matrix()
     qdim = X.dim - subspace.dim
     action = [proj * M * lift for M in X.action]
-    return Module(X.algebra, qdim, action), proj
+    return Module.from_actions(X.algebra, qdim, action), proj
 
 
 def ref_direct_sum(mods):
@@ -113,7 +113,7 @@ def ref_direct_sum(mods):
                     big[off + r][off + c] = row[c]
             off += m.dim
         action.append(Matrix.from_rows(f, big) if dim else Matrix.zeros(f, 0, 0))
-    return Module(A, dim, action, check_unit=False)
+    return Module.from_actions(A, dim, action, check_unit=False)
 
 
 def ref_radical_subspace(X):
@@ -182,7 +182,7 @@ def ref_induce(emb, X):
                     for j in range(nX):
                         big[k * nX + j][i * nX + j] = c
         action.append(proj * Matrix.from_rows(f, big) * lift)
-    ind = Module(A, qdim, action)
+    ind = Module.from_actions(A, qdim, action)
     cols = []
     for j in range(nX):
         vec = [f.zero] * dim
@@ -236,7 +236,7 @@ def ref_corner_tensor(self, Y):
                     for j in range(nY):
                         big[k * nY + j][i * nY + j] = co
         action.append(proj * Matrix.from_rows(f, big) * lift)
-    return Module(A, qdim, action)
+    return Module.from_actions(A, qdim, action)
 
 def ref_corner_hom(self, Y):
     """Hom_{eAe}(eA, Y) as a module over A."""
@@ -280,7 +280,7 @@ def ref_corner_hom(self, Y):
                     for i in range(nY):
                         T[i * m + b][i * m + k] = co
         action.append(sol_space.coordinates(Matrix.from_rows(f, T) * sol_incl))
-    return Module(A, sol_space.dim, action)
+    return Module.from_actions(A, sol_space.dim, action)
 
 
 # -- strategies ------------------------------------------------------------------------

@@ -103,7 +103,9 @@ class TestActionInvariant:
         A = entry("fork").algebra
         zero = Matrix.zeros(A.field, 1, 1)
         with pytest.raises(InvalidModule, match="unit"):
-            Module(A, 1, [zero] * A.dim)
+            Module.from_actions(A, 1, [zero] * A.dim)
+        with pytest.raises(InvalidModule, match="unit"):
+            Module(A, 1, Matrix.zeros(A.field, A.dim, 1))
         doc = {"dim": 1, "action": {name: zero.to_json() for name in A.basis_names}}
         with pytest.raises(InvalidModule, match="unit"):
             Module.from_json(A, doc)

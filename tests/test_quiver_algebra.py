@@ -24,7 +24,7 @@ from strata.kernel.matrix import Matrix
 from strata.quiver import QuiverPresentation, compile_presentation
 from strata.specfile import load_spec_file
 
-from oracles import ref_compile_presentation, ref_quiver_table, sparse_table
+from oracles import ref_compile_presentation, ref_quiver_table, sparse_table, tensor_product
 
 
 def product(A, i, j):
@@ -278,13 +278,13 @@ class TestTransforms:
     def test_tensor_with_ground_field(self):
         A = entry("sl2-block").algebra
         K = structure_constant_algebra(QQ, ["e"], [(0, 0, 0, 1)], [1], [([1], "pt")])
-        T = A.tensor_product(K)
+        T = tensor_product(A, K)
         assert T.dim == A.dim
         assert len(T.labels) == len(A.labels)
 
     def test_tensor_dims_multiply(self):
         A = entry("sl2-block").algebra
-        T = A.tensor_product(A)
+        T = tensor_product(A, A)
         assert T.dim == 25
         assert len(T.labels) == 4
 

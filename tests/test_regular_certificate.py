@@ -27,7 +27,7 @@ from strata.kernel import QQ, Matrix, PrimeField, Subspace
 from strata.quiver import QuiverPresentation
 from strata.specfile import load_spec, load_spec_file
 
-from oracles import corpus_doc, rows_of, sparse_table
+from oracles import corpus_doc, rows_of, sparse_table, tensor_product
 from test_theorem_oracles import compile_rad_square_zero, rad_square_zero
 
 FIELDS = [QQ, PrimeField(7)]
@@ -234,7 +234,7 @@ class TestInheritance:
         C, _ = A.corner(e)
         Q, _ = A.quotient_by_idempotent_ideal(A.idempotent_for_label("3"))
         F = load_spec_file(corpus_path("fork")).algebra
-        for B in (C, Q, A.opposite(), C.opposite(), F.tensor_product(F)):
+        for B in (C, Q, A.opposite(), C.opposite(), tensor_product(F, F)):
             B.check_associativity()
 
     def test_battery_builds_only_certifiable_derived_algebras(self, monkeypatch):
