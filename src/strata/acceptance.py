@@ -404,6 +404,42 @@ def criterion_12():
     return c
 
 
+def adjunction_dims(A, poset):
+    """The Hom dimensions that the adjunctions of the six recollement functors
+    equate, for the idempotent of each label: tuples (label, adjunction, X, Y,
+    lhs, rhs), X running over the standards and simples of A and Y over the
+    simples of the corner or the quotient.  Each functor image is built once per
+    idempotent.
+    """
+    sd = strat_datum(A, poset)
+    amb_mods = ([(f"Delta_{l}", sd.delta[l]) for l in A.labels]
+                + [(f"L_{l}", simple(A, l)) for l in A.labels])
+    out = []
+    for lab in A.labels:
+        ctx = IdempotentContext(A, A.idempotent_for_label(lab))
+        applied = [ctx.corner_apply(X) for _, X in amb_mods]
+        for l in ctx.corner.labels:
+            Y = simple(ctx.corner, l)
+            tensored, homs = ctx.corner_tensor(Y), ctx.corner_hom(Y)
+            for (xname, X), eX in zip(amb_mods, applied):
+                out.append((lab, "corner_tensor -| corner_apply", xname, f"L_{l}",
+                            len(hom_basis(tensored, X)), len(hom_basis(Y, eX))))
+                out.append((lab, "corner_apply -| corner_hom", xname, f"L_{l}",
+                            len(hom_basis(eX, Y)), len(hom_basis(X, homs))))
+        if ctx.quotient is not None:
+            q_tensored = [ctx.quotient_tensor(X) for _, X in amb_mods]
+            q_homs = [ctx.quotient_hom(X) for _, X in amb_mods]
+            for l in ctx.quotient.labels:
+                Yq = simple(ctx.quotient, l)
+                inflated = ctx.inflate(Yq)
+                for (xname, X), tX, hX in zip(amb_mods, q_tensored, q_homs):
+                    out.append((lab, "quotient_tensor -| inflate", xname, f"L_{l}",
+                                len(hom_basis(tX, Yq)), len(hom_basis(X, inflated))))
+                    out.append((lab, "inflate -| quotient_hom", xname, f"L_{l}",
+                                len(hom_basis(inflated, X)), len(hom_basis(Yq, hX))))
+    return out
+
+
 def criterion_13():
     c = Criterion("c13", "property suites: reciprocity, greedy-vs-Ext agreement, duality "
                          "involution, adjunction dimensions, refinement stability, ideal "
@@ -439,32 +475,7 @@ def criterion_13():
     # adjunction dimension identities for the six recollement functors
     for name in ("sl2-block", "fork", "auslander-x3"):
         ent = entry(name)
-        A, poset = ent.algebra, ent.poset
-        sd = strat_datum(A, poset)
-        ok = True
-        for lab in A.labels:
-            ev = A.idempotent_for_label(lab)
-            ctx = IdempotentContext(A, ev)
-            corner_mods = [simple(ctx.corner, l) for l in ctx.corner.labels]
-            amb_mods = [sd.delta[l] for l in A.labels] + [simple(A, l) for l in A.labels]
-            for Y in corner_mods:
-                for X in amb_mods:
-                    lhs = len(hom_basis(ctx.corner_tensor(Y), X))
-                    rhs = len(hom_basis(Y, ctx.corner_apply(X)))
-                    ok = ok and lhs == rhs
-                    lhs2 = len(hom_basis(ctx.corner_apply(X), Y))
-                    rhs2 = len(hom_basis(X, ctx.corner_hom(Y)))
-                    ok = ok and lhs2 == rhs2
-            if ctx.quotient is not None:
-                quot_mods = [simple(ctx.quotient, l) for l in ctx.quotient.labels]
-                for Yq in quot_mods:
-                    for X in amb_mods:
-                        lhs = len(hom_basis(ctx.quotient_tensor(X), Yq))
-                        rhs = len(hom_basis(X, ctx.inflate(Yq)))
-                        ok = ok and lhs == rhs
-                        lhs2 = len(hom_basis(ctx.inflate(Yq), X))
-                        rhs2 = len(hom_basis(Yq, ctx.quotient_hom(X)))
-                        ok = ok and lhs2 == rhs2
+        ok = all(lhs == rhs for *_, lhs, rhs in adjunction_dims(ent.algebra, ent.poset))
         c.check(f"adjunction dims [{name}]", ok)
     # refinement stability: total refinements keep the standard objects
     for name in ("fork", "diamond"):

@@ -451,15 +451,23 @@ class Algebra:
         return out, S.inclusion()
 
     def quotient_by_idempotent_ideal(self, e):
-        """(A/AeA, projection matrix dim(quotient) x dim(A))."""
-        e = self.coerce_vec(e)
-        return derived(self, ("quotient", e), self._quotient_by_idempotent_ideal, e)
+        """(A/AeA, projection matrix dim(quotient) x dim(A)), built once per ideal AeA.
 
-    def _quotient_by_idempotent_ideal(self, e):
+        The build reads e only through J = AeA and the labels of e's summands,
+        and J fixes those labels: they are the labels of the distinguished
+        idempotents in J.  A summand lies in J, and an idempotent e_c in AeA
+        factors through Ae, so P_c is isomorphic to a summand's projective and
+        shares its label (the build checks both).  So the subset sums of one
+        support share one quotient.
+        """
+        e = self.coerce_vec(e)
+        J = self.two_sided_ideal(e)
+        return derived(self, ("quotient", J), self._quotient_by_idempotent_ideal, e, J)
+
+    def _quotient_by_idempotent_ideal(self, e, J):
         summands = self.subset_sum_decomposition(e)
         supp = {self.idempotents[k][1] for k in summands}
         f, n = self.field, self.dim
-        J = self.two_sided_ideal(e)
         # the quotient inherits associativity once J is certified two-sided:
         # g J, J g ⊆ J for the generators g, hence for all of A (words in them)
         G = self.generators()

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from .errors import InvariantViolation, SupportNotCoideal
 from .functors import IdempotentContext
 from .kernel.subspace import Subspace
+from .memo import derived
 from .modules import Module, iso_test, iso_to_direct_power, quotient_module, simple
 from .strat import (
     NO,
@@ -73,25 +74,17 @@ def build_stratification_chain(A, poset, e_vec, sd: StratDatum | None = None):
     if not ess.is_coideal(supp):
         return NO, None, "support is not a coideal of the essential order"
     ext = ess.linear_extension(put_last=supp)  # support labels end up last
-    reg = Module.regular(A)
     ideals = []
     layer_data = []
     prev = Subspace.zero(A.field, A.dim)
     for k in range(len(ext)):
         top_labels = ext[len(ext) - 1 - k :]
-        ek = A.idempotent_sum_for_labels(top_labels)
-        J = A.two_sided_ideal(ek)
+        J = A.two_sided_ideal(A.idempotent_sum_for_labels(top_labels))
         lab = ext[len(ext) - 1 - k]
-        Jmod, _ = reg.submodule(J)
-        # layer = J / prev inside Jmod coordinates
-        prev_in_J = Subspace.row_space(J.coordinates(prev.inclusion()).transpose())
-        layer, _ = Jmod.quotient(prev_in_J)
-        D = sd.delta[lab]
-        if D.dim == 0 or layer.dim % D.dim:
-            return NO, None, f"layer at {lab} has dim {layer.dim}, not a multiple of {D.dim}"
-        t = layer.dim // D.dim
-        if iso_to_direct_power(layer, D, t) is None:
-            return NO, None, f"layer at {lab} is not Delta_{lab}^{t}"
+        # the idempotents of one algebra share their chains' layers, so each is checked once
+        t, witness = derived(sd, ("chain layer", J, prev, lab), _layer_power, sd, J, prev, lab)
+        if witness:
+            return NO, None, witness
         ideals.append(J)
         layer_data.append((lab, t))
         prev = J
@@ -101,6 +94,21 @@ def build_stratification_chain(A, poset, e_vec, sd: StratDatum | None = None):
     if supp and want != AeA:
         raise InvariantViolation("J_l differs from AeA")
     return YES, chain, None
+
+
+def _layer_power(sd, J, prev, lab):
+    """(t, None) when the layer J/prev is Delta_lab^t as an A-module, else (None, witness)."""
+    Jmod, _ = Module.regular(sd.A).submodule(J)
+    # layer = J / prev inside Jmod coordinates
+    prev_in_J = Subspace.row_space(J.coordinates(prev.inclusion()).transpose())
+    layer, _ = Jmod.quotient(prev_in_J)
+    D = sd.delta[lab]
+    if D.dim == 0 or layer.dim % D.dim:
+        return None, f"layer at {lab} has dim {layer.dim}, not a multiple of {D.dim}"
+    t = layer.dim // D.dim
+    if iso_to_direct_power(layer, D, t) is None:
+        return None, f"layer at {lab} is not Delta_{lab}^{t}"
+    return t, None
 
 
 @dataclass

@@ -87,8 +87,9 @@ class IdempotentContext:
             W = ea.coordinates(A.left_mult_matrix(in_A.take_rows([t])) * ea_incl)
             eqs.append(IY.kron(W.transpose()) - Y.act(G.take_rows([t])).kron(Im))
         sol_space = Subspace.row_space(Matrix.vcat(eqs).kernel_basis().transpose())
-        # (a·f)(z_b) = f(z_b a): a acts by I ⊗ V^T, column b of V the coordinates of z_b a
-        rights = Matrix.vcat([A.right_mult_matrix(A.basis_vec(b)) for b in range(A.dim)])
+        # (a·f)(z_b) = f(z_b a): a acts by I ⊗ V^T, column b of V the coordinates of z_b a.
+        # Block k of the regular A^op-module's stack is R_k, as b_k acts on A^op by a |-> a b_k.
+        rights = Module.regular(A.opposite()).stack
         Vs = ea.coordinates(rights * ea_incl, blocks=A.dim).vsplit(A.dim)
         outer = Module.from_actions(A, Y.dim * m, [IY.kron(V.transpose()) for V in Vs], check_unit=False)
         return outer.submodule(sol_space)[0]

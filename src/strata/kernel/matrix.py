@@ -463,6 +463,9 @@ class Matrix:
 
     def take_cols(self, indices):
         """The submatrix of the given columns, in the given order."""
+        indices = list(indices)
+        if all(a < b for a, b in zip(indices, indices[1:])):
+            return self._take_increasing_cols(indices)
         new = {}  # column -> its positions in the submatrix
         for k, j in enumerate(indices):
             new.setdefault(j, []).append(k)
@@ -470,6 +473,23 @@ class Matrix:
         for r in self.nonzeros:
             picked = sorted([(k, x) for j, x in zip(*r) if j in new for k in new[j]]) if r else None
             out.append((tuple([k for k, _ in picked]), tuple([x for _, x in picked])) if picked else None)
+        return Matrix._reduced(self.field, self.rows, len(indices), self.den, tuple(out))
+
+    def _take_increasing_cols(self, indices):
+        """take_cols for strictly increasing indices: a row's stored columns increase,
+        so its picks come out in order, in one pass with no sort."""
+        new = {j: k for k, j in enumerate(indices)}
+        out = []
+        for r in self.nonzeros:
+            if r:
+                cols, vals = [], []
+                for j, x in zip(*r):
+                    k = new.get(j)
+                    if k is not None:
+                        cols.append(k)
+                        vals.append(x)
+                r = (tuple(cols), tuple(vals)) if cols else None
+            out.append(r)
         return Matrix._reduced(self.field, self.rows, len(indices), self.den, tuple(out))
 
     def vsplit(self, k):

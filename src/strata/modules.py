@@ -263,8 +263,15 @@ def injective(A, label):
 
 
 def quotient_module(A, e_vec):
-    """A/AeA as a left A-module; over A.opposite() it is A/AeA as a right module."""
+    """A/AeA as a left A-module; over A.opposite() it is A/AeA as a right module.
+
+    Built once per ideal AeA, so the subset sums of one support share it and its
+    caches (block data, peels, resolution)."""
     ideal = A.two_sided_ideal(e_vec)
+    return derived(A, ("A/AeA", ideal), _quotient_module, A, ideal)
+
+
+def _quotient_module(A, ideal):
     if ideal.dim == A.dim:
         return Module.zero(A)
     return Module.regular(A).quotient(ideal)[0]

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError, InvariantViolation, NotQuasiHereditary, UnsupportedField
+from .memo import derived
 from .modules import comp_mult, hom_basis
 from .strat import YES, LabelPoset, strat_datum
 
@@ -158,9 +159,16 @@ def _check_unitriangular(V: VMatrix, poset):
 
 
 def tables_from_algebra(A, poset) -> MultTables:
+    """The three multiplicity tables of (A, poset), read once per order: they are
+    kept on its StratDatum."""
     if A.field.char != 0:
         raise UnsupportedField("multiplicity matrices are computed over characteristic 0 only")
     sd = strat_datum(A, poset)
+    return derived(sd, ("mult-tables",), _read_tables, sd)
+
+
+def _read_tables(sd) -> MultTables:
+    A = sd.A
     if sd.quasi_hereditary() != YES:
         raise NotQuasiHereditary("multiplicity matrices require a verified quasi-hereditary input")
     costd, hom, std = {}, {}, {}
@@ -176,7 +184,7 @@ def tables_from_algebra(A, poset) -> MultTables:
             h = len(hom_basis(sd.delta[j], sd.delta[i]))
             if h:
                 hom[(j, i)] = h
-    return MultTables(poset, costd, hom, std)
+    return MultTables(sd.poset, costd, hom, std)
 
 
 def v_matrix_from_algebra(A, poset) -> VMatrix:

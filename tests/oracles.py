@@ -18,7 +18,9 @@ algebra -- are kept here as the eliminations and closure searches they used
 to be, with the invariant closure of a module that the library no longer
 needs.  Module.action_on, quotient and dual are kept as they were when a
 module held one action matrix per basis element, and the tensor product of
-two algebras, which no library code builds, lives here too.
+two algebras, which no library code builds, lives here too.  The adjunction
+loop of criterion c13 is kept as it was before its functor images moved out
+of the inner loop, recording each comparison it makes.
 """
 
 import json
@@ -596,3 +598,42 @@ def nonbasic_endo_borel_generators(A):
         unit_vec((3, 5)),          # arrow 3 -> 4
     ]
     return idem, gens
+
+
+# -- criterion c13's adjunction loop -----------------------------------------------------
+
+
+def ref_adjunction_dims(A, poset):
+    """The comparisons of acceptance.adjunction_dims, made by the loop that rebuilt
+    every functor image inside its innermost loop."""
+    from strata.functors import IdempotentContext
+    from strata.modules import hom_basis, simple
+    from strata.strat import strat_datum
+
+    sd = strat_datum(A, poset)
+    out = []
+    for lab in A.labels:
+        ev = A.idempotent_for_label(lab)
+        ctx = IdempotentContext(A, ev)
+        corner_mods = [(f"L_{l}", simple(ctx.corner, l)) for l in ctx.corner.labels]
+        amb_mods = ([(f"Delta_{l}", sd.delta[l]) for l in A.labels]
+                    + [(f"L_{l}", simple(A, l)) for l in A.labels])
+        for yname, Y in corner_mods:
+            for xname, X in amb_mods:
+                lhs = len(hom_basis(ctx.corner_tensor(Y), X))
+                rhs = len(hom_basis(Y, ctx.corner_apply(X)))
+                out.append((lab, "corner_tensor -| corner_apply", xname, yname, lhs, rhs))
+                lhs2 = len(hom_basis(ctx.corner_apply(X), Y))
+                rhs2 = len(hom_basis(X, ctx.corner_hom(Y)))
+                out.append((lab, "corner_apply -| corner_hom", xname, yname, lhs2, rhs2))
+        if ctx.quotient is not None:
+            quot_mods = [(f"L_{l}", simple(ctx.quotient, l)) for l in ctx.quotient.labels]
+            for yname, Yq in quot_mods:
+                for xname, X in amb_mods:
+                    lhs = len(hom_basis(ctx.quotient_tensor(X), Yq))
+                    rhs = len(hom_basis(X, ctx.inflate(Yq)))
+                    out.append((lab, "quotient_tensor -| inflate", xname, yname, lhs, rhs))
+                    lhs2 = len(hom_basis(ctx.inflate(Yq), X))
+                    rhs2 = len(hom_basis(Yq, ctx.quotient_hom(X)))
+                    out.append((lab, "inflate -| quotient_hom", xname, yname, lhs2, rhs2))
+    return out

@@ -8,9 +8,10 @@ from strata.compat import (
     compatibility_battery,
     support,
 )
-from strata.corpus import entry
+from strata.corpus import corpus_path, entry
 from strata.errors import InvariantViolation
 from strata.kernel import Matrix
+from strata.specfile import load_spec_file
 from strata.strat import NO, YES, strat_datum
 
 
@@ -119,9 +120,11 @@ class TestChain:
 
     def test_rejected_layer_breaks_the_diagram(self, monkeypatch):
         # at e_2 of fork the support is an essential coideal (condition 3), so a layer
-        # the exact test rejects makes condition 2 NO, which the diagram refuses
+        # the exact test rejects makes condition 2 NO, which the diagram refuses.  A
+        # fresh algebra: the chain's layer verdicts are kept on its stratification
+        # datum, so the patched test must not meet (or reach) the corpus caches
         ent = entry("fork")
-        A = ent.algebra
+        A = load_spec_file(corpus_path("fork")).algebra
         e2 = A.idempotent_for_label("2")
         monkeypatch.setattr(strata.compat, "iso_to_direct_power", lambda X, S, t: None)
         status, chain, witness = build_stratification_chain(A, ent.poset, e2)

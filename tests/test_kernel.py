@@ -228,6 +228,56 @@ class TestTranspose:
         assert T.transpose() == M
 
 
+def dense_take_cols(M, indices):
+    return Matrix(M.field, M.rows, len(indices), [M[i, j] for i in range(M.rows) for j in indices])
+
+
+@st.composite
+def matrix_and_columns(draw):
+    """A sparse matrix and a column list of one of four kinds: strictly increasing
+    (the one-pass path), a permutation of some columns, or one with repeats, in
+    any order or sorted."""
+    M = draw(sparse_matrix())
+    cols = list(range(M.cols))
+    kind = draw(st.sampled_from(["increasing", "permuted", "repeated", "sorted with repeats"]))
+    if not cols:
+        return M, []
+    if kind == "increasing":
+        return M, sorted(draw(st.sets(st.sampled_from(cols))))
+    if kind == "permuted":
+        perm = draw(st.permutations(cols))
+        return M, perm[: draw(st.integers(0, len(perm)))]
+    picks = draw(st.lists(st.sampled_from(cols), max_size=12))
+    return M, sorted(picks) if kind == "sorted with repeats" else picks
+
+
+class TestTakeCols:
+    @given(matrix_and_columns())
+    @settings(max_examples=150, deadline=None)
+    def test_take_cols_is_the_dense_submatrix(self, case):
+        M, indices = case
+        S = M.take_cols(indices)
+        ref = dense_take_cols(M, indices)
+        assert (S.rows, S.cols, S.den, S.nonzeros) == (ref.rows, ref.cols, ref.den, ref.nonzeros)
+
+    def test_fixed_cases_over_q(self):
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        M = Matrix.from_rows(QQ, [[half, 0, third, 1], [0, 0, 0, 0], [0, 2, 0, -third]])
+        assert M.den == 6
+        for indices in ([1, 3], [0, 2, 3], [3, 1], [2, 0, 2], [3, 3, 1], [0, 0, 2], []):
+            S, ref = M.take_cols(indices), dense_take_cols(M, indices)
+            assert (S.cols, S.den, S.nonzeros) == (len(indices), ref.den, ref.nonzeros)
+        # dropping the columns with denominators divides the common denominator out
+        S = M.take_cols([1, 3])
+        assert (S.den, S.nonzeros) == (3, (((1,), (3,)), None, ((0, 1), (6, -1))))
+
+    def test_fixed_cases_over_a_prime_field(self):
+        f = PrimeField(7)
+        M = Matrix.from_rows(f, [[0, 3, 5], [6, 0, 0], [0, 0, 0]])
+        assert M.take_cols([0, 2]).nonzeros == (((1,), (5,)), ((0,), (6,)), None)
+        assert M.take_cols([2, 0, 2]).nonzeros == (((0, 2), (5, 5)), ((1,), (6,)), None)
+
+
 class TestScalarFormats:
     def test_rational_roundtrip(self):
         assert QQ.fmt(QQ.parse("3/4")) == "3/4"
