@@ -15,7 +15,7 @@ no span grown one vector at a time.
 
 from __future__ import annotations
 
-from .errors import InvariantViolation, NotInSubspace
+from .errors import DimensionMismatch, InvariantViolation, NotInSubspace
 from .kernel.matrix import Matrix
 from .kernel.subspace import Subspace
 from .memo import derived
@@ -208,7 +208,15 @@ def hom_cochain(A, layer_idems, element_diffs, Y: Module, upto):
 
 
 def ext_dims_upto(X: Module, Y: Module, nmax) -> list:
-    """[dim Ext^0, ..., dim Ext^nmax], via a minimal projective resolution."""
+    """[dim Ext^0, ..., dim Ext^nmax], via a minimal projective resolution;
+    computed once per (X, Y, nmax) and kept on X under Y's stack."""
+    A = X.algebra
+    if A is not Y.algebra and A != Y.algebra:
+        raise DimensionMismatch("Ext between modules over different algebras")
+    return list(derived(X, ("ext", Y.stack, nmax), _ext_dims, X, Y, nmax))
+
+
+def _ext_dims(X: Module, Y: Module, nmax) -> tuple:
     A = X.algebra
     res = resolution(X).extend_to(nmax + 1)
     layer_idems = [res.layer_idempotents(n) for n in range(len(res.layers))]
@@ -221,7 +229,7 @@ def ext_dims_upto(X: Module, Y: Module, nmax) -> list:
         ker = cn - (d_out.rank() if d_out is not None else 0)
         im = d_in.rank() if d_in is not None else 0
         out.append(ker - im)
-    return out
+    return tuple(out)
 
 
 def ext_dim(X: Module, Y: Module, n: int) -> int:

@@ -371,26 +371,40 @@ class Matrix:
         return Matrix._reduced(self.field, k * self.rows, m, self.den * other.den, tuple(out))
 
     def transpose(self):
+        return self._transposed(1)
+
+    def transpose_blocks(self, k):
+        """The k row blocks of equal height, each transposed, top to bottom: row
+        t*cols + j is column j of block t (side_by_side(k).transpose(), in one pass)."""
+        if k <= 0 or self.rows % k:
+            raise DimensionMismatch(f"cannot split {self.rows} rows into {k} blocks")
+        return self._transposed(k)
+
+    def _transposed(self, k):
+        h, c = self.rows // k, self.cols
         # Lists are made only for the occupied columns, so a wide matrix with
         # few entries (a 1 x n row, one lifted vector) costs its entries, not its width.
-        c = self.cols
-        where, vals = [None] * c, [None] * c
+        where, vals = [None] * (k * c), [None] * (k * c)
         occupied = []
-        for i, r in enumerate(self.nonzeros):
-            if r:
-                for j, x in zip(*r):
-                    w = where[j]
-                    if w is None:
-                        where[j] = [i]
-                        vals[j] = [x]
-                        occupied.append(j)
-                    else:
-                        w.append(i)
-                        vals[j].append(x)
-        rows = [None] * c
+        rows = self.nonzeros
+        for t in range(k):
+            base = t * c
+            for i, r in enumerate(rows[t * h : (t + 1) * h]):
+                if r:
+                    for j, x in zip(*r):
+                        j += base
+                        w = where[j]
+                        if w is None:
+                            where[j] = [i]
+                            vals[j] = [x]
+                            occupied.append(j)
+                        else:
+                            w.append(i)
+                            vals[j].append(x)
+        out = [None] * (k * c)
         for j in occupied:
-            rows[j] = (tuple(where[j]), tuple(vals[j]))
-        return Matrix._new(self.field, c, self.rows, self.den, tuple(rows))
+            out[j] = (tuple(where[j]), tuple(vals[j]))
+        return Matrix._new(self.field, k * c, h, self.den, tuple(out))
 
     def kron(self, other):
         """The Kronecker product: entry (i*r + k, j*c + l) is self[i, j] * other[k, l], r x c = other's shape."""

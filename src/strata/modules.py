@@ -20,10 +20,21 @@ Only the regular module, direct sums (integer block diagonals), modules read
 from JSON and the outer module of functors.corner_hom start from per-basis
 matrices, and stack them once.
 
+A module is its (algebra, stack): every construction ends in Module(), which
+keeps one object per stack on the algebra (memo.derived under ("module",
+stack)), so content-equal modules over one algebra -- a direct sum of one
+summand, quotients by equal subspaces, dual(dual(X)), the Delta_i of two
+orders with equal kernels -- are one object, and it lives as long as its
+algebra.  The shape, and the unit unless the construction certifies it, are
+checked on every request before the lookup, so a refused stack is stored
+nowhere.
+
 Data computed once per module is kept by memo.derived in the module's
-``_derived`` dict, so it dies with the module: the radical, the idempotent
-block data hom_basis solves in, the multiplicities [X : L_i], one ``Peel`` per
-label and the projective resolution.  The block data and the multiplicities
+``_derived`` dict, so it is computed once per content and lives as long as
+the algebra: the radical, the idempotent block data hom_basis solves in, the
+Hom spaces and Ext dimensions from it (keyed by the target's stack), the
+multiplicities [X : L_i], one ``Peel`` per label and the projective
+resolution.  The block data and the multiplicities
 are read off canonical bases rather than solved: the distinguished idempotents
 are complete and orthogonal, so the block basis change T is inverted by
 reading each act(e) at the pivots of the RREF basis of e·X, and [X : L_i] =
@@ -33,18 +44,16 @@ filtration that peels label j off X reaches the same quotient module as every
 earlier peel of j off X, so the peels of a module and of its quotients are
 computed once.  Taking the
 quotient by the zero subspace, or the submodule on the whole space, returns
-the module itself, so those share its caches too.
+the module itself without building a stack.
 
 Right modules never get their own type: they are left modules over the
 opposite algebra, and k-duality D swaps the two sides (dual() of a module
-over A is a module over A.opposite(), with dual(dual(X)) landing back on the
-same Algebra instance).
+over A is a module over A.opposite(), and dual(dual(X)) is X).
 """
 
 from __future__ import annotations
 
 import random
-import weakref
 from dataclasses import dataclass
 from math import lcm
 
@@ -58,21 +67,38 @@ ISO_HEIGHT = 8
 ISO_SEED = 2024
 
 
+def _act_rows(stack, R: Matrix, n, d) -> Matrix:
+    """The action of each row of R on the module of dim d over an n-dimensional
+    algebra whose action is stack, stacked top to bottom: one product."""
+    return (R * stack.reshape(n, d * d)).reshape(R.rows * d, d)
+
+
 class Module:
     __slots__ = ("algebra", "dim", "stack", "_derived", "__weakref__")
 
-    def __init__(self, algebra, dim, stack, check_unit=True):
+    def __new__(cls, algebra, dim, stack, check_unit=True):
         """The module on k^dim whose action is stack, the (dim A * dim) x dim matrix
-        in which row k*dim + r is row r of the action of the basis element b_k."""
-        self.algebra = algebra
-        self.dim = dim
-        self.stack = stack
-        self._derived = None  # allocated by memo.derived on first use
+        in which row k*dim + r is row r of the action of the basis element b_k.
+
+        One object per (algebra, stack): the first request builds the module and
+        keeps it on the algebra, and every content-equal request returns it.  The
+        shape and (when check_unit) the unit are checked on every request, before
+        the lookup, so a refused stack is stored nowhere and raises again."""
         if not isinstance(stack, Matrix) or (stack.rows, stack.cols) != (algebra.dim * dim, dim):
             raise InvalidModule(f"action must be a {algebra.dim * dim}x{dim} stack of action matrices")
         if check_unit and dim:
-            if self.act(algebra.unit) != Matrix.identity(algebra.field, dim):
+            if _act_rows(stack, algebra.unit, algebra.dim, dim) != Matrix.identity(algebra.field, dim):
                 raise InvalidModule("unit does not act as the identity")
+        return derived(algebra, ("module", stack), cls._make, algebra, dim, stack)
+
+    @classmethod
+    def _make(cls, algebra, dim, stack):
+        X = object.__new__(cls)
+        X.algebra = algebra
+        X.dim = dim
+        X.stack = stack
+        X._derived = None  # allocated by memo.derived on first use
+        return X
 
     # -- construction -------------------------------------------------------
 
@@ -116,8 +142,7 @@ class Module:
 
     def act_rows(self, R: Matrix) -> Matrix:
         """act(r) for each row r of R, stacked top to bottom, in one product."""
-        d, n = self.dim, self.algebra.dim
-        return (R * self.stack.reshape(n, d * d)).reshape(R.rows * d, d)
+        return _act_rows(self.stack, R, self.algebra.dim, self.dim)
 
     def orbit_matrix(self, v: Matrix) -> Matrix:
         """The dim x dim(A) matrix of a |-> a·v for a column vector v: column k is b_k·v."""
@@ -168,7 +193,7 @@ class Module:
     def dual(self):
         """The k-dual, a module over the opposite algebra: b_k acts by act(b_k)^T."""
         n = self.algebra.dim
-        stack = self.stack.side_by_side(n).transpose() if n else self.stack
+        stack = self.stack.transpose_blocks(n) if n else self.stack
         return Module(self.algebra.opposite(), self.dim, stack, check_unit=False)
 
     def restrict_along(self, emb: Matrix, B):
@@ -196,7 +221,7 @@ class Module:
         if on is not None:
             acts = acts * on.inclusion()
         # the columns of every act(r) (restricted to `on`), as rows
-        return Subspace.row_space(acts.side_by_side(R.rows).transpose())
+        return Subspace.row_space(acts.transpose_blocks(R.rows))
 
     def annihilated_by(self, R: Matrix) -> Subspace:
         """The x with r·x = 0 for every row r of R."""
@@ -358,22 +383,28 @@ def _offsets(sizes):
     return out
 
 
-def hom_basis(X: Module, Y: Module):
-    """Basis of Hom_A(X, Y) as a list of matrices (dim Y x dim X).
+def hom_basis(X: Module, Y: Module) -> tuple:
+    """Basis of Hom_A(X, Y) as a tuple of matrices (dim Y x dim X).
 
-    Solved blockwise: an intertwiner maps e·X into e·Y for every distinguished
-    idempotent e, so unknowns live only on matching blocks; the remaining
-    equations come from a generating set of the algebra, built from the stored
-    nonzeros of the generators' actions conjugated to the block bases.  Each
-    kernel vector is a block-diagonal map F_t, and the nk maps are TY F_t TXi:
-    one product against TXi for all of them, stacked, then one TY product each.
-    """
+    Solved once per (X, Y) and kept on X under Y's stack (see _solve_hom)."""
     A = X.algebra
-    if A != Y.algebra and A is not Y.algebra:
+    if A is not Y.algebra and A != Y.algebra:
         raise DimensionMismatch("hom between modules over different algebras")
-    f = A.field
     if X.dim == 0 or Y.dim == 0:
-        return []
+        return ()
+    return derived(X, ("hom", Y.stack), _solve_hom, X, Y)
+
+
+def _solve_hom(X: Module, Y: Module) -> tuple:
+    """The basis of Hom_A(X, Y), solved blockwise: an intertwiner maps e·X into
+    e·Y for every distinguished idempotent e, so unknowns live only on matching
+    blocks; the remaining equations come from a generating set of the algebra,
+    built from the stored nonzeros of the generators' actions conjugated to the
+    block bases.  Each kernel vector is a block-diagonal map F_t, and the nk
+    maps are TY F_t TXi: one product against TXi for all of them, stacked, then
+    one TY product each.
+    """
+    f = X.algebra.field
     xsizes, _, TXi, RX = _block_data(X)
     ysizes, TY, _, SY = _block_data(Y)
     nx, ny = X.dim, Y.dim
@@ -382,7 +413,7 @@ def hom_basis(X: Module, Y: Module):
     ubase = _offsets([ys * xs for ys, xs in zip(ysizes, xsizes)])
     nu = ubase[-1]
     if not nu:
-        return []
+        return ()
     yblock_of = [k for k, s in enumerate(ysizes) for _ in range(s)]
 
     # F R - S F = 0 for R, S the conjugated actions of each generator, one
@@ -421,7 +452,7 @@ def hom_basis(X: Module, Y: Module):
         K = Matrix.identity(f, nu)
     nk = K.cols
     if not nk:
-        return []
+        return ()
     # Kernel vector t as the block-diagonal matrix F_t, the F_t stacked top to
     # bottom: unknown u is entry cell[u] of each F_t.
     cell = [(yoff[k] + a, xoff[k] + b) for k, (ys, xs) in enumerate(zip(ysizes, xsizes))
@@ -435,7 +466,7 @@ def hom_basis(X: Module, Y: Module):
                 where[t * ny + a].append(b)
                 vals[t * ny + a].append(x)
     F = Matrix.from_integers(f, nk * ny, nx, [(w, v) if w else None for w, v in zip(where, vals)], K.den)
-    return [TY * G for G in (F * TXi).vsplit(nk)]
+    return tuple([TY * G for G in (F * TXi).vsplit(nk)])
 
 
 # -- isomorphism testing ------------------------------------------------------------
@@ -573,36 +604,30 @@ def iso_to_direct_power(X: Module, S: Module, t: int) -> Matrix | None:
 class Peel:
     """The trace T = Tr_{P_label}(X) of one module X, and what a filtration reads off it.
 
-    Kept by X (Module.peel), so it dies with X; it holds X itself only weakly.
-    The quotient X/T is built on first use, and certificates() keeps the answer
-    to "T = D^t?" per family member D, held weakly by D.
+    Kept by X (Module.peel), so it is built once per (module, label) and lives as
+    long as X.  The quotient X/T is built on first use, and certificates() keeps
+    the answer to "T = D^t?" per family member D, keyed by D's stack.
     """
 
-    __slots__ = ("space", "_source", "_quotient", "_certs")
+    __slots__ = ("space", "source", "_quotient", "_certs")
 
     def __init__(self, X: Module, label):
         self.space = trace_from_projective(label, X)
-        self._source = weakref.ref(X)
+        self.source = X
         self._quotient = None
-        self._certs = None
+        self._certs = {}
 
     def module(self) -> Module:
-        """The module on T, built on each call (X itself when T is all of X)."""
-        return self._source().submodule(self.space)[0]
+        """The module on T (X itself when T is all of X)."""
+        return self.source.submodule(self.space)[0]
 
     def quotient(self):
         """(X/T, the projection X ->> X/T), as Module.quotient gives them."""
         if self._quotient is None:
-            X = self._source()
-            quot, proj = X.quotient(self.space)
-            if quot is X:
-                return X, proj
-            self._quotient = (quot, proj)
+            self._quotient = self.source.quotient(self.space)
         return self._quotient
 
-    def certificates(self) -> weakref.WeakKeyDictionary:
-        """Family member D -> iso_to_direct_power(T, D, dim T / dim D), for the D asked
-        about so far; held weakly by D, so an entry goes when its D dies."""
-        if self._certs is None:
-            self._certs = weakref.WeakKeyDictionary()
+    def certificates(self) -> dict:
+        """D.stack -> iso_to_direct_power(T, D, dim T / dim D), for the family members
+        D asked about so far."""
         return self._certs

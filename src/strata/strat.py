@@ -460,9 +460,9 @@ def filtration_standard(X: Module, family, poset, allowed=None, tie_break="forwa
             return FiltrationResult(NO, layers, chain, certs,
                                     witness=f"trace of P_{j} has dim {peel.space.dim}, expected {t}*{D.dim}")
         known = peel.certificates()
-        if D not in known:
-            known[D] = iso_to_direct_power(peel.module(), D, t)
-        cert = known[D]
+        if D.stack not in known:
+            known[D.stack] = iso_to_direct_power(peel.module(), D, t)
+        cert = known[D.stack]
         if cert is None:
             bad = (_power_invariant_witness(peel.module(), D, t)
                    or f"the trace of P_{j} does not map onto Delta_{j}^{t}")

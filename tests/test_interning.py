@@ -1,0 +1,177 @@
+"""A module is its (algebra, stack): content-equal modules over one algebra are one object.
+
+Every Module construction goes through one memo on its algebra, keyed by the
+stack, so equal stacks reached by different routes -- a direct sum of one
+summand, quotients by equal subspaces, the dual of the dual, the module on a
+peel's trace, the Delta_i of two orders with equal kernels -- are the same
+object, with one set of block data, peels and resolution.  hom_basis and
+ext_dims_upto are kept on X under Y's stack; both must equal the plain
+all-unknowns solver and what a fresh copy of the algebra, with empty memos,
+computes.  The shape and unit checks run on every request, so a refused stack
+raises every time and leaves no ("module", ...) entry.
+
+Drawn on generated rad² = 0 and truncated path algebras over Q, F_2 and F_3,
+their opposites, corners and quotients by idempotent ideals.
+"""
+
+import itertools
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from strata.errors import InvalidModule
+from strata.homology import _ext_dims, ext_dims_upto
+from strata.kernel.matrix import Matrix
+from strata.kernel.subspace import Subspace
+from strata.modules import Module, _solve_hom, hom_basis, injective, projective, simple
+from strata.strat import StratDatum, all_posets
+
+from oracles import hom_basis_plain
+from test_generators import GENERATED, build
+
+SETTINGS = settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+# (kind, idempotent picks) of a variant: the algebra itself, its opposite, or the
+# corner / quotient at the subset sum of the picked distinguished idempotents
+VARIANT = st.tuples(st.sampled_from(["self", "opposite", "corner", "quotient"]),
+                    st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True))
+
+
+def variant(A, how):
+    """The algebra of the variant `how` of A, or A itself when the variant is empty."""
+    kind, picks = how
+    if kind == "self":
+        return A
+    if kind == "opposite":
+        return A.opposite()
+    picks = sorted(p for p in picks if p < len(A.idempotents))
+    if not picks:
+        return A
+    e = A.sum_idempotents(picks)
+    if kind == "corner":
+        return A.corner(e)[0]
+    if A.two_sided_ideal(e).dim == A.dim:
+        return A
+    return A.quotient_by_idempotent_ideal(e)[0]
+
+
+def pool(B):
+    """Regular, projective, simple and injective modules of B, and the top of the regular module."""
+    mods = [Module.regular(B), Module.regular(B).top()[0]]
+    for lab in B.labels:
+        mods += [projective(B, lab), simple(B, lab), injective(B, lab)]
+    return mods
+
+
+def module_keys(B):
+    return [k for k in B._derived if k[0] == "module"]
+
+
+def twin(B, X):
+    """X's stack as a module over B, a content-equal copy of X's algebra."""
+    return Module(B, X.dim, X.stack)
+
+
+@SETTINGS
+@given(GENERATED, VARIANT)
+def test_equal_stacks_are_one_object(quiver, how):
+    B = variant(build(quiver), how)
+    for X in pool(B):
+        assert Module(B, X.dim, X.stack) is X
+        assert Module.from_actions(B, X.dim, X.action) is X
+        assert Module.direct_sum([X]) is X
+        assert X.dual().dual() is X
+        # the radical by two spanning sets: its RREF basis, and that basis with its
+        # rows summed onto the last one
+        rad = X.radical_subspace()
+        rows = rad.basis
+        if rows.rows:
+            total = Matrix.vcat([rows, Matrix.linear_combination(B.field, 1, X.dim, [
+                (1, rows.take_rows([t])) for t in range(rows.rows)])])
+            assert X.quotient(Subspace.row_space(total))[0] is X.quotient(rad)[0] is X.top()[0]
+            assert X.submodule(Subspace.row_space(total))[0] is X.submodule(rad)[0]
+        for lab in B.labels:
+            peel = X.peel(lab)
+            assert peel.module() is peel.module() is X.submodule(peel.space)[0]
+            assert peel.quotient()[0] is X.quotient(peel.space)[0]
+
+
+@SETTINGS
+@given(GENERATED, VARIANT)
+def test_records_with_equal_kernels_share_their_modules(quiver, how):
+    B = variant(build(quiver), how)
+    by_kernel = {}
+    for poset in all_posets(B.labels):
+        sd = StratDatum(B, poset)
+        for i in B.labels:
+            rec = sd._records[i]
+            by_kernel.setdefault((i, rec._kernel_space), []).append((sd, rec))
+    for (i, _), group in by_kernel.items():
+        sd0, rec0 = group[0]
+        for sd, rec in group:
+            assert rec.delta is rec0.delta and rec.delta_bar is rec0.delta_bar
+            assert sd.delta_kernel_module(i)[0] is sd0.delta_kernel_module(i)[0]
+
+
+def _span(homs, f, rows, cols):
+    """The span of the maps, each flattened to one row."""
+    if not homs:
+        return Subspace.zero(f, rows * cols)
+    return Subspace.row_space(Matrix.vcat([h.reshape(1, rows * cols) for h in homs]))
+
+
+@SETTINGS
+@given(GENERATED, VARIANT)
+def test_memoised_hom_and_ext_equal_fresh_computations(quiver, how):
+    B = variant(build(quiver), how)
+    fresh = variant(build(quiver), how)  # an equal algebra with empty memos
+    assert fresh == B and fresh is not B
+    mods = pool(B)[2:]  # the regular modules are left to the plain solver's other tests
+    for X, Y in itertools.product(mods, repeat=2):
+        homs = hom_basis(X, Y)
+        assert isinstance(homs, tuple) and hom_basis(X, Y) is homs
+        assert homs == _solve_hom(X, Y) == hom_basis(twin(fresh, X), twin(fresh, Y))
+        assert _span(homs, B.field, Y.dim, X.dim) == _span(hom_basis_plain(X, Y), B.field, Y.dim, X.dim)
+    # Ext from the simples only: the resolutions of the others can grow too fast here
+    for X, Y in itertools.product([simple(B, lab) for lab in B.labels], mods):
+        dims = ext_dims_upto(X, Y, 1)
+        assert dims == list(_ext_dims(X, Y, 1)) == ext_dims_upto(twin(fresh, X), twin(fresh, Y), 1)
+        assert dims[0] == len(hom_basis(X, Y))
+        dims.append(-1)  # the caller's list is a copy
+        assert ext_dims_upto(X, Y, 1) == dims[:2]
+
+
+@SETTINGS
+@given(GENERATED, VARIANT)
+def test_refused_stacks_store_nothing(quiver, how):
+    B = variant(build(quiver), how)
+    P = projective(B, B.labels[0])
+    before = module_keys(B)
+    # every basis element acting by zero: multiplicative but not unital
+    zero = Matrix.zeros(B.field, B.dim, 1)
+    wrong = Matrix.zeros(B.field, B.dim + 1, 1)
+    for _ in range(3):
+        with pytest.raises(InvalidModule, match="unit"):
+            Module(B, 1, zero)
+        with pytest.raises(InvalidModule, match="unit"):
+            Module.from_actions(B, 1, [Matrix.zeros(B.field, 1, 1)] * B.dim)
+        with pytest.raises(InvalidModule, match="stack"):
+            Module(B, 1, wrong)
+    assert module_keys(B) == before
+    # a subspace that is not invariant: the span of one vector outside every submodule
+    for v in range(P.dim):
+        line = Subspace.row_space(Matrix.identity(B.field, P.dim).take_rows([v]))
+        before = module_keys(B)
+        try:
+            P.submodule(line)
+        except InvalidModule:
+            assert module_keys(B) == before
+            with pytest.raises(InvalidModule, match="invariant"):
+                P.submodule(line)
+            assert module_keys(B) == before
+    # interned unchecked, the stack is still refused by every checked request
+    Module(B, 1, zero, check_unit=False)
+    for _ in range(2):
+        with pytest.raises(InvalidModule, match="unit"):
+            Module(B, 1, zero)

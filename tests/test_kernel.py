@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strata.errors import InputError
+from strata.errors import DimensionMismatch, InputError
 from strata.kernel import QQ, Matrix, PrimeField, Subspace
 from strata.kernel._elim_py import echelon_int, echelon_mod
 
@@ -226,6 +226,64 @@ class TestTranspose:
         T = M.transpose()
         assert T.nonzeros == (((1, 3), (5, 6)), ((0, 3), (3, 1)), None)
         assert T.transpose() == M
+
+
+@st.composite
+def block_stack(draw):
+    """(M, k): a matrix of k row blocks of equal height h over Q (denominators up to
+    6), F_2 or F_7, each entry nonzero with probability about 1/5; h = 0 gives the
+    0 x n shape and no columns the n x 0 shape."""
+    f = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(7)]))
+    k, h, c = draw(st.integers(1, 4)), draw(st.integers(0, 5)), draw(st.integers(0, 8))
+    if f == QQ:
+        value = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 6))
+    else:
+        value = st.integers(0, f.p - 1)
+    cells = st.one_of(st.just(0), st.just(0), st.just(0), st.just(0), value)
+    return Matrix(f, k * h, c, [draw(cells) for _ in range(k * h * c)]), k
+
+
+def dense_transpose_blocks(M, k):
+    """Row t*cols + j is column j of row block t, entry by entry."""
+    h = M.rows // k
+    return Matrix(M.field, k * M.cols, h,
+                  [M[t * h + i, j] for t in range(k) for j in range(M.cols) for i in range(h)])
+
+
+class TestTransposeBlocks:
+    @given(block_stack())
+    @settings(max_examples=150, deadline=None)
+    def test_transpose_blocks_is_the_dense_reference(self, case):
+        M, k = case
+        T = M.transpose_blocks(k)
+        ref = dense_transpose_blocks(M, k)
+        assert (T.rows, T.cols, T.den, T.nonzeros) == (ref.rows, ref.cols, ref.den, ref.nonzeros)
+        # the two passes it replaces
+        assert T == M.side_by_side(k).transpose()
+
+    @pytest.mark.parametrize("f", [QQ, PrimeField(2), PrimeField(7)], ids=["q", "f2", "f7"])
+    def test_empty_shapes(self, f):
+        for k in (1, 2, 3):
+            # 0 x n: k blocks of height 0, each n x 0 when transposed
+            T = Matrix.zeros(f, 0, 4).transpose_blocks(k)
+            assert (T.rows, T.cols, T.nonzeros) == (4 * k, 0, (None,) * (4 * k))
+            # n x 0: k blocks with no columns, so no rows
+            T = Matrix.zeros(f, 6, 0).transpose_blocks(k)
+            assert (T.rows, T.cols, T.nonzeros) == (0, 6 // k, ())
+
+    def test_fixed_case_over_q(self):
+        third = Fraction(1, 3)
+        M = Matrix.from_rows(QQ, [[1, 0], [0, third], [2, -1], [0, 0]])
+        T = M.transpose_blocks(2)
+        assert T == Matrix.from_rows(QQ, [[1, 0], [0, third], [2, 0], [-1, 0]])
+        assert (T.den, T.nonzeros) == (3, (((0,), (3,)), ((1,), (1,)), ((0,), (6,)), ((0,), (-3,))))
+        assert M.transpose_blocks(1) == M.transpose()
+
+    def test_blocks_must_divide_the_rows(self):
+        M = Matrix.identity(PrimeField(7), 3)
+        for k in (0, 2):
+            with pytest.raises(DimensionMismatch):
+                M.transpose_blocks(k)
 
 
 def dense_take_cols(M, indices):

@@ -55,6 +55,11 @@ def algebra(name, field):
     return _ALGEBRAS[key]
 
 
+def fresh_algebra(name):
+    """The corpus algebra over Q, built again so that no other test holds it."""
+    return load_spec(corpus_doc(name)).algebra
+
+
 def pool(A):
     mods = [Module.regular(A)]
     for lab in A.labels:
@@ -458,25 +463,30 @@ class TestModuleData:
         blocks = X.act_rows(R).vsplit(R.rows)
         assert blocks == [X.act(r) for r in rows_of(R)]
 
+    # A module is kept by its algebra under its stack, so everything a module keeps
+    # lives as long as the algebra: these tests build a fresh algebra, drop it and
+    # check that the module and its data go with it.
+
     def test_block_data_dies_with_its_module(self):
-        A = algebra("diamond", "Q")
+        A = fresh_algebra("diamond")
         X = Module.direct_sum([projective(A, "1"), simple(A, "3")])
         assert hom_basis(X, projective(A, "2")) is not None
         blocks = X._derived[("blocks",)]
         assert gc.get_referrers(blocks) == [X._derived]
         assert gc.get_referrers(X._derived) == [X]  # held by its module only
+        assert A._derived[("module", X.stack)] is X  # the module is held by its algebra
+        assert Module(A, X.dim, X.stack) is X
         del blocks
-        ref = weakref.ref(X)
-        gc.disable()
-        try:
-            del X
-            # freed by reference counting alone
-            assert ref() is None
-        finally:
-            gc.enable()
+        refs = [weakref.ref(X), weakref.ref(A)]
+        del X
+        gc.collect()
+        assert refs[0]() is not None  # kept while its algebra lives
+        del A
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
 
     def test_peel_dies_with_its_module(self):
-        A = algebra("diamond", "Q")
+        A = fresh_algebra("diamond")
         X = Module.direct_sum([projective(A, "1"), simple(A, "3")])
         peel = X.peel("3")
         assert X.peel("3") is peel  # computed once per (module, label)
@@ -484,44 +494,55 @@ class TestModuleData:
         quot = peel.quotient()[0]
         assert peel.quotient()[0] is quot
         assert X not in (quot, peel.module())
+        # the same contents reached another way are the same modules
+        assert X.quotient(peel.space)[0] is quot and peel.module() is X.submodule(peel.space)[0]
         assert gc.get_referrers(X._derived) == [X]
         assert gc.get_referrers(peel) == [X._derived]  # held by its module only
         del peel
-        refs = [weakref.ref(X), weakref.ref(quot)]
-        gc.disable()
-        try:
-            del X, quot
-            # freed by reference counting alone: the peel holds X weakly, so there is no cycle
-            assert [r() for r in refs] == [None, None]
-        finally:
-            gc.enable()
+        refs = [weakref.ref(X), weakref.ref(quot), weakref.ref(A)]
+        del X, quot
+        gc.collect()
+        assert all(r() is not None for r in refs)  # kept while their algebra lives
+        del A
+        gc.collect()
+        assert [r() for r in refs] == [None, None, None]
 
     def test_resolution_dies_with_its_module(self):
-        A = algebra("sl2-block", "Q")
-        X = Module.direct_sum([simple(A, "1")])  # equal to L_1, not the cached object
+        A = fresh_algebra("sl2-block")
+        X = Module.direct_sum([simple(A, "1")])  # equal to L_1, so it is L_1
+        assert X is simple(A, "1")
         assert ext_dim(X, simple(A, "2"), 1) == 1
-        assert ("resolution",) in X._derived
+        res = X._derived[("resolution",)]
+        assert gc.get_referrers(res) == [X._derived]  # the resolution keeps no reference to X
         assert gc.get_referrers(X._derived) == [X]  # held by its module only
-        ref = weakref.ref(X)
-        gc.disable()
-        try:
-            del X
-            # freed by reference counting alone: the resolution keeps no reference to X
-            assert ref() is None
-        finally:
-            gc.enable()
+        refs = [weakref.ref(X), weakref.ref(res), weakref.ref(A)]
+        del X, res
+        gc.collect()
+        assert all(r() is not None for r in refs)  # kept while the algebra lives
+        del A
+        gc.collect()
+        assert [r() for r in refs] == [None, None, None]
 
     def test_certificate_goes_with_its_family_member(self):
-        A = algebra("diamond", "Q")
+        A = fresh_algebra("diamond")
         X = Module.direct_sum([projective(A, "4")] * 2)
-        D = Module.direct_sum([projective(A, "4")])  # equal to P_4, not the cached object
-        res = filtration_standard(X, {"4": D}, LabelPoset.chain(A.labels))
+        D = Module.direct_sum([projective(A, "4")])  # equal to P_4, so it is P_4
+        assert D is projective(A, "4")
+        chain = LabelPoset.chain(A.labels)
+        res = filtration_standard(X, {"4": D}, chain)
         assert res.layers == [("4", 2)]
         known = X.peel("4").certificates()
-        assert list(known.keys()) == [D] and known[D] is res.certs[0]
-        del D, res
+        # kept per family member by its content, not by the object asked about
+        assert list(known.keys()) == [D.stack] and known[D.stack] is res.certs[0]
+        again = filtration_standard(X, {"4": Module(A, D.dim, D.stack)}, chain)
+        assert again.certs[0] is res.certs[0] and len(known) == 1
+        refs = [weakref.ref(X), weakref.ref(A)]
+        del X, D, res, again
         gc.collect()
-        assert len(known) == 0
+        assert len(known) == 1 and refs[0]() is not None  # the certificate lives with X
+        del A
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
 
     def test_certificates_are_kept_per_family_member(self):
         # two quotients of P_1 of the same dimension with top L_1: [1 over 2] and [1 over 4]
@@ -543,8 +564,10 @@ class TestModuleData:
             assert quot is X and proj == identity
             sub, incl = X.submodule(Subspace.full(A.field, X.dim))
             assert sub is X and incl == identity
-            # the dual is a new module over the opposite algebra, not cached on X
-            assert X.dual().dual() is not X
+            # the dual lands on the opposite algebra, and its dual on X's algebra with
+            # X's stack: X itself, as is the direct sum of X alone
+            assert X.dual().algebra is A.opposite() and X.dual().dual() is X
+            assert Module.direct_sum([X]) is X
 
 
 def test_greedy_oracle_disagreement_raises_under_O():

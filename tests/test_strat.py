@@ -314,10 +314,16 @@ def _fresh_algebra(name, field):
     return load_spec(doc).algebra
 
 
+# the memo entries that hold modules: standard records, named modules, and every
+# module kept on its algebra under its stack
+_MODULE_ENTRIES = ("delta", "module", "regular", "P", "L", "I", "A/AeA")
+
+
 def _forget_standard_records(A):
-    """Drop the memoised standard modules of A and A^op, so the next datum builds its own."""
+    """Drop the memoised modules of A and A^op, the standard records with them, so the
+    next datum builds its own modules, with empty per-module memos."""
     for side in (A, A.opposite()):
-        for key in [k for k in side._derived if k[0] == "delta"]:
+        for key in [k for k in side._derived if k[0] in _MODULE_ENTRIES]:
             del side._derived[key]
 
 
@@ -377,7 +383,10 @@ class TestStandardMemo:
         b = StratDatum(A, LabelPoset.antichain(A.labels))
         assert a.delta["1"] is b.delta["1"] and a.delta_bar["1"] is b.delta_bar["1"]
         assert a.delta_kernel_module("1")[0] is b.delta_kernel_module("1")[0]
-        assert a.delta["2"] is not b.delta["2"]
+        # the labels not below 2 differ ({3, 4} against {1, 3, 4}), so the records of 2
+        # differ; their Delta_2 have one stack (L_2), so they are one module
+        assert a._records["2"] is not b._records["2"]
+        assert a.delta["2"] is b.delta["2"] is simple(A, "2")
 
 
 @settings(max_examples=25, deadline=None)
