@@ -8,9 +8,12 @@ The table is one integer Matrix, n x n^2: row i, block j (columns
 j*n .. j*n + n-1) holds the coordinates of b_i * b_j.  It is the only stored
 form of the multiplication, and every reader cuts what it needs from it: the
 matrices L_i of a |-> b_i * a are its rows reshaped, their right twins R_j
-every n-th row of its n^2 x n reshape.  Products of whole families of elements
-are block products against the table, one elimination per span instead of one
-product per pair of elements.
+every n-th row of its n^2 x n reshape, and the regular module's stack is that
+reshape with each block transposed.  Products of whole families of elements
+are two block products against the table -- X times the table, then Y into
+each row of that cut into n blocks (Matrix.mul_row_blocks) -- one elimination
+per span instead of one product per pair of elements; the matrix of right
+multiplication by x is the second of them alone, with Y = x.
 
 A generating set is read off one elimination rather than searched for: the
 idempotents and the basis vectors outside span(idempotents) + rad² generate A,
@@ -140,11 +143,6 @@ class Algebra:
         """The element v as a 1 x dim row: see _element."""
         return _element(self.field, self.dim, v)
 
-    def basis_left_mult(self, i):
-        """L_i, the matrix of a |-> b_i * a: column j is b_i * b_j."""
-        n = self.dim
-        return self.table.take_rows([i]).reshape(n, n).transpose()
-
     def left_mult_matrix(self, vec):
         """Matrix of a |-> vec * a in the basis (columns = vec * b_j).
 
@@ -155,8 +153,8 @@ class Algebra:
     def right_mult_matrix(self, vec):
         """Matrix of a |-> a * vec in the basis (columns = b_j * vec).
 
-        Row i of table · (vec ⊗ I) is sum_j vec_j b_i * b_j = b_i * vec."""
-        return (self.table * vec.transpose().kron(Matrix.identity(self.field, self.dim))).transpose()
+        Row j of products(None, vec) is sum_k vec_k b_j * b_k = b_j * vec."""
+        return self.products(None, vec).transpose()
 
     def mult_vec(self, x, y):
         """x * y: row j of (x · table) reshaped to n x n is x * b_j."""
@@ -167,20 +165,16 @@ class Algebra:
 
         X and Y are matrices of row vectors; None stands for the basis.  This
         is two block products against the table of basis products, whatever
-        the number of pairs.
+        the number of pairs: X times the table, whose row c, block b is
+        x_c * b_b, then Y into each of its rows cut into n blocks.
         """
         n = self.dim
-        P = self.table
-        r = n if X is None else X.rows
-        # row c*n + j: x_c * b_j
-        W = (P if X is None else X * P).reshape(r * n, n)
+        # row c, block b: x_c * b_b
+        W = self.table if X is None else X * self.table
         if Y is None:
-            return W
-        s = Y.rows
-        # H row j, block c: x_c * b_j; so row e, block c of Y * H is x_c * y_e
-        H = W.take_rows([c * n + j for j in range(n) for c in range(r)]).reshape(n, r * n)
-        Z = (Y * H).reshape(s * r, n)
-        return Z.take_rows([e * r + c for c in range(r) for e in range(s)])
+            return W.reshape(W.rows * n, n)
+        # row c*s + e is sum_b Y[e, b] x_c * b_b = x_c * y_e
+        return Y.mul_row_blocks(W, n)
 
     def is_idempotent(self, vec):
         return self.mult_vec(vec, vec) == vec

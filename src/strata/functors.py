@@ -179,9 +179,9 @@ class SubalgebraEmbedding:
 
         Bop = self.B.opposite()
         f = self.A.field
-        # A as a left B^op-module: b_j ∘ a = a · ι(b_j), by R(ι(b_j)).  As in
-        # Algebra.right_mult_matrix, block j of table · (emb ⊗ I) is R(ι(b_j))^T,
-        # so its transpose stacks the R(ι(b_j)).
+        # A as a left B^op-module: b_j ∘ a = a · ι(b_j), by R(ι(b_j)).  Row i,
+        # block j of table · (emb ⊗ I) is b_i * ι(b_j), column i of R(ι(b_j)), so
+        # its transpose stacks the R(ι(b_j)).
         right = self.A.table * self.emb.kron(Matrix.identity(f, self.A.dim))
         A_right = Module(Bop, self.A.dim, right.transpose())
         covers = _minimal_cover(Bop, A_right)

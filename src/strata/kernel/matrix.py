@@ -11,7 +11,13 @@ form is canonical, so ``==`` and ``hash`` compare ``(den, nonzeros)``.
 Every operation touches only the stored nonzeros: a product runs over the
 left factor's nonzeros against the right factor's stored rows; row picks and
 stacking select row tuples; transposes, reshapes, splits and Kronecker
-products are one pass over the nonzeros.  Elimination builds dense integer
+products are one pass over the nonzeros.  Two block kernels do in one pass
+what would otherwise be a chain of such layout steps around a product, each
+building a matrix only to cut it up again: combine_blocks is (R ⊗ I_d) · S,
+each row of R combining the d-row blocks of S (a module acting by a family
+of algebra elements), and mul_row_blocks multiplies Y into each row of W
+cut into blocks of width w (products of element families against an
+algebra's table).  Elimination builds dense integer
 rows once per rank / rref and hands them to the two echelon routines of
 _elim_py (fraction-free elimination over Z for Q, ordinary reduction mod p):
 scaling a matrix by its denominator does not change its row space.  A matrix
@@ -127,10 +133,6 @@ class Matrix:
     @classmethod
     def identity(cls, field, n):
         return cls._new(field, n, n, 1, tuple([((i,), (1,)) for i in range(n)]))
-
-    @classmethod
-    def column(cls, field, vec):
-        return cls(field, len(vec), 1, list(vec))
 
     @classmethod
     def from_columns(cls, field, cols_, nrows=None):
@@ -295,7 +297,7 @@ class Matrix:
     # -- arithmetic ----------------------------------------------------------
 
     def _same_field(self, other):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldMismatch(f"{self.field} vs {other.field}")
 
     def _combine(self, other, sign, what):
@@ -337,19 +339,6 @@ class Matrix:
             rows = tuple([r and (r[0], tuple([-x for x in r[1]])) for r in self.nonzeros])
         return Matrix._new(self.field, self.rows, self.cols, self.den, rows)
 
-    def scale(self, c):
-        f = self.field
-        c = f.coerce(c)
-        if not c:
-            return Matrix.zeros(f, self.rows, self.cols)
-        if f.char:
-            p = f.char
-            rows = tuple([r and (r[0], tuple([c * x % p for x in r[1]])) for r in self.nonzeros])
-            return Matrix._new(f, self.rows, self.cols, 1, rows)
-        num = c.numerator
-        rows = tuple([r and (r[0], tuple([num * x for x in r[1]])) for r in self.nonzeros])
-        return Matrix._reduced(f, self.rows, self.cols, c.denominator * self.den, rows)
-
     def __mul__(self, other):
         self._same_field(other)
         if self.cols != other.rows:
@@ -369,6 +358,79 @@ class Matrix:
         for t in range(k):
             out.extend(_products(self.nonzeros, brows[t * c : (t + 1) * c], m, p))
         return Matrix._reduced(self.field, k * self.rows, m, self.den * other.den, tuple(out))
+
+    def combine_blocks(self, other, d):
+        """The product (self ⊗ I_d) · other, with no Kronecker product built: row
+        i*d + r is sum_k self[i, k] · other[k*d + r], each row of self combining
+        the d-row blocks of other.  A row of self with one nonzero, 1, returns
+        its block of other's stored rows as they are."""
+        self._same_field(other)
+        if other.rows != self.cols * d:
+            raise DimensionMismatch(f"cannot combine {self.cols} blocks of {d} rows from {other.rows} rows")
+        brows, m, p = other.nonzeros, other.cols, self.field.char
+        span = range(m)
+        zero_block = (None,) * d
+        out = []
+        for arow in self.nonzeros:
+            if arow is None:
+                out.extend(zero_block)
+                continue
+            where, vals = arow
+            if len(where) == 1:
+                base, x = where[0] * d, vals[0]
+                block = brows[base : base + d]
+                if x == 1:
+                    out.extend(block)
+                elif p:
+                    out.extend([r and (r[0], tuple([x * y % p for y in r[1]])) for r in block])
+                else:
+                    out.extend([r and (r[0], tuple([x * y for y in r[1]])) for r in block])
+                continue
+            bases = [k * d for k in where]
+            for r in range(d):
+                acc = None
+                for base, x in zip(bases, vals):
+                    brow = brows[base + r]
+                    if brow is not None:
+                        if acc is None:
+                            acc = [0] * m
+                        for j, y in zip(*brow):
+                            acc[j] += x * y
+                out.append(acc and _pack([v % p for v in acc] if p else acc, span))
+        return Matrix._reduced(self.field, self.rows * d, m, self.den * other.den, tuple(out))
+
+    def mul_row_blocks(self, other, w):
+        """self times each row of other cut into self.cols blocks of width w, the
+        products stacked top to bottom: row c*self.rows + e is
+        sum_b self[e, b] · other[c, b*w : (b+1)*w].  That is
+        self.mul_blocks(other.reshape(other.rows * self.cols, w), other.rows), with
+        each row cut as it is read and no reshape built."""
+        self._same_field(other)
+        k = self.cols
+        if other.cols != k * w:
+            raise DimensionMismatch(f"cannot cut {other.cols} columns into {k} blocks of width {w}")
+        arows, p = self.nonzeros, self.field.char
+        zero_block = (None,) * self.rows
+        out = []
+        for r in other.nonzeros:
+            if r is None:
+                out.extend(zero_block)
+                continue
+            blocks = [None] * k
+            cur, where, vals = -1, None, None
+            # a row's columns increase, so each block fills left to right
+            for j, x in zip(*r):
+                b, jj = divmod(j, w)
+                if b != cur:
+                    if where:
+                        blocks[cur] = (tuple(where), tuple(vals))
+                    cur, where, vals = b, [jj], [x]
+                else:
+                    where.append(jj)
+                    vals.append(x)
+            blocks[cur] = (tuple(where), tuple(vals))
+            out.extend(_products(arows, blocks, w, p))
+        return Matrix._reduced(self.field, other.rows * self.rows, w, self.den * other.den, tuple(out))
 
     def transpose(self):
         return self._transposed(1)
@@ -523,29 +585,6 @@ class Matrix:
         # A permutation of the entries keeps the integers canonical.
         blocks = [rows[t * h : (t + 1) * h] for t in range(k)]
         return Matrix._new(self.field, h, k * c, self.den, _side_by_side(zip(*blocks), [t * c for t in range(k)]))
-
-    def hsplit(self, k):
-        """The k column blocks of equal width, left to right."""
-        if k <= 0 or self.cols % k:
-            raise DimensionMismatch(f"cannot split {self.cols} columns into {k} blocks")
-        w = self.cols // k
-        blocks = [[] for _ in range(k)]
-        for r in self.nonzeros:
-            if r is None:
-                for b in blocks:
-                    b.append(None)
-                continue
-            where, vals = r
-            lo = 0
-            for t, b in enumerate(blocks):
-                hi = bisect_left(where, (t + 1) * w, lo)
-                if hi == lo:
-                    b.append(None)
-                else:
-                    off = t * w
-                    b.append((tuple([j - off for j in where[lo:hi]]) if off else where[lo:hi], vals[lo:hi]))
-                    lo = hi
-        return [Matrix._reduced(self.field, self.rows, w, self.den, tuple(b)) for b in blocks]
 
     # -- elimination ---------------------------------------------------------
 

@@ -7,6 +7,8 @@ complement: coordinates at the non-pivot ambient positions, in ambient order.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from ..errors import NotInSubspace
 from .matrix import Matrix
 
@@ -27,7 +29,9 @@ class Subspace:
         if M.is_zero():
             return cls(M.field, M.cols, Matrix.zeros(M.field, 0, M.cols), ())
         R, pivots = M.rref()
-        return cls(M.field, M.cols, R.take_rows(range(len(pivots))), pivots)
+        # the leading rows hold every nonzero of the canonical R, so they are canonical as they are
+        k = len(pivots)
+        return cls(M.field, M.cols, Matrix._new(M.field, k, M.cols, R.den, R.nonzeros[:k]), pivots)
 
     @classmethod
     def from_rows(cls, field, ambient_dim, rows):
@@ -112,11 +116,29 @@ class Subspace:
         return [j for j in range(self.ambient_dim) if j not in pivset]
 
     def projection_matrix(self):
-        """Matrix of k^n -> k^C, v |-> (v mod self) in complement coordinates."""
-        comp = self.complement_coords()
-        ident = Matrix.identity(self.field, self.ambient_dim)
-        # v - sum_k v[pivot_k] * basis_k, read at the complement coordinates
-        return ident.take_rows(comp) - self.inclusion().take_rows(comp) * ident.take_rows(self.pivots)
+        """Matrix of k^n -> k^C, v |-> (v mod self) in complement coordinates.
+
+        v mod self is v - sum_t v[pivot_t] * basis_t, so the row of a complement
+        coordinate c is e_c - sum_t basis[t][c] * e_{pivot_t}: row c of the
+        inclusion, moved to the pivot columns and negated, with 1 at column c,
+        in one pass.  The RREF basis holds only den or 0 at its pivot columns,
+        so these rows, over the basis's den, are in lowest terms as they are.
+        """
+        incl, piv, p = self.inclusion().nonzeros, self.pivots, self.field.char
+        den = self.basis.den
+        out = []
+        for c in self.complement_coords():
+            r = incl[c]
+            if r is None:
+                out.append(((c,), (den,)))
+                continue
+            where = [piv[t] for t in r[0]]  # pivots increase with t
+            vals = [p - x for x in r[1]] if p else [-x for x in r[1]]
+            k = bisect_left(where, c)
+            where.insert(k, c)
+            vals.insert(k, den)
+            out.append((tuple(where), tuple(vals)))
+        return Matrix._new(self.field, len(out), self.ambient_dim, den, tuple(out))
 
     def lift_matrix(self):
         """Section k^C -> k^n sending the class of e_c to e_c."""

@@ -6,7 +6,8 @@ k*dim + r is row r of the action of b_k.  The per-basis matrices (``action``)
 are cut from it once, on first use.  An algebra element is a 1 x dim A row
 (see algebra.py), so acting by it reads the row's stored nonzeros: a basis
 vector acts by its cut matrix, returned as it is, and any other element acts
-through act_rows, one product against the stack.  Submodules and quotients
+through act_rows, one product against the stack: (R ⊗ I_dim) · stack for the
+rows of R, in one pass (Matrix.combine_blocks).  Submodules and quotients
 carry explicit inclusion/projection matrices; everything downstream
 (filtrations, functors, certificates) is built from these.
 
@@ -16,9 +17,10 @@ stack times the inclusion, read at each block's pivots and checked in one
 block product; a quotient keeps the complement columns of the stack (each
 action matrix times the lift) and multiplies each block by the projection;
 the dual transposes each block; restriction and inflation are one act_rows.
-Only the regular module, direct sums (integer block diagonals), modules read
-from JSON and the outer module of functors.corner_hom start from per-basis
-matrices, and stack them once.
+The regular module's stack is the algebra's table, reshaped to n^2 x n, with
+each block transposed.  Only direct sums (integer block diagonals), modules
+read from JSON and the outer module of functors.corner_hom start from
+per-basis matrices, and stack them once.
 
 A module is its (algebra, stack): every construction ends in Module(), which
 keeps one object per stack on the algebra (memo.derived under ("module",
@@ -37,7 +39,9 @@ multiplicities [X : L_i], one ``Peel`` per label and the projective
 resolution.  The block data and the multiplicities
 are read off canonical bases rather than solved: the distinguished idempotents
 are complete and orthogonal, so the block basis change T is inverted by
-reading each act(e) at the pivots of the RREF basis of e·X, and [X : L_i] =
+reading each act(e) at the pivots of the RREF basis of e·X (the generators
+are then conjugated all at once: one act_rows, one product by T, one block
+product by T^-1), and [X : L_i] =
 dim e_i·X is the trace of the idempotent matrix act(e_i) (eliminated instead
 over F_p when p <= dim X, where the trace gives the rank only mod p).  A
 filtration that peels label j off X reaches the same quotient module as every
@@ -67,12 +71,6 @@ ISO_HEIGHT = 8
 ISO_SEED = 2024
 
 
-def _act_rows(stack, R: Matrix, n, d) -> Matrix:
-    """The action of each row of R on the module of dim d over an n-dimensional
-    algebra whose action is stack, stacked top to bottom: one product."""
-    return (R * stack.reshape(n, d * d)).reshape(R.rows * d, d)
-
-
 class Module:
     __slots__ = ("algebra", "dim", "stack", "_derived", "__weakref__")
 
@@ -87,7 +85,7 @@ class Module:
         if not isinstance(stack, Matrix) or (stack.rows, stack.cols) != (algebra.dim * dim, dim):
             raise InvalidModule(f"action must be a {algebra.dim * dim}x{dim} stack of action matrices")
         if check_unit and dim:
-            if _act_rows(stack, algebra.unit, algebra.dim, dim) != Matrix.identity(algebra.field, dim):
+            if algebra.unit.combine_blocks(stack, dim) != Matrix.identity(algebra.field, dim):
                 raise InvalidModule("unit does not act as the identity")
         return derived(algebra, ("module", stack), cls._make, algebra, dim, stack)
 
@@ -115,8 +113,14 @@ class Module:
 
     @classmethod
     def regular(cls, algebra):
-        return derived(algebra, ("regular",), lambda: cls.from_actions(
-            algebra, algebra.dim, [algebra.basis_left_mult(i) for i in range(algebra.dim)]))
+        return derived(algebra, ("regular",), cls._regular, algebra)
+
+    @classmethod
+    def _regular(cls, algebra):
+        # block k of the table's n^2 x n reshape has row j = b_k * b_j: it is L_k^T
+        n = algebra.dim
+        stack = algebra.table.reshape(n * n, n).transpose_blocks(n) if n else algebra.table
+        return cls(algebra, n, stack)
 
     @classmethod
     def zero(cls, algebra):
@@ -141,8 +145,9 @@ class Module:
         return self.act_rows(vec)
 
     def act_rows(self, R: Matrix) -> Matrix:
-        """act(r) for each row r of R, stacked top to bottom, in one product."""
-        return _act_rows(self.stack, R, self.algebra.dim, self.dim)
+        """act(r) for each row r of R, stacked top to bottom: (R ⊗ I_dim) · stack, in
+        one product against the stack."""
+        return R.combine_blocks(self.stack, self.dim)
 
     def orbit_matrix(self, v: Matrix) -> Matrix:
         """The dim x dim(A) matrix of a |-> a·v for a column vector v: column k is b_k·v."""
@@ -371,8 +376,11 @@ def _build_block_data(X: Module):
         raise InvalidModule("idempotent blocks do not decompose the module")
     T = Matrix.hcat([B.inclusion() for B in blocks])
     Ti = Matrix.vcat([E.take_rows(B.pivots) for E, B in zip(acts, blocks)])
+    # Ti · act(g) · T for each non-idempotent generator g, all acts stacked
     G = A.generators()
-    conj = tuple(Ti * X.act(G.take_rows([k])) * T for k in range(len(A.idempotents), G.rows))
+    k = len(A.idempotents)
+    m = G.rows - k
+    conj = tuple(Ti.mul_blocks(X.act_rows(G.take_rows(range(k, G.rows))) * T, m).vsplit(m)) if m else ()
     return tuple(B.dim for B in blocks), T, Ti, conj
 
 

@@ -20,14 +20,22 @@ needs.  Module.action_on, quotient and dual are kept as they were when a
 module held one action matrix per basis element, and the tensor product of
 two algebras, which no library code builds, lives here too.  The adjunction
 loop of criterion c13 is kept as it was before its functor images moved out
-of the inner loop, recording each comparison it makes.
+of the inner loop, recording each comparison it makes.  Matrix.column,
+Matrix.scale, Matrix.hsplit and Algebra.basis_left_mult, which no library code
+calls, live here as functions.  The layout chains the library now runs in one
+pass over the stored nonzeros -- Subspace.row_space and projection_matrix,
+act_rows, Algebra.right_mult_matrix and products, Module.regular and the
+block data's conjugated generators -- are kept verbatim as the references
+the fused routines must equal, stored form included.
 """
 
 import json
+from bisect import bisect_left
 
 from strata.algebra import ASSOCIATIVITY, Algebra, structure_constant_algebra
 from strata.corpus import corpus_path
 from strata.errors import (
+    DimensionMismatch,
     FieldMismatch,
     InvalidModule,
     InvariantViolation,
@@ -38,6 +46,135 @@ from strata.kernel.fields import QQ
 from strata.kernel.matrix import Matrix
 from strata.kernel.subspace import Subspace
 from strata.quiver import enumerate_paths
+
+
+# -- Matrix methods without a library caller -------------------------------------------
+# Matrix.column, Matrix.scale and Matrix.hsplit, moved here verbatim (as functions)
+# when the library stopped calling them.
+
+
+def column(field, vec):
+    """The len(vec) x 1 matrix with the entries of vec."""
+    return Matrix(field, len(vec), 1, list(vec))
+
+
+def scale(M, c):
+    """c · M for a scalar c."""
+    f = M.field
+    c = f.coerce(c)
+    if not c:
+        return Matrix.zeros(f, M.rows, M.cols)
+    if f.char:
+        p = f.char
+        rows = tuple([r and (r[0], tuple([c * x % p for x in r[1]])) for r in M.nonzeros])
+        return Matrix._new(f, M.rows, M.cols, 1, rows)
+    num = c.numerator
+    rows = tuple([r and (r[0], tuple([num * x for x in r[1]])) for r in M.nonzeros])
+    return Matrix._reduced(f, M.rows, M.cols, c.denominator * M.den, rows)
+
+
+def hsplit(M, k):
+    """The k column blocks of equal width, left to right."""
+    if k <= 0 or M.cols % k:
+        raise DimensionMismatch(f"cannot split {M.cols} columns into {k} blocks")
+    w = M.cols // k
+    blocks = [[] for _ in range(k)]
+    for r in M.nonzeros:
+        if r is None:
+            for b in blocks:
+                b.append(None)
+            continue
+        where, vals = r
+        lo = 0
+        for t, b in enumerate(blocks):
+            hi = bisect_left(where, (t + 1) * w, lo)
+            if hi == lo:
+                b.append(None)
+            else:
+                off = t * w
+                b.append((tuple([j - off for j in where[lo:hi]]) if off else where[lo:hi], vals[lo:hi]))
+                lo = hi
+    return [Matrix._reduced(M.field, M.rows, w, M.den, tuple(b)) for b in blocks]
+
+
+def basis_left_mult(A, i):
+    """L_i, the matrix of a |-> b_i * a: column j is b_i * b_j (Algebra.basis_left_mult,
+    moved here when Module.regular stopped calling it)."""
+    n = A.dim
+    return A.table.take_rows([i]).reshape(n, n).transpose()
+
+
+# -- layout chains the library now runs in one pass ------------------------------------
+# The composite bodies Subspace.row_space, Subspace.projection_matrix,
+# modules._act_rows, Algebra.right_mult_matrix, Algebra.products, Module.regular
+# and modules._build_block_data had before each became one pass over the
+# stored nonzeros, verbatim apart from taking their object as an argument.
+
+
+def ref_row_space(M):
+    """The span of the rows of M, its basis cut from the RREF by take_rows."""
+    if M.is_zero():
+        return Subspace(M.field, M.cols, Matrix.zeros(M.field, 0, M.cols), ())
+    R, pivots = M.rref()
+    return Subspace(M.field, M.cols, R.take_rows(range(len(pivots))), pivots)
+
+
+def ref_projection_matrix(S):
+    """Matrix of k^n -> k^C, v |-> (v mod S) in complement coordinates."""
+    comp = S.complement_coords()
+    ident = Matrix.identity(S.field, S.ambient_dim)
+    # v - sum_k v[pivot_k] * basis_k, read at the complement coordinates
+    return ident.take_rows(comp) - S.inclusion().take_rows(comp) * ident.take_rows(S.pivots)
+
+
+def ref_act_rows(stack, R, n, d):
+    """The action of each row of R on the module of dim d over an n-dimensional
+    algebra whose action is stack, stacked top to bottom: one product."""
+    return (R * stack.reshape(n, d * d)).reshape(R.rows * d, d)
+
+
+def ref_right_mult_kron(A, vec):
+    """Matrix of a |-> a * vec in the basis (columns = b_j * vec).
+
+    Row i of table · (vec ⊗ I) is sum_j vec_j b_i * b_j = b_i * vec."""
+    return (A.table * vec.transpose().kron(Matrix.identity(A.field, A.dim))).transpose()
+
+
+def ref_products(A, X=None, Y=None):
+    """The rows x * y for every row x of X and every row y of Y, x-major."""
+    n = A.dim
+    P = A.table
+    r = n if X is None else X.rows
+    # row c*n + j: x_c * b_j
+    W = (P if X is None else X * P).reshape(r * n, n)
+    if Y is None:
+        return W
+    s = Y.rows
+    # H row j, block c: x_c * b_j; so row e, block c of Y * H is x_c * y_e
+    H = W.take_rows([c * n + j for j in range(n) for c in range(r)]).reshape(n, r * n)
+    Z = (Y * H).reshape(s * r, n)
+    return Z.take_rows([e * r + c for c in range(r) for e in range(s)])
+
+
+def ref_regular(A):
+    """The regular module, stacked from the per-basis matrices L_i."""
+    from strata.modules import Module
+
+    return Module.from_actions(A, A.dim, [basis_left_mult(A, i) for i in range(A.dim)])
+
+
+def ref_pivot_block_data(X):
+    """modules._build_block_data with one act and two products per generator."""
+    A = X.algebra
+    acts = [X.act(e) for e, _ in A.idempotents]
+    blocks = [Subspace.row_space(E.transpose()) for E in acts]
+    if sum(B.dim for B in blocks) != X.dim:
+        raise InvalidModule("idempotent blocks do not decompose the module")
+    T = Matrix.hcat([B.inclusion() for B in blocks])
+    Ti = Matrix.vcat([E.take_rows(B.pivots) for E, B in zip(acts, blocks)])
+    G = A.generators()
+    conj = tuple(Ti * X.act(G.take_rows([k])) * T for k in range(len(A.idempotents), G.rows))
+    return tuple(B.dim for B in blocks), T, Ti, conj
 
 
 def rows_of(M):
@@ -194,7 +331,7 @@ def ref_element_diffs(res, n):
         for ui, u in enumerate(cur):
             col = cols[ui]
             block = col[offs[si] : offs[si + 1]]
-            elem = (s.basis * Matrix.column(res.A.field, block)).col(0)
+            elem = (s.basis * column(res.A.field, block)).col(0)
             row.append(Matrix.from_rows(res.A.field, [elem]))
         grid.append(row)
     return grid
@@ -214,11 +351,11 @@ def _ref_generator_column(res, n, ui):
     vec = [f.zero] * res.modules[n].dim
     for k, c in enumerate(coords):
         vec[off + k] = c
-    return (res.diffs[n] * Matrix.column(f, vec)).col(0)
+    return (res.diffs[n] * column(f, vec)).col(0)
 
 
 def _ref_coords_in(basis, vec, f):
-    X = basis.solve(Matrix.column(f, list(vec)))
+    X = basis.solve(column(f, list(vec)))
     if X is None:
         return None, vec
     return [X[i, 0] for i in range(X.rows)], None
@@ -250,7 +387,7 @@ def ref_action_on(X, subspace, R=None):
         return []
     img = (stacked * subspace.inclusion()).side_by_side(k)
     try:
-        return subspace.coordinates(img).hsplit(k)
+        return hsplit(subspace.coordinates(img), k)
     except NotInSubspace as exc:
         raise InvalidModule("subspace is not action-invariant") from exc
 
@@ -262,7 +399,7 @@ def ref_quotient_action(X, subspace):
     d, n = X.dim, X.algebra.dim
     # M times the lift is the complement columns of M
     kept = Matrix.hcat(X.action).take_cols([k * d + c for k in range(n) for c in comp])
-    return (proj * kept).hsplit(n), proj
+    return hsplit(proj * kept, n), proj
 
 
 def ref_dual_action(X):
@@ -280,7 +417,7 @@ def verify_action(X):
             lhs = X.action[i] * X.action[j]
             rhs = Matrix.zeros(f, X.dim, X.dim)
             for k in range(A.dim):
-                rhs = rhs + X.action[k].scale(A.table[i, j * A.dim + k])
+                rhs = rhs + scale(X.action[k], A.table[i, j * A.dim + k])
             if lhs != rhs:
                 raise InvalidModule(f"action incompatible with structure constants at ({i},{j})")
     return True
@@ -319,7 +456,7 @@ def _basis_products(A, pairs):
 def ref_left_mult_matrix(A, vec):
     """Matrix of a |-> vec * a in the basis (columns = vec * b_j), vec a 1 x n row."""
     return Matrix.linear_combination(
-        A.field, A.dim, A.dim, [(c, A.basis_left_mult(i)) for i, c in enumerate(vec.row(0)) if c]
+        A.field, A.dim, A.dim, [(c, basis_left_mult(A, i)) for i, c in enumerate(vec.row(0)) if c]
     )
 
 

@@ -11,6 +11,8 @@ from strata.errors import DimensionMismatch, InputError
 from strata.kernel import QQ, Matrix, PrimeField, Subspace
 from strata.kernel._elim_py import echelon_int, echelon_mod
 
+from oracles import column, ref_act_rows, ref_projection_matrix, ref_row_space, scale
+
 
 class TestEchelon:
     def test_int_identity(self):
@@ -108,18 +110,18 @@ class TestMatrixContracts:
         assert v[0] * Fraction(-1) == v[1] * Fraction(2)
 
     def test_solve_identity(self):
-        b = Matrix.column(QQ, [3, Fraction(1, 2)])
+        b = column(QQ, [3, Fraction(1, 2)])
         X = Matrix.identity(QQ, 2).solve(b)
         assert X == b
 
     def test_solve_inconsistent(self):
         M = Matrix.from_rows(QQ, [[1], [1]])
-        b = Matrix.column(QQ, [1, 2])
+        b = column(QQ, [1, 2])
         assert M.solve(b) is None
 
     def test_solve_half(self):
         M = Matrix.from_rows(QQ, [[2]])
-        X = M.solve(Matrix.column(QQ, [1]))
+        X = M.solve(column(QQ, [1]))
         assert X[0, 0] == Fraction(1, 2)
 
     @given(int_matrix())
@@ -139,7 +141,7 @@ class TestMatrixContracts:
     @settings(max_examples=60, deadline=None)
     def test_solve_or_rank_witness(self, rows):
         M = Matrix.from_rows(QQ, rows)
-        b = Matrix.column(QQ, list(range(1, M.rows + 1)))
+        b = column(QQ, list(range(1, M.rows + 1)))
         X = M.solve(b)
         if X is not None:
             assert (M * X - b).is_zero()
@@ -150,10 +152,10 @@ class TestMatrixContracts:
     @settings(max_examples=120, deadline=None)
     def test_unit_rows_read_like_the_elimination(self, rows, f):
         # rows with one nonzero each: rref and rank are read, and must equal elimination
-        M = Matrix.from_rows(f, rows).scale(f.coerce(Fraction(1, 2)))
+        M = scale(Matrix.from_rows(f, rows), f.coerce(Fraction(1, 2)))
         assert M._unit_pivots() is not None
         with mock.patch.object(Matrix, "_unit_pivots", lambda self: None):
-            R, pivots = Matrix.from_rows(f, rows).scale(f.coerce(Fraction(1, 2))).rref()
+            R, pivots = scale(Matrix.from_rows(f, rows), f.coerce(Fraction(1, 2))).rref()
             rank = Matrix.from_rows(f, rows).rank()
         assert M.rref() == (R, pivots)
         assert Matrix.from_rows(f, rows).rank() == rank == len(pivots)
@@ -161,7 +163,7 @@ class TestMatrixContracts:
     @given(int_matrix(), st.sampled_from([QQ, PrimeField(3)]))
     @settings(max_examples=60, deadline=None)
     def test_trace_is_the_diagonal_sum(self, rows, f):
-        M = Matrix.from_rows(f, rows).scale(f.coerce(Fraction(1, 2)))
+        M = scale(Matrix.from_rows(f, rows), f.coerce(Fraction(1, 2)))
         expected = f.zero
         for i in range(min(M.rows, M.cols)):
             expected = f.add(expected, M[i, i])
@@ -336,6 +338,140 @@ class TestTakeCols:
         assert M.take_cols([2, 0, 2]).nonzeros == (((0, 2), (5, 5)), ((1,), (6,)), None)
 
 
+# -- one-pass block kernels and subspace reads, against the composites they replaced ----
+
+
+def stored(M):
+    """Everything a matrix stores: two equal results must agree here, not only entrywise."""
+    return M.field, M.rows, M.cols, M.den, M.nonzeros
+
+
+@st.composite
+def sized_matrix(draw, f, rows, cols):
+    """A rows x cols matrix over f, each entry nonzero with probability about 1/4
+    (denominators up to 6 over Q)."""
+    if f == QQ:
+        value = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 6))
+    else:
+        value = st.integers(0, f.p - 1)
+    cells = st.one_of(st.just(0), st.just(0), st.just(0), value)
+    return Matrix(f, rows, cols, [draw(cells) for _ in range(rows * cols)])
+
+
+@st.composite
+def coefficient_rows(draw, f, rows, cols):
+    """A rows x cols matrix of random rows, or of basis rows (some scaled), which take
+    the one-nonzero path of combine_blocks."""
+    if not cols or draw(st.booleans()):
+        return draw(sized_matrix(f, rows, cols))
+    picks = [draw(st.integers(0, cols - 1)) for _ in range(rows)]
+    scales = [draw(st.sampled_from([1, 1, 2, Fraction(1, 3)])) for _ in range(rows)]
+    return Matrix(f, rows, cols, [c if j == k else 0 for k, c in zip(picks, scales) for j in range(cols)])
+
+
+BLOCK_FIELDS = st.sampled_from([QQ, PrimeField(2), PrimeField(7)])
+
+
+class TestBlockKernels:
+    @given(BLOCK_FIELDS, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_combine_blocks_is_the_kronecker_product(self, f, data):
+        r, n, d, m = (data.draw(st.integers(0, 4)) for _ in range(4))
+        R = data.draw(coefficient_rows(f, r, n))
+        S = data.draw(sized_matrix(f, n * d, m))
+        C = R.combine_blocks(S, d)
+        assert stored(C) == stored(R.kron(Matrix.identity(f, d)) * S)
+        # row i*d + t is sum_k R[i, k] S[k*d + t]
+        for i in range(r):
+            for t in range(d):
+                for j in range(m):
+                    entry = f.zero
+                    for k in range(n):
+                        entry = f.add(entry, f.mul(R[i, k], S[k * d + t, j]))
+                    assert C[i * d + t, j] == entry
+        S = data.draw(sized_matrix(f, n * d, d))
+        # a stack of n square d x d blocks: the two reshapes and product of act_rows
+        assert stored(R.combine_blocks(S, d)) == stored(ref_act_rows(S, R, n, d))
+
+    @given(BLOCK_FIELDS, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_mul_row_blocks_is_the_block_product_of_the_reshape(self, f, data):
+        s, k, w, c = (data.draw(st.integers(0, 4)) for _ in range(4))
+        Y = data.draw(coefficient_rows(f, s, k))
+        W = data.draw(sized_matrix(f, c, k * w))
+        P = Y.mul_row_blocks(W, w)
+        assert stored(P) == stored(Y.mul_blocks(W.reshape(c * k, w), c))
+        # row ci*s + e is sum_b Y[e, b] W[ci, b*w : (b+1)*w]
+        for ci in range(c):
+            for e in range(s):
+                for j in range(w):
+                    entry = f.zero
+                    for b in range(k):
+                        entry = f.add(entry, f.mul(Y[e, b], W[ci, b * w + j]))
+                    assert P[ci * s + e, j] == entry
+
+    @pytest.mark.parametrize("f", [QQ, PrimeField(2), PrimeField(7)], ids=["q", "f2", "f7"])
+    def test_empty_shapes(self, f):
+        # no blocks (0-dimensional algebra), blocks of no rows (0-dimensional module)
+        for r, n, d, m in ((0, 0, 0, 0), (3, 0, 2, 2), (2, 3, 0, 4), (0, 3, 2, 2), (2, 2, 2, 0)):
+            C = Matrix.zeros(f, r, n).combine_blocks(Matrix.zeros(f, n * d, m), d)
+            assert stored(C) == (f, r * d, m, 1, (None,) * (r * d))
+        # width 0: the table of the 0-dimensional algebra, 0 x 0, cut into 0 blocks
+        for s, k, w, c in ((0, 0, 0, 0), (2, 0, 0, 3), (2, 3, 0, 1), (0, 2, 3, 2), (2, 2, 3, 0)):
+            P = Matrix.zeros(f, s, k).mul_row_blocks(Matrix.zeros(f, c, k * w), w)
+            assert stored(P) == (f, c * s, w, 1, (None,) * (c * s))
+
+    def test_fixed_case_over_q(self):
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        S = Matrix.from_rows(QQ, [[1, 0], [0, third], [2, -1], [0, 0]])  # two 2 x 2 blocks
+        R = Matrix.from_rows(QQ, [[1, 0], [0, half], [1, 1]])
+        C = R.combine_blocks(S, 2)
+        assert C == Matrix.from_rows(QQ, [[1, 0], [0, third], [1, -half], [0, 0], [3, -1], [0, third]])
+        assert (C.den, C.nonzeros[:2]) == (6, (((0,), (6,)), ((1,), (2,))))
+        W = Matrix.from_rows(QQ, [[1, 2, 0, third], [0, 0, 0, 0]])
+        Y = Matrix.from_rows(QQ, [[1, 1], [half, 0]])
+        assert Y.mul_row_blocks(W, 2) == Matrix.from_rows(QQ, [[1, 2 + third], [half, 1], [0, 0], [0, 0]])
+
+    def test_shapes_must_fit(self):
+        f = PrimeField(7)
+        with pytest.raises(DimensionMismatch):
+            Matrix.zeros(f, 2, 3).combine_blocks(Matrix.zeros(f, 5, 2), 2)
+        with pytest.raises(DimensionMismatch):
+            Matrix.zeros(f, 2, 3).mul_row_blocks(Matrix.zeros(f, 1, 7), 2)
+
+
+class TestSubspaceReads:
+    @given(sparse_matrix())
+    @settings(max_examples=150, deadline=None)
+    def test_row_space_and_projection_are_the_composites(self, M):
+        S = Subspace.row_space(M)
+        ref = ref_row_space(M)
+        assert S == ref and S.pivots == ref.pivots and stored(S.basis) == stored(ref.basis)
+        P = S.projection_matrix()
+        assert stored(P) == stored(ref_projection_matrix(S))
+        assert (P * S.inclusion()).is_zero()
+        assert P * S.lift_matrix() == Matrix.identity(M.field, M.cols - S.dim)
+
+    @pytest.mark.parametrize("f", [QQ, PrimeField(2), PrimeField(7)], ids=["q", "f2", "f7"])
+    def test_empty_shapes(self, f):
+        for n in (0, 3):
+            zero, full = Subspace.zero(f, n), Subspace.full(f, n)
+            assert stored(zero.projection_matrix()) == stored(Matrix.identity(f, n))
+            assert stored(full.projection_matrix()) == (f, 0, n, 1, ())
+            for S in (zero, full):
+                assert stored(S.projection_matrix()) == stored(ref_projection_matrix(S))
+        S = Subspace.row_space(Matrix.zeros(f, 3, 4))
+        assert S.dim == 0 and stored(S.basis) == stored(ref_row_space(Matrix.zeros(f, 3, 4)).basis)
+
+    def test_projection_over_a_denominator(self):
+        third = Fraction(1, 3)
+        S = Subspace.from_rows(QQ, 4, [[3, 1, 0, 0], [0, 0, 2, third]])
+        assert (S.basis.den, S.pivots) == (6, (0, 2))
+        P = S.projection_matrix()
+        assert P == Matrix.from_rows(QQ, [[-third, 1, 0, 0], [0, 0, -Fraction(1, 6), 1]])
+        assert (P.den, P.nonzeros) == (6, (((0, 1), (-2, 6)), ((2, 3), (-1, 6))))
+
+
 class TestScalarFormats:
     def test_rational_roundtrip(self):
         assert QQ.fmt(QQ.parse("3/4")) == "3/4"
@@ -370,7 +506,7 @@ class TestSubspace:
         L = S.lift_matrix()
         assert (P * L) == Matrix.identity(QQ, 2)
         # projection kills the subspace
-        v = Matrix.column(QQ, [5, 5, 5])
+        v = column(QQ, [5, 5, 5])
         assert (P * v).is_zero()
 
     def test_sum_intersect_dims(self):

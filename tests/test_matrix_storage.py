@@ -20,18 +20,34 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from strata.algebra import Algebra
 from strata.corpus import corpus_path, entry
 from strata.errors import InvalidModule, NotInSubspace
 from strata.homology import ext_dim, ext_dims_upto
 from strata.kernel import QQ, Matrix, PrimeField, Subspace
-from strata.modules import Module, projective, simple
+from strata.modules import Module, _build_block_data, projective, simple
 from strata.specfile import load_spec_file
 from strata.strat import strat_datum
 
-from oracles import invariant_closure
+from oracles import (
+    column,
+    hsplit,
+    invariant_closure,
+    ref_act_rows,
+    ref_block_data,
+    ref_pivot_block_data,
+    ref_products,
+    ref_regular,
+    ref_right_mult_kron,
+    ref_right_mult_matrix,
+    scale,
+)
+from test_generators import GENERATED, build
+from test_interning import VARIANT, pool, variant
+from test_kernel import stored
 
 FIELDS = [QQ, PrimeField(2), PrimeField(7), PrimeField(32003)]
 
@@ -157,7 +173,7 @@ class TestAgainstReference:
         assert list((A + A2).entries) == ref_add(f, a, a2)
         assert list((A - A2).entries) == ref_add(f, a, ref_scale(f, -1, a2))
         assert list((-A).entries) == ref_scale(f, -1, a)
-        assert list(A.scale(c).entries) == ref_scale(f, c, a)
+        assert list(scale(A, c).entries) == ref_scale(f, c, a)
         assert list(A.transpose().entries) == [a[i * k + j] for j in range(k) for i in range(n)]
         assert list(A.hstack(A2).entries) == [
             x for i in range(n) for x in a[i * k : (i + 1) * k] + a2[i * k : (i + 1) * k]
@@ -166,7 +182,7 @@ class TestAgainstReference:
         assert A.is_zero() == all(f.is_zero(x) for x in a)
         assert [[A[i, j] for j in range(k)] for i in range(n)] == [a[i * k : (i + 1) * k] for i in range(n)]
         assert [A.col(j) for j in range(k)] == [a[j::k] for j in range(k)]
-        for M in (A, A * B, A + A2, A - A2, -A, A.scale(c)):
+        for M in (A, A * B, A + A2, A - A2, -A, scale(A, c)):
             assert_canonical(M)
 
     @given(fields, st.data())
@@ -215,14 +231,14 @@ class TestAgainstReference:
         if f == QQ:
             # the same values, entered over a common denominator d
             B = Matrix(f, n, m, [Fraction(x * d, d) for x in a])
-            scaled = Matrix(f, n, m, [x * d for x in a]).scale(Fraction(1, d))
+            scaled = scale(Matrix(f, n, m, [x * d for x in a]), Fraction(1, d))
         else:
             B = Matrix(f, n, m, [x + d * f.p for x in a])
-            scaled = Matrix(f, n, m, [x * d for x in a]).scale(f.inv(d % f.p)) if d % f.p else A
+            scaled = scale(Matrix(f, n, m, [x * d for x in a]), f.inv(d % f.p)) if d % f.p else A
         variants = [
             B,
             scaled,
-            A.scale(c).scale(f.inv(f.coerce(c))),
+            scale(scale(A, c), f.inv(f.coerce(c))),
             (A + A) - A,
             A.transpose().transpose(),
             Matrix(f, m, n, [a[i * m + j] for j in range(m) for i in range(n)]).transpose(),
@@ -264,7 +280,7 @@ class TestAgainstReference:
             check(B, h, m, a[t * h * m : (t + 1) * h * m])
         k = data.draw(st.sampled_from([d for d in range(1, 5) if m % d == 0]))
         w = m // k
-        for t, B in enumerate(A.hsplit(k)):
+        for t, B in enumerate(hsplit(A, k)):
             check(B, n, w, [a[i * m + t * w + j] for i in range(n) for j in range(w)])
 
         rows = data.draw(st.lists(st.integers(0, n - 1), max_size=6)) if n else []
@@ -324,6 +340,92 @@ def assert_canonical(M):
         assert M.den == 1 and all(1 <= x < f.p for x in values)
 
 
+# -- algebra and module routines, against the composites they replaced -----------------
+# Algebra.products and right_mult_matrix cut each row of the table (or of X times
+# it) into blocks as they read it; Module.regular transposes the blocks of the
+# table's n^2 x n reshape; act_rows is one (R ⊗ I) · stack; _build_block_data acts
+# by every non-idempotent generator at once.  Each result must be the matrix the
+# old composite gave, stored the same way.
+
+
+def zero_algebra(f):
+    """The 0-dimensional algebra over f: no basis, a 0 x 0 table, no idempotents."""
+    return Algebra(f, [], Matrix.zeros(f, 0, 0), Matrix.zeros(f, 1, 0), [])
+
+
+# a generated algebra or one of its variants, or the 0-dimensional algebra
+ALGEBRA_CASES = st.one_of(st.tuples(GENERATED, VARIANT),
+                          st.tuples(st.just("zero"), st.sampled_from([QQ, PrimeField(2), PrimeField(7)])))
+FUSED = settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+def fresh_algebra(case):
+    """A newly built algebra for the case, with empty memos."""
+    first, second = case
+    if first == "zero":
+        return zero_algebra(second)
+    return variant(build(first), second)
+
+
+@st.composite
+def element_rows(draw, A, rows):
+    """rows x dim A: random elements of A, each coordinate nonzero with probability about 1/3."""
+    f = A.field
+    value = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)) if f == QQ else st.integers(0, f.p - 1)
+    cells = st.one_of(st.just(0), st.just(0), value)
+    return Matrix(f, rows, A.dim, [draw(cells) for _ in range(rows * A.dim)])
+
+
+class TestFusedAgainstComposites:
+    @FUSED
+    @given(ALGEBRA_CASES, st.data())
+    def test_products_are_the_composite(self, case, data):
+        A = fresh_algebra(case)
+        picks = [None] + [data.draw(element_rows(A, r)) for r in (0, data.draw(st.integers(1, 3)))]
+        for X in picks:
+            for Y in picks:
+                assert stored(A.products(X, Y)) == stored(ref_products(A, X, Y))
+
+    @FUSED
+    @given(ALGEBRA_CASES, st.data())
+    def test_right_mult_matrix_is_the_linear_combination(self, case, data):
+        A = fresh_algebra(case)
+        vecs = [A.unit, data.draw(element_rows(A, 1))] + [v for v, _ in A.idempotents]
+        vecs += [A.basis_vec(i) for i in range(A.dim)]
+        for v in vecs:
+            R = A.right_mult_matrix(v)
+            assert stored(R) == stored(ref_right_mult_matrix(A, v)) == stored(ref_right_mult_kron(A, v))
+
+    @FUSED
+    @given(ALGEBRA_CASES)
+    def test_regular_module_is_the_stacked_left_multiplications(self, case):
+        # from two copies of the algebra, so that neither stack is read from the other's memo
+        X, ref = Module.regular(fresh_algebra(case)), ref_regular(fresh_algebra(case))
+        assert stored(X.stack) == stored(ref.stack)
+
+    @FUSED
+    @given(ALGEBRA_CASES, st.data())
+    def test_act_rows_is_the_reshaped_product(self, case, data):
+        A = fresh_algebra(case)
+        R = data.draw(element_rows(A, data.draw(st.integers(0, 3))))
+        for X in pool(A):
+            assert stored(X.act_rows(R)) == stored(ref_act_rows(X.stack, R, A.dim, X.dim))
+            assert stored(X.act_rows(A.unit)) == stored(Matrix.identity(A.field, X.dim))
+
+    @FUSED
+    @given(st.tuples(GENERATED, VARIANT))
+    def test_block_data_is_the_solved_and_the_per_generator_composite(self, case):
+        A = fresh_algebra(case)
+        for X in pool(A):
+            if not X.dim:
+                continue  # hom_basis reads no block data of a zero module
+            sizes, T, Ti, conj = _build_block_data(X)
+            for ref in (ref_block_data(X), ref_pivot_block_data(X)):
+                assert sizes == ref[0] and len(conj) == len(ref[3])
+                for M, N in zip((T, Ti) + conj, ref[1:3] + ref[3]):
+                    assert stored(M) == stored(N)
+
+
 # -- the Subspace coordinate routine -------------------------------------------------
 
 
@@ -337,7 +439,7 @@ class TestCoordinates:
     def test_vector_outside_raises(self):
         S = Subspace.from_rows(QQ, 3, [[1, 0, 0]])
         with pytest.raises(NotInSubspace):
-            S.coordinates(Matrix.column(QQ, [1, 1, 0]))
+            S.coordinates(column(QQ, [1, 1, 0]))
 
     def test_submodule_of_non_invariant_subspace(self):
         X = _non_invariant_example()
@@ -394,23 +496,28 @@ def _non_invariant_example():
 # -- caches ----------------------------------------------------------------------------
 
 
-def _fresh(M):
-    return Module(M.algebra, M.dim, M.stack)
-
-
 class TestExtCache:
     def test_reused_ids_do_not_alias(self):
-        # X's Ext cache once held ("ext", id(Y), n) without holding Y: a new Y
-        # at a dead Y's address got the dead Y's answer.
+        # X's Ext cache once held ("ext", id(Y), n) without holding Y: a new Y at a
+        # dead Y's address got the dead Y's answer.  Modules are kept by their
+        # algebra, one per stack, so each round builds X and its target over a
+        # freshly loaded copy of the algebra: every round makes new objects, and
+        # dead rounds' addresses are handed out again.
         A = entry("sl2-block").algebra
-        X = simple(A, "1")
+        X0 = simple(A, "1")
         templates = [projective(A, "1"), simple(A, "2")]
-        truth = [ext_dim(_fresh(X), _fresh(T), 1) for T in templates]
+        truth = [ext_dim(X0, T, 1) for T in templates]
         assert truth[0] != truth[1]
+        seen, reused = set(), 0
         for k in range(600):
-            Y = _fresh(templates[k % 2])
+            B = load_spec_file(corpus_path("sl2-block")).algebra
+            T = templates[k % 2]
+            X, Y = Module(B, X0.dim, X0.stack), Module(B, T.dim, T.stack)
             assert ext_dim(X, Y, 1) == truth[k % 2]
-            del Y
+            reused += id(Y) in seen
+            seen.add(id(Y))
+            del B, X, Y
+        assert reused  # some new target sat at a dead target's address
 
     @given(st.sampled_from(("fork", "sl2-block", "ext2-chain")), st.data())
     @settings(max_examples=30, deadline=None)

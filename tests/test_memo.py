@@ -12,6 +12,8 @@ from strata.errors import NotIdempotent
 from strata.memo import derived
 from strata.specfile import load_spec_file
 
+from oracles import scale
+
 
 MODULES = [importlib.import_module(f"strata.{m.name}") for m in pkgutil.iter_modules(strata.__path__)]
 
@@ -52,7 +54,7 @@ def test_uncached_run_gives_the_same_report(capsys, monkeypatch, argv):
 
 def test_a_failed_build_is_not_stored():
     A = load_spec_file(corpus_path("fork")).algebra
-    half = A.unit.scale("1/2")
+    half = scale(A.unit, "1/2")
 
     def refuse():
         raise NotIdempotent("element is not idempotent")

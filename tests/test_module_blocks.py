@@ -29,10 +29,13 @@ from strata.specfile import load_spec
 from strata.strat import LabelPoset, StandardRecord, filtration_standard
 
 from oracles import (
+    basis_left_mult,
+    column,
     corpus_doc,
     hom_basis_plain,
     invariant_closure,
     rows_of,
+    scale,
     trace_from_projective_closure,
     verify_action,
 )
@@ -178,7 +181,7 @@ def ref_induce(emb, X):
     qdim = dim - rel.dim
     action = []
     for bidx in range(A.dim):
-        lam = A.basis_left_mult(bidx)
+        lam = basis_left_mult(A, bidx)
         big = [[f.zero] * dim for _ in range(dim)]
         for i in range(nA):
             col = lam.col(i)
@@ -194,7 +197,7 @@ def ref_induce(emb, X):
         for k, c in enumerate(A.unit.row(0)):
             if not f.is_zero(c):
                 vec[k * nX + j] = c
-        cols.append((proj * Matrix.column(f, vec)).col(0))
+        cols.append((proj * column(f, vec)).col(0))
     insert = Matrix.from_columns(f, cols, nrows=qdim)
     return ind, insert
 
@@ -233,7 +236,7 @@ def ref_corner_tensor(self, Y):
     action = []
     for bidx in range(A.dim):
         # left multiplication on A, in the coordinates of Ae
-        L = ae.coordinates(A.basis_left_mult(bidx) * ae_incl)
+        L = ae.coordinates(basis_left_mult(A, bidx) * ae_incl)
         big = [[f.zero] * dim for _ in range(dim)]
         for i in range(m):
             for k, co in enumerate(L.col(i)):
@@ -452,7 +455,7 @@ class TestModuleData:
             v = [(-1) ** i * (i + 1) for i in range(A.dim)]
             expected = Matrix.zeros(A.field, X.dim, X.dim)
             for c, M in zip(v, X.action):
-                expected = expected + M.scale(c)
+                expected = expected + scale(M, c)
             assert X.act(A.coerce_vec(v)) == expected
             assert X.act(Matrix.zeros(A.field, 1, A.dim)) == Matrix.zeros(A.field, X.dim, X.dim)
 
