@@ -1,13 +1,16 @@
 """The acceptance battery: every verified claim of the bundled corpus.
 
-Thirteen criteria, each a function returning one Criterion record with
-sub-assertion details.  The CLI's verify runner and tests/test_acceptance.py
-both call run_all(); a criterion passes only when every sub-assertion holds.
+Thirteen criteria, each a function of the run returning one Criterion record
+with sub-assertion details.  The CLI's verify runner calls run_all(), which
+makes one run: a memo.Family that owns the run's corpus entries, its battery
+sweep and the content table of every algebra the criteria derive, so a corner,
+quotient or opposite reached from several roots or criteria is built once.
+Nothing outlives the run.  A criterion passes only when every sub-assertion
+holds.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 from .borel import (
@@ -24,6 +27,7 @@ from .corpus import corpus, entry
 from .functors import IdempotentContext
 from .homology import ext_dim, ext_dims_upto
 from .kernel.matrix import Matrix
+from .memo import Family, derived
 from .modules import (
     Module,
     comp_mult,
@@ -83,10 +87,10 @@ def _battery(A, poset, e_vec):
     return compatibility_battery(A, poset, e_vec, with_identities=False)
 
 
-def criterion_01():
+def criterion_01(run):
     c = Criterion("c01", "sl2 block: quasi-hereditary; corner/quotient stratified at 1 "
                          "while neither filtration condition holds")
-    e = entry("sl2-block")
+    e = entry(run, "sl2-block")
     sd = strat_datum(e.algebra, e.poset)
     c.check("quasi-hereditary for 1 < 2", sd.quasi_hereditary() == YES)
     rep = _battery(e.algebra, e.poset, e.algebra.idempotent_for_label("1"))
@@ -96,10 +100,10 @@ def criterion_01():
     return c
 
 
-def criterion_02():
+def criterion_02(run):
     c = Criterion("c02", "fork: one-sided filtration verdicts, dual of the quotient, "
                          "trace inside the proper costandard")
-    e = entry("fork")
+    e = entry(run, "fork")
     A, poset = e.algebra, e.poset
     rep = _battery(A, poset, A.idempotent_for_label("1"))
     c.check("cond4 true at e_1", rep.conds[4] == YES)
@@ -119,10 +123,10 @@ def criterion_02():
     return c
 
 
-def criterion_03():
+def criterion_03(run):
     c = Criterion("c03", "diamond: inflation recovers standards at 1,3,4 although the "
                          "quotient is unfiltered; no directed splitting subalgebra")
-    e = entry("diamond")
+    e = entry(run, "diamond")
     A, poset = e.algebra, e.poset
     sd = strat_datum(A, poset)
     e2 = A.idempotent_for_label("2")
@@ -138,10 +142,10 @@ def criterion_03():
     return c
 
 
-def criterion_04():
+def criterion_04(run):
     c = Criterion("c04", "Auslander algebra of k[x]/(x^3): quotient at {1,2} is the "
                          "simple at 3; corner not left stratified")
-    e = entry("auslander-x3")
+    e = entry(run, "auslander-x3")
     A, poset = e.algebra, e.poset
     ev = A.idempotent_sum_for_labels(["1", "2"])
     quot = quotient_module(A, ev)
@@ -174,10 +178,10 @@ def criterion_04():
     return c
 
 
-def criterion_05():
+def criterion_05(run):
     c = Criterion("c05", "rad-square-zero: no stratifying order among the 3 posets; "
                          "corner and quotient at 1 quasi-hereditary")
-    e = entry("rad-square-zero")
+    e = entry(run, "rad-square-zero")
     A = e.algebra
     results = poset_search(A)
     c.check("3 posets on two labels", len(results) == 3, str(len(results)))
@@ -195,10 +199,10 @@ def criterion_05():
     return c
 
 
-def criterion_06():
+def criterion_06(run):
     c = Criterion("c06", "double-arrow chain: semisimple quotient, vanishing quotient Ext, "
                          "yet Ext^2(L_1, L_3) = 1 upstairs")
-    e = entry("ext2-chain")
+    e = entry(run, "ext2-chain")
     A = e.algebra
     e2 = A.idempotent_for_label("2")
     quot, _ = A.quotient_by_idempotent_ideal(e2)
@@ -223,12 +227,15 @@ def _nonzero_subset_sums(A):
             yield picks, A.sum_idempotents(picks)
 
 
-@functools.cache
-def battery_sweep():
+def battery_sweep(run):
     """Battery reports for every stratifying corpus entry and every nonzero
-    subset-sum idempotent; memoized for reuse across criteria."""
+    subset-sum idempotent; kept on the run for reuse across criteria."""
+    return derived(run, ("battery sweep",), _battery_sweep, run)
+
+
+def _battery_sweep(run):
     out = {}
-    for name, ent in corpus().items():
+    for name, ent in corpus(run).items():
         if not ent.stratifies:
             out[name] = None
             continue
@@ -239,10 +246,10 @@ def battery_sweep():
     return out
 
 
-def criterion_07():
+def criterion_07(run):
     c = Criterion("c07", "implication diagram holds for every corpus algebra x subset-sum "
                          "idempotent; the four non-implication witnesses reproduce")
-    sweep = battery_sweep()
+    sweep = battery_sweep(run)
     bad = []
     inconclusive = []
     for name, per in sweep.items():
@@ -255,7 +262,7 @@ def criterion_07():
                 inconclusive.append((name, picks))
     c.check("diagram consistent on every run", not bad, str(bad))
     c.check("no inconclusive verdicts in the sweep", not inconclusive, str(inconclusive))
-    fork = entry("fork")
+    fork = entry(run, "fork")
     # idempotent index of label 1 in fork: find it
     idx1 = tuple(k for k, (_, lab) in enumerate(fork.algebra.idempotents) if lab == "1")[:1]
     rep = sweep["fork"][idx1]
@@ -263,12 +270,12 @@ def criterion_07():
     B = fork.algebra.opposite()
     repop = _battery(B, fork.poset, B.idempotent_for_label("1"))
     c.check("witness 5-and-not-4 (opposite)", repop.conds[5] == YES and repop.conds[4] == NO)
-    sl2 = entry("sl2-block")
+    sl2 = entry(run, "sl2-block")
     idx1 = tuple(k for k, (_, lab) in enumerate(sl2.algebra.idempotents) if lab == "1")[:1]
     rep = sweep["sl2-block"][idx1]
     c.check("witness 6-and-not-4-not-5",
             rep.conds[6] == YES and rep.conds[4] == NO and rep.conds[5] == NO)
-    forkr = entry("fork-refined")
+    forkr = entry(run, "fork-refined")
     idx = tuple(sorted(k for k, (_, lab) in enumerate(forkr.algebra.idempotents) if lab in ("1", "2")))
     rep = sweep["fork-refined"][idx]
     c.check("witness 3-without-1 (refined order)", rep.conds[3] == YES and rep.conds[1] == NO,
@@ -276,16 +283,16 @@ def criterion_07():
     return c
 
 
-def _dual_extension_embedding():
-    e = entry("dual-extension")
+def _dual_extension_embedding(run):
+    e = entry(run, "dual-extension")
     idem, gens = e.subalgebras["borel"]
     return e, BorelEmbedding.from_generators(e.algebra, e.poset, idem, gens)
 
 
-def criterion_08():
+def criterion_08(run):
     c = Criterion("c08", "dual-extension: full directed-subalgebra battery with regularity, "
                          "hom-dimension witnesses, restriction identity, normal splitting")
-    e, emb = _dual_extension_embedding()
+    e, emb = _dual_extension_embedding(run)
     rep = check_exact_borel(emb)
     c.check("four axioms pass", rep.is_exact_borel,
             f"{rep.axiom1} {rep.axiom2} {rep.axiom3} {rep.axiom4}")
@@ -306,11 +313,11 @@ def criterion_08():
     return c
 
 
-def criterion_09():
+def criterion_09(run):
     c = Criterion("c09", "non-basic endomorphism algebra: embedded support {1,3}, dim "
                          "diagnostics 4 vs 2, non-injective quotient map; label-4 "
                          "idempotent inherits end-to-end")
-    e = entry("nonbasic-endo")
+    e = entry(run, "nonbasic-endo")
     idem, gens = e.subalgebras["borel"]
     emb = BorelEmbedding.from_generators(e.algebra, e.poset, idem, gens)
     rep = check_exact_borel(emb)
@@ -330,10 +337,10 @@ def criterion_09():
     return c
 
 
-def criterion_10():
+def criterion_10(run):
     c = Criterion("c10", "dual-extension: inherited corner/quotient subalgebras at {3} and "
                          "{2,3}, ideal identity, supports, regularity inherited")
-    e, emb = _dual_extension_embedding()
+    e, emb = _dual_extension_embedding(run)
     rep = check_exact_borel(emb)
     for labels in (["3"], ["2", "3"]):
         ev = emb.B.idempotent_sum_for_labels(labels)
@@ -349,11 +356,11 @@ def criterion_10():
     return c
 
 
-def criterion_11():
+def criterion_11(run):
     c = Criterion("c11", "multiplicity matrices: identity for sl2; product table gives "
                          "(1,1,1,3) with the doubled corner entry; tensor square agrees "
                          "entrywise; Bruhat heights and reference values")
-    s = entry("sl2-block")
+    s = entry(run, "sl2-block")
     Vs = v_matrix_from_algebra(s.algebra, s.poset)
     c.check("sl2 V = identity", Vs.as_grid() == [[1, 0], [0, 1]])
     c.check("sl2 ell = (1,1)", ell(Vs) == {"1": 1, "2": 1})
@@ -365,7 +372,7 @@ def criterion_11():
     c.check("longest row = eps_w0 + 2 eps_e", V.rows["w0"] == {"w0": 1, "e": 2}, str(V.rows["w0"]))
     c.check("basic product algebra carries none",
             regular_borel_existence(V, {l: 1 for l in V.labels}) is None)
-    t = entry("sl2-tensor-square")
+    t = entry(run, "sl2-tensor-square")
     Vt = v_matrix_from_algebra(t.algebra, t.poset)
     m = {"(1,1)": "e", "(2,1)": "s1", "(1,2)": "s2", "(2,2)": "w0"}
     c.check("tensor square agrees entrywise with the table mode",
@@ -380,15 +387,15 @@ def criterion_11():
     return c
 
 
-def criterion_12():
+def criterion_12(run):
     c = Criterion("c12", "block triangularity of V and the row-sum (in)equalities on every "
                          "compatible idempotent of every quasi-hereditary corpus entry")
-    sweep = battery_sweep()
+    sweep = battery_sweep(run)
     ran = 0
     for name, per in sweep.items():
         if per is None:
             continue
-        ent = entry(name)
+        ent = entry(run, name)
         if strat_datum(ent.algebra, ent.poset).quasi_hereditary() != YES:
             continue
         if ent.algebra.field.char != 0:
@@ -440,21 +447,21 @@ def adjunction_dims(A, poset):
     return out
 
 
-def criterion_13():
+def criterion_13(run):
     c = Criterion("c13", "property suites: reciprocity, greedy-vs-Ext agreement, duality "
                          "involution, adjunction dimensions, refinement stability, ideal "
                          "dimension partition, unitriangular determinant")
-    names = [n for n, ent in corpus().items() if ent.stratifies]
+    names = [n for n, ent in corpus(run).items() if ent.stratifies]
     # BGG reciprocity on all verified stratified instances
     for name in names:
-        ent = entry(name)
+        ent = entry(run, name)
         sd = strat_datum(ent.algebra, ent.poset)
         if sd.left_stratified()[0] == YES:
             c.check(f"reciprocity [{name}]", bgg_reciprocity_check(sd))
     # greedy vs Ext oracle on the quotient modules of every idempotent
     agree = True
     for name in ("fork", "sl2-block", "diamond", "auslander-x3", "ext2-chain"):
-        ent = entry(name)
+        ent = entry(run, name)
         sd = strat_datum(ent.algebra, ent.poset)
         for picks, ev in _nonzero_subset_sums(ent.algebra):
             X = quotient_module(ent.algebra, ev)
@@ -464,7 +471,7 @@ def criterion_13():
     c.check("greedy filtration = Ext oracle", agree)
     # duality involution certificates
     for name in ("fork", "sl2-block", "dual-extension"):
-        ent = entry(name)
+        ent = entry(run, name)
         sd = strat_datum(ent.algebra, ent.poset)
         ok = True
         for i in ent.algebra.labels:
@@ -474,12 +481,12 @@ def criterion_13():
         c.check(f"duality involution [{name}]", ok)
     # adjunction dimension identities for the six recollement functors
     for name in ("sl2-block", "fork", "auslander-x3"):
-        ent = entry(name)
+        ent = entry(run, name)
         ok = all(lhs == rhs for *_, lhs, rhs in adjunction_dims(ent.algebra, ent.poset))
         c.check(f"adjunction dims [{name}]", ok)
     # refinement stability: total refinements keep the standard objects
     for name in ("fork", "diamond"):
-        ent = entry(name)
+        ent = entry(run, name)
         sd = strat_datum(ent.algebra, ent.poset)
         from .strat import LabelPoset
 
@@ -499,7 +506,7 @@ def criterion_13():
     # e_k of the P/AeP, P = A e_k, and AeP is the image of the A e_j, j in supp(e)
     ok = True
     for name in names:
-        A = entry(name).algebra
+        A = entry(run, name).algebra
         for picks, ev in _nonzero_subset_sums(A):
             R = Matrix.vcat([left_ideal(A, j).basis for j in A.support_labels(ev)])
             quotient_dim = 0
@@ -514,7 +521,7 @@ def criterion_13():
 
     for name in ("sl2-block", "fork", "diamond", "auslander-x3", "ext2-chain",
                  "dual-extension", "nonbasic-endo", "sl2-tensor-square"):
-        ent = entry(name)
+        ent = entry(run, name)
         V = v_matrix_from_algebra(ent.algebra, ent.poset)
         c.check(f"V unitriangular, det 1 [{name}]", det_is_one(V))
     return c
@@ -546,9 +553,12 @@ ALL = [
 
 
 def run_all(filter_substr=None):
+    """The criteria whose key or title contains filter_substr (all without
+    one), evaluated in one new run."""
+    run = Family()
     out = []
     for key, fn in ALL:
         if filter_substr and filter_substr not in key and filter_substr not in TITLES[key]:
             continue
-        out.append(fn())
+        out.append(fn(run))
     return out

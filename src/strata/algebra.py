@@ -59,6 +59,15 @@ exactly that:
 The inherited checks are re-run on derived algebras by the test suite, not
 here.
 
+Every algebra belongs to a family (memo.Family), and every derived algebra is
+built through _intern: it is kept on the family under its content -- field,
+basis names, table, unit, labelled idempotents and presentation -- so a
+content-equal corner, quotient, opposite or closure reached again, from this
+algebra or from any other of the family, is the object built first, and it
+lives as long as the family.  An algebra constructed directly is the only
+member of a new family; join() moves a root just loaded into a shared one
+(a verify-paper run), where a content-equal root already there takes its place.
+
 An element -- the unit, a distinguished idempotent, a generator, a product --
 is a canonical 1 x n row Matrix over the algebra's field, so it multiplies the
 table and the action matrices directly and serves as a memo key as it is.
@@ -71,6 +80,7 @@ from __future__ import annotations
 from .errors import (
     InputError,
     InvalidAlgebra,
+    InvariantViolation,
     NotIdempotent,
     NotIdempotentSum,
     NotInSubspace,
@@ -80,7 +90,7 @@ from .errors import (
 )
 from .kernel.matrix import Matrix
 from .kernel.subspace import Subspace
-from .memo import derived
+from .memo import Family, derived
 from .quiver import QuiverPresentation, compile_presentation
 
 
@@ -98,6 +108,13 @@ def _element(field, dim, v):
     return Matrix(field, 1, dim, [field.coerce(x) for x in v])
 
 
+def _content_key(field, names, table, unit, idems, presentation):
+    """An algebra's key in its family: everything a report can read of it, and
+    nothing about where it came from."""
+    return ("algebra", field, tuple(names), table, unit,
+            tuple((v, str(lab)) for v, lab in idems), presentation)
+
+
 def _table_from_columns(C):
     """The table of a d-dimensional algebra from the d x d^2 matrix whose
     column x*d + y holds the coordinates of b_x * b_y."""
@@ -113,7 +130,7 @@ EVERY_CHECK = frozenset({"unit", "idempotents", "associativity", "labels"})  # c
 
 class Algebra:
     def __init__(self, field, basis_names, table, unit, idempotents, presentation=None,
-                 radical_rows=None, inherits=frozenset()):
+                 radical_rows=None, inherits=frozenset(), family=None):
         self.field = field
         self.basis_names = tuple(basis_names)
         self.dim = n = len(self.basis_names)
@@ -133,6 +150,34 @@ class Algebra:
         self._op = None
         self._derived = {}
         self.validate()
+        if family is None:  # a root of its own: the one member of a new family
+            family = Family()
+            derived(family, self._key(), lambda: self)
+        self.family = family
+
+    def _key(self):
+        return _content_key(self.field, self.basis_names, self.table, self.unit, self.idempotents,
+                            self.presentation)
+
+    def _intern(self, names, table, unit, idems, radical_rows=None, inherits=EVERY_CHECK):
+        """The derived algebra with this content, kept on this algebra's family:
+        built and validated on the first request, the same object on every later
+        one, from any algebra of the family."""
+        key = _content_key(self.field, names, table, unit, idems, None)
+        return derived(self.family, key, Algebra, self.field, names, table, unit, idems, None,
+                       radical_rows, inherits, self.family)
+
+    def join(self, family):
+        """The member of family with this algebra's content: this algebra, moved
+        into family, when it holds none yet.  Only a root that nothing has been
+        derived from may join, so its family is left with no other member."""
+        return derived(family, self._key(), self._join, family)
+
+    def _join(self, family):
+        if any(B is not self for B in (self.family._derived or {}).values()):
+            raise InvariantViolation("an algebra joins a family before anything is derived from it")
+        self.family = family
+        return self
 
     # -- element arithmetic -------------------------------------------------
 
@@ -402,18 +447,12 @@ class Algebra:
         # row i*n + j of the n^2 x n reshape is b_i * b_j; in A^op it is b_j * b_i
         table = self.table.reshape(n * n, n).take_rows([j * n + i for i in range(n) for j in range(n)])
         rad = self._radical
-        op = Algebra(
-            self.field,
-            self.basis_names,
-            table.reshape(n, n * n),
-            self.unit,
-            self.idempotents,
-            presentation=None,
-            radical_rows=rad.basis if rad is not None else None,
-            inherits=EVERY_CHECK,  # the transpose of a certified table
-        )
+        # the transpose of a certified table inherits every check
+        op = self._intern(self.basis_names, table.reshape(n, n * n), self.unit, self.idempotents,
+                          radical_rows=rad.basis if rad is not None else None)
         self._op = op
-        op._op = self
+        if op._op is None:  # else op was in the family already (k^op is k itself)
+            op._op = self
         return op
 
     def two_sided_ideal(self, e):
@@ -440,8 +479,7 @@ class Algebra:
         idems = [(family.take_rows([t]), self.idempotents[k][1]) for t, k in enumerate(summands)]
         rad = S.coordinates(sandwich * self.radical().inclusion()).transpose()
         names = [f"c{i}" for i in range(S.dim)]
-        out = Algebra(self.field, names, table, S.coordinates(e.transpose()).transpose(), idems,
-                      radical_rows=rad, inherits=EVERY_CHECK)
+        out = self._intern(names, table, S.coordinates(e.transpose()).transpose(), idems, radical_rows=rad)
         return out, S.inclusion()
 
     def quotient_by_idempotent_ideal(self, e):
@@ -487,8 +525,8 @@ class Algebra:
                 raise InvalidAlgebra(f"idempotent labelled {lab} dies in the quotient")
             idems.append((img, lab))
         names = [f"q{i}" for i in range(qdim)]
-        out = Algebra(f, names, table, self.unit * to_classes, idems,
-                      radical_rows=self.radical().basis * to_classes, inherits=EVERY_CHECK)
+        out = self._intern(names, table, self.unit * to_classes, idems,
+                           radical_rows=self.radical().basis * to_classes)
         return out, proj
 
     def subalgebra_closure(self, idem_gens, gens=()):
@@ -516,8 +554,8 @@ class Algebra:
         family = coordinates(family.transpose()).transpose()  # the idempotents' coordinates, as rows
         idems = [(family.take_rows([t]), lab) for t, (_, lab) in enumerate(idem_gens)]
         names = [f"b{i}" for i in range(span.dim)]
-        out = Algebra(self.field, names, table, coordinates(self.unit.transpose()).transpose(), idems,
-                      inherits=ASSOCIATIVITY)
+        out = self._intern(names, table, coordinates(self.unit.transpose()).transpose(), idems,
+                           inherits=ASSOCIATIVITY)
         return out, span.inclusion()
 
     # -- equality (content-based; used by round-trip tests) -------------------------

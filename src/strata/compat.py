@@ -172,12 +172,18 @@ def compatibility_battery(A, poset, e_vec, with_identities=True) -> CompatReport
 
     ctx = IdempotentContext(A, e)
 
+    # conditions 4 and 5 read e only through the module A/AeA, so their
+    # filtrations are kept on the datum of each side by that module's stack (a
+    # datum over A^op is also the left datum of batteries over A^op, hence two keys)
     # condition 4: A/AeA as a left module has a standard filtration
-    f4 = sd.delta_filtration(quotient_module(A, e))
+    Q = quotient_module(A, e)
+    f4 = derived(sd, ("standard filtration", Q.stack), sd.delta_filtration, Q)
     conds[4] = f4.status
 
     # condition 5: D(A/AeA) proper-costandardly filtered, via the opposite side
-    f5 = filtration_proper(quotient_module(A.opposite(), e), sd.op.delta_bar, poset)
+    op = sd.op
+    Q = quotient_module(op.A, e)
+    f5 = derived(op, ("proper filtration", Q.stack), filtration_proper, Q, op.delta_bar, op.poset)
     conds[5] = f5.status
 
     # condition 6: quotient and corner stratified for the induced orders

@@ -19,6 +19,12 @@ Naming: arrows use ASCII letters; the quivers are
                     idempotents share the label 3); has an 8-dim directed
                     subalgebra "borel"
   sl2-tensor-square tensor square of sl2-block, product order
+
+The corpus is loaded per run: entry(run, name) reads the spec file once per
+run (a memo.Family) and joins its algebra to the run's family, so fork-refined,
+whose algebra is fork's, gets fork's algebra object, and every algebra the run
+derives from the corpus is kept in one content table.  Nothing is kept between
+runs.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ import os
 from dataclasses import dataclass
 
 from .algebra import Algebra
+from .memo import derived
 from .specfile import load_spec_file
 from .strat import LabelPoset
 
@@ -52,18 +59,16 @@ def corpus_path(name):
     return os.path.join(os.path.dirname(__file__), "corpus", f"{name}.json")
 
 
-_CACHE = None
+def corpus(run):
+    """Every entry of the run's corpus, by name, in the order of NAMES."""
+    return {name: entry(run, name) for name in NAMES}
 
 
-def corpus():
-    global _CACHE
-    if _CACHE is None:
-        _CACHE = {}
-        for name in NAMES:
-            sd = load_spec_file(corpus_path(name))
-            _CACHE[name] = CorpusEntry(name, sd.algebra, sd.poset, sd.subalgebras, name != NOT_STRATIFYING)
-    return _CACHE
+def entry(run, name) -> CorpusEntry:
+    """The run's entry name, loaded on its first request."""
+    return derived(run, ("corpus", name), _load, run, name)
 
 
-def entry(name) -> CorpusEntry:
-    return corpus()[name]
+def _load(run, name):
+    sd = load_spec_file(corpus_path(name))
+    return CorpusEntry(name, sd.algebra.join(run), sd.poset, sd.subalgebras, name != NOT_STRATIFYING)

@@ -33,6 +33,7 @@ import json
 from bisect import bisect_left
 
 from strata.algebra import ASSOCIATIVITY, Algebra, structure_constant_algebra
+from strata import corpus as _corpus
 from strata.corpus import corpus_path
 from strata.errors import (
     DimensionMismatch,
@@ -45,6 +46,7 @@ from strata.errors import (
 from strata.kernel.fields import QQ
 from strata.kernel.matrix import Matrix
 from strata.kernel.subspace import Subspace
+from strata.memo import Family
 from strata.quiver import enumerate_paths
 
 
@@ -673,6 +675,23 @@ def ref_closure_table(A, vectors):
 
 
 # -- corpus spec files -----------------------------------------------------------------
+
+
+# -- the corpus the test files share -----------------------------------------------------
+# The library keeps no corpus between runs; the tests read theirs from one run, so
+# each spec file is loaded once per test session.
+
+CORPUS_RUN = Family()
+
+
+def corpus():
+    """Every corpus entry of the shared run, by name."""
+    return _corpus.corpus(CORPUS_RUN)
+
+
+def entry(name):
+    """The shared run's corpus entry name."""
+    return _corpus.entry(CORPUS_RUN, name)
 
 
 def corpus_doc(name):

@@ -17,9 +17,11 @@ going through StratDatum.left_stratified (see README, "Decisions ledger").
 import pytest
 
 from strata import acceptance
-from strata.corpus import entry
+from strata.memo import Family
 from strata.modules import comp_mult, iso_test
 from strata.strat import NO, LabelPoset, StratDatum
+
+from oracles import entry
 
 # criterion key -> names of its checks that are false as stated
 REFUTED_AS_STATED = {
@@ -27,8 +29,14 @@ REFUTED_AS_STATED = {
 }
 
 
-def _run(key, fn):
-    crit = fn()
+@pytest.fixture(scope="module")
+def run():
+    """One run for every criterion of this file, as run_all makes one for all of them."""
+    return Family()
+
+
+def _run(key, fn, run):
+    crit = fn(run)
     status = "PASS" if crit.passed else "FAIL"
     print(f"{status} {crit.key}: {crit.title}")
     for name, ok, detail in crit.checks:
@@ -46,8 +54,8 @@ def _run(key, fn):
 
 
 @pytest.mark.parametrize("key,fn", acceptance.ALL, ids=[k for k, _ in acceptance.ALL])
-def test_criterion(key, fn):
-    _run(key, fn)
+def test_criterion(key, fn, run):
+    _run(key, fn, run)
 
 
 def test_c04_corner_is_left_stratified():

@@ -22,12 +22,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strata.algebra import Algebra
-from strata.corpus import corpus, entry
 from strata.errors import InvalidAlgebra, StrataError
 from strata.specfile import export_algebra, load_spec
 
 from oracles import (
+    corpus,
     corpus_doc,
+    entry,
     ref_closure_table,
     ref_corner_table,
     ref_left_mult_matrix,

@@ -26,7 +26,7 @@ import strata.modules
 import strata.strat
 from strata.algebra import compile_quiver
 from strata.cli import main
-from strata.corpus import corpus_path, entry
+from strata.corpus import corpus_path
 from strata.errors import InvariantViolation
 from strata.homology import Resolution, _generator_coordinates
 from strata.kernel import QQ, Matrix, PrimeField, Subspace
@@ -42,7 +42,7 @@ from strata.modules import (
 from strata.specfile import dump, load_spec, load_spec_file
 from strata.strat import LabelPoset, StandardRecord, StratDatum, filtration_proper, filtration_standard
 
-from oracles import ref_block_data, ref_delta_bar_kernel, ref_element_diffs
+from oracles import entry, ref_block_data, ref_delta_bar_kernel, ref_element_diffs
 from test_regular_certificate import truncated_path_algebra
 from test_theorem_oracles import SMALL_FIELDS, compile_rad_square_zero, rad_square_zero
 

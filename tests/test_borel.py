@@ -12,10 +12,11 @@ from strata.borel import (
     restriction_identity,
 )
 from strata.compat import support
-from strata.corpus import entry
 from strata.errors import NotBasic, SupportNotCoideal
 from strata.modules import comp_mult
 from strata.strat import NO, YES, strat_datum
+
+from oracles import entry
 
 
 def dual_extension_embedding():

@@ -1,5 +1,7 @@
 """Compatibility battery: supports, the six conditions, chains, identities."""
 
+import itertools
+
 import pytest
 
 import strata.compat
@@ -8,11 +10,13 @@ from strata.compat import (
     compatibility_battery,
     support,
 )
-from strata.corpus import corpus_path, entry
+from strata.corpus import corpus_path
 from strata.errors import InvariantViolation
 from strata.kernel import Matrix
 from strata.specfile import load_spec_file
 from strata.strat import NO, YES, strat_datum
+
+from oracles import entry
 
 
 class TestSupport:
@@ -84,6 +88,23 @@ class TestBattery:
         rep = compatibility_battery(ent.algebra, ent.poset, ev, with_identities=False)
         assert rep.conds[3] == YES and rep.conds[1] == NO
         assert rep.conds[2] == YES  # chain exists despite the refined input order
+
+
+    @pytest.mark.parametrize("name", ["fork", "sl2-block"])
+    def test_batteries_over_both_sides_keep_their_filtrations_apart(self, name):
+        # the datum over A^op is the opposite datum of A's batteries and the left
+        # datum of A^op's own, and condition 5 of the one and condition 4 of the other
+        # filter one module, A^op/A^op e A^op: top down by the proper standards, and
+        # bottom up by the standards.  Each must find its own filtration there
+        poset = entry(name).poset
+        A = load_spec_file(corpus_path(name)).algebra
+        B = load_spec_file(corpus_path(name)).algebra.opposite()  # another family
+        n = len(A.idempotents)
+        sums = [A.sum_idempotents(picks) for r in range(1, n + 1) for picks in itertools.combinations(range(n), r)]
+        alone = [compatibility_battery(B, poset, e, with_identities=False).to_json() for e in sums]
+        for e, rep in zip(sums, alone):
+            compatibility_battery(A, poset, e, with_identities=False)
+            assert compatibility_battery(A.opposite(), poset, e, with_identities=False).to_json() == rep
 
 
 class TestChain:

@@ -1,9 +1,10 @@
 """Recollement functors and induction/restriction: identities and adjunctions."""
 
-from strata.corpus import entry
 from strata.functors import IdempotentContext
 from strata.modules import hom_basis, iso_test, projective, simple
 from strata.strat import strat_datum
+
+from oracles import entry
 
 
 class TestCornerSide:

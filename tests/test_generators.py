@@ -23,14 +23,14 @@ from hypothesis import strategies as st
 
 from strata.algebra import Algebra, compile_quiver
 from strata.cli import main
-from strata.corpus import corpus, corpus_path, entry
+from strata.corpus import corpus_path
 from strata.homology import Resolution, _minimal_cover
 from strata.kernel import Matrix, Subspace
 from strata.modules import projective, simple
 from strata.quiver import QuiverPresentation
 from strata.strat import StandardRecord, strat_datum
 
-from oracles import ref_generators, ref_minimal_cover, rows_of, tensor_product
+from oracles import corpus, entry, ref_generators, ref_minimal_cover, rows_of, tensor_product
 from test_regular_certificate import truncated_path_algebra
 from test_theorem_oracles import SMALL_FIELDS, compile_rad_square_zero, rad_square_zero
 

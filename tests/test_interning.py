@@ -12,22 +12,37 @@ raises every time and leaves no ("module", ...) entry.
 
 Drawn on generated rad² = 0 and truncated path algebras over Q, F_2 and F_3,
 their opposites, corners and quotients by idempotent ideals.
+
+One level up, an algebra is its content within its family (memo.Family):
+every corner, quotient, opposite and subalgebra closure is kept on the family
+under (field, basis names, table, unit, labelled idempotents, presentation),
+so content-equal derived algebras reached from different roots of one family
+are one object, two families share none, and each equals what a build with
+the memo bypassed gives.  A verify-paper run is one family, and two runs in
+one process give the same report from algebras built twice.
 """
 
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import strata.algebra
+from strata.algebra import Algebra
+from strata.cli import main
+from strata.corpus import entry
 from strata.errors import InvalidModule
 from strata.homology import _ext_dims, ext_dims_upto
 from strata.kernel.matrix import Matrix
 from strata.kernel.subspace import Subspace
+from strata.memo import Family
 from strata.modules import Module, _solve_hom, hom_basis, injective, projective, simple
+from strata.specfile import export_algebra, load_spec
 from strata.strat import StratDatum, all_posets
 
-from oracles import hom_basis_plain
+from oracles import hom_basis_plain, rows_of
 from test_generators import GENERATED, build
 
 SETTINGS = settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -175,3 +190,110 @@ def test_refused_stacks_store_nothing(quiver, how):
     for _ in range(2):
         with pytest.raises(InvalidModule, match="unit"):
             Module(B, 1, zero)
+
+
+# -- derived algebras: one object per content in a family ----------------------------------
+
+
+def roots(quiver, family):
+    """The generated algebra and, where its radical can be computed from the
+    table alone, its opposite exported as structure constants and loaded again:
+    two roots, joined to family."""
+    A = build(quiver).join(family)
+    out = [A]
+    f = A.field
+    if f.char == 0 or f.char > A.dim:
+        out.append(load_spec(export_algebra(A.opposite())).algebra.join(family))
+    return out
+
+
+def derivations(A):
+    """A's opposite, its corner and quotient at every nonzero subset sum, the
+    corners of the opposite, and the closure of its idempotents and every other
+    arrow, in a fixed order."""
+    out = [A.opposite(), A.opposite().opposite()]
+    n = len(A.idempotents)
+    for r in range(1, n + 1):
+        for picks in itertools.combinations(range(n), r):
+            e = A.sum_idempotents(picks)
+            out += [A.corner(e)[0], A.quotient_by_idempotent_ideal(e)[0], A.opposite().corner(e)[0]]
+    f = A.field
+    if f.char == 0 or f.char > A.dim:  # a closure re-checks its labels on the trace-form radical
+        arrows = rows_of(A.generators())[len(A.idempotents):]
+        out.append(A.subalgebra_closure(A.idempotents, arrows[::2])[0])
+    return out
+
+
+def built_in(quiver, family):
+    return [B for R in roots(quiver, family) for B in [R] + derivations(R)]
+
+
+def _always_build(owner, key, build, *args):
+    return build(*args)
+
+
+@SETTINGS
+@given(GENERATED)
+def test_content_equal_algebras_of_a_family_are_one_object(quiver):
+    family = Family()
+    algebras = built_in(quiver, family)
+    by_key = {}
+    for B in algebras:
+        assert B.family is family
+        assert by_key.setdefault(B._key(), B) is B
+    A = algebras[0]
+    assert A.opposite().opposite() is A
+    # roots loaded again join as the objects the family holds: A, and A's
+    # opposite for the exported opposite
+    again = roots(quiver, family)
+    assert again[0] is A and again[1:] in ([], [A.opposite()])
+    # a second family builds its own objects, content for content
+    other = built_in(quiver, Family())
+    assert [B._key() for B in other] == [B._key() for B in algebras]
+    assert not {id(B) for B in other} & {id(B) for B in algebras}
+
+
+@SETTINGS
+@given(GENERATED)
+def test_interned_algebras_equal_builds_without_the_memo(quiver):
+    algebras = built_in(quiver, Family())
+    with mock.patch.object(strata.algebra, "derived", _always_build):
+        fresh = built_in(quiver, Family())
+    for B, C in zip(algebras, fresh, strict=True):
+        # equal but for the presentation: the opposite of the exported opposite is
+        # the quiver root itself when the memo links them, and a copy without one
+        # when it does not
+        assert B is not C
+        assert B == C and B.radical() == C.radical() and B.labels == C.labels
+
+
+def test_corpus_roots_and_corners_are_shared_across_entries():
+    run = Family()
+    fork, refined, diamond = (entry(run, name) for name in ("fork", "fork-refined", "diamond"))
+    assert refined.algebra is fork.algebra and refined.poset != fork.poset
+    # e_1 A e_1 is k, labelled 1, for both quivers
+    k = fork.algebra.corner(fork.algebra.idempotent_for_label("1"))[0]
+    assert k.dim == 1 and k is diamond.algebra.corner(diamond.algebra.idempotent_for_label("1"))[0]
+    assert k.opposite() is k
+    assert entry(Family(), "fork").algebra is not fork.algebra
+
+
+def test_two_runs_give_one_report_from_algebras_built_twice(capsys, monkeypatch):
+    runs = []
+    init = Algebra.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        runs[-1].append(self)
+
+    monkeypatch.setattr(Algebra, "__init__", recording)
+    reports = []
+    for _ in range(2):
+        runs.append([])  # the lists keep every algebra alive, so no id is reused
+        assert main(["--json", "verify-paper"]) == 1
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    first, second = runs
+    assert first and len(second) == len(first)
+    assert sorted(map(repr, (B._key() for B in second))) == sorted(map(repr, (B._key() for B in first)))
+    assert not {id(B) for B in second} & {id(B) for B in first}

@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from strata.algebra import Algebra
-from strata.corpus import corpus_path, entry
+from strata.corpus import corpus_path
 from strata.errors import InvalidModule, NotInSubspace
 from strata.homology import ext_dim, ext_dims_upto
 from strata.kernel import QQ, Matrix, PrimeField, Subspace
@@ -34,6 +34,7 @@ from strata.strat import strat_datum
 
 from oracles import (
     column,
+    entry,
     hsplit,
     invariant_closure,
     ref_act_rows,

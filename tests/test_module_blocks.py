@@ -19,7 +19,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from strata.corpus import entry
 from strata.errors import InvalidModule, NotInSubspace
 from strata.functors import IdempotentContext, SubalgebraEmbedding
 from strata.homology import Summand, ext_dim, resolution
@@ -32,6 +31,7 @@ from oracles import (
     basis_left_mult,
     column,
     corpus_doc,
+    entry,
     hom_basis_plain,
     invariant_closure,
     rows_of,
@@ -580,10 +580,11 @@ def test_greedy_oracle_disagreement_raises_under_O():
         """
         from strata.corpus import entry
         from strata.errors import InvariantViolation
+        from strata.memo import Family
         from strata.modules import projective
         from strata.strat import YES, StratDatum, strat_datum
 
-        ent = entry("fork")
+        ent = entry(Family(), "fork")
         sd = strat_datum(ent.algebra, ent.poset)
         X = projective(ent.algebra, ent.algebra.labels[0])
         if sd.left_stratified()[0] != YES or sd.delta_filtration(X).status != YES:

@@ -2,7 +2,6 @@
 
 import pytest
 
-from strata.corpus import entry
 from strata.errors import InvalidModule
 from strata.functors import SubalgebraEmbedding
 from strata.homology import ext_dim, ext_dims_upto, global_dimension, resolution
@@ -19,7 +18,7 @@ from strata.modules import (
     trace_submodule,
 )
 
-from oracles import hom_basis_plain, verify_action
+from oracles import entry, hom_basis_plain, verify_action
 
 
 class TestNamedModules:

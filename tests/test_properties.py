@@ -4,7 +4,6 @@ search space is worth sampling, exhaustive where it is small)."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strata.corpus import entry
 from strata.homology import ext_dim
 from strata.modules import (
     Module,
@@ -16,7 +15,7 @@ from strata.modules import (
 )
 from strata.strat import YES, all_posets, strat_datum
 
-from oracles import hom_basis_plain
+from oracles import entry, hom_basis_plain
 
 SMALL_NAMES = ("fork", "sl2-block", "ext2-chain")
 

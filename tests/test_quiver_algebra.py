@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from strata.algebra import compile_quiver, structure_constant_algebra
-from strata.corpus import corpus, corpus_path, entry
+from strata.corpus import corpus_path
 from strata.errors import (
     InvalidAlgebra,
     MalformedRelation,
@@ -24,7 +24,7 @@ from strata.kernel.matrix import Matrix
 from strata.quiver import QuiverPresentation, compile_presentation
 from strata.specfile import load_spec_file
 
-from oracles import ref_compile_presentation, ref_quiver_table, sparse_table, tensor_product
+from oracles import corpus, entry, ref_compile_presentation, ref_quiver_table, sparse_table, tensor_product
 
 
 def product(A, i, j):

@@ -7,7 +7,6 @@ raise exactly when that sweep finds a failing triple.
 """
 
 import copy
-import functools
 import itertools
 import subprocess
 import sys
@@ -18,16 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import strata.corpus
 from strata import acceptance
 from strata.algebra import EVERY_CHECK, Algebra, compile_quiver
-from strata.corpus import corpus_path, entry
+from strata.corpus import corpus_path
 from strata.errors import InvalidAlgebra
 from strata.kernel import QQ, Matrix, PrimeField, Subspace
 from strata.quiver import QuiverPresentation
 from strata.specfile import load_spec, load_spec_file
 
-from oracles import corpus_doc, rows_of, sparse_table, tensor_product
+from oracles import corpus_doc, entry, rows_of, sparse_table, tensor_product
 from test_theorem_oracles import compile_rad_square_zero, rad_square_zero
 
 FIELDS = [QQ, PrimeField(7)]
@@ -69,7 +67,7 @@ def unvalidated(f, table):
     n = len(table)
     entries = [table[i][j].get(k, f.zero) for i in range(n) for j in range(n) for k in range(n)]
     with mock.patch.object(Algebra, "validate", lambda self: None):
-        return Algebra(f, [f"b{i}" for i in range(n)], Matrix(f, n, n * n, entries), [f.zero] * n, [])
+        return Algebra(f, [f"b{i}" for i in range(n)], Matrix(f, n, n * n, entries), Matrix.zeros(f, 1, n), [])
 
 
 # -- associative tables in random bases --------------------------------------------------
@@ -238,9 +236,7 @@ class TestInheritance:
             B.check_associativity()
 
     def test_battery_builds_only_certifiable_derived_algebras(self, monkeypatch):
-        # a fresh corpus and sweep, so that the battery builds every derived algebra again
-        monkeypatch.setattr(strata.corpus, "_CACHE", None)
-        monkeypatch.setattr(acceptance, "battery_sweep", functools.cache(acceptance.battery_sweep.__wrapped__))
+        # run_all makes a new run, so the battery builds every derived algebra again
         built = []
         validate = Algebra.validate
 
@@ -251,7 +247,8 @@ class TestInheritance:
         monkeypatch.setattr(Algebra, "validate", recording)
         acceptance.run_all()
         derived = [B for B in built if B._inherits == EVERY_CHECK]
-        assert len(derived) >= 250  # the corners, quotients and opposites of verify-paper
+        # the corners, quotients and opposites of verify-paper, each content built once per run
+        assert len({B._key() for B in derived}) == len(derived) == 158
         for B in derived:
             recertify(B)
 

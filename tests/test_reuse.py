@@ -26,14 +26,13 @@ import strata.modules
 import strata.vmult
 from strata.acceptance import adjunction_dims
 from strata.compat import build_stratification_chain
-from strata.corpus import entry
 from strata.errors import NotQuasiHereditary, StrataError
 from strata.kernel.fields import QQ
 from strata.modules import Module, quotient_module
 from strata.strat import LabelPoset, StratDatum
 from strata.vmult import tables_from_algebra, v_matrix_from_algebra
 
-from oracles import ref_adjunction_dims, ref_quotient_table, sparse_table
+from oracles import entry, ref_adjunction_dims, ref_quotient_table, sparse_table
 from test_generators import GENERATED, build
 from test_regular_certificate import truncated_path_algebra
 from test_theorem_oracles import rad_square_zero

@@ -6,14 +6,14 @@ import json
 
 import pytest
 
-from strata.corpus import corpus, corpus_path, entry
+from strata.corpus import corpus_path
 from strata.errors import InputError
 from strata.kernel.fields import QQ
 from strata.kernel.matrix import Matrix
 from strata.specfile import dump, export_algebra, load_spec, load_spec_file
 from strata.strat import LabelPoset
 
-from oracles import corpus_doc, nonbasic_endo, nonbasic_endo_borel_generators, tensor_product
+from oracles import corpus, corpus_doc, entry, nonbasic_endo, nonbasic_endo_borel_generators, tensor_product
 
 
 class TestSchema:

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strata.algebra import Algebra, structure_constant_algebra
-from strata.corpus import entry
 from strata.errors import InvariantViolation, NotAntisymmetric, UnknownLabel
 from strata.kernel.fields import QQ
 from strata.modules import Module, comp_mult, simple
@@ -23,7 +22,7 @@ from strata.strat import (
     strat_datum,
 )
 from strata.specfile import load_spec
-from oracles import corpus_doc
+from oracles import corpus_doc, entry
 from test_theorem_oracles import compile_rad_square_zero, rad_square_zero, verdicts
 
 

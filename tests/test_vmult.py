@@ -2,7 +2,6 @@
 
 import pytest
 
-from strata.corpus import entry
 from strata.errors import InputError, NotQuasiHereditary, UnsupportedField
 from strata.vmult import (
     MultTables,
@@ -17,6 +16,8 @@ from strata.vmult import (
     v_matrix_from_algebra,
     v_matrix_from_tables,
 )
+
+from oracles import entry
 
 
 class TestRecursion:
