@@ -349,7 +349,7 @@ class Algebra:
 
         def corner_span(a, b):
             # v_a A v_b: column i of L(v_a) R(v_b) is v_a * b_i * v_b
-            return Subspace.row_space((lefts[a] * rights[b]).transpose())
+            return Subspace.column_space(lefts[a] * rights[b])
 
         for a in range(len(self.idempotents)):
             eAe = corner_span(a, a)
@@ -386,7 +386,7 @@ class Algebra:
         t = Matrix.from_integers(f, n, 1, traces, P.den)
         # G[i, j] = tr(L(b_i * b_j)) = sum_k c_ij^k t[k]
         G = (P.reshape(n * n, n) * t).reshape(n, n)
-        return Subspace.row_space(G.transpose().kernel_basis().transpose())
+        return Subspace.column_space(G.transpose().kernel_basis())
 
     # -- generators (for intertwiner solvers) --------------------------------------
 
@@ -461,7 +461,7 @@ class Algebra:
         return derived(self, ("ideal", e), self._two_sided_ideal, e)
 
     def _two_sided_ideal(self, e):
-        eA = Subspace.row_space(self.left_mult_matrix(e).transpose())
+        eA = Subspace.column_space(self.left_mult_matrix(e))
         return Subspace.row_space(self.products(None, eA.basis))
 
     def corner(self, e):
@@ -472,12 +472,12 @@ class Algebra:
     def _corner(self, e):
         summands = self.subset_sum_decomposition(e)
         sandwich = self.left_mult_matrix(e) * self.right_mult_matrix(e)  # a |-> e a e
-        S = Subspace.row_space(sandwich.transpose())
+        S = Subspace.column_space(sandwich)
         table = _table_from_columns(S.coordinates(self.products(S.basis, S.basis).transpose()))
         # the coordinates in eAe of the summands of e, of e itself and of e rad(A) e, as rows
         family = S.coordinates(self._family().take_rows(summands).transpose()).transpose()
         idems = [(family.take_rows([t]), self.idempotents[k][1]) for t, k in enumerate(summands)]
-        rad = S.coordinates(sandwich * self.radical().inclusion()).transpose()
+        rad = S.coordinates(self.radical().restrict(sandwich)).transpose()
         names = [f"c{i}" for i in range(S.dim)]
         out = self._intern(names, table, S.coordinates(e.transpose()).transpose(), idems, radical_rows=rad)
         return out, S.inclusion()
@@ -512,7 +512,7 @@ class Algebra:
         qdim = len(comp)
         # the classes of b_x * b_y, for x, y running over the complement coordinates
         products = self.table.reshape(n * n, n).take_rows([x * n + y for x in comp for y in comp])
-        table = _table_from_columns(proj * products.transpose())
+        table = _table_from_columns(J.project(products.transpose()))
         to_classes = proj.transpose()  # a row times it is the row's class
         idems = []
         for v, lab in self.idempotents:

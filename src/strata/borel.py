@@ -192,7 +192,7 @@ def check_regular(emb: BorelEmbedding, n_max=DEFAULT_NMAX, report: BorelReport |
             dims_a, deltas_a, bases_a = hom_cochain(A, layers_A, diffs_A, Dj, n_max + 1)
             # verticals[n] is block diagonal: summand u of C^n_B maps into summand u of C^n_A
             verticals = [
-                Matrix.block_diagonal(f, [Sa.coordinates(Dj.act(e) * to_delta * Sb.inclusion())
+                Matrix.block_diagonal(f, [Sa.coordinates(Sb.restrict(Dj.act(e) * to_delta))
                                           for e, Sa, Sb in zip(layers_A[n], bases_a[n], bases_b[n])])
                 for n in range(len(bases_b))
             ]
@@ -276,7 +276,7 @@ def normality_certificate(emb: BorelEmbedding):
     comp = pi * emb.emb
     if comp != Matrix.identity(f, B.dim):
         raise InvariantViolation("splitting does not restrict to the identity")
-    ker = Subspace.row_space(phibar.kernel_basis().transpose())
+    ker = Subspace.column_space(phibar.kernel_basis())
     # ker * g ⊆ ker for the generators g of A makes ker a right ideal
     try:
         ker.coordinates(A.products(ker.basis, A.generators()).transpose())
@@ -330,7 +330,7 @@ def inherited_borels(emb: BorelEmbedding, e_prime, n_max=DEFAULT_NMAX, diagnosti
 
     # A(Be'B) = A ι(e') A
     idealB = B.two_sided_ideal(e_prime)
-    img = (emb.emb * idealB.inclusion()).transpose()  # rows: the image of Be'B in A
+    img = idealB.restrict(emb.emb).transpose()  # rows: the image of Be'B in A
     ABeB = Subspace.row_space(A.products(None, img))
     AeA = A.two_sided_ideal(ie)
     out["A_BeB_equals_AeA"] = ABeB == AeA

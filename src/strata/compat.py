@@ -100,7 +100,7 @@ def _layer_power(sd, J, prev, lab):
     """(t, None) when the layer J/prev is Delta_lab^t as an A-module, else (None, witness)."""
     Jmod, _ = Module.regular(sd.A).submodule(J)
     # layer = J / prev inside Jmod coordinates
-    prev_in_J = Subspace.row_space(J.coordinates(prev.inclusion()).transpose())
+    prev_in_J = Subspace.column_space(J.coordinates(prev.inclusion()))
     layer, _ = Jmod.quotient(prev_in_J)
     D = sd.delta[lab]
     if D.dim == 0 or layer.dim % D.dim:

@@ -33,6 +33,7 @@ import os
 from dataclasses import dataclass
 
 from .algebra import Algebra
+from .errors import InputError
 from .memo import derived
 from .specfile import load_spec_file
 from .strat import LabelPoset
@@ -65,7 +66,10 @@ def corpus(run):
 
 
 def entry(run, name) -> CorpusEntry:
-    """The run's entry name, loaded on its first request."""
+    """The run's entry name, loaded on its first request.  A name outside NAMES
+    raises InputError before any file is opened."""
+    if name not in NAMES:
+        raise InputError(f"no corpus entry {name!r}; the entries are {', '.join(NAMES)}")
     return derived(run, ("corpus", name), _load, run, name)
 
 

@@ -55,8 +55,7 @@ class IdempotentContext:
         """Ae ⊗_{eAe} Y as a module over A."""
         A, C = self.A, self.corner
         f = A.field
-        ae = Subspace.row_space(A.right_mult_matrix(self.e).transpose())
-        ae_incl = ae.inclusion()
+        ae = Subspace.column_space(A.right_mult_matrix(self.e))
         IY, Im = Matrix.identity(f, Y.dim), Matrix.identity(f, ae.dim)
         # Basis vector i*nY + j of Ae ⊗ Y is z_i ⊗ y_j.  For a generator c of
         # eAe the relation rows (i, j) are z_i c ⊗ y_j - z_i ⊗ c y_j, that is
@@ -65,7 +64,7 @@ class IdempotentContext:
         in_A = G * self.corner_emb.transpose()  # row t: generator t as an element of A
         rels = []
         for t in range(G.rows):
-            Z = ae.coordinates(A.right_mult_matrix(in_A.take_rows([t])) * ae_incl)
+            Z = ae.coordinates(ae.restrict(A.right_mult_matrix(in_A.take_rows([t]))))
             rels.append(Z.transpose().kron(IY) - Im.kron(Y.act(G.take_rows([t])).transpose()))
         # A acts on Ae ⊗ Y through its left action on Ae
         return _tensor_quotient(A, rels, Module.regular(A).action_on(ae), IY)[0]
@@ -74,8 +73,8 @@ class IdempotentContext:
         """Hom_{eAe}(eA, Y) as a module over A."""
         A, C = self.A, self.corner
         f = A.field
-        ea = Subspace.row_space(A.left_mult_matrix(self.e).transpose())
-        m, ea_incl = ea.dim, ea.inclusion()
+        ea = Subspace.column_space(A.left_mult_matrix(self.e))
+        m = ea.dim
         IY, Im = Matrix.identity(f, Y.dim), Matrix.identity(f, m)
         # A map eA -> Y is the nY x m matrix of the images of the z_b, unknown
         # i*m + b.  For a generator c of eAe, f(c z_b) = c f(z_b) gives the rows
@@ -84,13 +83,13 @@ class IdempotentContext:
         in_A = G * self.corner_emb.transpose()  # row t: generator t as an element of A
         eqs = []
         for t in range(G.rows):
-            W = ea.coordinates(A.left_mult_matrix(in_A.take_rows([t])) * ea_incl)
+            W = ea.coordinates(ea.restrict(A.left_mult_matrix(in_A.take_rows([t]))))
             eqs.append(IY.kron(W.transpose()) - Y.act(G.take_rows([t])).kron(Im))
-        sol_space = Subspace.row_space(Matrix.vcat(eqs).kernel_basis().transpose())
+        sol_space = Subspace.column_space(Matrix.vcat(eqs).kernel_basis())
         # (a·f)(z_b) = f(z_b a): a acts by I ⊗ V^T, column b of V the coordinates of z_b a.
         # Block k of the regular A^op-module's stack is R_k, as b_k acts on A^op by a |-> a b_k.
         rights = Module.regular(A.opposite()).stack
-        Vs = ea.coordinates(rights * ea_incl, blocks=A.dim).vsplit(A.dim)
+        Vs = ea.coordinates(ea.restrict(rights), blocks=A.dim).vsplit(A.dim)
         outer = Module.from_actions(A, Y.dim * m, [IY.kron(V.transpose()) for V in Vs], check_unit=False)
         return outer.submodule(sol_space)[0]
 
@@ -116,17 +115,14 @@ class IdempotentContext:
 
 
 def _tensor_quotient(A, rels, lefts, IX):
-    """(V ⊗ X / span of the rows of rels, projection), b in A acting by L_b ⊗ I,
+    """(V ⊗ X / span of the rows of rels, that span), b in A acting by L_b ⊗ I,
     the L_b stacked in lefts as in a module's stack.
 
-    lefts ⊗ I is the stack of the L_b ⊗ I; times the lift of the quotient each
-    block keeps its complement columns, so the action is the projection times
-    each block.
+    lefts ⊗ I is the stack of the L_b ⊗ I, and the relation span reads their
+    action on the quotient off it (Subspace.quotient_action).
     """
     rel = Subspace.row_space(Matrix.vcat(rels))
-    proj = rel.projection_matrix()
-    kept = lefts.kron(IX).take_cols(rel.complement_coords())
-    return Module(A, proj.rows, proj.mul_blocks(kept, A.dim)), proj
+    return Module(A, rel.ambient_dim - rel.dim, rel.quotient_action(lefts.kron(IX), A.dim)), rel
 
 
 # -- induction / restriction along a subalgebra embedding -------------------------------
@@ -165,8 +161,8 @@ class SubalgebraEmbedding:
             g = G.take_rows([t])
             rels.append(A.right_mult_matrix(self.image_vec(g)).transpose().kron(IX) - IA.kron(X.act(g).transpose()))
         # b acts on A ⊗ X by L_b ⊗ I
-        ind, proj = _tensor_quotient(A, rels, Module.regular(A).stack, IX)
-        insert = proj * A.unit.transpose().kron(IX)
+        ind, rel = _tensor_quotient(A, rels, Module.regular(A).stack, IX)
+        insert = rel.project(A.unit.transpose().kron(IX))
         return ind, insert
 
     def induction_is_exact(self):

@@ -24,19 +24,24 @@ from .modules import Module, left_ideal, projective
 
 class Summand:
     """P_label = A e as a resolution summand, e the first distinguished idempotent
-    with that label, with basis the columns of `basis` (in A's coordinates).
+    with that label: the subspace `space` of A, with basis the columns of `basis`
+    (in A's coordinates).
 
     The module is `projective(A, label)` itself, so every summand for the same
     label shares one module.
     """
 
-    __slots__ = ("e_vec", "basis", "module", "label")
+    __slots__ = ("e_vec", "space", "module", "label")
 
     def __init__(self, algebra, label):
         self.label = label
         self.e_vec = algebra.idempotent_for_label(label)
         self.module = projective(algebra, label)
-        self.basis = left_ideal(algebra, label).inclusion()
+        self.space = left_ideal(algebra, label)
+
+    @property
+    def basis(self):
+        return self.space.inclusion()
 
 
 def _minimal_cover(A, K: Module):
@@ -49,11 +54,12 @@ def _minimal_cover(A, K: Module):
     basis at the pivot columns of their images in K/rad K, one product and one
     elimination per label.
     """
-    top = K.radical_subspace().projection_matrix()  # K ->> K/rad K
+    rad = K.radical_subspace()
     covers = []
     for lab in A.labels:
         rows = K.e_part(A.idempotent_for_label(lab)).basis
-        for i in (top * rows.transpose()).rref()[1]:
+        # the images of the rows in K ->> K/rad K, as columns
+        for i in rad.project(rows.transpose()).rref()[1]:
             covers.append((lab, rows.take_rows([i]).transpose()))
     return covers
 
@@ -61,7 +67,7 @@ def _minimal_cover(A, K: Module):
 def _cover_matrix(K: Module, covers, summands) -> Matrix:
     """The map from the direct sum of the summands onto K sending each summand's
     generator to its lift: block s is a |-> a·v on A e_s, in the summand's basis."""
-    blocks = [K.orbit_matrix(v) * s.basis for (_, v), s in zip(covers, summands)]
+    blocks = [s.space.restrict(K.orbit_matrix(v)) for (_, v), s in zip(covers, summands)]
     return Matrix.hcat(blocks) if blocks else Matrix.zeros(K.algebra.field, K.dim, 0)
 
 
@@ -79,19 +85,21 @@ class Resolution:
         self.element_diffs = []  # element_diffs[n][s][u] in A-coords, n >= 1
         self.modules = []  # concrete P_n
         self._exhausted_at = None  # layer index where the resolution stops (kernel 0)
-        self._append_layer(X, None, prev_layer_exists=False)
+        self._append_layer(X, None)
 
     def _concrete(self, summands):
         if not summands:
             return Module.zero(self.A)
         return Module.direct_sum([s.module for s in summands])
 
-    def _append_layer(self, kernel_module, kernel_incl, prev_layer_exists):
+    def _append_layer(self, kernel_module, kernel_space):
+        """Cover kernel_module, the submodule on kernel_space of the last layer's
+        module (X itself for layer 0, when kernel_space is None)."""
         A = self.A
         covers = _minimal_cover(A, kernel_module)
         summands = [Summand(A, lab) for lab, _ in covers]
         cover = _cover_matrix(kernel_module, covers, summands)  # concrete map P_new -> kernel_module
-        concrete = kernel_incl * cover if prev_layer_exists else cover
+        concrete = cover if kernel_space is None else kernel_space.embed(cover)
         self.layers.append(summands)
         self.modules.append(self._concrete(summands))
         self.diffs.append(concrete)
@@ -111,7 +119,7 @@ class Resolution:
         off = 0
         for s in self.layers[n - 1]:
             # row u: the component of d_n(e_u), in A's coordinates
-            elems = (s.basis * images.take_rows(range(off, off + s.module.dim))).transpose()
+            elems = s.space.embed(images.take_rows(range(off, off + s.module.dim))).transpose()
             off += s.module.dim
             grid.append([elems.take_rows([u]) for u in range(elems.rows)])
         return grid
@@ -129,12 +137,11 @@ class Resolution:
             P = self.modules[-1]
             D = self.diffs[-1]
             K = D.kernel_basis()
-            ker_space = Subspace.row_space(K.transpose())
+            ker_space = Subspace.column_space(K)
             if ker_space.dim == 0:
                 self._exhausted_at = len(self.layers)
                 continue
-            ker_mod, incl = P.submodule(ker_space)
-            self._append_layer(ker_mod, incl, prev_layer_exists=True)
+            self._append_layer(P.submodule(ker_space)[0], ker_space)
         return self
 
     def length_if_finite(self, cap):
@@ -181,7 +188,7 @@ def hom_cochain(A, layer_idems, element_diffs, Y: Module, upto):
     for n in range(min(upto, len(layer_idems) - 1) + 1):
         layer = []
         for e in layer_idems[n]:
-            layer.append(Subspace.row_space(Y.act(e).transpose()))
+            layer.append(Subspace.column_space(Y.act(e)))
         bases.append(layer)
     dims = [sum(s.dim for s in layer) for layer in bases]
     deltas = []
@@ -199,7 +206,7 @@ def hom_cochain(A, layer_idems, element_diffs, Y: Module, upto):
             for si, Ss in enumerate(prev):
                 m = grid[si][ui]
                 if Su.dim and Ss.dim and not m.is_zero():
-                    blocks.append(Su.coordinates(Y.act(m) * Ss.inclusion()))
+                    blocks.append(Su.coordinates(Ss.restrict(Y.act(m))))
                 else:
                     blocks.append(Matrix.zeros(f, Su.dim, Ss.dim))
             block_rows.append(Matrix.hcat(blocks))

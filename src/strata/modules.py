@@ -12,11 +12,12 @@ carry explicit inclusion/projection matrices; everything downstream
 (filtrations, functors, certificates) is built from these.
 
 Each construction builds its stack from the stack it starts from, with no
-per-basis matrices in between: the action on an invariant subspace is the
-stack times the inclusion, read at each block's pivots and checked in one
-block product; a quotient keeps the complement columns of the stack (each
-action matrix times the lift) and multiplies each block by the projection;
-the dual transposes each block; restriction and inflation are one act_rows.
+per-basis matrices in between: the subspace reads the action on itself and on
+the quotient off the stack (Subspace.action_on and quotient_action: each
+block's principal minor at the pivots, or at the complement, for a coordinate
+subspace, and otherwise products by the inclusion and the projection; the
+submodule's read checks invariance either way); the dual transposes each
+block; restriction and inflation are one act_rows.
 The regular module's stack is the algebra's table, reshaped to n^2 x n, with
 each block transposed.  Only direct sums (integer block diagonals), modules
 read from JSON and the outer module of functors.corner_hom start from
@@ -155,11 +156,11 @@ class Module:
 
     def action_on(self, subspace: Subspace, R: Matrix | None = None) -> Matrix:
         """The stacked coordinate matrices of act(r) on an invariant subspace, for each
-        row r of R (the basis of A when R is None), from one block product and one
-        block check."""
+        row r of R (the basis of A when R is None), as the subspace reads them off
+        the stack (Subspace.action_on), invariance checked."""
         stack, k = (self.stack, self.algebra.dim) if R is None else (self.act_rows(R), R.rows)
         try:
-            return subspace.coordinates(stack * subspace.inclusion(), blocks=k)
+            return subspace.action_on(stack, k)
         except NotInSubspace as exc:
             raise InvalidModule("subspace is not action-invariant") from exc
 
@@ -181,9 +182,7 @@ class Module:
         if subspace.dim == 0:
             return self, proj
         A = self.algebra
-        # each action matrix times the lift is its complement columns
-        kept = self.stack.take_cols(subspace.complement_coords())
-        return Module(A, proj.rows, proj.mul_blocks(kept, A.dim), check_unit=False), proj
+        return Module(A, proj.rows, subspace.quotient_action(self.stack, A.dim), check_unit=False), proj
 
     @classmethod
     def direct_sum(cls, mods):
@@ -215,7 +214,7 @@ class Module:
 
     def e_part(self, e_vec) -> Subspace:
         """The subspace e·X for an idempotent element e."""
-        return Subspace.row_space(self.act(e_vec).transpose())
+        return Subspace.column_space(self.act(e_vec))
 
     def image_of(self, R: Matrix, on: Subspace | None = None) -> Subspace:
         """The span of r·x over the rows r of R and all x in the module, or all x in
@@ -224,15 +223,15 @@ class Module:
             return Subspace.zero(self.algebra.field, self.dim)
         acts = self.act_rows(R)
         if on is not None:
-            acts = acts * on.inclusion()
-        # the columns of every act(r) (restricted to `on`), as rows
-        return Subspace.row_space(acts.transpose_blocks(R.rows))
+            acts = on.restrict(acts)
+        # the columns of every act(r) (restricted to `on`)
+        return Subspace.column_space(acts, R.rows)
 
     def annihilated_by(self, R: Matrix) -> Subspace:
         """The x with r·x = 0 for every row r of R."""
         if R.rows == 0 or self.dim == 0:
             return Subspace.full(self.algebra.field, self.dim)
-        return Subspace.row_space(self.act_rows(R).kernel_basis().transpose())
+        return Subspace.column_space(self.act_rows(R).kernel_basis())
 
     def radical_subspace(self) -> Subspace:
         return derived(self, ("rad",), lambda: self.image_of(self.algebra.radical().basis))
@@ -275,7 +274,7 @@ def left_ideal(A, label) -> Subspace:
     """A e as a subspace of A, for the first distinguished idempotent e with that label."""
     # column i of R(e) is b_i * e
     return derived(A, ("Ae", str(label)),
-                   lambda: Subspace.row_space(A.right_mult_matrix(A.idempotent_for_label(label)).transpose()))
+                   lambda: Subspace.column_space(A.right_mult_matrix(A.idempotent_for_label(label))))
 
 
 def projective(A, label):
@@ -347,7 +346,7 @@ def trace_submodule(X: Module, Y: Module) -> Subspace:
     homs = hom_basis(X, Y)
     if not homs:
         return Subspace.zero(Y.algebra.field, Y.dim)
-    return Subspace.row_space(Matrix.hcat(homs).transpose())
+    return Subspace.column_space(Matrix.hcat(homs))
 
 
 # -- hom spaces ------------------------------------------------------------------
@@ -367,11 +366,14 @@ def _build_block_data(X: Module):
     inherited by corners and quotients), so X is the direct sum of the e·X and
     act(e) projects onto e·X along the others.  The coordinates of act(e)·x in an
     RREF basis are its entries at the pivots, so T^-1 is the rows of each act(e)
-    at its block's pivots, stacked: no inverse is solved.
+    at its block's pivots, stacked: no inverse is solved.  When every block is a
+    coordinate subspace, T is the unit columns at the blocks' pivots, and when
+    every row of T^-1 is a unit row too, the conjugation is a column pick and a
+    row pick of the generators' actions, with no product.
     """
     A = X.algebra
     acts = [X.act(e) for e, _ in A.idempotents]
-    blocks = [Subspace.row_space(E.transpose()) for E in acts]
+    blocks = [Subspace.column_space(E) for E in acts]
     if sum(B.dim for B in blocks) != X.dim:
         raise InvalidModule("idempotent blocks do not decompose the module")
     T = Matrix.hcat([B.inclusion() for B in blocks])
@@ -380,7 +382,19 @@ def _build_block_data(X: Module):
     G = A.generators()
     k = len(A.idempotents)
     m = G.rows - k
-    conj = tuple(Ti.mul_blocks(X.act_rows(G.take_rows(range(k, G.rows))) * T, m).vsplit(m)) if m else ()
+    conj = ()
+    if m:
+        gacts = X.act_rows(G.take_rows(range(k, G.rows)))
+        if Ti.den == 1 and all([B.coordinate for B in blocks]) and all(
+                [r and len(r[0]) == 1 and r[1][0] == 1 for r in Ti.nonzeros]):
+            # column t of T is e_{cols[t]} and row t of Ti is e_{rows[t]}
+            cols = [p for B in blocks for p in B.pivots]
+            rows = [r[0][0] for r in Ti.nonzeros]
+            n = X.dim
+            conj = gacts.take_cols(cols).take_rows([g * n + i for g in range(m) for i in rows])
+        else:
+            conj = Ti.mul_blocks(gacts * T, m)
+        conj = tuple(conj.vsplit(m))
     return tuple(B.dim for B in blocks), T, Ti, conj
 
 
@@ -581,9 +595,9 @@ def surjection_onto_power(X: Module, D: Module, t: int) -> Matrix | None:
     homs = hom_basis(X, D)
     if len(homs) < t:
         return None
-    p = D.radical_subspace().projection_matrix()
-    # column k holds the entries of p·h_k, so the pivots are the greedy independent picks
-    tops = Matrix.vcat([p * h for h in homs]).reshape(len(homs), p.rows * X.dim).transpose()
+    rad = D.radical_subspace()
+    # column k holds the entries of h_k mod rad D, so the pivots are the greedy independent picks
+    tops = rad.project(Matrix.vcat(homs), len(homs)).reshape(len(homs), (D.dim - rad.dim) * X.dim).transpose()
     pivots = tops.rref()[1]
     if len(pivots) < t:
         return None

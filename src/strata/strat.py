@@ -467,10 +467,10 @@ def filtration_standard(X: Module, family, poset, allowed=None, tie_break="forwa
             bad = (_power_invariant_witness(peel.module(), D, t)
                    or f"the trace of P_{j} does not map onto Delta_{j}^{t}")
             return FiltrationResult(NO, layers, chain, certs, witness=bad)
-        cur, qproj = peel.quotient()
-        proj_to_cur = qproj * proj_to_cur
+        cur = peel.quotient()[0]
+        proj_to_cur = peel.space.project(proj_to_cur)
         # record the chain step in ambient coordinates
-        chain.append(Subspace.row_space(proj_to_cur.kernel_basis().transpose()))
+        chain.append(Subspace.column_space(proj_to_cur.kernel_basis()))
         layers.append((j, t))
         certs.append(cert)
     return FiltrationResult(YES, layers, chain, certs)
@@ -530,13 +530,12 @@ def filtration_proper(X: Module, family, poset, allowed=None, tie_break="forward
                                     witness=f"no family member among top labels {cands} is a quotient",
                                     direction="top_down")
         K = epi.kernel_basis()
-        ker_space = Subspace.row_space(K.transpose())
+        ker_space = Subspace.column_space(K)
         layers.append((j, 1))
         certs.append(epi)
-        chain.append(Subspace.row_space((incl_to_X * ker_space.inclusion()).transpose()))
-        ker_mod, incl = cur.submodule(ker_space)
-        incl_to_X = incl_to_X * incl
-        cur = ker_mod
+        incl_to_X = ker_space.restrict(incl_to_X)
+        chain.append(Subspace.column_space(incl_to_X))
+        cur = cur.submodule(ker_space)[0]
     return FiltrationResult(YES, layers, chain, certs, direction="top_down")
 
 

@@ -26,7 +26,11 @@ calls, live here as functions.  The layout chains the library now runs in one
 pass over the stored nonzeros -- Subspace.row_space and projection_matrix,
 act_rows, Algebra.right_mult_matrix and products, Module.regular and the
 block data's conjugated generators -- are kept verbatim as the references
-the fused routines must equal, stored form included.
+the fused routines must equal, stored form included.  So are the Subspace
+reads and the Module.action_on, quotient, image_of and block-data bodies from
+before coordinate subspaces were read off their pivots; ref_action_on,
+ref_quotient_action and ref_projection_matrix build the inclusion as the
+transposed basis, so they never reach that path either.
 """
 
 import json
@@ -106,6 +110,86 @@ def basis_left_mult(A, i):
     return A.table.take_rows([i]).reshape(n, n).transpose()
 
 
+# -- Subspace and Module bodies from before the coordinate case -------------------------
+# Subspace.inclusion, coordinates, contains_columns and lift_matrix, and the
+# bodies of Module.action_on, Module.quotient, Module.image_of and
+# modules._build_block_data, as they were before coordinate subspaces (spans of
+# unit vectors) were read off their pivots: every one multiplies by the
+# transposed basis or the projection, whatever the subspace.  Verbatim apart
+# from taking their object as an argument and calling each other.
+
+
+def ref_inclusion(S):
+    """ambient_dim x dim matrix whose columns are the basis vectors."""
+    return S.basis.transpose()
+
+
+def ref_coordinates(S, img, blocks=1):
+    """C with inclusion() * C == img, re-checked by one product."""
+    n = S.ambient_dim
+    C = img.take_rows([t * n + p for t in range(blocks) for p in S.pivots])
+    if ref_inclusion(S).mul_blocks(C, blocks) != img:
+        raise NotInSubspace(f"a vector leaves the {S!r}")
+    return C
+
+
+def ref_contains_columns(S, img):
+    """True when every column of img lies in the subspace."""
+    return ref_inclusion(S) * img.take_rows(S.pivots) == img
+
+
+def ref_lift_matrix(S):
+    """Section k^C -> k^n sending the class of e_c to e_c."""
+    return Matrix.identity(S.field, S.ambient_dim).take_rows(S.complement_coords()).transpose()
+
+
+def ref_stack_action_on(X, subspace, R=None):
+    """Module.action_on: the stacked coordinate matrices of act(r) on an invariant
+    subspace, from one block product and one block check."""
+    stack, k = (X.stack, X.algebra.dim) if R is None else (X.act_rows(R), R.rows)
+    try:
+        return ref_coordinates(subspace, stack * ref_inclusion(subspace), blocks=k)
+    except NotInSubspace as exc:
+        raise InvalidModule("subspace is not action-invariant") from exc
+
+
+def ref_stack_quotient(X, subspace):
+    """Module.quotient's (stack of the quotient, projection), for a nonzero subspace."""
+    proj = ref_projection_matrix(subspace)
+    # each action matrix times the lift is its complement columns
+    kept = X.stack.take_cols(subspace.complement_coords())
+    return proj.mul_blocks(kept, X.algebra.dim), proj
+
+
+def ref_image_of(X, R, on=None):
+    """Module.image_of: the span of r·x over the rows r of R and all x in X, or in on."""
+    if R.rows == 0 or X.dim == 0 or (on is not None and on.dim == 0):
+        return Subspace.zero(X.algebra.field, X.dim)
+    acts = X.act_rows(R)
+    if on is not None:
+        acts = acts * ref_inclusion(on)
+    # the columns of every act(r) (restricted to `on`), as rows
+    return Subspace.row_space(acts.transpose_blocks(R.rows))
+
+
+def ref_fused_block_data(X):
+    """modules._build_block_data with the generators conjugated by one product by T
+    and one block product by T^-1, whatever the blocks."""
+    A = X.algebra
+    acts = [X.act(e) for e, _ in A.idempotents]
+    blocks = [Subspace.row_space(E.transpose()) for E in acts]
+    if sum(B.dim for B in blocks) != X.dim:
+        raise InvalidModule("idempotent blocks do not decompose the module")
+    T = Matrix.hcat([ref_inclusion(B) for B in blocks])
+    Ti = Matrix.vcat([E.take_rows(B.pivots) for E, B in zip(acts, blocks)])
+    # Ti · act(g) · T for each non-idempotent generator g, all acts stacked
+    G = A.generators()
+    k = len(A.idempotents)
+    m = G.rows - k
+    conj = tuple(Ti.mul_blocks(X.act_rows(G.take_rows(range(k, G.rows))) * T, m).vsplit(m)) if m else ()
+    return tuple(B.dim for B in blocks), T, Ti, conj
+
+
 # -- layout chains the library now runs in one pass ------------------------------------
 # The composite bodies Subspace.row_space, Subspace.projection_matrix,
 # modules._act_rows, Algebra.right_mult_matrix, Algebra.products, Module.regular
@@ -126,7 +210,7 @@ def ref_projection_matrix(S):
     comp = S.complement_coords()
     ident = Matrix.identity(S.field, S.ambient_dim)
     # v - sum_k v[pivot_k] * basis_k, read at the complement coordinates
-    return ident.take_rows(comp) - S.inclusion().take_rows(comp) * ident.take_rows(S.pivots)
+    return ident.take_rows(comp) - ref_inclusion(S).take_rows(comp) * ident.take_rows(S.pivots)
 
 
 def ref_act_rows(stack, R, n, d):
@@ -383,21 +467,26 @@ def ref_delta_bar_kernel(delta, label):
 
 def ref_action_on(X, subspace, R=None):
     """Coordinate matrices of act(r) on an invariant subspace, for each row r of R
-    (the basis of A when R is None), from one block product and one block check."""
+    (the basis of A when R is None), from one block product and one block check.
+    The inclusion is the transposed basis and the check an explicit product, so
+    no Subspace read (and no coordinate-subspace path) is used."""
     stacked, k = (Matrix.vcat(X.action), X.algebra.dim) if R is None else (X.act_rows(R), R.rows)
     if k == 0:
         return []
-    img = (stacked * subspace.inclusion()).side_by_side(k)
-    try:
-        return hsplit(subspace.coordinates(img), k)
-    except NotInSubspace as exc:
-        raise InvalidModule("subspace is not action-invariant") from exc
+    incl = subspace.basis.transpose()
+    img = (stacked * incl).side_by_side(k)
+    coords = img.take_rows(subspace.pivots)
+    if incl * coords != img:
+        raise InvalidModule("subspace is not action-invariant")
+    return hsplit(coords, k)
 
 
 def ref_quotient_action(X, subspace):
-    """(the action matrices of X/subspace, the projection), for a nonzero subspace."""
-    proj = subspace.projection_matrix()
+    """(the action matrices of X/subspace, the projection), for a nonzero subspace.
+    The projection is built from the transposed basis, with no Subspace read."""
     comp = subspace.complement_coords()
+    ident = Matrix.identity(subspace.field, subspace.ambient_dim)
+    proj = ident.take_rows(comp) - subspace.basis.transpose().take_rows(comp) * ident.take_rows(subspace.pivots)
     d, n = X.dim, X.algebra.dim
     # M times the lift is the complement columns of M
     kept = Matrix.hcat(X.action).take_cols([k * d + c for k in range(n) for c in comp])

@@ -33,7 +33,7 @@ import strata.algebra
 from strata.algebra import Algebra
 from strata.cli import main
 from strata.corpus import entry
-from strata.errors import InvalidModule
+from strata.errors import InputError, InvalidModule
 from strata.homology import _ext_dims, ext_dims_upto
 from strata.kernel.matrix import Matrix
 from strata.kernel.subspace import Subspace
@@ -276,6 +276,15 @@ def test_corpus_roots_and_corners_are_shared_across_entries():
     assert k.dim == 1 and k is diamond.algebra.corner(diamond.algebra.idempotent_for_label("1"))[0]
     assert k.opposite() is k
     assert entry(Family(), "fork").algebra is not fork.algebra
+
+
+def test_an_unknown_corpus_name_is_an_input_error_before_any_file_is_opened():
+    run = Family()
+    with mock.patch("builtins.open", side_effect=AssertionError("a file was opened")):
+        with pytest.raises(InputError, match="nope.*fork, fork-refined"):
+            entry(run, "nope")
+    # nothing was stored: the run still loads its entries
+    assert entry(run, "fork").name == "fork"
 
 
 def test_two_runs_give_one_report_from_algebras_built_twice(capsys, monkeypatch):
