@@ -17,18 +17,20 @@ index picks on the pivots, with no product, transpose or elimination:
   rows at the pivots, and the projection and project keep the complement rows;
 - coordinates keeps the pivot rows and checks that no other row holds an entry,
   and contains_columns makes the same check;
-- the action of a stack of square blocks on the subspace is each block's
-  principal minor at the pivots, and the pass that takes it certifies
-  invariance (a row off the pivots may hold no entry at a pivot column); on
-  the quotient it is the minor at the complement.
+- so the action of a stack of square blocks on the subspace,
+  coordinates(restrict(stack)), is each block's principal minor at the pivots,
+  and its check is invariance (a row off the pivots may hold no entry at a
+  pivot column); on the quotient, project(stack) at the complement columns, it
+  is the minor at the complement.
 
 Every other subspace takes the general path: products against the inclusion
-and the projection, re-checked by one product in coordinates.  column_space,
-the span of a matrix's columns, reads a coordinate subspace off the rows of
-the entries when every column holds at most one, and eliminates the transpose
-otherwise.  Per `verify-paper` these reads cut the transposes from 16,052 to
-5,416, the echelon forms from 6,807 to 2,881, the products from 8,959 to
-4,590 and the block products from 3,097 to 14.
+and the projection, re-checked by one product in coordinates.  Both paths
+refuse a wrongly shaped operand with DimensionMismatch before reading it.
+column_space, the span of a matrix's columns, reads a coordinate subspace off
+the rows of the entries when every column holds at most one, and eliminates
+the transpose otherwise.  Per `verify-paper` these reads cut the transposes
+from 16,052 to 5,416, the echelon forms from 6,807 to 2,881, the products
+from 8,959 to 4,939 and the block products from 3,097 to 363.
 """
 
 from __future__ import annotations
@@ -148,9 +150,16 @@ class Subspace:
     def restrict(self, M: Matrix) -> Matrix:
         """M times the inclusion: M restricted to the subspace (its pivot columns, for
         a coordinate subspace)."""
+        if M.cols != self.ambient_dim:
+            raise DimensionMismatch(f"cannot restrict {M.cols} columns to a {self!r}")
         if self.coordinate:
             return M.take_cols(self.pivots)
         return M * self.inclusion()
+
+    def _check_blocks(self, M: Matrix, blocks):
+        """Raise DimensionMismatch unless M is blocks row blocks of height ambient_dim."""
+        if M.rows != blocks * self.ambient_dim:
+            raise DimensionMismatch(f"{M.rows} rows are not {blocks} blocks of a {self!r}")
 
     def _off_pivots(self, img: Matrix):
         """True when some row of img off the pivots (in any of its row blocks of height
@@ -168,6 +177,7 @@ class Subspace:
         column outside the subspace raises NotInSubspace.  For a coordinate
         subspace the check is that no row off the pivots holds an entry.
         """
+        self._check_blocks(img, blocks)
         if self.coordinate and self._off_pivots(img):
             raise NotInSubspace(f"a vector leaves the {self!r}")
         n = self.ambient_dim
@@ -180,6 +190,7 @@ class Subspace:
 
     def contains_columns(self, img: Matrix):
         """True when every column of img lies in the subspace."""
+        self._check_blocks(img, 1)
         if self.coordinate:
             return not self._off_pivots(img)
         return self.inclusion() * img.take_rows(self.pivots) == img
@@ -205,30 +216,12 @@ class Subspace:
 
     def action_on(self, stack: Matrix, blocks) -> Matrix:
         """The coordinate matrices of each of the blocks square blocks of stack (each
-        ambient_dim x ambient_dim) on the subspace, stacked: coordinates(restrict(stack)).
-        Raises NotInSubspace when a block does not keep the subspace.
-
-        For a coordinate subspace each block's action is its principal minor at the
-        pivots, taken in one pass, and the pass certifies invariance: a row off the
-        pivots may hold no entry at a pivot column."""
-        if not self.coordinate:
-            return self.coordinates(stack * self.inclusion(), blocks)
-        n, new = self.ambient_dim, {p: t for t, p in enumerate(self.pivots)}
-        out = []
-        for i, r in enumerate(stack.nonzeros):
-            if i % n in new:
-                if r:
-                    cols, vals = [], []
-                    for j, x in zip(*r):
-                        t = new.get(j)
-                        if t is not None:
-                            cols.append(t)
-                            vals.append(x)
-                    r = (tuple(cols), tuple(vals)) if cols else None
-                out.append(r)
-            elif r and any([j in new for j in r[0]]):
-                raise NotInSubspace(f"a vector leaves the {self!r}")
-        return Matrix._reduced(self.field, len(out), self.dim, stack.den, tuple(out))
+        ambient_dim x ambient_dim) on the subspace, stacked.  Raises NotInSubspace
+        when a block does not keep the subspace.  For a coordinate subspace each
+        block's action is its principal minor at the pivots, and the check that
+        certifies it is invariance: a row off the pivots may hold no entry at a
+        pivot column."""
+        return self.coordinates(self.restrict(stack), blocks)
 
     def quotient_action(self, stack: Matrix, blocks) -> Matrix:
         """The action of each of the blocks square blocks of stack on k^n / self, in
@@ -236,11 +229,9 @@ class Subspace:
         columns (each block times the lift).  The subspace must be invariant under
         every block.  For a coordinate subspace it is each block's principal minor
         at the complement."""
-        comp = self.complement_coords()
-        if self.coordinate:
-            n = self.ambient_dim
-            return stack.take_rows([t * n + c for t in range(blocks) for c in comp]).take_cols(comp)
-        return self.project(stack.take_cols(comp), blocks)
+        if stack.cols != self.ambient_dim:
+            raise DimensionMismatch(f"cannot act by {stack.cols} columns on a quotient of k^{self.ambient_dim}")
+        return self.project(stack, blocks).take_cols(self.complement_coords())
 
     # -- quotient bookkeeping ------------------------------------------------
 
@@ -253,9 +244,10 @@ class Subspace:
         """The projection times each of the blocks row blocks of M (height
         ambient_dim), stacked: the columns of M mod the subspace, in complement
         coordinates (M's complement rows, for a coordinate subspace)."""
+        self._check_blocks(M, blocks)
         if self.coordinate:
-            n = self.ambient_dim
-            return M.take_rows([t * n + c for t in range(blocks) for c in self.complement_coords()])
+            n, comp = self.ambient_dim, self.complement_coords()
+            return M.take_rows([t * n + c for t in range(blocks) for c in comp])
         return self.projection_matrix().mul_blocks(M, blocks)
 
     def projection_matrix(self):
@@ -266,11 +258,9 @@ class Subspace:
         inclusion, moved to the pivot columns and negated, with 1 at column c,
         in one pass.  The RREF basis holds only den or 0 at its pivot columns,
         so these rows, over the basis's den, are in lowest terms as they are.
-        A coordinate subspace's projection is the unit rows at the complement.
+        A coordinate subspace's inclusion is empty at the complement, so its
+        projection comes out as the unit rows there.
         """
-        if self.coordinate:
-            out = tuple([((c,), (1,)) for c in self.complement_coords()])
-            return Matrix._new(self.field, len(out), self.ambient_dim, 1, out)
         incl, piv, p = self.inclusion().nonzeros, self.pivots, self.field.char
         den = self.basis.den
         out = []

@@ -13,11 +13,9 @@ carry explicit inclusion/projection matrices; everything downstream
 
 Each construction builds its stack from the stack it starts from, with no
 per-basis matrices in between: the subspace reads the action on itself and on
-the quotient off the stack (Subspace.action_on and quotient_action: each
-block's principal minor at the pivots, or at the complement, for a coordinate
-subspace, and otherwise products by the inclusion and the projection; the
-submodule's read checks invariance either way); the dual transposes each
-block; restriction and inflation are one act_rows.
+the quotient off the stack (Subspace.action_on, which checks invariance, and
+Subspace.quotient_action); the dual transposes each block; restriction and
+inflation are one act_rows.
 The regular module's stack is the algebra's table, reshaped to n^2 x n, with
 each block transposed.  Only direct sums (integer block diagonals), modules
 read from JSON and the outer module of functors.corner_hom start from
@@ -366,10 +364,7 @@ def _build_block_data(X: Module):
     inherited by corners and quotients), so X is the direct sum of the e·X and
     act(e) projects onto e·X along the others.  The coordinates of act(e)·x in an
     RREF basis are its entries at the pivots, so T^-1 is the rows of each act(e)
-    at its block's pivots, stacked: no inverse is solved.  When every block is a
-    coordinate subspace, T is the unit columns at the blocks' pivots, and when
-    every row of T^-1 is a unit row too, the conjugation is a column pick and a
-    row pick of the generators' actions, with no product.
+    at its block's pivots, stacked: no inverse is solved.
     """
     A = X.algebra
     acts = [X.act(e) for e, _ in A.idempotents]
@@ -382,19 +377,7 @@ def _build_block_data(X: Module):
     G = A.generators()
     k = len(A.idempotents)
     m = G.rows - k
-    conj = ()
-    if m:
-        gacts = X.act_rows(G.take_rows(range(k, G.rows)))
-        if Ti.den == 1 and all([B.coordinate for B in blocks]) and all(
-                [r and len(r[0]) == 1 and r[1][0] == 1 for r in Ti.nonzeros]):
-            # column t of T is e_{cols[t]} and row t of Ti is e_{rows[t]}
-            cols = [p for B in blocks for p in B.pivots]
-            rows = [r[0][0] for r in Ti.nonzeros]
-            n = X.dim
-            conj = gacts.take_cols(cols).take_rows([g * n + i for g in range(m) for i in rows])
-        else:
-            conj = Ti.mul_blocks(gacts * T, m)
-        conj = tuple(conj.vsplit(m))
+    conj = tuple(Ti.mul_blocks(X.act_rows(G.take_rows(range(k, G.rows))) * T, m).vsplit(m)) if m else ()
     return tuple(B.dim for B in blocks), T, Ti, conj
 
 

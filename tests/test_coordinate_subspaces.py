@@ -223,6 +223,23 @@ class TestCoordinateReads:
         if S.coordinate:
             assert stored(G.quotient_action(stack, k)) == stored(expected)
 
+    @SETTINGS
+    @given(subspace(), st.data())
+    def test_both_paths_refuse_the_same_wrong_shapes(self, S, data):
+        f, n, k = S.field, S.ambient_dim, data.draw(st.integers(1, 3))
+        cols = data.draw(st.sampled_from([c for c in range(n + 3) if c != n]))
+        rows = data.draw(st.sampled_from([r for r in range(k * n + 3) if r != k * n]))
+        wide, tall = data.draw(matrix(f, k * n, cols)), data.draw(matrix(f, rows, n))
+        coords = data.draw(matrix(f, data.draw(st.sampled_from([r for r in range(S.dim + 3) if r != S.dim])), 2))
+        vecs = data.draw(matrix(f, data.draw(st.sampled_from([r for r in range(n + 3) if r != n])), 2))
+        for T in (S, general(S)):
+            for read in (lambda: T.restrict(wide), lambda: T.coordinates(tall, k), lambda: T.project(tall, k),
+                         lambda: T.action_on(wide, k), lambda: T.action_on(tall, k),
+                         lambda: T.quotient_action(wide, k), lambda: T.quotient_action(tall, k),
+                         lambda: T.embed(coords), lambda: T.contains_columns(vecs)):
+                with pytest.raises(DimensionMismatch):
+                    read()
+
     def test_a_non_invariant_block_is_refused(self):
         S = Subspace.from_rows(QQ, 3, [[0, 1, 0]])
         keeps = Matrix.from_rows(QQ, [[1, 0, 0], [0, 2, 0], [0, 0, 3]])
