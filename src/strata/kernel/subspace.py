@@ -254,23 +254,32 @@ class Subspace:
         """Matrix of k^n -> k^C, v |-> (v mod self) in complement coordinates.
 
         v mod self is v - sum_t v[pivot_t] * basis_t, so the row of a complement
-        coordinate c is e_c - sum_t basis[t][c] * e_{pivot_t}: row c of the
-        inclusion, moved to the pivot columns and negated, with 1 at column c,
-        in one pass.  The RREF basis holds only den or 0 at its pivot columns,
-        so these rows, over the basis's den, are in lowest terms as they are.
-        A coordinate subspace's inclusion is empty at the complement, so its
-        projection comes out as the unit rows there.
+        coordinate c is e_c - sum_t basis[t][c] * e_{pivot_t}: column c of the
+        basis, moved to the pivot columns and negated, with den at column c.  One
+        pass over the basis gathers its columns; the RREF basis holds only den or
+        0 at its pivot columns, so an entry off row t's own pivot is at a
+        complement column, and these rows, over the basis's den, are in lowest
+        terms as they are.  A coordinate subspace's basis has no such entry, so
+        its projection comes out as the unit rows at the complement.
         """
-        incl, piv, p = self.inclusion().nonzeros, self.pivots, self.field.char
-        den = self.basis.den
+        piv, p, den = self.pivots, self.field.char, self.basis.den
+        col = {}  # complement coordinate c -> (the pivots, -basis[t][c]) over the rows t with an entry at c
+        for t, r in enumerate(self.basis.nonzeros):
+            pt = piv[t]
+            for j, x in zip(*r):
+                if j != pt:
+                    w = col.get(j)
+                    if w is None:
+                        col[j] = w = ([], [])
+                    w[0].append(pt)  # pivots increase with t
+                    w[1].append(p - x if p else -x)
         out = []
         for c in self.complement_coords():
-            r = incl[c]
-            if r is None:
+            w = col.get(c)
+            if w is None:
                 out.append(((c,), (den,)))
                 continue
-            where = [piv[t] for t in r[0]]  # pivots increase with t
-            vals = [p - x for x in r[1]] if p else [-x for x in r[1]]
+            where, vals = w
             k = bisect_left(where, c)
             where.insert(k, c)
             vals.insert(k, den)
