@@ -29,7 +29,7 @@ refuse a wrongly shaped operand with DimensionMismatch before reading it.
 column_space, the span of a matrix's columns, reads a coordinate subspace off
 the rows of the entries when every column holds at most one, and eliminates
 the transpose otherwise.  Per `verify-paper` these reads cut the transposes
-from 16,052 to 5,416, the echelon forms from 6,807 to 2,881, the products
+from 16,052 to 5,415, the echelon forms from 6,807 to 2,881, the products
 from 8,959 to 4,939 and the block products from 3,097 to 363.
 """
 
