@@ -147,7 +147,6 @@ class Algebra:
         self.presentation = presentation
         self._radical = Subspace.row_space(radical_rows) if radical_rows is not None else None
         self._inherits = inherits  # checks validate() skips (see the module docstring)
-        self._op = None
         self._derived = {}
         self.validate()
         if family is None:  # a root of its own: the one member of a new family
@@ -441,8 +440,10 @@ class Algebra:
     # -- derived algebras ---------------------------------------------------------------
 
     def opposite(self):
-        if self._op is not None:
-            return self._op
+        """A^op, kept under ("opposite",); A^op keeps A under the same key."""
+        return derived(self, ("opposite",), self._opposite)
+
+    def _opposite(self):
         n = self.dim
         # row i*n + j of the n^2 x n reshape is b_i * b_j; in A^op it is b_j * b_i
         table = self.table.reshape(n * n, n).take_rows([j * n + i for i in range(n) for j in range(n)])
@@ -450,9 +451,8 @@ class Algebra:
         # the transpose of a certified table inherits every check
         op = self._intern(self.basis_names, table.reshape(n, n * n), self.unit, self.idempotents,
                           radical_rows=rad.basis if rad is not None else None)
-        self._op = op
-        if op._op is None:  # else op was in the family already (k^op is k itself)
-            op._op = self
+        # when op was in the family already (k^op is k itself) its entry stands
+        derived(op, ("opposite",), lambda: self)
         return op
 
     def two_sided_ideal(self, e):

@@ -27,9 +27,10 @@ from dataclasses import dataclass, field
 
 from .errors import InvariantViolation, NotBasic, NotIdempotentSum, NotInSubspace, NotQuasiHereditary, SupportNotCoideal
 from .functors import SubalgebraEmbedding
-from .homology import global_dimension, hom_cochain, induced_map_profile, resolution
+from .homology import cohomology, global_dimension, hom_cochain, resolution
 from .kernel.matrix import Matrix
 from .kernel.subspace import Subspace
+from .memo import derived
 from .modules import (
     Module,
     comp_mult,
@@ -62,7 +63,7 @@ class BorelEmbedding:
             iv = self.sub.image_vec(v)
             if not A.is_idempotent(iv):
                 raise NotIdempotentSum("image of a subalgebra idempotent is not idempotent")
-        self._induced = {}
+        self._derived = None  # allocated by memo.derived on first use
 
     @classmethod
     def from_generators(cls, A, poset, idem_gens, gens):
@@ -70,11 +71,8 @@ class BorelEmbedding:
         return cls(A, poset, B, emb)
 
     def induced_standard(self, i):
-        """(A ⊗_B L_i^B, insertion L_i^B -> induced)."""
-        if i not in self._induced:
-            Li = simple(self.B, i)
-            self._induced[i] = (self.sub.induce(Li), Li)
-        return self._induced[i]
+        """(A ⊗_B L_i^B, insertion L_i^B -> induced), built once per label."""
+        return derived(self, ("induced", i), lambda: self.sub.induce(simple(self.B, i)))
 
 
 @dataclass
@@ -129,7 +127,7 @@ def check_exact_borel(emb: BorelEmbedding) -> BorelReport:
 
     axiom3, certs = {}, {}
     for i in A.labels:
-        (ind, insert), _ = emb.induced_standard(i)
+        ind, insert = emb.induced_standard(i)
         v = iso_test(ind, emb.sd.delta[i])
         axiom3[i] = v.kind if v.kind != "iso" else YES
         if v.kind == "iso":
@@ -165,29 +163,57 @@ def check_regular(emb: BorelEmbedding, n_max=DEFAULT_NMAX, report: BorelReport |
     dimension <= GLDIM_CAP: the induced A-resolutions share that length, so
     all higher Ext vanish on both sides.
     """
-    A, B = emb.A, emb.B
+    B = emb.B
     if report is None:
         report = check_exact_borel(emb)
     if not report.is_exact_borel:
         raise InvariantViolation("regularity is checked only for verified exact Borel subalgebras")
-    f = A.field
     cells = {}
     regular = True
     homological = True
+    for (i, j), dims_b, deltas_b, target in comparison_complexes(emb, n_max, report.axiom3_certs):
+        profile = cohomology(dims_b, deltas_b, range(1, n_max + 1), target)
+        for n, (hb, ha, rank) in enumerate(profile, 1):
+            inj = rank == hb
+            surj = rank == ha
+            cells[(i, j, n)] = {"dim_sub": hb, "dim_ambient": ha, "injective": inj, "surjective": surj}
+            if not (inj and surj):
+                regular = False
+            if n == 1 and not surj:
+                homological = False
+            if n >= 2 and not (inj and surj):
+                homological = False
+    pd_cap = global_dimension(B, GLDIM_CAP)
+    unconditional = pd_cap is not None and pd_cap <= n_max
+    return {
+        "n_max": n_max,
+        "regular": regular,
+        "homological": homological,
+        "unconditional": unconditional,
+        "certified_through_degree": "all" if unconditional else n_max,
+        "cells": cells,
+    }
+
+
+def comparison_complexes(emb: BorelEmbedding, n_max, certs):
+    """For each pair (i, j) of labels: ((i, j), dims_b, deltas_b, (dims_a, deltas_a,
+    verticals)), the cochain complexes Hom_B(P_*, L_j^B) and Hom_A(A ⊗_B P_*,
+    Delta_j) through degree n_max + 1, P_* the minimal resolution of L_i^B, and
+    the comparison map between them, induced by L_j^B -> A ⊗_B L_j^B -> Delta_j
+    (certs[j] the iso onto Delta_j); its cochain-map property is checked."""
+    A, B = emb.A, emb.B
+    f = A.field
     for i in B.labels:
-        Li = simple(B, i)
-        res = resolution(Li).extend_to(n_max + 1)
+        res = resolution(simple(B, i)).extend_to(n_max + 1)
         layers_B = [res.layer_idempotents(n) for n in range(len(res.layers))]
         layers_A = [[emb.sub.image_vec(e) for e in layer] for layer in layers_B]
         diffs_A = [
             [[emb.sub.image_vec(m) for m in row] for row in grid] for grid in res.element_diffs
         ]
         for j in B.labels:
-            Lj = simple(B, j)
-            (indj, insertj), _ = emb.induced_standard(j)
-            psi = report.axiom3_certs[j]  # induced -> Delta_j
-            to_delta = psi * insertj  # L_j^B -> Delta_j
-            dims_b, deltas_b, bases_b = hom_cochain(B, layers_B, res.element_diffs, Lj, n_max + 1)
+            _, insertj = emb.induced_standard(j)
+            to_delta = certs[j] * insertj  # L_j^B -> Delta_j
+            dims_b, deltas_b, bases_b = hom_cochain(B, layers_B, res.element_diffs, simple(B, j), n_max + 1)
             Dj = emb.sd.delta[j]
             dims_a, deltas_a, bases_a = hom_cochain(A, layers_A, diffs_A, Dj, n_max + 1)
             # verticals[n] is block diagonal: summand u of C^n_B maps into summand u of C^n_A
@@ -203,27 +229,7 @@ def check_regular(emb: BorelEmbedding, n_max=DEFAULT_NMAX, report: BorelReport |
                 if lhs is not None and rhs is not None:
                     if lhs != rhs:
                         raise InvariantViolation("comparison is not a cochain map")
-            for n in range(1, n_max + 1):
-                hb, ha, rank = induced_map_profile(dims_b, deltas_b, dims_a, deltas_a, verticals, n)
-                inj = rank == hb
-                surj = rank == ha
-                cells[(i, j, n)] = {"dim_sub": hb, "dim_ambient": ha, "injective": inj, "surjective": surj}
-                if not (inj and surj):
-                    regular = False
-                if n == 1 and not surj:
-                    homological = False
-                if n >= 2 and not (inj and surj):
-                    homological = False
-    pd_cap = global_dimension(B, GLDIM_CAP)
-    unconditional = pd_cap is not None and pd_cap <= n_max
-    return {
-        "n_max": n_max,
-        "regular": regular,
-        "homological": homological,
-        "unconditional": unconditional,
-        "certified_through_degree": "all" if unconditional else n_max,
-        "cells": cells,
-    }
+            yield (i, j), dims_b, deltas_b, (dims_a, deltas_a, verticals)
 
 
 def regularity_json(reg):

@@ -175,11 +175,12 @@ class SubalgebraEmbedding:
 
         Bop = self.B.opposite()
         f = self.A.field
-        # A as a left B^op-module: b_j ∘ a = a · ι(b_j), by R(ι(b_j)).  Row i,
-        # block j of table · (emb ⊗ I) is b_i * ι(b_j), column i of R(ι(b_j)), so
-        # its transpose stacks the R(ι(b_j)).
-        right = self.A.table * self.emb.kron(Matrix.identity(f, self.A.dim))
-        A_right = Module(Bop, self.A.dim, right.transpose())
+        n = self.A.dim
+        # A as a left B^op-module: b_j ∘ a = a · ι(b_j), by R(ι(b_j)).  The product
+        # b_i * ι(b_j), column i of R(ι(b_j)), is row i, block j of the products
+        # reshaped to n rows, so the transpose stacks the R(ι(b_j)).
+        right = self.A.products(None, self._images).reshape(n, self.B.dim * n)
+        A_right = Module(Bop, n, right.transpose())
         covers = _minimal_cover(Bop, A_right)
         summands = [Summand(Bop, lab) for lab, _ in covers]
         cover = _cover_matrix(A_right, covers, summands)

@@ -11,6 +11,13 @@ RREF basis of A e are its entries at the pivots (kept once per label), and d_n
 of all the generators of P_n is one product.  Each layer's projective cover is
 read the same way, from one elimination per label (see _minimal_cover), with
 no span grown one vector at a time.
+
+Dimensions of Ext and the ranks of the comparison maps on Ext (borel.
+check_regular) come from one routine, cohomology, which eliminates each delta
+of a cochain complex once.  What is kept goes through memo.derived: a module's
+resolution under ("resolution",), its Ext row to Y under ("ext", Y.stack,
+nmax), and each summand generator's coordinates under ("Ae-generator", label)
+on the algebra.
 """
 
 from __future__ import annotations
@@ -50,17 +57,19 @@ def _minimal_cover(A, K: Module):
     Returns (list of (label, lift column vector in K coords)); lifts project
     onto a basis of top(K), one summand P_label per lift.  K is the direct sum
     of the e·K and rad K of the e·rad K, so top(K) is the direct sum of the
-    images of the e·K: for each label the lifts are the rows of e·K's RREF
-    basis at the pivot columns of their images in K/rad K, one product and one
-    elimination per label.
+    images of the e·K: for each label the lifts are the basis vectors of e·K
+    at the pivot columns of their images in K/rad K, one projection of the
+    (cached) inclusion and one elimination per label.
     """
     rad = K.radical_subspace()
     covers = []
     for lab in A.labels:
-        rows = K.e_part(A.idempotent_for_label(lab)).basis
-        # the images of the rows in K ->> K/rad K, as columns
-        for i in rad.project(rows.transpose()).rref()[1]:
-            covers.append((lab, rows.take_rows([i]).transpose()))
+        S = K.e_part(A.idempotent_for_label(lab))
+        # the images of the basis vectors in K ->> K/rad K, as columns
+        for i in rad.project(S.inclusion()).rref()[1]:
+            # column i of the inclusion, read off basis row i: a column pick would
+            # scan every row of the inclusion once per lift
+            covers.append((lab, S.basis.take_rows([i]).transpose()))
     return covers
 
 
@@ -228,15 +237,57 @@ def _ext_dims(X: Module, Y: Module, nmax) -> tuple:
     res = resolution(X).extend_to(nmax + 1)
     layer_idems = [res.layer_idempotents(n) for n in range(len(res.layers))]
     dims, deltas, _ = hom_cochain(A, layer_idems, res.element_diffs, Y, nmax + 1)
+    return tuple(cohomology(dims, deltas, range(nmax + 1)))
+
+
+def cohomology(dims, deltas, degrees, target=None) -> list:
+    """dim H^n for each n in degrees (ascending) of the cochain complex whose C^n
+    has dimension dims[n] and whose D_{n+1}: C^n -> C^{n+1} is deltas[n], both
+    zero past their lists: dim C^n - rank D_{n+1} - rank D_n.  Each delta is
+    eliminated once, although two degrees read it.
+
+    With target = (dims_a, deltas_a, verticals), verticals[n]: C^n -> C^n_A a
+    cochain map into a second complex, each entry is instead (dim H^n,
+    dim H^n_A, rank of the induced map H^n -> H^n_A).  The image of the induced
+    map is (V Z^n + B^n_A)/B^n_A for Z^n = ker D_{n+1}, one kernel per degree
+    (which also gives rank D_{n+1}); the cochain map sends coboundaries into
+    coboundaries, so nothing else is subtracted.
+    """
+    known = {}
+    rank = _ranks(deltas, known)
+    if target is None:
+        return [_dim(dims, n) - rank(n) - rank(n - 1) for n in degrees]
+    dims_a, deltas_a, verticals = target
+    rank_a = _ranks(deltas_a, {})
     out = []
-    for n in range(nmax + 1):
-        cn = dims[n] if n < len(dims) else 0
-        d_out = deltas[n] if n < len(deltas) else None  # D_{n+1}: C^n -> C^{n+1}
-        d_in = deltas[n - 1] if 1 <= n <= len(deltas) else None
-        ker = cn - (d_out.rank() if d_out is not None else 0)
-        im = d_in.rank() if d_in is not None else 0
-        out.append(ker - im)
-    return tuple(out)
+    for n in degrees:
+        V = verticals[n]
+        if n < len(deltas):
+            Z = deltas[n].kernel_basis()
+            known[n] = deltas[n].cols - Z.cols  # rank D_{n+1}, for degree n + 1
+        else:
+            Z = Matrix.identity(V.field, _dim(dims, n))
+        image = V * Z
+        if 1 <= n <= len(deltas_a):
+            image = image.hstack(deltas_a[n - 1])
+        out.append((Z.cols - rank(n - 1), _dim(dims_a, n) - rank_a(n) - rank_a(n - 1),
+                    image.rank() - rank_a(n - 1)))
+    return out
+
+
+def _dim(dims, n):
+    return dims[n] if n < len(dims) else 0
+
+
+def _ranks(deltas, known):
+    """k -> rank deltas[k] (0 past the list), read from known or eliminated once into it."""
+    def rank(k):
+        if not 0 <= k < len(deltas):
+            return 0
+        if k not in known:
+            known[k] = deltas[k].rank()
+        return known[k]
+    return rank
 
 
 def ext_dim(X: Module, Y: Module, n: int) -> int:
@@ -255,35 +306,3 @@ def global_dimension(A, cap=12):
             return None
         worst = max(worst, d)
     return worst
-
-
-def induced_map_profile(dims_b, deltas_b, dims_a, deltas_a, verticals, n):
-    """(dim H^n_B, dim H^n_A, rank of the induced map) for a cochain map.
-
-    verticals[k]: C^k_B -> C^k_A matrices commuting with the deltas.
-    """
-    f = verticals[0].field if verticals else None
-
-    def pieces(dims, deltas, k):
-        c = dims[k] if k < len(dims) else 0
-        d_out = deltas[k] if k < len(deltas) else None
-        d_in = deltas[k - 1] if 1 <= k <= len(deltas) else None
-        return c, d_out, d_in
-
-    cb, bout, bin_ = pieces(dims_b, deltas_b, n)
-    ca, aout, ain = pieces(dims_a, deltas_a, n)
-    ker_b = bout.kernel_basis() if bout is not None else Matrix.identity(f, cb)
-    ker_a_dim = ca - (aout.rank() if aout is not None else 0)
-    hb = ker_b.cols - (bin_.rank() if bin_ is not None else 0)
-    ha = ker_a_dim - (ain.rank() if ain is not None else 0)
-    V = verticals[n]
-    M = V * ker_b  # columns: images of the kernel basis
-    # image of the induced map on cohomology = (V(ker) + im)/im; chain-map
-    # property sends coboundaries into coboundaries, so nothing to subtract
-    stack = M
-    im_rank = 0
-    if ain is not None:
-        stack = M.hstack(ain)
-        im_rank = ain.rank()
-    image_dim = stack.rank() - im_rank
-    return hb, ha, image_dim

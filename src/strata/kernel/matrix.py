@@ -30,6 +30,9 @@ cached beside the integers.
 
 Immutable after construction.  rank / kernel_basis / solve are exact: solve
 re-multiplies to verify its answer, kernel columns multiply to exactly zero.
+rank and rref eliminate on every call and keep nothing: a caller that needs
+an echelon form twice keeps it (homology.cohomology ranks each delta once).
+The ``_echelon`` slot is always None; perfbench/spans.py still reads it.
 """
 
 from __future__ import annotations
@@ -611,15 +614,11 @@ class Matrix:
 
     def rref(self):
         """Reduced row echelon form; returns (Matrix, pivot column list)."""
-        if self._echelon is not None and self._echelon[0] == "rref":
-            return self._echelon[1], self._echelon[2]
         pivots = self._unit_pivots()
         if pivots is not None:
             out = [((c,), (1,)) for c in pivots]
             out.extend([None] * (self.rows - len(pivots)))
-            R = Matrix._new(self.field, self.rows, self.cols, 1, tuple(out))
-            self._echelon = ("rref", R, pivots)
-            return R, pivots
+            return Matrix._new(self.field, self.rows, self.cols, 1, tuple(out)), pivots
         pivots, rows = self._echelon_form(True)
         rows = rows[: len(pivots)]
         den = 1
@@ -634,13 +633,9 @@ class Matrix:
         span = range(self.cols)
         out = [_pack(row, span) for row in rows]
         out.extend([None] * (self.rows - len(pivots)))
-        R = Matrix._reduced(self.field, self.rows, self.cols, den, tuple(out))
-        self._echelon = ("rref", R, pivots)
-        return R, pivots
+        return Matrix._reduced(self.field, self.rows, self.cols, den, tuple(out)), pivots
 
     def rank(self):
-        if self._echelon is not None:
-            return len(self._echelon[2])
         pivots = self._unit_pivots()
         if pivots is None:
             pivots, _ = self._echelon_form(False)

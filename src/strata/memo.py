@@ -1,13 +1,16 @@
 """The one place where derived data is memoised.
 
 Every value strata derives from an algebra or a module and keeps -- generators,
-idempotent splits, corners, ideals, the modules themselves, named modules,
-standard records, stratification data, radicals, block data, Hom spaces, Ext
-dimensions, multiplicities, peels and resolutions -- is stored by ``derived``
-in the ``_derived`` dict of the object it describes, so it dies with that
-object.  A value is keyed by what fixes it: every module by its stack, on its
-algebra (so a module and its data live as long as the algebra); a module's
-Hom space and Ext dimensions to Y by Y's stack; the quotient algebra A/AeA and
+idempotent splits, corners, ideals, the opposite, the modules themselves,
+named modules, standard records, stratification data, radicals, block data,
+Hom spaces, Ext dimensions, multiplicities, traces, what a filtration peels
+off a module (X/T under ("peel", j), the T = D^t certificate under ("power",
+j, D.stack)), resolutions and a Borel embedding's induced modules -- is stored
+by ``derived`` in the ``_derived`` dict of the object it describes, so it
+dies with that object.  A value is keyed by what fixes it: every module by
+its stack, on its algebra (so a module and its data live as long as the
+algebra); a module's Hom space and Ext dimensions to Y, and its certificate
+for T = Y^t, by Y's stack; the quotient algebra A/AeA and
 the module A/AeA by the ideal AeA (so the subset sums of one support share
 them); the multiplicity tables of (A, poset), the verdict on each layer J/J'
 of its stratification chains, and the filtrations of the battery's quotient

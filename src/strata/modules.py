@@ -34,8 +34,10 @@ Data computed once per module is kept by memo.derived in the module's
 ``_derived`` dict, so it is computed once per content and lives as long as
 the algebra: the radical, the idempotent block data hom_basis solves in, the
 Hom spaces and Ext dimensions from it (keyed by the target's stack), the
-multiplicities [X : L_i], one ``Peel`` per label and the projective
-resolution.  The block data and the multiplicities
+multiplicities [X : L_i], the trace T = Tr_{P_j}(X) per label (("trace", j)),
+what a filtration reads off T (X/T under ("peel", j), and the answer to
+"T = D^t?" under ("power", j, D.stack), see strat.filtration_standard) and
+the projective resolution.  The block data and the multiplicities
 are read off canonical bases rather than solved: the distinguished idempotents
 are complete and orthogonal, so the block basis change T is inverted by
 reading each act(e) at the pivots of the RREF basis of e·X (the generators
@@ -241,10 +243,6 @@ class Module:
         """(top module, projection)."""
         return self.quotient(self.radical_subspace())
 
-    def peel(self, label) -> "Peel":
-        """The peel of the trace of P_label off this module, built once per label."""
-        return derived(self, ("peel", label), Peel, self, label)
-
     def to_json(self):
         """dim plus one named action matrix per algebra basis element."""
         return {
@@ -335,8 +333,9 @@ def _idempotent_rank(X: Module, e) -> int:
 
 
 def trace_from_projective(label, Y: Module) -> Subspace:
-    """Tr_{P_label}(Y) = A·e·Y, the span of a·y over a in A e (one image_of)."""
-    return Y.image_of(left_ideal(Y.algebra, label).basis)
+    """Tr_{P_label}(Y) = A·e·Y, the span of a·y over a in A e (one image_of); kept
+    on Y per label."""
+    return derived(Y, ("trace", str(label)), lambda: Y.image_of(left_ideal(Y.algebra, label).basis))
 
 
 def trace_submodule(X: Module, Y: Module) -> Subspace:
@@ -601,38 +600,3 @@ def iso_to_direct_power(X: Module, S: Module, t: int) -> Matrix | None:
     if t == 0:
         return Matrix.zeros(X.algebra.field, 0, 0)
     return surjection_onto_power(X, S, t)
-
-
-# -- peels -----------------------------------------------------------------------
-
-
-class Peel:
-    """The trace T = Tr_{P_label}(X) of one module X, and what a filtration reads off it.
-
-    Kept by X (Module.peel), so it is built once per (module, label) and lives as
-    long as X.  The quotient X/T is built on first use, and certificates() keeps
-    the answer to "T = D^t?" per family member D, keyed by D's stack.
-    """
-
-    __slots__ = ("space", "source", "_quotient", "_certs")
-
-    def __init__(self, X: Module, label):
-        self.space = trace_from_projective(label, X)
-        self.source = X
-        self._quotient = None
-        self._certs = {}
-
-    def module(self) -> Module:
-        """The module on T (X itself when T is all of X)."""
-        return self.source.submodule(self.space)[0]
-
-    def quotient(self):
-        """(X/T, the projection X ->> X/T), as Module.quotient gives them."""
-        if self._quotient is None:
-            self._quotient = self.source.quotient(self.space)
-        return self._quotient
-
-    def certificates(self) -> dict:
-        """D.stack -> iso_to_direct_power(T, D, dim T / dim D), for the family members
-        D asked about so far."""
-        return self._certs

@@ -31,6 +31,7 @@ from .modules import (
     projective,
     simple,
     surjection_onto_power,
+    trace_from_projective,
 )
 
 YES, NO, UNDET = "yes", "no", "undetermined"
@@ -424,10 +425,11 @@ def filtration_standard(X: Module, family, poset, allowed=None, tie_break="forwa
     """Greedy bottom-up filtration by a standard-type family.
 
     Repeatedly peels the trace of P_j for j maximal among the composition
-    factor labels; that trace must be Delta_j^t with t = [X : L_j].  The peels
-    come from each module's own cache (Module.peel), so every filtration that
-    peels j off the same module reaches the same quotient; the chain in X's
-    coordinates is built per call.
+    factor labels; that trace T must be Delta_j^t with t = [X : L_j].  Each
+    module it peels keeps T (modules.trace_from_projective), X/T under
+    ("peel", j) and the certificate for T = D^t under ("power", j, D.stack),
+    so every filtration that peels j off the same module reaches the same
+    quotient; the chain in X's coordinates is built per call.
     """
     A = X.algebra
     f = A.field
@@ -455,20 +457,17 @@ def filtration_standard(X: Module, family, poset, allowed=None, tie_break="forwa
             return FiltrationResult(NO, layers, chain, certs,
                                     witness=f"[X : L_{j}] = {mults[j]} is not a multiple of {m}")
         t = mults[j] // m
-        peel = cur.peel(j)
-        if peel.space.dim != t * D.dim:
+        T = trace_from_projective(j, cur)
+        if T.dim != t * D.dim:
             return FiltrationResult(NO, layers, chain, certs,
-                                    witness=f"trace of P_{j} has dim {peel.space.dim}, expected {t}*{D.dim}")
-        known = peel.certificates()
-        if D.stack not in known:
-            known[D.stack] = iso_to_direct_power(peel.module(), D, t)
-        cert = known[D.stack]
+                                    witness=f"trace of P_{j} has dim {T.dim}, expected {t}*{D.dim}")
+        cert = derived(cur, ("power", j, D.stack), lambda: iso_to_direct_power(cur.submodule(T)[0], D, t))
         if cert is None:
-            bad = (_power_invariant_witness(peel.module(), D, t)
+            bad = (_power_invariant_witness(cur.submodule(T)[0], D, t)
                    or f"the trace of P_{j} does not map onto Delta_{j}^{t}")
             return FiltrationResult(NO, layers, chain, certs, witness=bad)
-        cur = peel.quotient()[0]
-        proj_to_cur = peel.space.project(proj_to_cur)
+        cur = derived(cur, ("peel", j), lambda: cur.quotient(T)[0])
+        proj_to_cur = T.project(proj_to_cur)
         # record the chain step in ambient coordinates
         chain.append(Subspace.column_space(proj_to_cur.kernel_basis()))
         layers.append((j, t))

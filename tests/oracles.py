@@ -30,7 +30,9 @@ the fused routines must equal, stored form included.  So are the Subspace
 reads and the Module.action_on, quotient, image_of and block-data bodies from
 before coordinate subspaces were read off their pivots; ref_action_on,
 ref_quotient_action and ref_projection_matrix build the inclusion as the
-transposed basis, so they never reach that path either.
+transposed basis, so they never reach that path either.  The Ext loop that
+read one degree at a time, and induced_map_profile, check homology.cohomology,
+which eliminates each delta once for every degree.
 """
 
 import json
@@ -47,10 +49,12 @@ from strata.errors import (
     NotFiniteDimensionalWithinBound,
     NotInSubspace,
 )
+from strata.homology import hom_cochain, resolution
 from strata.kernel.fields import QQ
 from strata.kernel.matrix import Matrix
 from strata.kernel.subspace import Subspace
 from strata.memo import Family
+from strata.modules import Module
 from strata.quiver import enumerate_paths
 
 
@@ -244,8 +248,6 @@ def ref_products(A, X=None, Y=None):
 
 def ref_regular(A):
     """The regular module, stacked from the per-basis matrices L_i."""
-    from strata.modules import Module
-
     return Module.from_actions(A, A.dim, [basis_left_mult(A, i) for i in range(A.dim)])
 
 
@@ -445,6 +447,59 @@ def _ref_coords_in(basis, vec, f):
     if X is None:
         return None, vec
     return [X[i, 0] for i in range(X.rows)], None
+
+
+# -- Ext dimensions and comparison maps, one degree at a time ----------------------------
+# homology._ext_dims's loop and induced_map_profile, moved here verbatim when
+# homology.cohomology took over: they rank each delta once per degree that reads it.
+
+
+def ref_ext_dims(X: Module, Y: Module, nmax) -> tuple:
+    A = X.algebra
+    res = resolution(X).extend_to(nmax + 1)
+    layer_idems = [res.layer_idempotents(n) for n in range(len(res.layers))]
+    dims, deltas, _ = hom_cochain(A, layer_idems, res.element_diffs, Y, nmax + 1)
+    out = []
+    for n in range(nmax + 1):
+        cn = dims[n] if n < len(dims) else 0
+        d_out = deltas[n] if n < len(deltas) else None  # D_{n+1}: C^n -> C^{n+1}
+        d_in = deltas[n - 1] if 1 <= n <= len(deltas) else None
+        ker = cn - (d_out.rank() if d_out is not None else 0)
+        im = d_in.rank() if d_in is not None else 0
+        out.append(ker - im)
+    return tuple(out)
+
+
+def induced_map_profile(dims_b, deltas_b, dims_a, deltas_a, verticals, n):
+    """(dim H^n_B, dim H^n_A, rank of the induced map) for a cochain map.
+
+    verticals[k]: C^k_B -> C^k_A matrices commuting with the deltas.
+    """
+    f = verticals[0].field if verticals else None
+
+    def pieces(dims, deltas, k):
+        c = dims[k] if k < len(dims) else 0
+        d_out = deltas[k] if k < len(deltas) else None
+        d_in = deltas[k - 1] if 1 <= k <= len(deltas) else None
+        return c, d_out, d_in
+
+    cb, bout, bin_ = pieces(dims_b, deltas_b, n)
+    ca, aout, ain = pieces(dims_a, deltas_a, n)
+    ker_b = bout.kernel_basis() if bout is not None else Matrix.identity(f, cb)
+    ker_a_dim = ca - (aout.rank() if aout is not None else 0)
+    hb = ker_b.cols - (bin_.rank() if bin_ is not None else 0)
+    ha = ker_a_dim - (ain.rank() if ain is not None else 0)
+    V = verticals[n]
+    M = V * ker_b  # columns: images of the kernel basis
+    # image of the induced map on cohomology = (V(ker) + im)/im; chain-map
+    # property sends coboundaries into coboundaries, so nothing to subtract
+    stack = M
+    im_rank = 0
+    if ain is not None:
+        stack = M.hstack(ain)
+        im_rank = ain.rank()
+    image_dim = stack.rank() - im_rank
+    return hb, ha, image_dim
 
 
 def ref_delta_bar_kernel(delta, label):

@@ -3,8 +3,8 @@
 Every Module construction goes through one memo on its algebra, keyed by the
 stack, so equal stacks reached by different routes -- a direct sum of one
 summand, quotients by equal subspaces, the dual of the dual, the module on a
-peel's trace, the Delta_i of two orders with equal kernels -- are the same
-object, with one set of block data, peels and resolution.  hom_basis and
+trace, the Delta_i of two orders with equal kernels -- are the same object,
+with one set of block data, traces, peels and resolution.  hom_basis and
 ext_dims_upto are kept on X under Y's stack; both must equal the plain
 all-unknowns solver and what a fresh copy of the algebra, with empty memos,
 computes.  The shape and unit checks run on every request, so a refused stack
@@ -30,17 +30,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import strata.algebra
-from strata.algebra import Algebra
+from strata.algebra import Algebra, structure_constant_algebra
 from strata.cli import main
 from strata.corpus import entry
 from strata.errors import InputError, InvalidModule
 from strata.homology import _ext_dims, ext_dims_upto
+from strata.kernel.fields import QQ
 from strata.kernel.matrix import Matrix
 from strata.kernel.subspace import Subspace
 from strata.memo import Family
-from strata.modules import Module, _solve_hom, hom_basis, injective, projective, simple
+from strata.modules import Module, _solve_hom, hom_basis, injective, projective, simple, trace_from_projective
 from strata.specfile import export_algebra, load_spec
-from strata.strat import StratDatum, all_posets
+from strata.strat import LabelPoset, StratDatum, all_posets
 
 from oracles import hom_basis_plain, rows_of
 from test_generators import GENERATED, build
@@ -107,9 +108,16 @@ def test_equal_stacks_are_one_object(quiver, how):
             assert X.quotient(Subspace.row_space(total))[0] is X.quotient(rad)[0] is X.top()[0]
             assert X.submodule(Subspace.row_space(total))[0] is X.submodule(rad)[0]
         for lab in B.labels:
-            peel = X.peel(lab)
-            assert peel.module() is peel.module() is X.submodule(peel.space)[0]
-            assert peel.quotient()[0] is X.quotient(peel.space)[0]
+            T = trace_from_projective(lab, X)
+            assert trace_from_projective(lab, X) is T  # kept on X per label
+            assert X.submodule(T)[0] is X.submodule(T)[0] and X.quotient(T)[0] is X.quotient(T)[0]
+    # a filtration keeps X/T on each module X it peels, T the trace it keeps
+    StratDatum(B, LabelPoset.chain(B.labels)).left_stratified()
+    for key, X in list(B._derived.items()):
+        if key[0] == "module":
+            for k, quot in (X._derived or {}).copy().items():
+                if k[0] == "peel":
+                    assert quot is X.quotient(X._derived[("trace", k[1])])[0]
 
 
 @SETTINGS
@@ -276,6 +284,18 @@ def test_corpus_roots_and_corners_are_shared_across_entries():
     assert k.dim == 1 and k is diamond.algebra.corner(diamond.algebra.idempotent_for_label("1"))[0]
     assert k.opposite() is k
     assert entry(Family(), "fork").algebra is not fork.algebra
+
+
+def test_the_opposite_of_the_opposite_is_the_algebra():
+    # k[x]/(x^2) from structure constants is commutative, with no presentation: its own opposite
+    dual_numbers = structure_constant_algebra(QQ, ["1", "x"], [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)],
+                                              [1, 0], [([1, 0], "1")])
+    assert dual_numbers.opposite() is dual_numbers
+    for A in (dual_numbers, entry(Family(), "fork").algebra):
+        op = A.opposite()
+        assert op.opposite() is A and A.opposite() is op
+        # each keeps the other in its memo
+        assert A._derived[("opposite",)] is op and op._derived[("opposite",)] is A
 
 
 def test_an_unknown_corpus_name_is_an_input_error_before_any_file_is_opened():

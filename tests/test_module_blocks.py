@@ -25,7 +25,7 @@ from strata.homology import Summand, ext_dim, resolution
 from strata.kernel import Matrix, Subspace
 from strata.modules import Module, hom_basis, injective, left_ideal, projective, simple, trace_from_projective
 from strata.specfile import load_spec
-from strata.strat import LabelPoset, StandardRecord, filtration_standard
+from strata.strat import LabelPoset, StandardRecord, StratDatum, filtration_standard
 
 from oracles import (
     basis_left_mult,
@@ -61,6 +61,12 @@ def algebra(name, field):
 def fresh_algebra(name):
     """The corpus algebra over Q, built again so that no other test holds it."""
     return load_spec(corpus_doc(name)).algebra
+
+
+def certificates(X, label):
+    """D.stack -> the certificate for "Tr_{P_label}(X) = D^t?", for each family member D
+    a filtration has asked X about."""
+    return {k[2]: v for k, v in (X._derived or {}).items() if k[:2] == ("power", label)}
 
 
 def pool(A):
@@ -489,21 +495,25 @@ class TestModuleData:
         assert [r() for r in refs] == [None, None]
 
     def test_peel_dies_with_its_module(self):
+        # the filtration peels label 4 off X, then stops at label 3
         A = fresh_algebra("diamond")
         X = Module.direct_sum([projective(A, "1"), simple(A, "3")])
-        peel = X.peel("3")
-        assert X.peel("3") is peel  # computed once per (module, label)
-        assert 0 < peel.space.dim < X.dim  # the module on T and X/T are new modules
-        quot = peel.quotient()[0]
-        assert peel.quotient()[0] is quot
-        assert X not in (quot, peel.module())
-        # the same contents reached another way are the same modules
-        assert X.quotient(peel.space)[0] is quot and peel.module() is X.submodule(peel.space)[0]
+        chain = LabelPoset.chain(A.labels)
+        D = StratDatum(A, chain).delta["4"]
+        res = filtration_standard(X, {"4": D}, chain, allowed={"4"})
+        assert res.layers == [("4", 1)] and res.status == "no"
+        T = trace_from_projective("4", X)
+        assert trace_from_projective("4", X) is T  # computed once per (module, label)
+        quot, cert = X._derived[("peel", "4")], X._derived[("power", "4", D.stack)]
+        assert quot is X.quotient(T)[0] and 0 < T.dim < X.dim  # X/T is a new module
+        assert cert is res.certs[0]
+        assert filtration_standard(X, {"4": D}, chain, allowed={"4"}).certs[0] is cert
+        del res, D
+        # held by their module only
+        assert gc.get_referrers(T) == gc.get_referrers(cert) == [X._derived]
         assert gc.get_referrers(X._derived) == [X]
-        assert gc.get_referrers(peel) == [X._derived]  # held by its module only
-        del peel
         refs = [weakref.ref(X), weakref.ref(quot), weakref.ref(A)]
-        del X, quot
+        del X, quot, T, cert
         gc.collect()
         assert all(r() is not None for r in refs)  # kept while their algebra lives
         del A
@@ -534,15 +544,15 @@ class TestModuleData:
         chain = LabelPoset.chain(A.labels)
         res = filtration_standard(X, {"4": D}, chain)
         assert res.layers == [("4", 2)]
-        known = X.peel("4").certificates()
         # kept per family member by its content, not by the object asked about
-        assert list(known.keys()) == [D.stack] and known[D.stack] is res.certs[0]
+        assert certificates(X, "4") == {D.stack: res.certs[0]}
         again = filtration_standard(X, {"4": Module(A, D.dim, D.stack)}, chain)
-        assert again.certs[0] is res.certs[0] and len(known) == 1
+        assert again.certs[0] is res.certs[0] and certificates(X, "4") == {D.stack: res.certs[0]}
+        cert, key = res.certs[0], D.stack
         refs = [weakref.ref(X), weakref.ref(A)]
         del X, D, res, again
         gc.collect()
-        assert len(known) == 1 and refs[0]() is not None  # the certificate lives with X
+        assert certificates(refs[0](), "4") == {key: cert}  # the certificate lives with X
         del A
         gc.collect()
         assert [r() for r in refs] == [None, None]
@@ -556,7 +566,7 @@ class TestModuleData:
         one_last = LabelPoset.chain(["4", "3", "2", "1"])
         for D, status in ((over4, "no"), (over2, "yes"), (over4, "no")):
             assert filtration_standard(X, {"1": D}, one_last).status == status
-        assert len(X.peel("1").certificates()) == 2
+        assert len(certificates(X, "1")) == 2
 
     def test_identity_constructions_return_the_module(self):
         for field in FIELDS:
