@@ -13,9 +13,11 @@ realized by explicit linear algebra:
                     corner_tensor Y = Ae ⊗_{eAe} Y  and
                     corner_hom    Y = Hom_{eAe}(eA, Y).
 
-Tensor quotients are built from bilinearity relations over a generating set of
-the inner algebra; hom modules are intertwiner solution spaces carrying the
-outer action.
+Both tensor functors, corner_tensor and induction A ⊗_B -, are one routine
+(_tensor): V ⊗ X modulo the bilinearity relations over a generating set of B,
+for a left ideal V of A on which B acts from the right.  corner_hom is the span
+of modules.hom_basis(eA, Y), carrying the outer action of A.  Every functor
+refuses a module over an algebra other than the one it acts on.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from .errors import DimensionMismatch, InvariantViolation
 from .kernel.matrix import Matrix
 from .kernel.subspace import Subspace
-from .modules import Module
+from .modules import Module, hom_basis
 
 
 class IdempotentContext:
@@ -33,10 +35,10 @@ class IdempotentContext:
         self.A = A
         self.e = A.coerce_vec(e_vec)
         self.summands = A.subset_sum_decomposition(self.e)
-        self.support = A.support_labels(self.e)
-        self.corner, self.corner_emb = A.corner(self.e) if self.summands else (None, None)
         if not self.summands:
             raise DimensionMismatch("zero idempotent has no corner")
+        self.support = A.support_labels(self.e)
+        self.corner, self.corner_emb = A.corner(self.e)
         self.ideal = A.two_sided_ideal(self.e)
         self.quotient, self.quotient_proj = (
             A.quotient_by_idempotent_ideal(self.e) if self.ideal.dim < A.dim else (None, None)
@@ -47,66 +49,47 @@ class IdempotentContext:
 
     def corner_apply(self, X: Module):
         """eX as a module over eAe."""
-        C = self.corner
-        space = X.e_part(self.e)
-        return Module(C, space.dim, X.action_on(space, self.corner_emb.transpose()))
+        space = _over(self.A, X).e_part(self.e)
+        return Module(self.corner, space.dim, X.action_on(space, self.corner_emb.transpose()))
 
     def corner_tensor(self, Y: Module):
         """Ae ⊗_{eAe} Y as a module over A."""
-        A, C = self.A, self.corner
-        f = A.field
-        ae = Subspace.column_space(A.right_mult_matrix(self.e))
-        IY, Im = Matrix.identity(f, Y.dim), Matrix.identity(f, ae.dim)
-        # Basis vector i*nY + j of Ae ⊗ Y is z_i ⊗ y_j.  For a generator c of
-        # eAe the relation rows (i, j) are z_i c ⊗ y_j - z_i ⊗ c y_j, that is
-        # Z^T ⊗ I - I ⊗ Y.act(c)^T, column i of Z the coordinates of z_i c in Ae.
-        G = C.generators()
-        in_A = G * self.corner_emb.transpose()  # row t: generator t as an element of A
-        rels = []
-        for t in range(G.rows):
-            Z = ae.coordinates(ae.restrict(A.right_mult_matrix(in_A.take_rows([t]))))
-            rels.append(Z.transpose().kron(IY) - Im.kron(Y.act(G.take_rows([t])).transpose()))
-        # A acts on Ae ⊗ Y through its left action on Ae
-        return _tensor_quotient(A, rels, Module.regular(A).action_on(ae), IY)[0]
+        ae = Subspace.column_space(self.A.right_mult_matrix(self.e))
+        return _tensor(self.A, ae, self.corner, self.corner_emb, Y)[0]
 
     def corner_hom(self, Y: Module):
         """Hom_{eAe}(eA, Y) as a module over A."""
-        A, C = self.A, self.corner
-        f = A.field
-        ea = Subspace.column_space(A.left_mult_matrix(self.e))
-        m = ea.dim
-        IY, Im = Matrix.identity(f, Y.dim), Matrix.identity(f, m)
-        # A map eA -> Y is the nY x m matrix of the images of the z_b, unknown
-        # i*m + b.  For a generator c of eAe, f(c z_b) = c f(z_b) gives the rows
-        # (i, b) of I ⊗ W^T - Y.act(c) ⊗ I, column b of W the coordinates of c z_b.
-        G = C.generators()
-        in_A = G * self.corner_emb.transpose()  # row t: generator t as an element of A
-        eqs = []
-        for t in range(G.rows):
-            W = ea.coordinates(ea.restrict(A.left_mult_matrix(in_A.take_rows([t]))))
-            eqs.append(IY.kron(W.transpose()) - Y.act(G.take_rows([t])).kron(Im))
-        sol_space = Subspace.column_space(Matrix.vcat(eqs).kernel_basis())
+        A = self.A
+        reg = Module.regular(A)
+        ea = reg.e_part(self.e)
+        n, m = Y.dim, ea.dim
+        # A map eA -> Y is the n x m matrix of the images of the z_b, read row-major:
+        # entry (i, b) is coordinate i*m + b.  hom_basis solves for the eAe-linear ones.
+        homs = hom_basis(self.corner_apply(reg), Y)
+        sol_space = (Subspace.row_space(Matrix.vcat(homs).reshape(len(homs), n * m)) if homs
+                     else Subspace.zero(A.field, n * m))
         # (a·f)(z_b) = f(z_b a): a acts by I ⊗ V^T, column b of V the coordinates of z_b a.
         # Block k of the regular A^op-module's stack is R_k, as b_k acts on A^op by a |-> a b_k.
         rights = Module.regular(A.opposite()).stack
         Vs = ea.coordinates(ea.restrict(rights), blocks=A.dim).vsplit(A.dim)
-        outer = Module.from_actions(A, Y.dim * m, [IY.kron(V.transpose()) for V in Vs], check_unit=False)
+        IY = Matrix.identity(A.field, n)
+        outer = Module.from_actions(A, n * m, [IY.kron(V.transpose()) for V in Vs], check_unit=False)
         return outer.submodule(sol_space)[0]
 
     # -- quotient-side functors ----------------------------------------------------
 
     def inflate(self, Xq: Module):
         """A Q-module viewed as an A-module killed by AeA."""
-        return Xq.inflate_along(self.quotient_proj, self.A)
+        return _over(self.quotient, Xq).inflate_along(self.quotient_proj, self.A)
 
     def quotient_tensor(self, X: Module):
         """(A/AeA) ⊗_A X = X/(AeA)X as a Q-module."""
-        quot, _ = X.quotient(X.image_of(self.ideal.basis))
+        quot, _ = _over(self.A, X).quotient(X.image_of(self.ideal.basis))
         return Module(self.quotient, quot.dim, self._on_quotient(quot))
 
     def quotient_hom(self, X: Module):
         """Hom_A(A/AeA, X): the largest submodule annihilated by AeA."""
-        smod, _ = X.submodule(X.annihilated_by(self.ideal.basis))
+        smod, _ = _over(self.A, X).submodule(X.annihilated_by(self.ideal.basis))
         return Module(self.quotient, smod.dim, self._on_quotient(smod))
 
     def _on_quotient(self, X: Module):
@@ -114,15 +97,33 @@ class IdempotentContext:
         return X.act_rows(self.quotient_lift.transpose())
 
 
-def _tensor_quotient(A, rels, lefts, IX):
-    """(V ⊗ X / span of the rows of rels, that span), b in A acting by L_b ⊗ I,
-    the L_b stacked in lefts as in a module's stack.
+def _over(B, X: Module) -> Module:
+    """X, checked to be a module over B (algebras compared as hom_basis compares them)."""
+    if X.algebra is not B and X.algebra != B:
+        raise DimensionMismatch("a functor was given a module over another algebra")
+    return X
 
-    lefts ⊗ I is the stack of the L_b ⊗ I, and the relation span reads their
-    action on the quotient off it (Subspace.quotient_action).
+
+def _tensor(A, V: Subspace, B, emb: Matrix, X: Module):
+    """(V ⊗_B X, the span of its relations) for a left ideal V of A on which B acts
+    from the right through emb, whose columns realize B's basis in A.
+
+    Basis vector c*dim X + j of V ⊗ X is z_c ⊗ x_j, z_c row c of V's basis.  The
+    relations z_c ι(g_t) ⊗ x_j - z_c ⊗ g_t x_j, for the k generators g_t of B, are
+    the rows (c*k + t)*dim X + j of W ⊗ I - I ⊗ S: row c*k + t of W holds the
+    coordinates of z_c ι(g_t) in V, and block t of S is X.act(g_t) transposed.
+    a in A acts by L_a ⊗ I, L_a its action on V read off the regular module, and
+    the relation span reads the action on the quotient off these
+    (Subspace.quotient_action).
     """
-    rel = Subspace.row_space(Matrix.vcat(rels))
-    return Module(A, rel.ambient_dim - rel.dim, rel.quotient_action(lefts.kron(IX), A.dim)), rel
+    G = _over(B, X).algebra.generators()
+    f = A.field
+    IX = Matrix.identity(f, X.dim)
+    W = V.coordinates(A.products(V.basis, G * emb.transpose()).transpose()).transpose()
+    S = X.act_rows(G).transpose_blocks(G.rows)
+    rel = Subspace.row_space(W.kron(IX) - Matrix.identity(f, V.dim).kron(S))
+    lefts = Module.regular(A).action_on(V).kron(IX)
+    return Module(A, rel.ambient_dim - rel.dim, rel.quotient_action(lefts, A.dim)), rel
 
 
 # -- induction / restriction along a subalgebra embedding -------------------------------
@@ -144,26 +145,13 @@ class SubalgebraEmbedding:
         return b_vec * self._images
 
     def restrict(self, Y: Module) -> Module:
-        return Y.restrict_along(self.emb, self.B)
+        return _over(self.A, Y).restrict_along(self.emb, self.B)
 
     def induce(self, X: Module):
         """(A ⊗_B X, insertion matrix of x -> [1 ⊗ x])."""
-        A, B = self.A, self.B
-        f = A.field
-        nA, nX = A.dim, X.dim
-        IA, IX = Matrix.identity(f, nA), Matrix.identity(f, nX)
-        # Basis vector i*nX + j of A ⊗ X is b_i ⊗ x_j.  For a generator g of B
-        # the relation rows (i, j) are b_i ι(g) ⊗ x_j - b_i ⊗ g x_j, that is
-        # R(ι(g))^T ⊗ I - I ⊗ X.act(g)^T.
-        G = B.generators()
-        rels = []
-        for t in range(G.rows):
-            g = G.take_rows([t])
-            rels.append(A.right_mult_matrix(self.image_vec(g)).transpose().kron(IX) - IA.kron(X.act(g).transpose()))
-        # b acts on A ⊗ X by L_b ⊗ I
-        ind, rel = _tensor_quotient(A, rels, Module.regular(A).stack, IX)
-        insert = rel.project(A.unit.transpose().kron(IX))
-        return ind, insert
+        A = self.A
+        ind, rel = _tensor(A, Subspace.full(A.field, A.dim), self.B, self.emb, X)
+        return ind, rel.project(A.unit.transpose().kron(Matrix.identity(A.field, X.dim)))
 
     def induction_is_exact(self):
         """Exactness of A ⊗_B -, decided by projectivity of A as a right B-module.

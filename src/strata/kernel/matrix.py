@@ -138,18 +138,6 @@ class Matrix:
         return cls._new(field, n, n, 1, tuple([((i,), (1,)) for i in range(n)]))
 
     @classmethod
-    def from_columns(cls, field, cols_, nrows=None):
-        cols_ = [list(c) for c in cols_]
-        if not cols_:
-            if nrows is None:
-                raise DimensionMismatch("from_columns needs nrows when there are no columns")
-            return cls.zeros(field, nrows, 0)
-        n = len(cols_[0])
-        if any(len(c) != n for c in cols_):
-            raise DimensionMismatch("ragged columns")
-        return cls(field, n, len(cols_), [c[i] for i in range(n) for c in cols_])
-
-    @classmethod
     def from_integers(cls, field, rows, cols, nonzeros, den=1):
         """rows x cols matrix over den (1 over F_p) whose row i holds the integers
         nonzeros[i] = (columns, values), None for a zero row.  Columns strictly
@@ -440,7 +428,7 @@ class Matrix:
 
     def transpose_blocks(self, k):
         """The k row blocks of equal height, each transposed, top to bottom: row
-        t*cols + j is column j of block t (side_by_side(k).transpose(), in one pass)."""
+        t*cols + j is column j of block t, in one pass."""
         if k <= 0 or self.rows % k:
             raise DimensionMismatch(f"cannot split {self.rows} rows into {k} blocks")
         return self._transposed(k)
@@ -578,16 +566,6 @@ class Matrix:
         h = self.rows // k
         rows = self.nonzeros
         return [Matrix._reduced(self.field, h, self.cols, self.den, rows[t * h : (t + 1) * h]) for t in range(k)]
-
-    def side_by_side(self, k):
-        """The k row blocks of equal height placed side by side, the top block leftmost."""
-        if k <= 0 or self.rows % k:
-            raise DimensionMismatch(f"cannot split {self.rows} rows into {k} blocks")
-        h, c = self.rows // k, self.cols
-        rows = self.nonzeros
-        # A permutation of the entries keeps the integers canonical.
-        blocks = [rows[t * h : (t + 1) * h] for t in range(k)]
-        return Matrix._new(self.field, h, k * c, self.den, _side_by_side(zip(*blocks), [t * c for t in range(k)]))
 
     # -- elimination ---------------------------------------------------------
 

@@ -421,15 +421,15 @@ class FiltrationResult:
         return out
 
 
-def filtration_standard(X: Module, family, poset, allowed=None, tie_break="forward"):
+def filtration_standard(X: Module, family, poset, allowed=None):
     """Greedy bottom-up filtration by a standard-type family.
 
-    Repeatedly peels the trace of P_j for j maximal among the composition
-    factor labels; that trace T must be Delta_j^t with t = [X : L_j].  Each
-    module it peels keeps T (modules.trace_from_projective), X/T under
-    ("peel", j) and the certificate for T = D^t under ("power", j, D.stack),
-    so every filtration that peels j off the same module reaches the same
-    quotient; the chain in X's coordinates is built per call.
+    Repeatedly peels the trace of P_j for j the first, in A's label order, of
+    the maximal composition factor labels; that trace T must be Delta_j^t with
+    t = [X : L_j].  Each module it peels keeps T (modules.trace_from_projective),
+    X/T under ("peel", j) and the certificate for T = D^t under ("power", j,
+    D.stack), so every filtration that peels j off the same module reaches the
+    same quotient; the chain in X's coordinates is built per call.
     """
     A = X.algebra
     f = A.field
@@ -443,8 +443,7 @@ def filtration_standard(X: Module, family, poset, allowed=None, tie_break="forwa
                                      f"do not add up to its dimension")
         present = [lab for lab in A.labels if mults[lab] > 0]
         maximal = poset.maximal_of(present)
-        cands = sorted(maximal, key=A.labels.index, reverse=(tie_break == "reverse"))
-        j = cands[0]
+        j = min(maximal, key=A.labels.index)
         if allowed is not None and j not in allowed:
             return FiltrationResult(NO, layers, chain, certs,
                                     witness=f"layer label {j} is outside the allowed set")
@@ -489,7 +488,7 @@ def _power_invariant_witness(T: Module, D: Module, t):
     return None
 
 
-def filtration_proper(X: Module, family, poset, allowed=None, tie_break="forward"):
+def filtration_proper(X: Module, family, poset, allowed=None):
     """Greedy top-down filtration by a proper-standard-type family.
 
     Peels one epimorphism X ->> DeltaBar_j at a time.  The family is closed
@@ -516,8 +515,7 @@ def filtration_proper(X: Module, family, poset, allowed=None, tie_break="forward
                                         witness=f"all top labels {bad} are outside the allowed set",
                                         direction="top_down")
         mins = set(poset.minimal_of(present))
-        cands = sorted(present, key=lambda l: (l not in mins, A.labels.index(l)),
-                       reverse=(tie_break == "reverse"))
+        cands = sorted(present, key=lambda l: (l not in mins, A.labels.index(l)))
         epi, j = None, None
         for cand in cands:
             epi = surjection_onto_power(cur, family[cand], 1)

@@ -21,9 +21,10 @@ module held one action matrix per basis element, and the tensor product of
 two algebras, which no library code builds, lives here too.  The adjunction
 loop of criterion c13 is kept as it was before its functor images moved out
 of the inner loop, recording each comparison it makes.  Matrix.column,
-Matrix.scale, Matrix.hsplit and Algebra.basis_left_mult, which no library code
-calls, live here as functions.  The layout chains the library now runs in one
-pass over the stored nonzeros -- Subspace.row_space and projection_matrix,
+Matrix.scale, Matrix.hsplit, Matrix.side_by_side, Matrix.from_columns and
+Algebra.basis_left_mult, which no library code calls, live here as
+functions.  The layout chains the library now runs in one pass over the
+stored nonzeros -- Subspace.row_space and projection_matrix,
 act_rows, Algebra.right_mult_matrix and products, Module.regular and the
 block data's conjugated generators -- are kept verbatim as the references
 the fused routines must equal, stored form included.  So are the Subspace
@@ -51,7 +52,7 @@ from strata.errors import (
 )
 from strata.homology import hom_cochain, resolution
 from strata.kernel.fields import QQ
-from strata.kernel.matrix import Matrix
+from strata.kernel.matrix import Matrix, _side_by_side
 from strata.kernel.subspace import Subspace
 from strata.memo import Family
 from strata.modules import Module
@@ -59,8 +60,9 @@ from strata.quiver import enumerate_paths
 
 
 # -- Matrix methods without a library caller -------------------------------------------
-# Matrix.column, Matrix.scale and Matrix.hsplit, moved here verbatim (as functions)
-# when the library stopped calling them.
+# Matrix.column, Matrix.scale, Matrix.hsplit, Matrix.side_by_side and
+# Matrix.from_columns, moved here verbatim (as functions) when the library stopped
+# calling them.
 
 
 def column(field, vec):
@@ -106,6 +108,30 @@ def hsplit(M, k):
                 lo = hi
     return [Matrix._reduced(M.field, M.rows, w, M.den, tuple(b)) for b in blocks]
 
+
+
+def side_by_side(M, k):
+    """The k row blocks of equal height placed side by side, the top block leftmost."""
+    if k <= 0 or M.rows % k:
+        raise DimensionMismatch(f"cannot split {M.rows} rows into {k} blocks")
+    h, c = M.rows // k, M.cols
+    rows = M.nonzeros
+    # A permutation of the entries keeps the integers canonical.
+    blocks = [rows[t * h : (t + 1) * h] for t in range(k)]
+    return Matrix._new(M.field, h, k * c, M.den, _side_by_side(zip(*blocks), [t * c for t in range(k)]))
+
+
+def from_columns(field, cols_, nrows=None):
+    """The matrix whose columns are the entry lists cols_ (nrows rows when there are none)."""
+    cols_ = [list(c) for c in cols_]
+    if not cols_:
+        if nrows is None:
+            raise DimensionMismatch("from_columns needs nrows when there are no columns")
+        return Matrix.zeros(field, nrows, 0)
+    n = len(cols_[0])
+    if any(len(c) != n for c in cols_):
+        raise DimensionMismatch("ragged columns")
+    return Matrix(field, n, len(cols_), [c[i] for i in range(n) for c in cols_])
 
 def basis_left_mult(A, i):
     """L_i, the matrix of a |-> b_i * a: column j is b_i * b_j (Algebra.basis_left_mult,
@@ -529,7 +555,7 @@ def ref_action_on(X, subspace, R=None):
     if k == 0:
         return []
     incl = subspace.basis.transpose()
-    img = (stacked * incl).side_by_side(k)
+    img = side_by_side(stacked * incl, k)
     coords = img.take_rows(subspace.pivots)
     if incl * coords != img:
         raise InvalidModule("subspace is not action-invariant")
@@ -666,7 +692,7 @@ def ref_compile_presentation(pres, fld):
             v[p.index] = 1
             units.append(v)
         try:
-            ideal.coordinates(Matrix.from_columns(fld, units, nrows=n))
+            ideal.coordinates(from_columns(fld, units, nrows=n))
         except NotInSubspace:
             p = next(p for p, v in zip(long_paths, units) if not ideal.contains(Matrix.from_rows(fld, [v])))
             raise NotFiniteDimensionalWithinBound(

@@ -6,11 +6,14 @@ On the path bases almost every subspace is a coordinate subspace, which
 kernel/subspace.py reads off its pivots; the base-changed copies build
 non-coordinate subspaces throughout, so the general path runs end to end.  Each
 copy must give the same verdict for every order as the original and the same
-Hom and Ext dimensions between the standard modules of its order.
+Hom and Ext dimensions between the standard modules of its order, and the same
+compatibility battery (support, conditions and recollement identities) at each
+single-label idempotent.
 """
 
 import pytest
 
+from strata.compat import compatibility_battery
 from strata.corpus import corpus_path
 from strata.homology import ext_dims_upto
 from strata.kernel.subspace import Subspace
@@ -63,3 +66,16 @@ def test_base_change_keeps_every_verdict(name, coordinate_share):
     # the path basis builds almost only coordinate subspaces, the copy some of the others
     assert built - coordinate <= 1 and coordinate_copy < built_copy
 
+
+def battery(sd, label):
+    rep = compatibility_battery(sd.algebra, sd.poset, sd.algebra.idempotent_for_label(label))
+    return rep.support, rep.conds, rep.identity_checks
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_base_change_keeps_every_battery(name):
+    # the recollement functors of each pick run on non-coordinate subspaces in the copy
+    orig = load_spec_file(corpus_path(name))
+    copy = load_spec(export_base_changed(corpus_path(name)))
+    for label in orig.algebra.labels:
+        assert battery(copy, label) == battery(orig, label)

@@ -1,7 +1,10 @@
 """Recollement functors and induction/restriction: identities and adjunctions."""
 
-from strata.functors import IdempotentContext
-from strata.modules import hom_basis, iso_test, projective, simple
+import pytest
+
+from strata.errors import DimensionMismatch
+from strata.functors import IdempotentContext, SubalgebraEmbedding
+from strata.modules import Module, hom_basis, iso_test, projective, simple
 from strata.strat import strat_datum
 
 from oracles import entry
@@ -123,3 +126,50 @@ class TestExtTransfer:
                     eX, eY = ctx.corner_apply(X), ctx.corner_apply(Y)
                     for n in range(0, 4):
                         assert ext_dim(X, Y, n) == ext_dim(eX, eY, n), (name, i, j, n)
+
+
+class TestWrongAlgebra:
+    """Each functor refuses a module over any algebra but the one it acts on.  A
+    module over A^op has the dimensions of one over A, so only comparing the
+    algebras tells them apart."""
+
+    @staticmethod
+    def context():
+        A = entry("diamond").algebra
+        ctx = IdempotentContext(A, A.idempotent_sum_for_labels(["3", "4"]))
+        # none of the three is its own opposite
+        assert A.opposite() != A and ctx.corner.opposite() != ctx.corner and ctx.quotient.opposite() != ctx.quotient
+        B, emb = A.subalgebra_closure(list(A.idempotents), [])
+        return A, ctx, SubalgebraEmbedding(B, A, emb)
+
+    @pytest.mark.parametrize("functor", ["corner_apply", "quotient_tensor", "quotient_hom", "restrict"])
+    def test_functors_on_modules_over_a(self, functor):
+        A, ctx, sub = self.context()
+        apply = getattr(sub if functor == "restrict" else ctx, functor)
+        apply(projective(A, "1"))
+        for X in (Module.regular(A).dual(), projective(A, "1").dual(), simple(ctx.corner, "4"), simple(sub.B, "1")):
+            with pytest.raises(DimensionMismatch):
+                apply(X)
+
+    @pytest.mark.parametrize("functor", ["corner_tensor", "corner_hom"])
+    def test_functors_on_modules_over_the_corner(self, functor):
+        A, ctx, _ = self.context()
+        apply = getattr(ctx, functor)
+        apply(simple(ctx.corner, "4"))
+        for X in (projective(A, "4"), Module.regular(ctx.corner).dual(), simple(ctx.quotient, "1")):
+            with pytest.raises(DimensionMismatch):
+                apply(X)
+
+    def test_inflate(self):
+        A, ctx, _ = self.context()
+        ctx.inflate(simple(ctx.quotient, "1"))
+        for X in (projective(A, "1"), Module.regular(ctx.quotient).dual(), simple(ctx.corner, "4")):
+            with pytest.raises(DimensionMismatch):
+                ctx.inflate(X)
+
+    def test_induce(self):
+        A, _, sub = self.context()
+        sub.induce(simple(sub.B, "1"))
+        for X in (projective(A, "1"), Module.regular(A).dual()):
+            with pytest.raises(DimensionMismatch):
+                sub.induce(X)

@@ -11,7 +11,7 @@ from strata.errors import DimensionMismatch, InputError
 from strata.kernel import QQ, Matrix, PrimeField, Subspace
 from strata.kernel._elim_py import echelon_int, echelon_mod
 
-from oracles import column, ref_act_rows, ref_projection_matrix, ref_row_space, scale
+from oracles import column, ref_act_rows, ref_projection_matrix, ref_row_space, scale, side_by_side
 
 
 class TestEchelon:
@@ -261,7 +261,7 @@ class TestTransposeBlocks:
         ref = dense_transpose_blocks(M, k)
         assert (T.rows, T.cols, T.den, T.nonzeros) == (ref.rows, ref.cols, ref.den, ref.nonzeros)
         # the two passes it replaces
-        assert T == M.side_by_side(k).transpose()
+        assert T == side_by_side(M, k).transpose()
 
     @pytest.mark.parametrize("f", [QQ, PrimeField(2), PrimeField(7)], ids=["q", "f2", "f7"])
     def test_empty_shapes(self, f):

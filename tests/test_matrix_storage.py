@@ -45,6 +45,7 @@ from oracles import (
     ref_right_mult_kron,
     ref_right_mult_matrix,
     scale,
+    side_by_side,
 )
 from test_generators import GENERATED, build
 from test_interning import VARIANT, pool, variant
@@ -275,7 +276,7 @@ class TestAgainstReference:
 
         k = data.draw(st.sampled_from([d for d in range(1, 5) if n % d == 0]))
         h = n // k
-        check(A.side_by_side(k), h, k * m,
+        check(side_by_side(A, k), h, k * m,
               [a[(t * h + i) * m + j] for i in range(h) for t in range(k) for j in range(m)])
         for t, B in enumerate(A.vsplit(k)):
             check(B, h, m, a[t * h * m : (t + 1) * h * m])

@@ -27,11 +27,13 @@ from strata.modules import Module, hom_basis, injective, left_ideal, projective,
 from strata.specfile import load_spec
 from strata.strat import LabelPoset, StandardRecord, StratDatum, filtration_standard
 
+from base_change import base_changed
 from oracles import (
     basis_left_mult,
     column,
     corpus_doc,
     entry,
+    from_columns,
     hom_basis_plain,
     invariant_closure,
     rows_of,
@@ -41,6 +43,8 @@ from oracles import (
 )
 
 LIGHT_SPECS = ("auslander-x3", "diamond", "ext2-chain", "fork", "fork-refined", "rad-square-zero", "sl2-block")
+# the copies in the basis of tests/base_change.py, whose subspaces are rarely coordinate ones
+BASED = ("based fork", "based diamond", "based sl2-block")
 FIELDS = ("Q", "Fp")
 
 _ALGEBRAS = {}
@@ -49,7 +53,9 @@ _ALGEBRAS = {}
 def algebra(name, field):
     key = (name, field)
     if key not in _ALGEBRAS:
-        if field == "Q":
+        if name.startswith("based "):
+            _ALGEBRAS[key] = base_changed(algebra(name.split(" ", 1)[1], field))
+        elif field == "Q":
             _ALGEBRAS[key] = entry(name).algebra
         else:
             doc = corpus_doc(name)
@@ -204,7 +210,7 @@ def ref_induce(emb, X):
             if not f.is_zero(c):
                 vec[k * nX + j] = c
         cols.append((proj * column(f, vec)).col(0))
-    insert = Matrix.from_columns(f, cols, nrows=qdim)
+    insert = from_columns(f, cols, nrows=qdim)
     return ind, insert
 
 
@@ -421,7 +427,7 @@ class TestAgainstLoopVersions:
             res = resolution(simple(A, lab)).extend_to(2)
             assert all(t.module is projective(A, t.label) for layer in res.layers for t in layer)
 
-    @given(st.sampled_from(LIGHT_SPECS), st.sampled_from(FIELDS), st.data())
+    @given(st.sampled_from(LIGHT_SPECS + BASED), st.sampled_from(FIELDS), st.data())
     @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_induce(self, name, field, data):
         A = algebra(name, field)
@@ -436,7 +442,7 @@ class TestAgainstLoopVersions:
         assert same_module(ind, rind) and insert == rinsert
 
 
-    @given(st.sampled_from(LIGHT_SPECS), st.sampled_from(FIELDS), st.data())
+    @given(st.sampled_from(LIGHT_SPECS + BASED), st.sampled_from(FIELDS), st.data())
     @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_corner_tensor_and_hom(self, name, field, data):
         A = algebra(name, field)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from strata.algebra import Algebra, structure_constant_algebra
 from strata.errors import InvariantViolation, NotAntisymmetric, UnknownLabel
 from strata.kernel.fields import QQ
-from strata.modules import Module, comp_mult, simple
+from strata.modules import Module, comp_mult, hom_basis, projective, simple
 from strata.strat import (
     NO,
     YES,
@@ -22,7 +22,7 @@ from strata.strat import (
     strat_datum,
 )
 from strata.specfile import load_spec
-from oracles import corpus_doc, entry
+from oracles import corpus, corpus_doc, entry
 from test_theorem_oracles import compile_rad_square_zero, rad_square_zero, verdicts
 
 
@@ -221,15 +221,23 @@ class TestFiltrations:
         dims = [s.dim for s in res.chain]
         assert dims == sorted(dims)
 
-    def test_reverse_tie_break_same_multiplicities(self):
-        ent = entry("fork")
-        sd = strat_datum(ent.algebra, ent.poset)
-        X = Module.direct_sum([sd.delta["1"], sd.delta["1'"], sd.delta["2"]])
-        a = filtration_standard(X, sd.delta, ent.poset, tie_break="forward")
-        b = filtration_standard(X, sd.delta, ent.poset, tie_break="reverse")
-        assert a.status == b.status == YES
-        for lab in ent.algebra.labels:
-            assert a.multiplicity(lab) == b.multiplicity(lab)
+    def test_multiplicities_are_hom_dimensions_into_the_proper_costandards(self):
+        # Hom(Delta_i, nablabar_j) = delta_ij k and Ext^1(Delta, nablabar) = 0 on a
+        # split left stratified algebra, so (X : Delta_j) = dim Hom(X, nablabar_j)
+        # for X Delta-filtered: every order of peeling gives these multiplicities
+        checked = 0
+        for ent in corpus().values():
+            A = ent.algebra
+            sd = strat_datum(A, ent.poset)
+            if not is_split(A) or sd.left_stratified()[0] != YES:
+                continue
+            for X in [projective(A, i) for i in A.labels] + [Module.direct_sum(list(sd.delta.values()))]:
+                res = filtration_standard(X, sd.delta, ent.poset)
+                assert res.status == YES
+                for j in A.labels:
+                    assert res.multiplicity(j) == len(hom_basis(X, sd.nabla_bar[j]))
+                    checked += 1
+        assert checked == 126
 
     def test_standard_filtration_with_fat_standard(self):
         # a local algebra has Delta = P with [Delta : L] = 2; direct powers of
