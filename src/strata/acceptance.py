@@ -43,6 +43,7 @@ from .modules import (
 from .strat import (
     NO,
     YES,
+    LabelPoset,
     filtration_standard,
     poset_search,
     strat_datum,
@@ -52,6 +53,7 @@ from .vmult import (
     block_structure_check,
     bruhat_poset,
     builtin_tables,
+    det_is_one,
     ell,
     reference_ell_formula,
     regular_borel_existence,
@@ -190,8 +192,6 @@ def criterion_05(run):
     e1 = A.idempotent_for_label("1")
     corner, _ = A.corner(e1)
     quot, _ = A.quotient_by_idempotent_ideal(e1)
-    from .strat import LabelPoset
-
     c.check("corner quasi-hereditary",
             strat_datum(corner, LabelPoset.antichain(corner.labels)).quasi_hereditary() == YES)
     c.check("quotient quasi-hereditary",
@@ -284,9 +284,11 @@ def criterion_07(run):
 
 
 def _dual_extension_embedding(run):
+    """dual-extension and its Borel embedding, one per run, so c08 and c10 share
+    the embedding's verdicts."""
     e = entry(run, "dual-extension")
-    idem, gens = e.subalgebras["borel"]
-    return e, BorelEmbedding.from_generators(e.algebra, e.poset, idem, gens)
+    return e, derived(run, ("dual-extension borel",), BorelEmbedding.from_generators,
+                      e.algebra, e.poset, *e.subalgebras["borel"])
 
 
 def criterion_08(run):
@@ -297,7 +299,7 @@ def criterion_08(run):
     c.check("four axioms pass", rep.is_exact_borel,
             f"{rep.axiom1} {rep.axiom2} {rep.axiom3} {rep.axiom4}")
     c.check("ordering condition (5)", rep.condition5 == YES)
-    reg = check_regular(emb, 5, report=rep)
+    reg = check_regular(emb, 5)
     c.check("regular through degree 5", reg["regular"])
     c.check("upgraded to unconditional", reg["unconditional"])
     sd = strat_datum(e.algebra, e.poset)
@@ -325,12 +327,12 @@ def criterion_09(run):
     e1 = emb.B.idempotent_for_label("1")
     c.check("support of the image of e_1 is {1,3}",
             support(e.algebra, emb.sub.image_vec(e1)) == ("1", "3"))
-    out = inherited_borels(emb, e1, diagnostic=True, ambient_report=rep, check_regularity=False)
+    out = inherited_borels(emb, e1, diagnostic=True)
     c.check("dim B/Be_1B = 4", out["dim_B_quotient"] == 4, str(out["dim_B_quotient"]))
     c.check("dim A/A iota(e_1) A = 2", out["dim_A_quotient"] == 2, str(out["dim_A_quotient"]))
     c.check("quotient map not injective", out["quotient_injective"] is False)
     e4 = emb.B.idempotent_for_label("4")
-    out4 = inherited_borels(emb, e4, ambient_report=rep)
+    out4 = inherited_borels(emb, e4)
     c.check("label-4 corner inherits", out4["corner_borel"].is_exact_borel)
     c.check("label-4 quotient inherits", out4["quotient_borel"].is_exact_borel)
     c.check("ideal identity A(Be'B) = AeA", out4["A_BeB_equals_AeA"])
@@ -340,11 +342,10 @@ def criterion_09(run):
 def criterion_10(run):
     c = Criterion("c10", "dual-extension: inherited corner/quotient subalgebras at {3} and "
                          "{2,3}, ideal identity, supports, regularity inherited")
-    e, emb = _dual_extension_embedding(run)
-    rep = check_exact_borel(emb)
+    _, emb = _dual_extension_embedding(run)
     for labels in (["3"], ["2", "3"]):
         ev = emb.B.idempotent_sum_for_labels(labels)
-        out = inherited_borels(emb, ev, ambient_report=rep)
+        out = inherited_borels(emb, ev)
         tag = "+".join(labels)
         c.check(f"[{tag}] corner splitting subalgebra", out["corner_borel"].is_exact_borel)
         c.check(f"[{tag}] quotient splitting subalgebra", out["quotient_borel"].is_exact_borel)
@@ -488,8 +489,6 @@ def criterion_13(run):
     for name in ("fork", "diamond"):
         ent = entry(run, name)
         sd = strat_datum(ent.algebra, ent.poset)
-        from .strat import LabelPoset
-
         ext = sd.essential_order().linear_extension()
         chainp = LabelPoset.chain(ext)
         sd2 = strat_datum(ent.algebra, chainp)
@@ -517,8 +516,6 @@ def criterion_13(run):
                 ok = False
     c.check("ideal dimension partition", ok)
     # V unitriangularity with determinant one
-    from .vmult import det_is_one
-
     for name in ("sl2-block", "fork", "diamond", "auslander-x3", "ext2-chain",
                  "dual-extension", "nonbasic-endo", "sl2-tensor-square"):
         ent = entry(run, name)

@@ -19,15 +19,22 @@ tensor f on an induced resolution), not by dimension counting: the induced
 resolution has the same shape as the minimal B-resolution with summands
 A·ι(e) and differentials ι(m), so both cochain complexes and the comparison
 map between them are explicit.
+
+Each verdict is decided once per embedding and kept on it by memo.derived,
+next to its induced modules: check_exact_borel under ("exact-borel",) and
+check_regular under ("regular", n_max), its cells keyed "i,j,n" as a report
+prints them.  So no caller hands a report to another: inherited_borels reads
+the ambient verdicts off the embedding it is given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .compat import compatibility_battery, support
 from .errors import InvariantViolation, NotBasic, NotIdempotentSum, NotInSubspace, NotQuasiHereditary, SupportNotCoideal
 from .functors import SubalgebraEmbedding
-from .homology import cohomology, global_dimension, hom_cochain, resolution
+from .homology import cohomology, ext_dim, global_dimension, hom_cochain, resolution
 from .kernel.matrix import Matrix
 from .kernel.subspace import Subspace
 from .memo import derived
@@ -41,7 +48,6 @@ from .modules import (
     simple,
 )
 from .strat import NO, UNDET, YES, LabelPoset, filtration_standard, strat_datum
-from .compat import support
 
 DEFAULT_NMAX = 5
 GLDIM_CAP = 12
@@ -84,11 +90,9 @@ class BorelReport:
     condition5: str
     is_exact_borel: bool
     axiom3_certs: dict = field(default_factory=dict)
-    regularity: dict | None = None
-    details: dict = field(default_factory=dict)
 
     def to_json(self):
-        out = {
+        return {
             "axiom1_induction_exact": self.axiom1,
             "axiom2_directed_simple_standards": self.axiom2,
             "axiom3_induced_simples_are_standards": dict(self.axiom3),
@@ -96,13 +100,14 @@ class BorelReport:
             "condition5_ordering": self.condition5,
             "is_exact_borel": self.is_exact_borel,
         }
-        if self.regularity is not None:
-            out["regularity"] = self.regularity
-        out.update(self.details)
-        return out
 
 
 def check_exact_borel(emb: BorelEmbedding) -> BorelReport:
+    """The four axioms and condition (5), decided once per embedding."""
+    return derived(emb, ("exact-borel",), _check_exact_borel, emb)
+
+
+def _check_exact_borel(emb: BorelEmbedding) -> BorelReport:
     A, B, poset = emb.A, emb.B, emb.poset
     left, _ = emb.sd.left_stratified()
     if left != YES:
@@ -139,8 +144,6 @@ def check_exact_borel(emb: BorelEmbedding) -> BorelReport:
         db = len(hom_basis(sdB.L[i], sdB.L[i]))
         axiom4[i] = YES if da == db else NO
 
-    from .homology import ext_dim
-
     condition5 = YES
     for i in A.labels:
         for j in A.labels:
@@ -156,16 +159,19 @@ def check_exact_borel(emb: BorelEmbedding) -> BorelReport:
 # -- regularity -------------------------------------------------------------------
 
 
-def check_regular(emb: BorelEmbedding, n_max=DEFAULT_NMAX, report: BorelReport | None = None):
-    """Per-(i,j,n) comparison verdicts plus aggregate regular/homological flags.
+def check_regular(emb: BorelEmbedding, n_max=DEFAULT_NMAX):
+    """Per-(i,j,n) comparison verdicts, keyed "i,j,n", plus aggregate
+    regular/homological flags; decided once per embedding and depth.
 
     Upgraded to unconditional when every simple B-module has projective
     dimension <= GLDIM_CAP: the induced A-resolutions share that length, so
     all higher Ext vanish on both sides.
     """
-    B = emb.B
-    if report is None:
-        report = check_exact_borel(emb)
+    return derived(emb, ("regular", n_max), _check_regular, emb, n_max)
+
+
+def _check_regular(emb: BorelEmbedding, n_max):
+    report = check_exact_borel(emb)
     if not report.is_exact_borel:
         raise InvariantViolation("regularity is checked only for verified exact Borel subalgebras")
     cells = {}
@@ -176,14 +182,14 @@ def check_regular(emb: BorelEmbedding, n_max=DEFAULT_NMAX, report: BorelReport |
         for n, (hb, ha, rank) in enumerate(profile, 1):
             inj = rank == hb
             surj = rank == ha
-            cells[(i, j, n)] = {"dim_sub": hb, "dim_ambient": ha, "injective": inj, "surjective": surj}
+            cells[f"{i},{j},{n}"] = {"dim_sub": hb, "dim_ambient": ha, "injective": inj, "surjective": surj}
             if not (inj and surj):
                 regular = False
             if n == 1 and not surj:
                 homological = False
             if n >= 2 and not (inj and surj):
                 homological = False
-    pd_cap = global_dimension(B, GLDIM_CAP)
+    pd_cap = global_dimension(emb.B, GLDIM_CAP)
     unconditional = pd_cap is not None and pd_cap <= n_max
     return {
         "n_max": n_max,
@@ -224,19 +230,9 @@ def comparison_complexes(emb: BorelEmbedding, n_max, certs):
             ]
             for n in range(1, min(len(verticals), len(deltas_b) + 1)):
                 # chain map sanity on the spot
-                lhs = verticals[n] * deltas_b[n - 1] if n - 1 < len(deltas_b) else None
-                rhs = deltas_a[n - 1] * verticals[n - 1] if n - 1 < len(deltas_a) else None
-                if lhs is not None and rhs is not None:
-                    if lhs != rhs:
-                        raise InvariantViolation("comparison is not a cochain map")
+                if verticals[n] * deltas_b[n - 1] != deltas_a[n - 1] * verticals[n - 1]:
+                    raise InvariantViolation("comparison is not a cochain map")
             yield (i, j), dims_b, deltas_b, (dims_a, deltas_a, verticals)
-
-
-def regularity_json(reg):
-    """A check_regular result for a report: cell keys (i, j, n) become "i,j,n"."""
-    out = {k: v for k, v in reg.items() if k != "cells"}
-    out["cells"] = {f"{i},{j},{n}": v for (i, j, n), v in reg["cells"].items()}
-    return out
 
 
 # -- Prop-level identities -------------------------------------------------------------
@@ -262,14 +258,8 @@ def normality_certificate(emb: BorelEmbedding):
     A, B = emb.A, emb.B
     f = A.field
     Bop = B.opposite()
-    mult = {}
-    for _, lab in B.idempotents:
-        mult[lab] = mult.get(lab, 0) + 1
-    summands = []
-    for i in B.labels:
-        for _ in range(mult[i]):
-            summands.append(emb.sd.op.delta_bar[i])  # D(NablaBar_i) over A^op
-    M = Module.direct_sum(summands)
+    # D(NablaBar_i) over A^op, once per distinguished idempotent of B with label i
+    M = Module.direct_sum([emb.sd.op.delta_bar[i] for i in B.labels for _ in B.idempotents_for_label(i)])
     resM = M.restrict_along(emb.emb, Bop)
     regB = Module.regular(Bop)
     v = iso_test(regB, resM)
@@ -294,8 +284,7 @@ def normality_certificate(emb: BorelEmbedding):
 # -- inherited Borels on corners and quotients ---------------------------------------
 
 
-def inherited_borels(emb: BorelEmbedding, e_prime, n_max=DEFAULT_NMAX, diagnostic=False,
-                     ambient_report: BorelReport | None = None, check_regularity=True):
+def inherited_borels(emb: BorelEmbedding, e_prime, n_max=DEFAULT_NMAX, diagnostic=False):
     """Corner and quotient Borels induced by an idempotent e' of B.
 
     Hypothesis route 1: support of e' is a coideal of the poset; route 2:
@@ -312,17 +301,12 @@ def inherited_borels(emb: BorelEmbedding, e_prime, n_max=DEFAULT_NMAX, diagnosti
 
     route1 = poset.is_coideal(suppB)
     route2 = None
-    if not route1:
-        from .compat import compatibility_battery
-
-        if ambient_report is None:
-            ambient_report = check_exact_borel(emb)
-        if ambient_report.condition5 == YES:
-            try:
-                rep = compatibility_battery(A, poset, ie, with_identities=False)
-                route2 = rep.conds[4] == YES and rep.conds[5] == YES
-            except NotIdempotentSum:
-                route2 = False
+    if not route1 and check_exact_borel(emb).condition5 == YES:
+        try:
+            rep = compatibility_battery(A, poset, ie, with_identities=False)
+            route2 = rep.conds[4] == YES and rep.conds[5] == YES
+        except NotIdempotentSum:
+            route2 = False
     if not route1 and not route2:
         if not diagnostic:
             raise SupportNotCoideal(f"support {suppB} fails both hypothesis routes")
@@ -374,13 +358,11 @@ def inherited_borels(emb: BorelEmbedding, e_prime, n_max=DEFAULT_NMAX, diagnosti
         quo_poset = poset.restrict([l for l in A.labels if l not in set(suppB)])
         quo_emb = BorelEmbedding(Aq, quo_poset, Bq, Y)
         out["quotient_borel"] = check_exact_borel(quo_emb)
-    if check_regularity:
-        amb = check_regular(emb, n_max, report=ambient_report)
-        out["ambient_regular"] = amb["regular"]
-        if amb["regular"]:
-            out["corner_regular"] = check_regular(corner_emb, n_max, report=out["corner_borel"])
-            if not full_corner:
-                out["quotient_regular"] = check_regular(quo_emb, n_max, report=out["quotient_borel"])
+    out["ambient_regular"] = check_regular(emb, n_max)["regular"]
+    if out["ambient_regular"]:
+        out["corner_regular"] = check_regular(corner_emb, n_max)
+        if not full_corner:
+            out["quotient_regular"] = check_regular(quo_emb, n_max)
     return out
 
 

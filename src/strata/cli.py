@@ -252,7 +252,6 @@ def cmd_borel(args):
         check_regular,
         inherited_borels,
         normality_certificate,
-        regularity_json,
         restriction_identity,
     )
 
@@ -273,8 +272,8 @@ def cmd_borel(args):
     if not report.is_exact_borel:
         rep.fail()
         return rep
-    reg = check_regular(emb, n_max, report=report)
-    rep.body["regularity"] = regularity_json(reg)
+    reg = check_regular(emb, n_max)
+    rep.body["regularity"] = reg
     rep.line(f"regular through degree {n_max}: {reg['regular']}"
              + (" (unconditional)" if reg["unconditional"] else " (truncated)"))
     ri = restriction_identity(emb)
@@ -285,17 +284,8 @@ def cmd_borel(args):
     rep.line(f"normal splitting: {nc['status']}")
     if args.idempotent:
         e_prime = _idempotent_from_arg(emb.B, args.idempotent)
-        out = inherited_borels(emb, e_prime, n_max=n_max, diagnostic=args.diagnostic,
-                               ambient_report=report)
-        serial = {}
-        for k, v in out.items():
-            if k in ("corner_regular", "quotient_regular"):
-                serial[k] = regularity_json(v)
-                continue
-            serial[k] = v.to_json() if hasattr(v, "to_json") else (
-                {kk: (vv if not hasattr(vv, "to_json") else vv.to_json()) for kk, vv in v.items()}
-                if isinstance(v, dict) else v)
-        rep.body["inherited"] = serial
+        out = inherited_borels(emb, e_prime, n_max=n_max, diagnostic=args.diagnostic)
+        rep.body["inherited"] = {k: (v.to_json() if hasattr(v, "to_json") else v) for k, v in out.items()}
         rep.line(f"inherited at {args.idempotent}: corner "
                  f"{out.get('corner_borel').is_exact_borel if 'corner_borel' in out else 'n/a'}, "
                  f"quotient {out.get('quotient_borel').is_exact_borel if 'quotient_borel' in out else 'n/a'}")

@@ -17,12 +17,15 @@ Both tensor functors, corner_tensor and induction A ⊗_B -, are one routine
 (_tensor): V ⊗ X modulo the bilinearity relations over a generating set of B,
 for a left ideal V of A on which B acts from the right.  corner_hom is the span
 of modules.hom_basis(eA, Y), carrying the outer action of A.  Every functor
-refuses a module over an algebra other than the one it acts on.
+refuses a module over an algebra other than the one it acts on.  Exactness of
+induction reads the projective cover of A as a right B-module off
+homology.projective_cover, the cover every resolution layer is built from.
 """
 
 from __future__ import annotations
 
 from .errors import DimensionMismatch, InvariantViolation
+from .homology import projective_cover
 from .kernel.matrix import Matrix
 from .kernel.subspace import Subspace
 from .modules import Module, hom_basis
@@ -157,10 +160,9 @@ class SubalgebraEmbedding:
         """Exactness of A ⊗_B -, decided by projectivity of A as a right B-module.
 
         Returns (verdict, section matrix or None): the projective cover of A_B
-        splits iff a right-B-linear section exists, iff the cover is an iso.
+        (homology.projective_cover) splits iff a right-B-linear section exists,
+        iff the cover is an iso.
         """
-        from .homology import Summand, _cover_matrix, _minimal_cover
-
         Bop = self.B.opposite()
         f = self.A.field
         n = self.A.dim
@@ -169,11 +171,8 @@ class SubalgebraEmbedding:
         # reshaped to n rows, so the transpose stacks the R(ι(b_j)).
         right = self.A.products(None, self._images).reshape(n, self.B.dim * n)
         A_right = Module(Bop, n, right.transpose())
-        covers = _minimal_cover(Bop, A_right)
-        summands = [Summand(Bop, lab) for lab, _ in covers]
-        cover = _cover_matrix(A_right, covers, summands)
-        total = sum(s.module.dim for s in summands)
-        if total != A_right.dim:
+        _, cover = projective_cover(A_right)
+        if cover.cols != A_right.dim:  # the cover's source is larger than A_B
             return False, None
         section = cover.solve(Matrix.identity(f, A_right.dim))
         if section is None:

@@ -1,14 +1,17 @@
 """Minimal projective resolutions, Ext groups, and comparison maps on Ext.
 
-A resolution layer is a list of summands P_label = A·e, e the first
-distinguished idempotent with that label.  Differentials are stored twice:
+A resolution layer is the list of its summands' labels: the summand for a
+label is P_label = A·e, e the first distinguished idempotent with that label,
+realized as projective(A, label) on left_ideal(A, label), so every summand for
+one label is one module.  Differentials are stored twice:
 concretely, as matrices between the realized direct sums, and symbolically, as
 grids of algebra elements m ∈ e_col·A·e_row acting by right multiplication.
 The symbolic form is what makes Hom(P_n, Y) = ⊕ e_u·Y computable without
 solving intertwiner systems, and is what transports along algebra embeddings.
 It is read, not solved: the coordinates of each summand generator e in the
 RREF basis of A e are its entries at the pivots (kept once per label), and d_n
-of all the generators of P_n is one product.  Each layer's projective cover is
+of all the generators of P_n is one product.  Each layer's projective cover
+(projective_cover, which SubalgebraEmbedding.induction_is_exact also reads) is
 read the same way, from one elimination per label (see _minimal_cover), with
 no span grown one vector at a time.
 
@@ -26,29 +29,7 @@ from .errors import DimensionMismatch, InvariantViolation, NotInSubspace
 from .kernel.matrix import Matrix
 from .kernel.subspace import Subspace
 from .memo import derived
-from .modules import Module, left_ideal, projective
-
-
-class Summand:
-    """P_label = A e as a resolution summand, e the first distinguished idempotent
-    with that label: the subspace `space` of A, with basis the columns of `basis`
-    (in A's coordinates).
-
-    The module is `projective(A, label)` itself, so every summand for the same
-    label shares one module.
-    """
-
-    __slots__ = ("e_vec", "space", "module", "label")
-
-    def __init__(self, algebra, label):
-        self.label = label
-        self.e_vec = algebra.idempotent_for_label(label)
-        self.module = projective(algebra, label)
-        self.space = left_ideal(algebra, label)
-
-    @property
-    def basis(self):
-        return self.space.inclusion()
+from .modules import Module, left_ideal, projective, simple
 
 
 def _minimal_cover(A, K: Module):
@@ -73,11 +54,16 @@ def _minimal_cover(A, K: Module):
     return covers
 
 
-def _cover_matrix(K: Module, covers, summands) -> Matrix:
-    """The map from the direct sum of the summands onto K sending each summand's
-    generator to its lift: block s is a |-> a·v on A e_s, in the summand's basis."""
-    blocks = [s.space.restrict(K.orbit_matrix(v)) for (_, v), s in zip(covers, summands)]
-    return Matrix.hcat(blocks) if blocks else Matrix.zeros(K.algebra.field, K.dim, 0)
+def projective_cover(K: Module):
+    """(labels, cover): the projective cover of K is the direct sum of the
+    P_label = A e over labels, in order, and cover maps it onto K, sending each
+    summand's generator e to its lift (block s is a |-> a·v on A e_s, in the
+    basis of left_ideal)."""
+    A = K.algebra
+    covers = _minimal_cover(A, K)
+    blocks = [left_ideal(A, lab).restrict(K.orbit_matrix(v)) for lab, v in covers]
+    cover = Matrix.hcat(blocks) if blocks else Matrix.zeros(A.field, K.dim, 0)
+    return [lab for lab, _ in covers], cover
 
 
 class Resolution:
@@ -89,32 +75,28 @@ class Resolution:
 
     def __init__(self, X: Module):
         self.A = X.algebra
-        self.layers = []  # list of list[Summand]
+        self.layers = []  # layers[n]: the labels of P_n's summands
         self.diffs = []  # diffs[0]: aug (dimX x dimP0); diffs[n]: P_n -> P_{n-1}
         self.element_diffs = []  # element_diffs[n][s][u] in A-coords, n >= 1
         self.modules = []  # concrete P_n
         self._exhausted_at = None  # layer index where the resolution stops (kernel 0)
         self._append_layer(X, None)
 
-    def _concrete(self, summands):
-        if not summands:
+    def _concrete(self, labels):
+        if not labels:
             return Module.zero(self.A)
-        return Module.direct_sum([s.module for s in summands])
+        return Module.direct_sum([projective(self.A, lab) for lab in labels])
 
     def _append_layer(self, kernel_module, kernel_space):
         """Cover kernel_module, the submodule on kernel_space of the last layer's
         module (X itself for layer 0, when kernel_space is None)."""
-        A = self.A
-        covers = _minimal_cover(A, kernel_module)
-        summands = [Summand(A, lab) for lab, _ in covers]
-        cover = _cover_matrix(kernel_module, covers, summands)  # concrete map P_new -> kernel_module
+        labels, cover = projective_cover(kernel_module)  # cover: P_new -> kernel_module
         concrete = cover if kernel_space is None else kernel_space.embed(cover)
-        self.layers.append(summands)
-        self.modules.append(self._concrete(summands))
+        self.layers.append(labels)
+        self.modules.append(self._concrete(labels))
         self.diffs.append(concrete)
         if len(self.layers) >= 2:
             self.element_diffs.append(self._elements_of(len(self.layers) - 1))
-        return summands
 
     def _elements_of(self, n):
         """Differential d_n expressed as algebra elements (1 x dim A rows), grid [s][u]:
@@ -122,14 +104,15 @@ class Resolution:
         s-th summand of P_{n-1}, as an element of A e_s."""
         A = self.A
         # column u: the coordinates of e_u in its summand's basis, at the summand's offset
-        gens = Matrix.block_diagonal(A.field, [_generator_coordinates(A, u.label) for u in self.layers[n]])
+        gens = Matrix.block_diagonal(A.field, [_generator_coordinates(A, lab) for lab in self.layers[n]])
         images = self.diffs[n] * gens
         grid = []
         off = 0
-        for s in self.layers[n - 1]:
+        for lab in self.layers[n - 1]:
             # row u: the component of d_n(e_u), in A's coordinates
-            elems = s.space.embed(images.take_rows(range(off, off + s.module.dim))).transpose()
-            off += s.module.dim
+            space = left_ideal(A, lab)
+            elems = space.embed(images.take_rows(range(off, off + space.dim))).transpose()
+            off += space.dim
             grid.append([elems.take_rows([u]) for u in range(elems.rows)])
         return grid
 
@@ -161,7 +144,7 @@ class Resolution:
         return self._exhausted_at - 1
 
     def layer_idempotents(self, n):
-        return [s.e_vec for s in self.layers[n]]
+        return [self.A.idempotent_for_label(lab) for lab in self.layers[n]]
 
 
 def _generator_coordinates(A, label) -> Matrix:
@@ -296,8 +279,6 @@ def ext_dim(X: Module, Y: Module, n: int) -> int:
 
 def global_dimension(A, cap=12):
     """Max projective dimension of the simples if all are <= cap, else None."""
-    from .modules import simple
-
     worst = 0
     for lab in A.labels:
         L = simple(A, lab)

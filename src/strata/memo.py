@@ -5,7 +5,8 @@ idempotent splits, corners, ideals, the opposite, the modules themselves,
 named modules, standard records, stratification data, radicals, block data,
 Hom spaces, Ext dimensions, multiplicities, traces, what a filtration peels
 off a module (X/T under ("peel", j), the T = D^t certificate under ("power",
-j, D.stack)), resolutions and a Borel embedding's induced modules -- is stored
+j, D.stack)), resolutions, a Borel embedding's induced modules and its axiom
+and regularity verdicts (the latter by depth) -- is stored
 by ``derived`` in the ``_derived`` dict of the object it describes, so it
 dies with that object.  A value is keyed by what fixes it: every module by
 its stack, on its algebra (so a module and its data live as long as the
@@ -26,8 +27,8 @@ family are one object, with one set of modules, Hom spaces and verdicts, even
 when they are reached from different roots, and a derived algebra lives as
 long as its family.  A root built on its own (a spec file the CLI loads, an
 algebra a test builds) is the only member of a fresh family; a verify-paper
-run is one family, which also keeps the run's corpus entries and battery
-sweep, so two runs share nothing.
+run is one family, which also keeps the run's corpus entries, battery sweep
+and dual-extension Borel embedding, so two runs share nothing.
 
 perfbench/spans.py wraps the public functions of the other modules, not of
 this one, so a lookup adds no span to a traced run.

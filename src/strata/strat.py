@@ -315,10 +315,10 @@ class StratDatum:
                 return NO
         return YES
 
-    def delta_filtration(self, X, allowed=None):
+    def delta_filtration(self, X):
         """Greedy Delta-filtration check, cross-checked against the Ext oracle."""
-        res = filtration_standard(X, self.delta, self.poset, allowed=allowed)
-        if allowed is None and self.left_stratified()[0] == YES:
+        res = filtration_standard(X, self.delta, self.poset)
+        if self.left_stratified()[0] == YES:
             oracle = self.ext_oracle_delta(X)
             if oracle != (res.status == YES):
                 raise InvariantViolation("greedy and Ext oracle disagree")
@@ -488,7 +488,7 @@ def _power_invariant_witness(T: Module, D: Module, t):
     return None
 
 
-def filtration_proper(X: Module, family, poset, allowed=None):
+def filtration_proper(X: Module, family, poset):
     """Greedy top-down filtration by a proper-standard-type family.
 
     Peels one epimorphism X ->> DeltaBar_j at a time.  The family is closed
@@ -507,13 +507,6 @@ def filtration_proper(X: Module, family, poset, allowed=None):
         present = [lab for lab in A.labels if comp_mult(topmod, lab) > 0]
         if not present:
             raise InvariantViolation(f"the top of a module of dim {cur.dim} has no composition factor")
-        if allowed is not None:
-            bad = [lab for lab in present if lab not in allowed]
-            present = [lab for lab in present if lab in allowed]
-            if not present:
-                return FiltrationResult(NO, layers, chain, certs,
-                                        witness=f"all top labels {bad} are outside the allowed set",
-                                        direction="top_down")
         mins = set(poset.minimal_of(present))
         cands = sorted(present, key=lambda l: (l not in mins, A.labels.index(l)))
         epi, j = None, None

@@ -52,8 +52,8 @@ class MultTables:
 
     def to_json(self):
         labels = list(self.poset.labels)
-        def grid(d, flip=False):
-            return [[d.get((a, b) if not flip else (a, b), 0) for b in labels] for a in labels]
+        def grid(d):
+            return [[d.get((a, b), 0) for b in labels] for a in labels]
         return {
             "labels": labels,
             "poset": [list(p) for p in self.poset.cover_pairs()],
@@ -290,10 +290,8 @@ _RANK2_WORDS = {
     "G2": ["e", "s", "t", "st", "ts", "sts", "tst", "stst", "tsts", "ststs", "tstst", "ststst"],
 }
 
-_RANK2_LENGTH = {
-    "A1": {"e": 0, "s": 1},
-    "A1xA1": {"e": 0, "s1": 1, "s2": 1, "w0": 2},
-}
+# the one word not spelled in the letters s and t: A1xA1's longest element
+_W0_LENGTH = {"w0": 2}
 
 
 def bruhat_poset(typ):
@@ -301,17 +299,12 @@ def bruhat_poset(typ):
 
     These are dihedral (or a product of two A1), where Bruhat order is graded
     by word length with every shorter element below every longer one; heights
-    are the lengths.
+    are the lengths, the number of letters s and t in a word.
     """
     if typ not in _RANK2_WORDS:
         raise InputError(f"unsupported type {typ!r}; choose from {sorted(_RANK2_WORDS)}")
     words = _RANK2_WORDS[typ]
-    if typ in _RANK2_LENGTH:
-        length = _RANK2_LENGTH[typ]
-    else:
-        length = {w: (0 if w == "e" else len(w) - w.count("1") - w.count("2")) for w in words}
-        if typ == "A2":
-            length = {w: (0 if w == "e" else len(w.replace("s1", "x").replace("s2", "y"))) for w in words}
+    length = {w: _W0_LENGTH.get(w, w.count("s") + w.count("t")) for w in words}
     pairs = [(a, b) for a in words for b in words if length[a] < length[b]]
     return LabelPoset(words, pairs), length
 

@@ -55,7 +55,7 @@ from strata.kernel.fields import QQ
 from strata.kernel.matrix import Matrix, _side_by_side
 from strata.kernel.subspace import Subspace
 from strata.memo import Family
-from strata.modules import Module
+from strata.modules import Module, left_ideal
 from strata.quiver import enumerate_paths
 
 
@@ -435,17 +435,17 @@ def ref_element_diffs(res, n):
     prev = res.layers[n - 1]
     cur = res.layers[n]
     offs = [0]
-    for s in prev:
-        offs.append(offs[-1] + s.module.dim)
+    for lab in prev:
+        offs.append(offs[-1] + left_ideal(res.A, lab).dim)
     # image of the generator e_u: column at the generator coordinate
     cols = [_ref_generator_column(res, n, ui) for ui in range(len(cur))]
     grid = []
-    for si, s in enumerate(prev):
+    for si, lab in enumerate(prev):
         row = []
-        for ui, u in enumerate(cur):
+        for ui in range(len(cur)):
             col = cols[ui]
             block = col[offs[si] : offs[si + 1]]
-            elem = (s.basis * column(res.A.field, block)).col(0)
+            elem = (left_ideal(res.A, lab).inclusion() * column(res.A.field, block)).col(0)
             row.append(Matrix.from_rows(res.A.field, [elem]))
         grid.append(row)
     return grid
@@ -457,9 +457,9 @@ def _ref_generator_column(res, n, ui):
     f = res.A.field
     off = 0
     for k in range(ui):
-        off += cur[k].module.dim
-    gen = cur[ui].e_vec.row(0)
-    coords, rem = _ref_coords_in(cur[ui].basis, gen, f)
+        off += left_ideal(res.A, cur[k]).dim
+    gen = res.A.idempotent_for_label(cur[ui]).row(0)
+    coords, rem = _ref_coords_in(left_ideal(res.A, cur[ui]).inclusion(), gen, f)
     if rem is not None:
         raise InvariantViolation("a summand generator e lies outside its summand A e")
     vec = [f.zero] * res.modules[n].dim
@@ -642,8 +642,10 @@ def ref_right_mult_matrix(A, vec):
 
 
 def ref_compile_presentation(pres, fld):
-    """compile_presentation as it was before the per-block elimination, verbatim:
-    one dense vector per generator, one elimination of the whole ideal.
+    """compile_presentation as it was before the per-block elimination: one dense
+    vector per generator, one elimination of the whole ideal.  The loops over the
+    (q, p) pairs stop at the first path too long, as the pairs past it give no
+    generator, so the generators and their order are those of the original.
 
     Output: (paths, ideal subspace in the truncated path space, representative
     path indices, work bound).
@@ -669,11 +671,14 @@ def ref_compile_presentation(pres, fld):
         ends = pres.path_endpoints(rel[0][1])
         rsrc, rtgt = ends
         maxlen = max(len(path) for _, path in rel)
-        # q is applied before the relation, p after it
+        # q is applied before the relation, p after it; both lists are in length
+        # order (enumerate_paths), so the first path that no longer fits ends its loop
         for q in by_target.get(rsrc, []):
+            if len(q.arrows) + maxlen > L_work:
+                break
             for p in by_source.get(rtgt, []):
                 if len(q.arrows) + maxlen + len(p.arrows) > L_work:
-                    continue
+                    break
                 vec = [fld.zero] * n
                 for coeff, wpath in rel:
                     arrows = q.arrows + tuple(reversed(wpath)) + p.arrows

@@ -1,7 +1,11 @@
 """Exact Borel verification: axioms, regularity, normality, inheritance."""
 
+from unittest import mock
+
 import pytest
 
+import strata.borel
+from strata.acceptance import criterion_08, criterion_10
 from strata.borel import (
     BorelEmbedding,
     basic_borel_criterion,
@@ -12,7 +16,9 @@ from strata.borel import (
     restriction_identity,
 )
 from strata.compat import support
+from strata.corpus import entry as run_entry
 from strata.errors import NotBasic, SupportNotCoideal
+from strata.memo import Family
 from strata.modules import comp_mult
 from strata.strat import NO, YES, strat_datum
 
@@ -57,7 +63,7 @@ class TestAxioms:
         emb = BorelEmbedding(K2, LabelPoset.antichain(["1", "2"]), B, embm)
         rep = check_exact_borel(emb)
         assert rep.is_exact_borel
-        reg = check_regular(emb, 3, report=rep)
+        reg = check_regular(emb, 3)
         assert reg["regular"] and reg["unconditional"]
 
 
@@ -67,8 +73,9 @@ class TestRegularity:
         reg = check_regular(emb, 5)
         assert reg["regular"] and reg["homological"] and reg["unconditional"]
         # the only nonzero first-Ext cells sit on the subalgebra's arrows
-        nonzero = {(i, j) for (i, j, n), v in reg["cells"].items()
-                   if n == 1 and (v["dim_sub"] or v["dim_ambient"])}
+        cells = {tuple(key.split(",")): v for key, v in reg["cells"].items()}
+        nonzero = {(i, j) for (i, j, n), v in cells.items()
+                   if n == "1" and (v["dim_sub"] or v["dim_ambient"])}
         assert nonzero == {("1", "2"), ("1", "3"), ("2", "3")}
 
     def test_subalgebra_essential_order_coarser(self):
@@ -78,6 +85,30 @@ class TestRegularity:
         essA = strat_datum(e.algebra, e.poset).essential_order()
         essB = strat_datum(emb.B, e.poset).essential_order()
         assert essA.refines(essB)
+
+
+class TestVerdictsKept:
+    def test_each_verdict_is_decided_once_per_embedding(self):
+        _, emb = dual_extension_embedding()
+        assert check_exact_borel(emb) is check_exact_borel(emb)
+        assert check_regular(emb, 5) is check_regular(emb, 5)
+
+    def test_c08_and_c10_compare_the_ambient_complexes_once(self):
+        # one dual-extension embedding per run: c08's regularity serves both of
+        # c10's inherited_borels calls
+        run = Family()
+        ambient = run_entry(run, "dual-extension").algebra
+        entered = []
+        complexes = strata.borel.comparison_complexes
+
+        def record(emb, n_max, certs):
+            if emb.A is ambient:
+                entered.append(emb)
+            return complexes(emb, n_max, certs)
+
+        with mock.patch.object(strata.borel, "comparison_complexes", record):
+            assert criterion_08(run).passed and criterion_10(run).passed
+        assert len(entered) == 1
 
 
 class TestRestrictionNormality:
@@ -155,8 +186,7 @@ class TestInherited:
 
     def test_endo_diagnostic_mode(self):
         e, emb = endo_embedding()
-        out = inherited_borels(emb, emb.B.idempotent_for_label("1"), diagnostic=True,
-                               check_regularity=False)
+        out = inherited_borels(emb, emb.B.idempotent_for_label("1"), diagnostic=True)
         assert out["hypothesis"] == "bypassed"
         assert out["dim_B_quotient"] == 4
         assert out["dim_A_quotient"] == 2
@@ -165,7 +195,7 @@ class TestInherited:
 
     def test_full_unit_degenerates(self):
         e, emb = dual_extension_embedding()
-        out = inherited_borels(emb, emb.B.unit, check_regularity=False)
+        out = inherited_borels(emb, emb.B.unit)
         assert out["corner_borel"].is_exact_borel
         assert out["quotient_injective"] is None  # no quotient side
 

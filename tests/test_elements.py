@@ -73,7 +73,7 @@ class TestElementForm:
         for B in (A, A.opposite()):
             for lab in B.labels:
                 res = resolution(simple(B, lab)).extend_to(2)
-                assert all(canonical(B, s.e_vec) for layer in res.layers for s in layer)
+                assert all(canonical(B, e) for n in range(len(res.layers)) for e in res.layer_idempotents(n))
                 assert all(canonical(B, m) for grid in res.element_diffs for row in grid for m in row)
         f = A.field
         if f.char == 0 or f.char > A.dim:  # a closure re-checks its labels on the trace-form radical

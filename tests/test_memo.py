@@ -35,6 +35,8 @@ QUERIES = [
     ("check", corpus_path("diamond"), "--all-orders"),
     ("check", corpus_path("auslander-x3"), "--all-orders"),
     ("borel", corpus_path("dual-extension"), "--idempotent", "3"),
+    ("borel", corpus_path("nonbasic-endo"), "--idempotent", "4"),
+    ("borel", corpus_path("dual-extension"), "--depth", "2", "--idempotent", "2,3"),
 ]
 
 

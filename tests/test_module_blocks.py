@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from strata.errors import InvalidModule, NotInSubspace
 from strata.functors import IdempotentContext, SubalgebraEmbedding
-from strata.homology import Summand, ext_dim, resolution
+from strata.homology import ext_dim, resolution
 from strata.kernel import Matrix, Subspace
 from strata.modules import Module, hom_basis, injective, left_ideal, projective, simple, trace_from_projective
 from strata.specfile import load_spec
@@ -421,11 +421,13 @@ class TestAgainstLoopVersions:
         for lab in A.labels:
             rmod, rbasis = ref_summand(A, A.idempotent_for_label(lab))
             assert same_module(projective(A, lab), rmod) and left_ideal(A, lab).inclusion() == rbasis
-            s = Summand(A, lab)
-            assert s.module is projective(A, lab) and s.basis == rbasis
-            # every resolution layer is built from the projectives themselves
+            # every resolution layer is the direct sum of the projectives of its labels
             res = resolution(simple(A, lab)).extend_to(2)
-            assert all(t.module is projective(A, t.label) for layer in res.layers for t in layer)
+            for layer, P in zip(res.layers, res.modules):
+                if layer:
+                    assert same_module(P, Module.direct_sum([projective(A, t) for t in layer]))
+                else:
+                    assert P.dim == 0
 
     @given(st.sampled_from(LIGHT_SPECS + BASED), st.sampled_from(FIELDS), st.data())
     @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
