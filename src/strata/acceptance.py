@@ -2,9 +2,10 @@
 
 Thirteen criteria, each a function of the run returning one Criterion record
 with sub-assertion details.  The CLI's verify runner calls run_all(), which
-makes one run: a memo.Family that owns the run's corpus entries, its battery
-sweep and the content table of every algebra the criteria derive, so a corner,
-quotient or opposite reached from several roots or criteria is built once.
+makes one run: a memo.Family that owns the run's corpus entries and the
+content table of every algebra the criteria derive, so a corner, quotient or
+opposite reached from several roots or criteria is built once, and each
+battery is decided once, on its datum.
 Nothing outlives the run.  A criterion passes only when every sub-assertion
 holds.
 """
@@ -85,17 +86,13 @@ class Criterion:
         }
 
 
-def _battery(A, poset, e_vec):
-    return compatibility_battery(A, poset, e_vec, with_identities=False)
-
-
 def criterion_01(run):
     c = Criterion("c01", "sl2 block: quasi-hereditary; corner/quotient stratified at 1 "
                          "while neither filtration condition holds")
     e = entry(run, "sl2-block")
     sd = strat_datum(e.algebra, e.poset)
     c.check("quasi-hereditary for 1 < 2", sd.quasi_hereditary() == YES)
-    rep = _battery(e.algebra, e.poset, e.algebra.idempotent_for_label("1"))
+    rep = compatibility_battery(e.algebra, e.poset, e.algebra.idempotent_for_label("1"))
     c.check("cond6 true", rep.conds[6] == YES, str(rep.conds))
     c.check("cond4 false", rep.conds[4] == NO)
     c.check("cond5 false", rep.conds[5] == NO)
@@ -107,11 +104,11 @@ def criterion_02(run):
                          "trace inside the proper costandard")
     e = entry(run, "fork")
     A, poset = e.algebra, e.poset
-    rep = _battery(A, poset, A.idempotent_for_label("1"))
+    rep = compatibility_battery(A, poset, A.idempotent_for_label("1"))
     c.check("cond4 true at e_1", rep.conds[4] == YES)
     c.check("cond5 false at e_1", rep.conds[5] == NO)
     B = A.opposite()
-    repop = _battery(B, poset, B.idempotent_for_label("1"))
+    repop = compatibility_battery(B, poset, B.idempotent_for_label("1"))
     c.check("opposite: cond5 true at e_1", repop.conds[5] == YES)
     c.check("opposite: cond4 false at e_1", repop.conds[4] == NO)
     dual_quot = quotient_module(A.opposite(), A.idempotent_for_label("1")).dual()
@@ -155,7 +152,7 @@ def criterion_04(run):
     corner, _ = A.corner(ev)
     sc = strat_datum(corner, poset.restrict(["1", "2"]))
     left, results = sc.left_stratified()
-    K, _ = sc.delta_kernel_module("1")
+    K = sc.delta_kernel_module("1")
     refutation = ""
     if left == YES:
         v = iso_test(K, sc.delta["2"])
@@ -228,22 +225,12 @@ def _nonzero_subset_sums(A):
 
 
 def battery_sweep(run):
-    """Battery reports for every stratifying corpus entry and every nonzero
-    subset-sum idempotent; kept on the run for reuse across criteria."""
-    return derived(run, ("battery sweep",), _battery_sweep, run)
-
-
-def _battery_sweep(run):
-    out = {}
-    for name, ent in corpus(run).items():
-        if not ent.stratifies:
-            out[name] = None
-            continue
-        per = {}
-        for picks, ev in _nonzero_subset_sums(ent.algebra):
-            per[picks] = compatibility_battery(ent.algebra, ent.poset, ev, with_identities=False)
-        out[name] = per
-    return out
+    """Battery reports by corpus entry and picks, for every stratifying entry and
+    every nonzero subset-sum idempotent (None for an entry that does not
+    stratify); each battery is kept on its entry's datum."""
+    return {name: {picks: compatibility_battery(ent.algebra, ent.poset, ev)
+                   for picks, ev in _nonzero_subset_sums(ent.algebra)} if ent.stratifies else None
+            for name, ent in corpus(run).items()}
 
 
 def criterion_07(run):
@@ -268,7 +255,7 @@ def criterion_07(run):
     rep = sweep["fork"][idx1]
     c.check("witness 4-and-not-5", rep.conds[4] == YES and rep.conds[5] == NO)
     B = fork.algebra.opposite()
-    repop = _battery(B, fork.poset, B.idempotent_for_label("1"))
+    repop = compatibility_battery(B, fork.poset, B.idempotent_for_label("1"))
     c.check("witness 5-and-not-4 (opposite)", repop.conds[5] == YES and repop.conds[4] == NO)
     sl2 = entry(run, "sl2-block")
     idx1 = tuple(k for k, (_, lab) in enumerate(sl2.algebra.idempotents) if lab == "1")[:1]
@@ -405,7 +392,7 @@ def criterion_12(run):
             if not (rep.conds[4] == YES and rep.conds[5] == YES):
                 continue
             ev = ent.algebra.sum_idempotents(picks)
-            out = block_structure_check(ent.algebra, ent.poset, ev, battery_report=rep)
+            out = block_structure_check(ent.algebra, ent.poset, ev)
             ran += 1
             c.check(f"{name}{list(picks)}", out["ok"], str(out))
     c.check("at least one compatible pair ran per corpus breadth", ran >= 10, str(ran))

@@ -50,7 +50,6 @@ from .modules import (
 from .strat import NO, UNDET, YES, LabelPoset, filtration_standard, strat_datum
 
 DEFAULT_NMAX = 5
-GLDIM_CAP = 12
 
 
 class BorelEmbedding:
@@ -119,7 +118,7 @@ def _check_exact_borel(emb: BorelEmbedding) -> BorelReport:
     axiom2 = YES
     for i in B.labels:
         P = projective(B, i)
-        radP, _ = P.submodule(P.radical_subspace())
+        radP = P.submodule(P.radical_subspace())
         for j in B.labels:
             if comp_mult(radP, j) and not poset.lt(i, j):
                 axiom2 = NO
@@ -127,7 +126,7 @@ def _check_exact_borel(emb: BorelEmbedding) -> BorelReport:
     if axiom2 == YES:
         if sdB.left_stratified()[0] != YES:
             raise InvariantViolation("B satisfies axiom 2 but is not left standardly stratified")
-        if any(sdB.delta[i].dim != sdB.L[i].dim for i in B.labels):
+        if any(sdB.delta[i].dim != simple(B, i).dim for i in B.labels):
             raise InvariantViolation("B satisfies axiom 2 but a standard module of B is not simple")
 
     axiom3, certs = {}, {}
@@ -140,14 +139,14 @@ def _check_exact_borel(emb: BorelEmbedding) -> BorelReport:
 
     axiom4 = {}
     for i in A.labels:
-        da = len(hom_basis(emb.sd.L[i], emb.sd.L[i]))
-        db = len(hom_basis(sdB.L[i], sdB.L[i]))
+        da = len(hom_basis(simple(A, i), simple(A, i)))
+        db = len(hom_basis(simple(B, i), simple(B, i)))
         axiom4[i] = YES if da == db else NO
 
     condition5 = YES
     for i in A.labels:
         for j in A.labels:
-            if ext_dim(sdB.L[i], sdB.L[j], 1) != 0:
+            if ext_dim(simple(B, i), simple(B, j), 1) != 0:
                 if ext_dim(emb.sd.delta[i], emb.sd.delta[j], 1) == 0:
                     condition5 = NO
 
@@ -164,8 +163,8 @@ def check_regular(emb: BorelEmbedding, n_max=DEFAULT_NMAX):
     regular/homological flags; decided once per embedding and depth.
 
     Upgraded to unconditional when every simple B-module has projective
-    dimension <= GLDIM_CAP: the induced A-resolutions share that length, so
-    all higher Ext vanish on both sides.
+    dimension <= homology.GLDIM_CAP: the induced A-resolutions share that
+    length, so all higher Ext vanish on both sides.
     """
     return derived(emb, ("regular", n_max), _check_regular, emb, n_max)
 
@@ -189,7 +188,7 @@ def _check_regular(emb: BorelEmbedding, n_max):
                 homological = False
             if n >= 2 and not (inj and surj):
                 homological = False
-    pd_cap = global_dimension(emb.B, GLDIM_CAP)
+    pd_cap = global_dimension(emb.B)
     unconditional = pd_cap is not None and pd_cap <= n_max
     return {
         "n_max": n_max,
@@ -303,7 +302,7 @@ def inherited_borels(emb: BorelEmbedding, e_prime, n_max=DEFAULT_NMAX, diagnosti
     route2 = None
     if not route1 and check_exact_borel(emb).condition5 == YES:
         try:
-            rep = compatibility_battery(A, poset, ie, with_identities=False)
+            rep = compatibility_battery(A, poset, ie)
             route2 = rep.conds[4] == YES and rep.conds[5] == YES
         except NotIdempotentSum:
             route2 = False
@@ -376,7 +375,7 @@ def basic_borel_criterion(A, poset):
     out = {}
     for i in A.labels:
         D = sd.delta[i]
-        radD, _ = D.submodule(D.radical_subspace())
+        radD = D.submodule(D.radical_subspace())
         dual_rad = radD.dual()  # over A^op; rad Delta_i in F(Nabla) iff this is in F(Delta^op)
         res = filtration_standard(dual_rad, sd.op.delta, poset)
         out[i] = res.status

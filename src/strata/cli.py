@@ -195,14 +195,15 @@ def cmd_essential_order(args):
 
 
 def cmd_idempotent(args):
-    from .compat import compatibility_battery
+    from .compat import compatibility_battery, identity_checks
 
     sd = _load(args.file)
     A, poset = sd.algebra, sd.poset
     e = _idempotent_from_arg(A, args.e)
     rep = Report("idempotent")
     report = compatibility_battery(A, poset, e)
-    rep.body["battery"] = report.to_json()
+    rep.body["battery"] = {**report.to_json(),
+                           "identity_checks": [[n, v] for n, v in identity_checks(A, poset, e)]}
     rep.line(f"support: {list(report.support)}")
     for k in sorted(report.conds):
         rep.line(f"condition {k}: {report.conds[k]}")
@@ -216,7 +217,7 @@ def cmd_corner(args):
     A = sd.algebra
     e = _idempotent_from_arg(A, args.e)
     corner, emb = A.corner(e)
-    sub = poset_restrict_for(sd, corner)
+    sub = sd.poset.restrict(corner.labels)
     rep = Report("corner")
     rep.body["dim"] = corner.dim
     rep.body["labels"] = list(corner.labels)
@@ -231,7 +232,7 @@ def cmd_quotient(args):
     A = sd.algebra
     e = _idempotent_from_arg(A, args.e)
     quot, proj = A.quotient_by_idempotent_ideal(e)
-    sub = poset_restrict_for(sd, quot)
+    sub = sd.poset.restrict(quot.labels)
     rep = Report("quotient")
     rep.body["dim"] = quot.dim
     rep.body["labels"] = list(quot.labels)
@@ -239,10 +240,6 @@ def cmd_quotient(args):
     rep.body["projection"] = proj.to_json()
     rep.line(f"quotient dimension {quot.dim}, labels {list(quot.labels)}")
     return rep
-
-
-def poset_restrict_for(sd, derived):
-    return sd.poset.restrict(derived.labels)
 
 
 def cmd_borel(args):
@@ -377,14 +374,9 @@ def _add_check(sp):
     sp.add_argument("--all-orders", action="store_true")
 
 
-def _add_idempotent(sp):
-    sp.add_argument("file")
-    sp.add_argument("--e", required=True, help="comma list of labels (or #index)")
-
-
 def _add_e(sp):
     sp.add_argument("file")
-    sp.add_argument("--e", required=True)
+    sp.add_argument("--e", required=True, help="comma list of labels (or #index)")
 
 
 def _add_borel(sp):
@@ -415,7 +407,7 @@ COMMANDS = [
     ("describe", cmd_describe, _add_file),
     ("check", cmd_check, _add_check),
     ("essential-order", cmd_essential_order, _add_file),
-    ("idempotent", cmd_idempotent, _add_idempotent),
+    ("idempotent", cmd_idempotent, _add_e),
     ("corner", cmd_corner, _add_e),
     ("quotient", cmd_quotient, _add_e),
     ("borel", cmd_borel, _add_borel),

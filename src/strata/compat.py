@@ -12,14 +12,19 @@ are evaluated independently:
   6  both A/AeA and eAe are left standardly stratified for the induced orders
 
 and the implication diagram  1 => 2 <=> 3 <=> (4 and 5),  4 => 6,  5 => 6
-is asserted on every run.  The recollement identity suite verifies the
-standard-object identities across the quotient and corner functors, skipping
-(not failing) entries whose hypotheses do not hold.
+is asserted on every run.  Each battery is decided once per (datum, e): it is
+kept on the stratification datum of (A, poset) under ("battery", e), so no
+caller hands a report, or the datum it was built on, to another.
+
+The recollement identity suite, identity_checks, verifies the standard-object
+identities across the quotient and corner functors, skipping (not failing)
+entries whose hypotheses do not hold.  It reads the battery's support and
+conditions; only the CLI's idempotent report runs it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InvariantViolation, SupportNotCoideal
 from .functors import IdempotentContext
@@ -30,7 +35,6 @@ from .strat import (
     NO,
     YES,
     FiltrationResult,
-    StratDatum,
     filtration_proper,
     strat_datum,
 )
@@ -62,13 +66,13 @@ class StratificationChain:
         }
 
 
-def build_stratification_chain(A, poset, e_vec, sd: StratDatum | None = None):
+def build_stratification_chain(A, poset, e_vec):
     """Chain J_k = A e_{S_k} A over the top-k sets of a linear extension with
     support(e) as an up-set; layers verified to be direct sums of standards.
 
     Returns (status, chain or None, witness).
     """
-    sd = sd or strat_datum(A, poset)
+    sd = strat_datum(A, poset)
     supp = set(A.support_labels(e_vec))
     ess = sd.essential_order()
     if not ess.is_coideal(supp):
@@ -98,10 +102,10 @@ def build_stratification_chain(A, poset, e_vec, sd: StratDatum | None = None):
 
 def _layer_power(sd, J, prev, lab):
     """(t, None) when the layer J/prev is Delta_lab^t as an A-module, else (None, witness)."""
-    Jmod, _ = Module.regular(sd.A).submodule(J)
+    Jmod = Module.regular(sd.A).submodule(J)
     # layer = J / prev inside Jmod coordinates
     prev_in_J = Subspace.column_space(J.coordinates(prev.inclusion()))
-    layer, _ = Jmod.quotient(prev_in_J)
+    layer = Jmod.quotient(prev_in_J)
     D = sd.delta[lab]
     if D.dim == 0 or layer.dim % D.dim:
         return None, f"layer at {lab} has dim {layer.dim}, not a multiple of {D.dim}"
@@ -120,7 +124,6 @@ class CompatReport:
     filtration5: FiltrationResult | None
     diagram_consistent: bool
     inconclusive: bool
-    identity_checks: list = field(default_factory=list)  # (name, verdict)
 
     def to_json(self):
         return {
@@ -131,7 +134,6 @@ class CompatReport:
             "filtration_dual": self.filtration5.to_json() if self.filtration5 else None,
             "implication_diagram_consistent": self.diagram_consistent,
             "inconclusive": self.inconclusive,
-            "identity_checks": [[n, v] for n, v in self.identity_checks],
         }
 
 
@@ -150,17 +152,21 @@ def _check_diagram(c):
     return bool(ok)
 
 
-def compatibility_battery(A, poset, e_vec, with_identities=True) -> CompatReport:
+def compatibility_battery(A, poset, e_vec) -> CompatReport:
+    """The six conditions at e, decided once per (datum, e) and kept on the
+    datum of (A, poset) under ("battery", e)."""
     sd = strat_datum(A, poset)
+    e = A.coerce_vec(e_vec)
+    return derived(sd, ("battery", e), _battery, sd, e)
+
+
+def _battery(sd, e):
+    A, poset = sd.A, sd.poset
     left, _ = sd.left_stratified()
     if left != YES:
         raise SupportNotCoideal("battery requires a verified left standardly stratified input")
-    e = A.coerce_vec(e_vec)
-    summands = A.subset_sum_decomposition(e)
-    if not summands:
-        conds = {k: YES for k in range(1, 7)}
-        return CompatReport(tuple(), conds, None, None, None, True, False,
-                            [("zero-idempotent", "trivial")])
+    if not A.subset_sum_decomposition(e):
+        return CompatReport(tuple(), {k: YES for k in range(1, 7)}, None, None, None, True, False)
     supp = support(A, e)
     if supp != A.support_labels(e):
         raise InvariantViolation("the support of e differs between its two computations")
@@ -196,27 +202,31 @@ def compatibility_battery(A, poset, e_vec, with_identities=True) -> CompatReport
     conds[6] = NO if NO in sub_verdicts else YES
 
     # condition 2: constructive chain certificate
-    conds[2], chain, _ = build_stratification_chain(A, poset, e, sd)
+    conds[2], chain, _ = build_stratification_chain(A, poset, e)
 
     diagram = _check_diagram(conds)
-    # every condition is YES or NO; the field stays for the report's bytes
-    report = CompatReport(supp, conds, chain, f4, f5, diagram, False)
-    if with_identities:
-        report.identity_checks = _identity_checks(ctx, sd, poset, supp, conds)
     if not diagram:
         raise InvariantViolation(f"implication diagram violated: {conds}")
-    return report
+    # every condition is YES or NO; the field stays for the report's bytes
+    return CompatReport(supp, conds, chain, f4, f5, diagram, False)
 
 
-def _identity_checks(ctx, sd, poset, supp, conds):
-    """Standard-object identities across the recollement, per hypothesis.
+def identity_checks(A, poset, e_vec):
+    """Standard-object identities across the recollement at e, as (name, verdict)
+    pairs, per hypothesis read off the battery at e.
 
     Always (for i outside the support): the quotient-algebra standard objects
     agree with the corresponding functor images.  Under condition 4: inflation
     recovers the ambient standards and the corner identities hold; under
-    condition 5, the dual suite.
+    condition 5, the dual suite.  A zero e has the one entry
+    ("zero-idempotent", "trivial").
     """
-    A = ctx.A
+    report = compatibility_battery(A, poset, e_vec)
+    supp, conds = report.support, report.conds
+    if not supp:
+        return [("zero-idempotent", "trivial")]
+    sd = strat_datum(A, poset)
+    ctx = IdempotentContext(A, e_vec)
     out = []
 
     def verdict(v):

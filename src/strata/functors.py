@@ -77,7 +77,7 @@ class IdempotentContext:
         Vs = ea.coordinates(ea.restrict(rights), blocks=A.dim).vsplit(A.dim)
         IY = Matrix.identity(A.field, n)
         outer = Module.from_actions(A, n * m, [IY.kron(V.transpose()) for V in Vs], check_unit=False)
-        return outer.submodule(sol_space)[0]
+        return outer.submodule(sol_space)
 
     # -- quotient-side functors ----------------------------------------------------
 
@@ -87,12 +87,12 @@ class IdempotentContext:
 
     def quotient_tensor(self, X: Module):
         """(A/AeA) ⊗_A X = X/(AeA)X as a Q-module."""
-        quot, _ = _over(self.A, X).quotient(X.image_of(self.ideal.basis))
+        quot = _over(self.A, X).quotient(X.image_of(self.ideal.basis))
         return Module(self.quotient, quot.dim, self._on_quotient(quot))
 
     def quotient_hom(self, X: Module):
         """Hom_A(A/AeA, X): the largest submodule annihilated by AeA."""
-        smod, _ = _over(self.A, X).submodule(X.annihilated_by(self.ideal.basis))
+        smod = _over(self.A, X).submodule(X.annihilated_by(self.ideal.basis))
         return Module(self.quotient, smod.dim, self._on_quotient(smod))
 
     def _on_quotient(self, X: Module):

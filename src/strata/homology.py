@@ -31,6 +31,8 @@ from .kernel.subspace import Subspace
 from .memo import derived
 from .modules import Module, left_ideal, projective, simple
 
+GLDIM_CAP = 12
+
 
 def _minimal_cover(A, K: Module):
     """Summands and lift vectors of the projective cover of K.
@@ -133,7 +135,7 @@ class Resolution:
             if ker_space.dim == 0:
                 self._exhausted_at = len(self.layers)
                 continue
-            self._append_layer(P.submodule(ker_space)[0], ker_space)
+            self._append_layer(P.submodule(ker_space), ker_space)
         return self
 
     def length_if_finite(self, cap):
@@ -277,12 +279,12 @@ def ext_dim(X: Module, Y: Module, n: int) -> int:
     return ext_dims_upto(X, Y, n)[n]
 
 
-def global_dimension(A, cap=12):
-    """Max projective dimension of the simples if all are <= cap, else None."""
+def global_dimension(A):
+    """Max projective dimension of the simples if all are <= GLDIM_CAP, else None."""
     worst = 0
     for lab in A.labels:
         L = simple(A, lab)
-        d = resolution(L).length_if_finite(cap)
+        d = resolution(L).length_if_finite(GLDIM_CAP)
         if d is None:
             return None
         worst = max(worst, d)

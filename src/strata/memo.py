@@ -14,9 +14,10 @@ algebra); a module's Hom space and Ext dimensions to Y, and its certificate
 for T = Y^t, by Y's stack; the quotient algebra A/AeA and
 the module A/AeA by the ideal AeA (so the subset sums of one support share
 them); the multiplicity tables of (A, poset), the verdict on each layer J/J'
-of its stratification chains, and the filtrations of the battery's quotient
-modules (by the module's stack), on its stratification datum.  Nothing is
-keyed by ``id()``.
+of its stratification chains, its compatibility battery at each idempotent e
+(under ("battery", e)), and the filtrations of the battery's quotient modules
+(by the module's stack), on its stratification datum.  Nothing is keyed by
+``id()``.
 
 Algebras are kept one level up, by a ``Family``: every algebra holds the
 family it was built into, and every corner, quotient, opposite and subalgebra
@@ -27,8 +28,9 @@ family are one object, with one set of modules, Hom spaces and verdicts, even
 when they are reached from different roots, and a derived algebra lives as
 long as its family.  A root built on its own (a spec file the CLI loads, an
 algebra a test builds) is the only member of a fresh family; a verify-paper
-run is one family, which also keeps the run's corpus entries, battery sweep
-and dual-extension Borel embedding, so two runs share nothing.
+run is one family, which also keeps the run's corpus entries and
+dual-extension Borel embedding (the run keeps no battery sweep: each battery
+is kept on its entry's datum), so two runs share nothing.
 
 perfbench/spans.py wraps the public functions of the other modules, not of
 this one, so a lookup adds no span to a traced run.

@@ -7,9 +7,10 @@ are cut from it once, on first use.  An algebra element is a 1 x dim A row
 (see algebra.py), so acting by it reads the row's stored nonzeros: a basis
 vector acts by its cut matrix, returned as it is, and any other element acts
 through act_rows, one product against the stack: (R ⊗ I_dim) · stack for the
-rows of R, in one pass (Matrix.combine_blocks).  Submodules and quotients
-carry explicit inclusion/projection matrices; everything downstream
-(filtrations, functors, certificates) is built from these.
+rows of R, in one pass (Matrix.combine_blocks).  submodule(S) and quotient(S)
+return the module alone: the subspace S, not the construction, carries the
+inclusion (S.inclusion()) and the projection (S.projection_matrix()), and a
+caller that needs the map asks S for it.
 
 Each construction builds its stack from the stack it starts from, with no
 per-basis matrices in between: the subspace reads the action on itself and on
@@ -167,22 +168,21 @@ class Module:
     # -- sub/quotient --------------------------------------------------------
 
     def submodule(self, subspace: Subspace):
-        """(module on the subspace, inclusion matrix dim(self) x dim(sub));
+        """The module on the subspace (its inclusion is subspace.inclusion());
         the module itself when the subspace is everything."""
         if subspace.dim == self.dim:
-            return self, subspace.inclusion()
+            return self
         # action_on certifies the restricted action, so the unit acts as the identity
-        sub = Module(self.algebra, subspace.dim, self.action_on(subspace), check_unit=False)
-        return sub, subspace.inclusion()
+        return Module(self.algebra, subspace.dim, self.action_on(subspace), check_unit=False)
 
     def quotient(self, subspace: Subspace):
-        """(quotient module, projection matrix dim(quot) x dim(self));
+        """The quotient module (its projection is subspace.projection_matrix());
         the module itself when the subspace is zero."""
-        proj = subspace.projection_matrix()
         if subspace.dim == 0:
-            return self, proj
+            return self
         A = self.algebra
-        return Module(A, proj.rows, subspace.quotient_action(self.stack, A.dim), check_unit=False), proj
+        return Module(A, self.dim - subspace.dim, subspace.quotient_action(self.stack, A.dim),
+                      check_unit=False)
 
     @classmethod
     def direct_sum(cls, mods):
@@ -240,7 +240,7 @@ class Module:
         return self.annihilated_by(self.algebra.radical().basis)
 
     def top(self):
-        """(top module, projection)."""
+        """X / rad X."""
         return self.quotient(self.radical_subspace())
 
     def to_json(self):
@@ -275,11 +275,11 @@ def left_ideal(A, label) -> Subspace:
 
 def projective(A, label):
     """P_label = A e for the first distinguished idempotent with that label."""
-    return derived(A, ("P", str(label)), lambda: Module.regular(A).submodule(left_ideal(A, label))[0])
+    return derived(A, ("P", str(label)), lambda: Module.regular(A).submodule(left_ideal(A, label)))
 
 
 def simple(A, label):
-    return derived(A, ("L", str(label)), lambda: projective(A, label).top()[0])
+    return derived(A, ("L", str(label)), lambda: projective(A, label).top())
 
 
 def injective(A, label):
@@ -299,7 +299,7 @@ def quotient_module(A, e_vec):
 def _quotient_module(A, ideal):
     if ideal.dim == A.dim:
         return Module.zero(A)
-    return Module.regular(A).quotient(ideal)[0]
+    return Module.regular(A).quotient(ideal)
 
 
 def comp_mult(X: Module, label) -> int:
@@ -498,7 +498,7 @@ def _is_simple(S: Module) -> bool:
 
 def _has_local_endomorphisms(Y: Module) -> bool:
     """Y has a simple top or a simple socle, so Y is indecomposable and End(Y) is local."""
-    return _is_simple(Y.top()[0]) or _is_simple(Y.submodule(Y.socle_subspace())[0])
+    return _is_simple(Y.top()) or _is_simple(Y.submodule(Y.socle_subspace()))
 
 
 def iso_test(X: Module, Y: Module) -> IsoVerdict:

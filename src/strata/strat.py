@@ -78,15 +78,16 @@ class LabelPoset:
         return cls(labels, [(labels[k], labels[k + 1]) for k in range(len(labels) - 1)])
 
     @classmethod
-    def product(cls, p, q, label_fmt="({a},{b})"):
-        labels = [label_fmt.format(a=a, b=b) for a in p.labels for b in q.labels]
+    def product(cls, p, q):
+        """The product order on the labels "(a,b)"."""
+        labels = [f"({a},{b})" for a in p.labels for b in q.labels]
         pairs = []
         for a1 in p.labels:
             for b1 in q.labels:
                 for a2 in p.labels:
                     for b2 in q.labels:
                         if p.leq(a1, a2) and q.leq(b1, b2):
-                            pairs.append((label_fmt.format(a=a1, b=b1), label_fmt.format(a=a2, b=b2)))
+                            pairs.append((f"({a1},{b1})", f"({a2},{b2})"))
         return cls(labels, pairs)
 
     def key(self):
@@ -231,16 +232,17 @@ class StandardRecord:
             U = P.image_of(Matrix.vcat([left_ideal(A, j).basis for j in above]))
         else:
             U = Subspace.zero(A.field, P.dim)
-        delta, _ = P.quotient(U)
+        delta = P.quotient(U)
         # DeltaBar_i = Delta_i / A·e_i·rad(Delta_i), and A·e_i·rad(Delta_i) = (A e_i)·rad(Delta_i)
         T = delta.image_of(left_ideal(A, i).basis, delta.radical_subspace())
         self.delta = delta
-        self.delta_bar, _ = delta.quotient(T)
+        self.delta_bar = delta.quotient(T)
         self._kernel_space = U
         self._derived = None
 
     def kernel_module(self, P):
-        """ker(P ->> Delta_i) as (module, inclusion), P being the projective P_i."""
+        """ker(P ->> Delta_i) as a module, P being the projective P_i; its inclusion
+        is the kernel subspace's."""
         return derived(self, ("kernel",), P.submodule, self._kernel_space)
 
 
@@ -252,8 +254,6 @@ class StratDatum:
             raise UnknownLabel("poset labels differ from the algebra's simple labels")
         self.A = A
         self.poset = poset
-        self.P = {i: projective(A, i) for i in A.labels}
-        self.L = {i: simple(A, i) for i in A.labels}
         self._records = {i: self._build_delta(i) for i in A.labels}
         self.delta = {i: rec.delta for i, rec in self._records.items()}
         self.delta_bar = {i: rec.delta_bar for i, rec in self._records.items()}
@@ -284,8 +284,8 @@ class StratDatum:
     # filtration checking ---------------------------------------------------------
 
     def delta_kernel_module(self, i):
-        """ker(P_i ->> Delta_i) as a Module with its inclusion."""
-        return self._records[i].kernel_module(self.P[i])
+        """ker(P_i ->> Delta_i) as a Module."""
+        return self._records[i].kernel_module(projective(self.A, i))
 
     def left_stratified(self):
         """(verdict YES/NO, per-label filtration results)."""
@@ -295,7 +295,7 @@ class StratDatum:
         results = {}
         verdict = YES
         for i in self.A.labels:
-            K, _ = self.delta_kernel_module(i)
+            K = self.delta_kernel_module(i)
             allowed = {j for j in self.A.labels if self.poset.lt(i, j)}
             res = filtration_standard(K, self.delta, self.poset, allowed=allowed)
             results[i] = res
@@ -460,12 +460,12 @@ def filtration_standard(X: Module, family, poset, allowed=None):
         if T.dim != t * D.dim:
             return FiltrationResult(NO, layers, chain, certs,
                                     witness=f"trace of P_{j} has dim {T.dim}, expected {t}*{D.dim}")
-        cert = derived(cur, ("power", j, D.stack), lambda: iso_to_direct_power(cur.submodule(T)[0], D, t))
+        cert = derived(cur, ("power", j, D.stack), lambda: iso_to_direct_power(cur.submodule(T), D, t))
         if cert is None:
-            bad = (_power_invariant_witness(cur.submodule(T)[0], D, t)
+            bad = (_power_invariant_witness(cur.submodule(T), D, t)
                    or f"the trace of P_{j} does not map onto Delta_{j}^{t}")
             return FiltrationResult(NO, layers, chain, certs, witness=bad)
-        cur = derived(cur, ("peel", j), lambda: cur.quotient(T)[0])
+        cur = derived(cur, ("peel", j), lambda: cur.quotient(T))
         proj_to_cur = T.project(proj_to_cur)
         # record the chain step in ambient coordinates
         chain.append(Subspace.column_space(proj_to_cur.kernel_basis()))
@@ -503,7 +503,7 @@ def filtration_proper(X: Module, family, poset):
     incl_to_X = Matrix.identity(f, X.dim)
     layers, chain, certs = [], [], []
     while cur.dim:
-        topmod, _ = cur.top()
+        topmod = cur.top()
         present = [lab for lab in A.labels if comp_mult(topmod, lab) > 0]
         if not present:
             raise InvariantViolation(f"the top of a module of dim {cur.dim} has no composition factor")
@@ -525,7 +525,7 @@ def filtration_proper(X: Module, family, poset):
         certs.append(epi)
         incl_to_X = ker_space.restrict(incl_to_X)
         chain.append(Subspace.column_space(incl_to_X))
-        cur = cur.submodule(ker_space)[0]
+        cur = cur.submodule(ker_space)
     return FiltrationResult(YES, layers, chain, certs, direction="top_down")
 
 
@@ -572,7 +572,7 @@ def bgg_reciprocity_check(sd: StratDatum):
     i_mult = {}
     opd = sd.op
     for i in sd.A.labels:
-        res = filtration_proper(opd.P[i], opd.delta_bar, sd.poset)
+        res = filtration_proper(projective(opd.A, i), opd.delta_bar, sd.poset)
         if res.status != YES:
             raise InputError(f"injective {i} is not properly filtered; not left stratified?")
         for j in sd.A.labels:

@@ -94,9 +94,8 @@ class VMatrix:
     def row_sum(self, i):
         return sum(self.rows[i].values())
 
-    def as_grid(self, order=None):
-        order = list(order or self.labels)
-        return [[self.entry(i, j) for j in order] for i in order]
+    def as_grid(self):
+        return [[self.entry(i, j) for j in self.labels] for i in self.labels]
 
     def first_subdiagonal(self):
         ext = list(self.extension)
@@ -226,7 +225,7 @@ def det_is_one(V: VMatrix):
     return all(V.entry(i, i) == 1 for i in V.labels)
 
 
-def block_structure_check(A, poset, e_vec, battery_report=None):
+def block_structure_check(A, poset, e_vec):
     """Block-triangularity of V under a compatible idempotent.
 
     Reordered by (complement of support, support), the matrix must be block
@@ -237,7 +236,7 @@ def block_structure_check(A, poset, e_vec, battery_report=None):
     """
     from .compat import compatibility_battery
 
-    rep = battery_report or compatibility_battery(A, poset, e_vec, with_identities=False)
+    rep = compatibility_battery(A, poset, e_vec)
     if not (rep.conds[4] == YES and rep.conds[5] == YES):
         raise InputError("idempotent is not compatible with the quasi-hereditary structure")
     supp = list(rep.support)

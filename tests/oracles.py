@@ -643,9 +643,10 @@ def ref_right_mult_matrix(A, vec):
 
 def ref_compile_presentation(pres, fld):
     """compile_presentation as it was before the per-block elimination: one dense
-    vector per generator, one elimination of the whole ideal.  The loops over the
-    (q, p) pairs stop at the first path too long, as the pairs past it give no
-    generator, so the generators and their order are those of the original.
+    vector per distinct generator, one elimination of the whole ideal.  The loops
+    over the (q, p) pairs stop at the first path too long, as the pairs past it
+    give no generator, so the generators and their order are those of the
+    original, each repeat dropped.
 
     Output: (paths, ideal subspace in the truncated path space, representative
     path indices, work bound).
@@ -666,7 +667,9 @@ def ref_compile_presentation(pres, fld):
         by_target.setdefault(p.target, []).append(p)
         by_source.setdefault(p.source, []).append(p)
 
-    gens = []
+    # many (q, rel, p) give equal generators: each distinct one is kept once, as its
+    # sorted (index, coefficient) pairs in first-seen order, so the span is unchanged
+    gens = {}
     for rel in pres.relations:
         ends = pres.path_endpoints(rel[0][1])
         rsrc, rtgt = ends
@@ -679,14 +682,20 @@ def ref_compile_presentation(pres, fld):
             for p in by_source.get(rtgt, []):
                 if len(q.arrows) + maxlen + len(p.arrows) > L_work:
                     break
-                vec = [fld.zero] * n
+                vec = {}
                 for coeff, wpath in rel:
                     arrows = q.arrows + tuple(reversed(wpath)) + p.arrows
                     idx = index[(q.source,) + arrows]
-                    vec[idx] = fld.add(vec[idx], fld.coerce(coeff))
-                gens.append(vec)
+                    vec[idx] = fld.add(vec.get(idx, fld.zero), fld.coerce(coeff))
+                gens.setdefault(tuple(sorted((i, c) for i, c in vec.items() if c != fld.zero)), None)
 
-    ideal = Subspace.from_rows(fld, n, gens)
+    rows = []
+    for gen in gens:
+        row = [fld.zero] * n
+        for i, c in gen:
+            row[i] = c
+        rows.append(row)
+    ideal = Subspace.from_rows(fld, n, rows)
 
     # finite-dimensionality witness: every path of length in [L, L_work] dies
     long_paths = [p for p in paths if L <= len(p.arrows) <= L_work]

@@ -18,7 +18,7 @@ import pytest
 
 from strata import acceptance
 from strata.memo import Family
-from strata.modules import comp_mult, iso_test
+from strata.modules import comp_mult, iso_test, projective
 from strata.strat import NO, LabelPoset, StratDatum
 
 from oracles import entry
@@ -73,17 +73,17 @@ def test_c04_corner_is_left_stratified():
     sd = StratDatum(C, order)
 
     # P_1 has factors 1,2,1,2,1 and P_2 has 2,1,2,1
-    assert (sd.P["1"].dim, sd.P["2"].dim) == (5, 4)
-    assert [comp_mult(sd.P["1"], j) for j in C.labels] == [3, 2]
-    assert [comp_mult(sd.P["2"], j) for j in C.labels] == [2, 2]
+    assert (projective(C, "1").dim, projective(C, "2").dim) == (5, 4)
+    assert [comp_mult(projective(C, "1"), j) for j in C.labels] == [3, 2]
+    assert [comp_mult(projective(C, "2"), j) for j in C.labels] == [2, 2]
     assert (sd.delta["1"].dim, sd.delta["2"].dim) == (1, 4)
     assert comp_mult(sd.delta["2"], "2") == 2
 
     # ker(P_2 ->> Delta_2) = 0, and ker(P_1 ->> Delta_1) = Delta_2, checked
     # on the certificate itself: a full-rank intertwiner
-    K2, _ = sd.delta_kernel_module("2")
+    K2 = sd.delta_kernel_module("2")
     assert K2.dim == 0
-    K, _ = sd.delta_kernel_module("1")
+    K = sd.delta_kernel_module("1")
     D2 = sd.delta["2"]
     v = iso_test(K, D2)
     assert v.kind == "iso"

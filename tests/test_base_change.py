@@ -13,7 +13,7 @@ single-label idempotent.
 
 import pytest
 
-from strata.compat import compatibility_battery
+from strata.compat import compatibility_battery, identity_checks
 from strata.corpus import corpus_path
 from strata.homology import ext_dims_upto
 from strata.kernel.subspace import Subspace
@@ -68,8 +68,10 @@ def test_base_change_keeps_every_verdict(name, coordinate_share):
 
 
 def battery(sd, label):
-    rep = compatibility_battery(sd.algebra, sd.poset, sd.algebra.idempotent_for_label(label))
-    return rep.support, rep.conds, rep.identity_checks
+    A, poset = sd.algebra, sd.poset
+    e = A.idempotent_for_label(label)
+    rep = compatibility_battery(A, poset, e)
+    return rep.support, rep.conds, identity_checks(A, poset, e)
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -165,7 +165,7 @@ class TestSupportLemmas:
             ev = B.idempotent_sum_for_labels(labels)
             reg = Module.regular(B)
             rows = [B.mult_vec(B.basis_vec(i), ev) for i in range(B.dim)]
-            Be, _ = reg.submodule(Subspace.row_space(Matrix.vcat(rows)))
+            Be = reg.submodule(Subspace.row_space(Matrix.vcat(rows)))
             for j in B.labels:
                 assert (comp_mult(Be, j) != 0) == (j in labels)
 

@@ -5,9 +5,11 @@ import itertools
 import pytest
 
 import strata.compat
+from strata.acceptance import run_all
 from strata.compat import (
     build_stratification_chain,
     compatibility_battery,
+    identity_checks,
     support,
 )
 from strata.corpus import corpus_path
@@ -54,15 +56,16 @@ class TestSupport:
 class TestBattery:
     def test_trivial_full_idempotent(self):
         ent = entry("diamond")
-        rep = compatibility_battery(ent.algebra, ent.poset, ent.algebra.unit,
-                                    with_identities=False)
+        rep = compatibility_battery(ent.algebra, ent.poset, ent.algebra.unit)
         assert all(rep.conds[k] == YES for k in range(1, 7))
 
     def test_zero_idempotent_trivial(self):
         ent = entry("sl2-block")
         A = ent.algebra
-        rep = compatibility_battery(A, ent.poset, Matrix.zeros(A.field, 1, A.dim))
+        zero = Matrix.zeros(A.field, 1, A.dim)
+        rep = compatibility_battery(A, ent.poset, zero)
         assert all(v == YES for v in rep.conds.values())
+        assert identity_checks(A, ent.poset, zero) == [("zero-idempotent", "trivial")]
 
     def test_witness_table(self):
         # auslander at {1,2}: the corner End(x^3 + x^2) carries the explicit
@@ -77,7 +80,7 @@ class TestBattery:
         for name, labels, expect in cases:
             ent = entry(name)
             ev = ent.algebra.idempotent_sum_for_labels(labels)
-            rep = compatibility_battery(ent.algebra, ent.poset, ev, with_identities=False)
+            rep = compatibility_battery(ent.algebra, ent.poset, ev)
             for k, want in expect.items():
                 assert rep.conds[k] == want, (name, k, rep.conds)
             assert rep.diagram_consistent
@@ -85,7 +88,7 @@ class TestBattery:
     def test_refined_fork_cond3_without_cond1(self):
         ent = entry("fork-refined")
         ev = ent.algebra.idempotent_sum_for_labels(["1", "2"])
-        rep = compatibility_battery(ent.algebra, ent.poset, ev, with_identities=False)
+        rep = compatibility_battery(ent.algebra, ent.poset, ev)
         assert rep.conds[3] == YES and rep.conds[1] == NO
         assert rep.conds[2] == YES  # chain exists despite the refined input order
 
@@ -101,10 +104,35 @@ class TestBattery:
         B = load_spec_file(corpus_path(name)).algebra.opposite()  # another family
         n = len(A.idempotents)
         sums = [A.sum_idempotents(picks) for r in range(1, n + 1) for picks in itertools.combinations(range(n), r)]
-        alone = [compatibility_battery(B, poset, e, with_identities=False).to_json() for e in sums]
+        alone = [compatibility_battery(B, poset, e).to_json() for e in sums]
         for e, rep in zip(sums, alone):
-            compatibility_battery(A, poset, e, with_identities=False)
-            assert compatibility_battery(A.opposite(), poset, e, with_identities=False).to_json() == rep
+            compatibility_battery(A, poset, e)
+            assert compatibility_battery(A.opposite(), poset, e).to_json() == rep
+
+
+class TestBatteryKept:
+    def test_second_call_returns_the_same_report(self):
+        ent = entry("fork")
+        A = ent.algebra
+        e = A.idempotent_for_label("1")
+        rep = compatibility_battery(A, ent.poset, e)
+        assert compatibility_battery(A, ent.poset, A.idempotent_sum_for_labels(["1"])) is rep
+        assert rep is strat_datum(A, ent.poset)._derived[("battery", e)]
+
+    def test_one_run_builds_each_battery_once(self, monkeypatch):
+        # a run asks for 104 batteries, of which 100 are distinct: c01, c02 and
+        # c09 (through inherited_borels) ask for batteries the c07 sweep holds,
+        # and c07 asks again for c02's battery over the opposite of fork
+        calls = []
+        chain = strata.compat.build_stratification_chain
+
+        def counted(*args):
+            calls.append(args)
+            return chain(*args)
+
+        monkeypatch.setattr(strata.compat, "build_stratification_chain", counted)
+        run_all()
+        assert len(calls) == 100
 
 
 class TestChain:
@@ -151,14 +179,14 @@ class TestChain:
         status, chain, witness = build_stratification_chain(A, ent.poset, e2)
         assert status == NO and chain is None and "is not Delta_" in witness
         with pytest.raises(InvariantViolation, match="implication diagram"):
-            compatibility_battery(A, ent.poset, e2, with_identities=False)
+            compatibility_battery(A, ent.poset, e2)
 
 
 class TestIdentitySuite:
     def test_fork_identities_at_1(self):
         ent = entry("fork")
         A = ent.algebra
-        checks = compatibility_battery(A, ent.poset, A.idempotent_for_label("1")).identity_checks
+        checks = identity_checks(A, ent.poset, A.idempotent_for_label("1"))
         named = dict(checks)
         # cond4 holds at e_1, so inflation and corner identities are live
         assert named["inflate(Delta_2^quot) = Delta_2"] == "iso"
@@ -172,7 +200,7 @@ class TestIdentitySuite:
         ent = entry("diamond")
         A = ent.algebra
         ev = A.idempotent_sum_for_labels(["3", "4"])
-        checks = compatibility_battery(A, ent.poset, ev).identity_checks
+        checks = identity_checks(A, ent.poset, ev)
         assert all(v in ("iso", "skipped") for _, v in checks)
         assert any(v == "iso" for _, v in checks)
 

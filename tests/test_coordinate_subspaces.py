@@ -279,12 +279,12 @@ class TestModulesThroughTheSubspace:
                     with pytest.raises(InvalidModule):
                         ref_stack_action_on(X, S)
                     continue
-                sub, incl = X.submodule(S)
-                assert sub.action == tuple(expected) and stored(incl) == stored(ref_inclusion(S))
+                sub = X.submodule(S)
+                assert sub.action == tuple(expected) and stored(S.inclusion()) == stored(ref_inclusion(S))
                 if S.dim < X.dim:
                     assert stored(sub.stack) == stored(ref_stack_action_on(X, S))
                 if S.dim:
-                    quot, proj = X.quotient(S)
+                    quot, proj = X.quotient(S), S.projection_matrix()
                     ref_quot, ref_proj = ref_quotient_action(X, S)
                     assert quot.action == tuple(ref_quot) and proj == ref_proj
                     assert (quot.stack, proj) == ref_stack_quotient(X, S)

@@ -108,7 +108,7 @@ def resolution_kernels(X, depth=3):
     for P, D in zip(res.modules, res.diffs):
         ker = Subspace.row_space(D.kernel_basis().transpose())
         if ker.dim:
-            out.append(P.submodule(ker)[0])
+            out.append(P.submodule(ker))
     return out
 
 

@@ -74,7 +74,7 @@ def variant(A, how):
 
 def pool(B):
     """Regular, projective, simple and injective modules of B, and the top of the regular module."""
-    mods = [Module.regular(B), Module.regular(B).top()[0]]
+    mods = [Module.regular(B), Module.regular(B).top()]
     for lab in B.labels:
         mods += [projective(B, lab), simple(B, lab), injective(B, lab)]
     return mods
@@ -105,19 +105,19 @@ def test_equal_stacks_are_one_object(quiver, how):
         if rows.rows:
             total = Matrix.vcat([rows, Matrix.linear_combination(B.field, 1, X.dim, [
                 (1, rows.take_rows([t])) for t in range(rows.rows)])])
-            assert X.quotient(Subspace.row_space(total))[0] is X.quotient(rad)[0] is X.top()[0]
-            assert X.submodule(Subspace.row_space(total))[0] is X.submodule(rad)[0]
+            assert X.quotient(Subspace.row_space(total)) is X.quotient(rad) is X.top()
+            assert X.submodule(Subspace.row_space(total)) is X.submodule(rad)
         for lab in B.labels:
             T = trace_from_projective(lab, X)
             assert trace_from_projective(lab, X) is T  # kept on X per label
-            assert X.submodule(T)[0] is X.submodule(T)[0] and X.quotient(T)[0] is X.quotient(T)[0]
+            assert X.submodule(T) is X.submodule(T) and X.quotient(T) is X.quotient(T)
     # a filtration keeps X/T on each module X it peels, T the trace it keeps
     StratDatum(B, LabelPoset.chain(B.labels)).left_stratified()
     for key, X in list(B._derived.items()):
         if key[0] == "module":
             for k, quot in (X._derived or {}).copy().items():
                 if k[0] == "peel":
-                    assert quot is X.quotient(X._derived[("trace", k[1])])[0]
+                    assert quot is X.quotient(X._derived[("trace", k[1])])
 
 
 @SETTINGS
@@ -134,7 +134,7 @@ def test_records_with_equal_kernels_share_their_modules(quiver, how):
         sd0, rec0 = group[0]
         for sd, rec in group:
             assert rec.delta is rec0.delta and rec.delta_bar is rec0.delta_bar
-            assert sd.delta_kernel_module(i)[0] is sd0.delta_kernel_module(i)[0]
+            assert sd.delta_kernel_module(i) is sd0.delta_kernel_module(i)
 
 
 def _span(homs, f, rows, cols):

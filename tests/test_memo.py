@@ -31,6 +31,7 @@ def _report(capsys, argv):
 QUERIES = [
     ("check", corpus_path("fork")),
     ("idempotent", corpus_path("fork"), "--e", "1"),
+    ("idempotent", corpus_path("fork"), "--e", ""),
     ("idempotent", corpus_path("diamond"), "--e", "#0,#1"),
     ("check", corpus_path("diamond"), "--all-orders"),
     ("check", corpus_path("auslander-x3"), "--all-orders"),

@@ -335,12 +335,11 @@ class TestAgainstLoopVersions:
         X, vecs = case
         S = invariant_closure(X, vecs)
         assert S == ref_invariant_closure(X, vecs)
-        sub, incl = X.submodule(S)
+        sub, quot = X.submodule(S), X.quotient(S)
         rsub, rincl = ref_submodule(X, S)
-        assert same_module(sub, rsub) and incl == rincl
-        quot, proj = X.quotient(S)
+        assert same_module(sub, rsub) and S.inclusion() == rincl
         rquot, rproj = ref_quotient(X, S)
-        assert same_module(quot, rquot) and proj == rproj
+        assert same_module(quot, rquot) and S.projection_matrix() == rproj
         verify_action(sub)
         verify_action(quot)
 
@@ -355,26 +354,24 @@ class TestAgainstLoopVersions:
             with pytest.raises(InvalidModule):
                 X.submodule(S)
             return
-        sub, incl = X.submodule(S)
-        assert same_module(sub, expected[0]) and incl == expected[1]
+        assert same_module(X.submodule(S), expected[0]) and S.inclusion() == expected[1]
 
     @given(module_and_vectors())
     @SETTINGS
     def test_radical_socle_and_top(self, case):
         X, vecs = case
-        sub, _ = X.submodule(invariant_closure(X, vecs))
+        sub = X.submodule(invariant_closure(X, vecs))
         for M in (X, sub):
             assert M.radical_subspace() == ref_radical_subspace(M)
-            top, proj = M.top()
             rtop, rproj = ref_quotient(M, ref_radical_subspace(M))
-            assert same_module(top, rtop) and proj == rproj
+            assert same_module(M.top(), rtop) and M.radical_subspace().projection_matrix() == rproj
             assert M.socle_subspace() == ref_socle_subspace(M)
 
     @given(module_and_vectors(), st.data())
     @SETTINGS
     def test_direct_sum(self, case, data):
         X, vecs = case
-        sub, _ = X.submodule(invariant_closure(X, vecs))
+        sub = X.submodule(invariant_closure(X, vecs))
         Y = data.draw(st.sampled_from(pool(X.algebra)))
         for mods in ([X, Y], [sub, X, sub], [Module.zero(X.algebra), Y]):
             assert same_module(Module.direct_sum(mods), ref_direct_sum(mods))
@@ -383,7 +380,7 @@ class TestAgainstLoopVersions:
     @SETTINGS
     def test_hom_basis_spans_the_plain_solution(self, case, data):
         X, vecs = case
-        sub, _ = X.submodule(invariant_closure(X, vecs))
+        sub = X.submodule(invariant_closure(X, vecs))
         Y = data.draw(st.sampled_from(pool(X.algebra)))
         for S, T in ((sub, Y), (Y, sub), (X, sub)):
             homs = hom_basis(S, T)
@@ -398,7 +395,7 @@ class TestAgainstLoopVersions:
     def test_trace_from_projective_is_the_closure_of_e_y(self, case):
         X, vecs = case
         S = invariant_closure(X, vecs)
-        for M in (X, X.submodule(S)[0], X.quotient(S)[0]):
+        for M in (X, X.submodule(S), X.quotient(S)):
             for lab in M.algebra.labels:
                 assert trace_from_projective(lab, M) == trace_from_projective_closure(lab, M)
 
@@ -513,7 +510,7 @@ class TestModuleData:
         T = trace_from_projective("4", X)
         assert trace_from_projective("4", X) is T  # computed once per (module, label)
         quot, cert = X._derived[("peel", "4")], X._derived[("power", "4", D.stack)]
-        assert quot is X.quotient(T)[0] and 0 < T.dim < X.dim  # X/T is a new module
+        assert quot is X.quotient(T) and 0 < T.dim < X.dim  # X/T is a new module
         assert cert is res.certs[0]
         assert filtration_standard(X, {"4": D}, chain, allowed={"4"}).certs[0] is cert
         del res, D
@@ -569,7 +566,7 @@ class TestModuleData:
         # two quotients of P_1 of the same dimension with top L_1: [1 over 2] and [1 over 4]
         A = algebra("diamond", "Q")
         P = projective(A, "1")
-        over2, over4 = (P.quotient(trace_from_projective(j, P))[0] for j in ("4", "2"))
+        over2, over4 = (P.quotient(trace_from_projective(j, P)) for j in ("4", "2"))
         X = Module.direct_sum([over2, over2])
         one_last = LabelPoset.chain(["4", "3", "2", "1"])
         for D, status in ((over4, "no"), (over2, "yes"), (over4, "no")):
@@ -581,10 +578,9 @@ class TestModuleData:
             A = algebra("diamond", field)
             X = Module.direct_sum([projective(A, "1"), simple(A, "3")])
             identity = Matrix.identity(A.field, X.dim)
-            quot, proj = X.quotient(Subspace.zero(A.field, X.dim))
-            assert quot is X and proj == identity
-            sub, incl = X.submodule(Subspace.full(A.field, X.dim))
-            assert sub is X and incl == identity
+            zero, full = Subspace.zero(A.field, X.dim), Subspace.full(A.field, X.dim)
+            assert X.quotient(zero) is X and zero.projection_matrix() == identity
+            assert X.submodule(full) is X and full.inclusion() == identity
             # the dual lands on the opposite algebra, and its dual on X's algebra with
             # X's stack: X itself, as is the direct sum of X alone
             assert X.dual().algebra is A.opposite() and X.dual().dual() is X

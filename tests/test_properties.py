@@ -74,8 +74,8 @@ class TestCompMult:
         A = entry("diamond").algebra
         P = projective(A, "1")
         rad = P.radical_subspace()
-        sub, _ = P.submodule(rad)
-        quo, _ = P.quotient(rad)
+        sub = P.submodule(rad)
+        quo = P.quotient(rad)
         for lab in A.labels:
             assert comp_mult(P, lab) == comp_mult(sub, lab) + comp_mult(quo, lab)
 

@@ -26,10 +26,12 @@ import strata.modules
 import strata.vmult
 from strata.acceptance import adjunction_dims
 from strata.compat import build_stratification_chain
+from strata.corpus import corpus_path
 from strata.errors import NotQuasiHereditary, StrataError
 from strata.kernel.fields import QQ
 from strata.modules import Module, quotient_module
-from strata.strat import LabelPoset, StratDatum
+from strata.specfile import load_spec_file
+from strata.strat import LabelPoset, strat_datum
 from strata.vmult import tables_from_algebra, v_matrix_from_algebra
 
 from oracles import entry, ref_adjunction_dims, ref_quotient_table, sparse_table
@@ -64,7 +66,7 @@ def check_quotients_per_support(A):
             assert proj == fresh_proj
             assert sparse_table(Q) == ref_quotient_table(A, e)
             assert quotient_module(A, e) is X
-            assert X.stack == Module.regular(A).quotient(J)[0].stack
+            assert X.stack == Module.regular(A).quotient(J).stack
 
 
 class TestQuotientsPerIdeal:
@@ -138,21 +140,22 @@ class TestTablesPerOrder:
         check_second_v_matrix_solves_nothing(ent.algebra, ent.poset)
 
 
-def chain_or_error(A, poset, e, sd):
+def chain_or_error(A, poset, e):
     try:
-        return build_stratification_chain(A, poset, e, sd)
+        return build_stratification_chain(A, poset, e)
     except StrataError as exc:
         return type(exc)
 
 
-def check_chains_share_their_layers(A, poset):
-    """Each subset sum's chain, built on one shared datum after the others, is the
-    chain a fresh datum (no layer checked yet) gives."""
-    shared = StratDatum(A, poset)
+def check_chains_share_their_layers(A, load, poset):
+    """Each subset sum's chain, built on A's datum after the others, is the chain a
+    fresh datum (no layer checked yet) gives: the datum of load(), a second load
+    of A, which is a new family."""
+    shared = strat_datum(A, poset)
     for sums in by_support(A).values():
         for e in sums:
-            got = chain_or_error(A, poset, e, shared)
-            assert got == chain_or_error(A, poset, e, StratDatum(A, poset))
+            got = chain_or_error(A, poset, e)
+            assert got == chain_or_error(load(), poset, e)
             if isinstance(got, tuple) and got[1] is not None:
                 # each layer's multiplicity fits the two ideals of its own chain
                 chain, below = got[1], 0
@@ -166,12 +169,14 @@ class TestChainLayersPerOrder:
     @given(GENERATED)
     def test_generated(self, quiver):
         A = build(quiver)
-        check_chains_share_their_layers(A, LabelPoset.chain(A.labels))
+        check_chains_share_their_layers(A, lambda: build(quiver), LabelPoset.chain(A.labels))
 
     @pytest.mark.parametrize("name", ["fork", "diamond", "auslander-x3", "nonbasic-endo", "dual-extension"])
     def test_corpus(self, name):
-        ent = entry(name)
-        check_chains_share_their_layers(ent.algebra, ent.poset)
+        def load():
+            return load_spec_file(corpus_path(name)).algebra
+
+        check_chains_share_their_layers(load(), load, entry(name).poset)
 
 
 @pytest.mark.parametrize("name", ["sl2-block", "fork", "auslander-x3"])

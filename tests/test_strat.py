@@ -389,7 +389,7 @@ class TestStandardMemo:
         a = StratDatum(A, LabelPoset(A.labels, [("1", "2")]))
         b = StratDatum(A, LabelPoset.antichain(A.labels))
         assert a.delta["1"] is b.delta["1"] and a.delta_bar["1"] is b.delta_bar["1"]
-        assert a.delta_kernel_module("1")[0] is b.delta_kernel_module("1")[0]
+        assert a.delta_kernel_module("1") is b.delta_kernel_module("1")
         # the labels not below 2 differ ({3, 4} against {1, 3, 4}), so the records of 2
         # differ; their Delta_2 have one stack (L_2), so they are one module
         assert a._records["2"] is not b._records["2"]

@@ -182,7 +182,7 @@ def test_iso_test_is_exact_against_a_simple_top(monkeypatch):
     # not_iso without a random trial
     A = compile_rad_square_zero(QQ, ["1", "2"], [("1", "2"), ("1", "2"), ("2", "2")])
     sd = StratDatum(A, LabelPoset(("1", "2"), [("1", "2")]))
-    K, _ = sd.delta_kernel_module("1")
+    K = sd.delta_kernel_module("1")
 
     def no_trials(rng, n):
         raise AssertionError("random trial on a pair with a local endomorphism ring")
